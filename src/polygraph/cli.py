@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -246,8 +245,10 @@ def cmd_periodicity(args) -> int:
 
 
 def cmd_symmetry(args) -> int:
+    if args.bound < 1:
+        raise FormatError(f"--bound must be >= 1, got {args.bound}")
     P, inputs = _load(args)
-    lat = symmetry_lattice(P, bound=args.bound, jobs=args.jobs)
+    lat = symmetry_lattice(P, bound=args.bound)
     result = {"lattice": lattice_to_obj(lat),
               "structure": structure_report(P, lat)}
     _emit(args, inputs, f"rank {lat.rank}, basis {[list(v) for v in lat.basis]}", result)
@@ -305,8 +306,9 @@ def build_parser() -> argparse.ArgumentParser:
         prog="polygraph",
         description="single-vertex k-graph toolkit: validation, enumeration, "
                     "periodicity certificates, atomic representations")
-    ap.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
-                    help="worker processes for sweeps (results merged deterministically)")
+    ap.add_argument("--jobs", type=int, default=1,
+                    help="worker processes for enumeration sweeps "
+                         "(results merged deterministically)")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("validate", help="validate a presentation file")

@@ -361,19 +361,42 @@ def cycle_construction(P: Presentation, seeds: list[Word], cap: int = 100_000
 
 def full_symmetry_subgroup(gc: GroupConstruction) -> list[Vec]:
     """All h in G with every t^i and alpha^i invariant under translation
-    by h; the invariance conditions compose, so the set is a subgroup."""
+    by h, in element order; the invariance conditions compose, so the set
+    is a subgroup.
+
+    Each element carries the label (t^1..t^k, alpha^1..alpha^k), and only
+    the h labelled like 0 are candidates.  A candidate is checked along
+    the spanning tree parent(g) = g - g_c (c the last nonzero coordinate
+    of g, so parents precede children in element order): the translate of
+    g + h is one generator step from that of parent(g) + h.  The walk
+    stops at the first label that moves.
+    """
     G = gc.group
+    ids: dict = {}
+    label = [ids.setdefault(lab, len(ids)) for lab in zip(*gc.t, *gc.alpha)]
+    add = []  # add[c][n] = index of (element #n) + g_c
+    for sub in G._sub:
+        inv = [0] * G.order
+        for n, s in enumerate(sub):
+            inv[s] = n
+        add.append(inv)
+    tree = []  # (n, add_c, parent index) for every nonzero element, in order
+    for n, g in enumerate(G.elements):
+        c = max((i for i, x in enumerate(g) if x), default=None)
+        if c is not None:
+            tree.append((n, add[c], G._sub[c][n]))
     out = []
-    for h in G.elements:
-        shifted = [G.index(tuple(x + y for x, y in zip(g, h))) for g in G.elements]
-        ok = True
-        for i in range(G.k):
-            ti, ai = gc.t[i], gc.alpha[i]
-            if any(ti[shifted[n]] != ti[n] or ai[shifted[n]] != ai[n]
-                   for n in range(G.order)):
-                ok = False
+    shift = [0] * G.order  # shift[n] = index of (element #n) + h
+    for h_index, h in enumerate(G.elements):
+        if label[h_index] != label[0]:
+            continue
+        shift[0] = h_index
+        for n, add_c, parent in tree:
+            s = add_c[shift[parent]]
+            if label[s] != label[n]:
                 break
-        if ok:
+            shift[n] = s
+        else:
             out.append(h)
     return out
 

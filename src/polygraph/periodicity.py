@@ -254,13 +254,19 @@ class SymmetryLattice:
 
 def _mixed_sign_candidates(k: int, bound: int):
     for pi in itertools.product(range(-bound, bound + 1), repeat=k):
-        if any(x > 0 for x in pi) and any(x < 0 for x in pi):
+        if min(pi) < 0 < max(pi):
             yield pi
 
 
-def symmetry_lattice(P: Presentation, bound: int = 4, jobs: int = 1) -> SymmetryLattice:
-    """Certify every mixed-sign pi with |pi_i| <= bound, close the hits
-    into a lattice (HNF), and re-verify each basis vector.
+def symmetry_lattice(P: Presentation, bound: int = 4) -> SymmetryLattice:
+    """Find every mixed-sign period pi with |pi_i| <= bound, close the
+    hits into a lattice (HNF), and re-verify each basis vector.
+
+    Periods form a subgroup of Z^k, so the search accepts by closure:
+    candidates are visited by increasing L1 norm (ties lexicographic), a
+    candidate inside the lattice spanned by the hits so far is accepted
+    without a certificate, and only candidates outside it go to
+    `is_periodic`.  `hits` holds every mixed-sign lattice point of the box.
 
     Raises LatticeInconsistency if a basis vector fails re-verification
     (the bound clipped a generator) or the lattice meets the nonnegative
@@ -268,16 +274,15 @@ def symmetry_lattice(P: Presentation, bound: int = 4, jobs: int = 1) -> Symmetry
     """
     if bound < 1:
         raise ValueError("bound must be >= 1")
-    candidates = list(_mixed_sign_candidates(P.k, bound))
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            verdicts = list(pool.map(_certify_one, [(P, pi) for pi in candidates],
-                                     chunksize=max(1, len(candidates) // (4 * jobs))))
-        hits = [pi for pi, ok in zip(candidates, verdicts) if ok]
-    else:
-        hits = [pi for pi in candidates if is_periodic(P, pi) is not None]
-    basis = hermite_normal_form(hits)
+    hits = []
+    basis: tuple[tuple[int, ...], ...] = ()  # HNF of the hits so far
+    # a stable sort: candidates are generated in lexicographic order
+    for pi in sorted(_mixed_sign_candidates(P.k, bound), key=lambda pi: sum(map(abs, pi))):
+        if basis and lattice_contains(basis, pi):
+            hits.append(pi)
+        elif is_periodic(P, pi) is not None:
+            hits.append(pi)
+            basis = hermite_normal_form(basis + (pi,))
     certs = []
     for v in basis:
         cert = is_periodic(P, v)
@@ -291,11 +296,6 @@ def symmetry_lattice(P: Presentation, bound: int = 4, jobs: int = 1) -> Symmetry
             f"lattice {basis} meets the nonnegative orthant")
     return SymmetryLattice(presentation=P, bound=bound, basis=basis,
                            certificates=tuple(certs), hits=tuple(sorted(hits)))
-
-
-def _certify_one(args) -> bool:
-    P, pi = args
-    return is_periodic(P, pi) is not None
 
 
 def central_element(P: Presentation, cert: PeriodicityCertificate) -> StarSum:

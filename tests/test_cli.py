@@ -78,6 +78,14 @@ class TestExitCodes:
         assert main(["periodicity", "--presentation", "cycle3-forward",
                      "--pi", "1,-1"]) == 2
 
+    @pytest.mark.parametrize("bound", ["0", "-2"])
+    def test_nonpositive_symmetry_bound_is_exit_1(self, bound, capsys):
+        assert main(["symmetry", "--presentation", "flip", "--bound", bound]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("input error:")
+        assert "Traceback" not in captured.err
+
     def test_periodic_pi_exit_0(self, capsys):
         assert main(["periodicity", "--presentation", "flip", "--pi", "1,-1"]) == 0
         out = json.loads(capsys.readouterr().out)

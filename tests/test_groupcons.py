@@ -218,6 +218,57 @@ class TestSymmetryAndDecomposition:
         sym = full_symmetry_subgroup(gc)
         assert [h for h in sym if h[1] == 0] == [(0, 0)]
 
+    def test_label_filter_matches_the_quadratic_scan(self):
+        # the reference is the direct O(|G|^2) scan: translate every
+        # element by every h and compare all t^i and alpha^i
+        def scan(gc):
+            G = gc.group
+            rows = gc.t + gc.alpha
+            out = []
+            for h in G.elements:
+                shifted = [G.index(tuple(x + y for x, y in zip(g, h))) for g in G.elements]
+                if all(row[shifted[n]] == row[n] for row in rows for n in range(G.order)):
+                    out.append(h)
+            return out
+
+        def word(color, text):
+            return tuple((color, int(ch)) for ch in text)
+
+        # one seed pair per (group order, summand count) class up to order 144
+        seeds = {
+            FLIP: [("1", "1"), ("1", "11"), ("1", "111"), ("1", "2"), ("1", "1111"),
+                   ("11", "111"), ("12", "1212"), ("11", "1111"), ("112", "112"),
+                   ("111", "111"), ("1", "212"), ("111", "1111"), ("11", "12"),
+                   ("1212", "1212"), ("1111", "1111"), ("1", "12"), ("111", "112"),
+                   ("121", "212"), ("1", "112"), ("1111", "1112"), ("11", "1112"),
+                   ("11", "2112"), ("1", "1112")],
+            FWD: [("2", "2"), ("2", "22"), ("2", "222"), ("2", "2222"), ("22", "222"),
+                  ("22", "2222"), ("1", "1"), ("222", "222"), ("222", "2222"),
+                  ("2222", "2222"), ("11", "11"), ("1", "1211"), ("1", "111"),
+                  ("1", "11"), ("1111", "1111"), ("1111", "2122"), ("1121", "2112")],
+        }
+        base = gc27()
+        G = base.group
+        rng = random.Random(5)
+        d = [Fraction(rng.randint(0, 2), 3) for _ in range(G.order)]
+        scrambled = group_construction(FCC, G, base.t, [
+            [(base.alpha[i][n] + d[n] - d[G.sub_generator(n, i + 1)]) % 1
+             for n in range(G.order)]
+            for i in range(3)])
+        parents = [base, gc27(alphas=[phase(1, 3)] * 3), scrambled]
+        for P, pairs in seeds.items():
+            for a, b in pairs:
+                family, _ = cycle_construction(P, [word(1, a), word(2, b)])
+                parents.append(from_commuting_words(P, family))
+        assert max(gc.dimension for gc in parents) == 144
+        skew_kernels = 0
+        for gc in parents:
+            assert full_symmetry_subgroup(gc) == scan(gc)
+            for s in decompose(normalize_scalars(gc)).summands:
+                assert full_symmetry_subgroup(s) == scan(s)
+                skew_kernels += any(s.group.kernel[0][1:])
+        assert skew_kernels > 0
+
     def test_27dim_decomposition(self):
         rep = decompose(gc27())
         assert len(rep.summands) == 9

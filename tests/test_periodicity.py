@@ -1,8 +1,10 @@
+import functools
 import itertools
 
 import pytest
 
 from polygraph import catalog
+from polygraph.enumeration import enumerate_presentations, isomorphism_classes
 from polygraph.intlinalg import hermite_normal_form, meets_positive_orthant
 from polygraph.kgraph import normal_form, words_equal, words_of_degree
 from polygraph.periodicity import (
@@ -25,6 +27,14 @@ FWD = catalog.cycle3_forward_2graph()
 PRODUCT = catalog.product_periodic_3graph(2, 2)
 TWISTED = catalog.twisted_periodic_3graph(2)
 FSS = catalog.flip_square_square_3graph()
+CATALOG = (FLIP, SQUARE, FWD, catalog.cycle3_reverse_2graph(),
+           catalog.flip_cycle_cycle_3graph(), FSS, PRODUCT, TWISTED,
+           catalog.transposition_kgraph(3, 3))
+
+
+@functools.lru_cache(maxsize=None)
+def _classes(m):
+    return isomorphism_classes(enumerate_presentations(m))
 
 
 class TestFindGamma:
@@ -149,19 +159,34 @@ class TestSymmetryLattice:
                 assert replay.passed
                 assert replay.states_visited == cert.tail_check.states_visited
 
-    def test_parallel_matches_serial(self):
-        serial = symmetry_lattice(FSS, bound=2)
-        parallel = symmetry_lattice(FSS, bound=2, jobs=2)
-        assert serial.basis == parallel.basis and serial.hits == parallel.hits
+    def test_closure_matches_certifying_every_candidate(self):
+        # the reference certifies every mixed-sign candidate in the box,
+        # then takes the HNF of the hits and certifies each basis vector
+        def certify_all(P, bound):
+            hits = [pi for pi in itertools.product(range(-bound, bound + 1), repeat=P.k)
+                    if any(x > 0 for x in pi) and any(x < 0 for x in pi)
+                    and is_periodic(P, pi) is not None]
+            basis = hermite_normal_form(hits)
+            return basis, tuple(sorted(hits)), tuple(is_periodic(P, v) for v in basis)
+
+        cases = [(P, bound) for P in CATALOG for bound in (2, 3)]
+        cases += [(cls.representative, 2)
+                  for m in ((2, 2), (2, 2, 2)) for cls in _classes(m)]
+        rank_two = 0
+        for P, bound in cases:
+            lat = symmetry_lattice(P, bound=bound)
+            assert (lat.basis, lat.hits, lat.certificates) == certify_all(P, bound), \
+                (P.theta, bound)
+            rank_two += lat.rank == 2
+        assert rank_two > 0
 
     def test_transducer_vs_brute_across_the_222_classes(self):
         # every class representative for m=(2,2,2), every |pi_i| <= 1
         # candidate with a bijection: the transducer and the word-prefix
         # oracle must agree.  Some bijections pass (dagger) but fail the
         # tail condition; the counts are frozen as regression constants.
-        from polygraph.enumeration import enumerate_presentations, isomorphism_classes
         from polygraph.kgraph import extract_prefix
-        classes = isomorphism_classes(enumerate_presentations((2, 2, 2)))
+        classes = _classes((2, 2, 2))
         candidates = [pi for pi in itertools.product((-1, 0, 1), repeat=3)
                       if any(x > 0 for x in pi) and any(x < 0 for x in pi)]
         box = (3, 3, 3)
@@ -248,8 +273,7 @@ class TestCentralElements:
     def test_central_elements_across_the_222_classes(self):
         # every bound-1 period found across the m=(2,2,2) classes gives a
         # central unitary at the relation level (counts frozen)
-        from polygraph.enumeration import enumerate_presentations, isomorphism_classes
-        classes = isomorphism_classes(enumerate_presentations((2, 2, 2)))
+        classes = _classes((2, 2, 2))
         periodic = checked = 0
         for cls in classes:
             lat = symmetry_lattice(cls.representative, bound=1)
