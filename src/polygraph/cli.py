@@ -48,7 +48,7 @@ from .jsonio import (
     tail_from_obj,
     word_to_obj,
 )
-from .kgraph import PresentationError, CubicViolation, InvalidPermutation
+from .kgraph import PresentationError, CubicViolation, InvalidPermutation, check_word
 from .periodicity import (
     LatticeInconsistency,
     TransducerCapExceeded,
@@ -121,12 +121,26 @@ def _parse_vector(text: str) -> tuple[int, ...]:
         raise FormatError(f"bad integer vector {text!r}") from err
 
 
+def _parse_degree(P, text: str | None, flag: str) -> tuple[int, ...]:
+    """A vector with one entry per color, for flags such as --box."""
+    if text is None:
+        raise FormatError(f"{flag} is required")
+    v = _parse_vector(text)
+    if len(v) != P.k:
+        raise FormatError(f"{flag} needs {P.k} entries, got {len(v)}")
+    return v
+
+
 def _parse_words(P, text: str):
+    parts = text.split(",")
+    if len(parts) != P.k:
+        raise FormatError(f"need {P.k} comma-separated words, got {len(parts)}")
     words = []
-    for i, part in enumerate(text.split(","), start=1):
-        words.append(tuple((i, int(ch)) for ch in part))
-    if len(words) != P.k:
-        raise FormatError(f"need {P.k} comma-separated words, got {len(words)}")
+    for i, part in enumerate(parts, start=1):
+        try:
+            words.append(check_word(P, tuple((i, int(ch)) for ch in part)))
+        except ValueError as err:  # a non-digit letter, or WordError
+            raise FormatError(f"bad index word {part!r} for color {i}: {err}") from err
     return words
 
 
@@ -135,8 +149,11 @@ def _parse_alphas(P, text: str | None):
         return None
     out = []
     for part in text.split(","):
-        num, den = part.split("/")
-        out.append(Fraction(int(num), int(den)) % 1)
+        try:
+            num, den = part.split("/")
+            out.append(Fraction(int(num), int(den)) % 1)
+        except (ValueError, ZeroDivisionError) as err:
+            raise FormatError(f"bad phase {part!r}, expected p/q") from err
     if len(out) != P.k:
         raise FormatError(f"need {P.k} phases, got {len(out)}")
     return out
@@ -188,6 +205,8 @@ def cmd_classify(args) -> int:
 
 
 def cmd_tail(args) -> int:
+    if args.bound < 1 or args.depth < 1:
+        raise FormatError(f"--bound and --depth must be >= 1, got {args.bound}, {args.depth}")
     P, inputs = _load(args)
     if args.tail_command == "splice":
         tl = splice_separating_tail(P, bound=args.bound, depth=args.depth)
@@ -203,7 +222,9 @@ def cmd_tail(args) -> int:
         tl = tail_from_obj(P, json.load(fh))
     inputs.append(args.tail)
     if args.tail_command == "sigma":
-        box = _parse_vector(args.box)
+        box = _parse_degree(P, args.box, "--box")
+        if min(box) < 0:
+            raise FormatError(f"--box entries must be >= 0, got {list(box)}")
         data = sigma_data(tl, box)
         result = {"box": list(box),
                   "sigma": [{"n": list(n), "t": list(v)} for n, v in data.values]}
@@ -216,10 +237,13 @@ def cmd_tail(args) -> int:
                   "generators_found": [list(g.shift) for g in sym.generators]}
         _emit(args, inputs, f"tail symmetry rank {sym.rank}", result)
     else:  # equivalent
+        if args.other is None:
+            raise FormatError("--other is required for equivalent")
+        shift = _parse_degree(P, args.shift, "--shift")
         with open(args.other) as fh:
             other = tail_from_obj(P, json.load(fh))
         inputs.append(args.other)
-        tr = shift_tail_equivalent(tl, other, _parse_vector(args.shift), depth=args.depth)
+        tr = shift_tail_equivalent(tl, other, shift, depth=args.depth)
         result = {"shift": list(tr.shift), "equivalent": tr.equivalent,
                   "threshold": list(tr.threshold), "bottom": list(tr.bottom),
                   "counterexample": list(tr.counterexample) if tr.counterexample else None}
@@ -231,7 +255,9 @@ def cmd_periodicity(args) -> int:
     from .periodicity import central_element
     from .staralg import render
     P, inputs = _load(args)
-    pi = _parse_vector(args.pi)
+    pi = _parse_degree(P, args.pi, "--pi")
+    if any(pi) and not min(pi) < 0 < max(pi):
+        raise FormatError(f"--pi {list(pi)} must have entries of both signs (or be zero)")
     cert = is_periodic(P, pi)
     if cert is None:
         _emit(args, inputs, f"{list(pi)} is not a period",

@@ -29,7 +29,6 @@ from .intlinalg import (
     Mat,
     Vec,
     hermite_normal_form,
-    lattice_contains,
     smith_normal_form,
     solve_integer,
 )

@@ -75,14 +75,16 @@ def lattice_contains(hnf: Mat, v: Vec) -> bool:
     """Membership of v in the lattice with (row-style) HNF basis `hnf`."""
     if not hnf:
         return not any(v)
-    ncols = len(hnf[0])
     r = list(v)
+    # echelon rows have strictly increasing pivot columns: one forward walk
+    pcol = 0
     for row in hnf:
-        pcol = next(c for c in range(ncols) if row[c] != 0)
-        if r[pcol] % row[pcol] != 0:
+        while row[pcol] == 0:
+            pcol += 1
+        q, rem = divmod(r[pcol], row[pcol])
+        if rem:
             return False
-        q = r[pcol] // row[pcol]
-        for c in range(ncols):
+        for c in range(pcol, len(row)):
             r[c] -= q * row[c]
     return not any(r)
 

@@ -288,23 +288,31 @@ def extract_prefix(P: Presentation, w: Word, n: Degree) -> tuple[Word, Word]:
     color to the front by adjacent swaps.  The resulting prefix is in
     normal form; the suffix is normalized before returning.  Uniqueness of
     the factorization makes the result strategy-independent.
+
+    The prefix grows in place in front of `front`.  A swap keeps the
+    colors of the letters the pulled one passes (each shifts right by
+    one), so the next letter of the same color lies beyond the previous
+    one's old position and the scan for it never restarts.
     """
     if len(n) != P.k:
         raise NotAPrefix(f"degree {n} has wrong length for k={P.k}")
     d = degree(P, w)
-    if any(x < 0 for x in n) or not deg_le(n, d):
+    if not all(0 <= x <= y for x, y in zip(n, d)):
         raise NotAPrefix(f"{n} is not componentwise between 0 and {d}")
     asc, desc = P._asc, P._desc
     rest = list(w)
-    prefix: list[Letter] = []
-    for color in range(1, P.k + 1):
-        for _ in range(n[color - 1]):
-            pos = next(q for q, letter in enumerate(rest) if letter[0] == color)
-            for q in range(pos, 0, -1):
+    front = 0
+    for color, count in enumerate(n, start=1):
+        scan = front
+        for _ in range(count):
+            while rest[scan][0] != color:
+                scan += 1
+            for q in range(scan, front, -1):
                 pair = (rest[q - 1], rest[q])
                 rest[q - 1], rest[q] = asc[pair] if pair[0][0] < color else desc[pair]
-            prefix.append(rest.pop(0))
-    return tuple(prefix), normal_form(P, tuple(rest))
+            front += 1
+            scan += 1
+    return tuple(rest[:front]), normal_form(P, tuple(rest[front:]))
 
 
 def random_sort(P: Presentation, w: Word, rng) -> Word:

@@ -17,7 +17,7 @@ equivalent to itself and returns the lattice they generate.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import lcm
 
 from .intlinalg import hermite_normal_form, lattice_contains
@@ -87,9 +87,14 @@ class SigmaData:
 
     box: Degree
     values: tuple[tuple[Degree, tuple[int, ...]], ...]
+    # Lookup table built from values (derived, not compared or hashed).
+    _lookup: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_lookup", dict(self.values))
 
     def __getitem__(self, n: Degree) -> tuple[int, ...]:
-        return dict(self.values)[n]
+        return self._lookup[n]
 
     def as_dict(self) -> dict[Degree, tuple[int, ...]]:
         return dict(self.values)
@@ -100,32 +105,65 @@ def sigma_data(t: Tail, box: Degree) -> SigmaData:
 
     For each n in the box and each color i, the value is the index of the
     last color-i letter of the degree (-n + e_i) prefix of the unrolled
-    tail; unique factorization makes this well defined and independent of
-    how far the tail is unrolled.
+    tail, that is, of the color-i edge leaving the point -n in the grid
+    filled by the prefix of degree box + (1,...,1); unique factorization
+    makes this well defined and independent of how far the tail is
+    unrolled.
     """
     P = t.presentation
-    word = t.unroll(deg_add(box, (1,) * P.k))
-    values = {}
-    for n in _box_points(box):
-        values[n] = _sigma_at(P, word, n)
-    return SigmaData(box=tuple(box), values=tuple(sorted(values.items())))
+    box = tuple(box)
+    if len(box) != P.k or any(b < 0 for b in box):
+        raise ValueError(f"box {box} must have {P.k} nonnegative entries")
+    top = deg_add(box, (1,) * P.k)
+    prefix, _ = extract_prefix(P, t.unroll(top), top)
+    edges, strides = _edge_grid(P, prefix, top)
+    values = []
+    for n in itertools.product(*[range(-b, 1) for b in box]):
+        p = -sum(x * s for x, s in zip(n, strides))
+        values.append((n, tuple(e[p] for e in edges)))
+    return SigmaData(box=box, values=tuple(values))
 
 
-def _box_points(box: Degree):
-    ranges = [range(0, -(b + 1), -1) for b in box]
-    return itertools.product(*ranges)
+def _edge_grid(P: Presentation, word: Word, top: Degree
+               ) -> tuple[list[list[int]], list[int]]:
+    """The edge labels of the normal-form word of degree `top`.
 
-
-def _sigma_at(P: Presentation, word: Word, n: Degree) -> tuple[int, ...]:
-    minus_n = tuple(-x for x in n)
-    out = []
-    for i in range(1, P.k + 1):
-        target = tuple(c + (1 if j == i - 1 else 0) for j, c in enumerate(minus_n))
-        prefix, _ = extract_prefix(P, word, target)
-        _, last = extract_prefix(P, prefix, minus_n)
-        assert len(last) == 1 and last[0][0] == i
-        out.append(last[0][1])
-    return tuple(out)
+    Points p of the box 0 <= p <= top are flattened to sum(p_c strides_c);
+    edges[c][p] is the index of the color-(c+1) edge from p to p + e_c
+    (left unset where p_c = top_c).  The word traces the staircase
+    0 -> top_1 e_1 -> top_1 e_1 + top_2 e_2 -> ... -> top.  Color j is
+    then added layer by layer: in the layer p_j = r the known color-i
+    edges (i < j) and the staircase's color-j edge at the layer's corner
+    determine the rest, points taken in decreasing order, through one
+    commutation square per (p, i): the path bottom-then-right,
+    (i, edges[i][p]) (j, edges[j][p + e_i]), rewrites to the path
+    left-then-top, (j, edges[j][p]) (i, edges[i][p + e_j]).
+    """
+    k, asc = P.k, P._asc
+    strides = [0] * k
+    size = 1
+    for c in reversed(range(k)):
+        strides[c] = size
+        size *= top[c] + 1
+    edges = [[0] * size for _ in range(k)]
+    p = 0
+    for c, s in word:
+        edges[c - 1][p] = s
+        p += strides[c - 1]
+    for j in range(1, k):
+        color_j, edges_j, step_j = j + 1, edges[j], strides[j]
+        squares = [(i + 1, edges[i], strides[i]) for i in range(j)]
+        below = [range(top[c], -1, -1) for c in range(j)]
+        for r in range(top[j]):
+            for q in itertools.product(*below):
+                p = r * step_j + sum(x * s for x, s in zip(q, strides))
+                for (color_i, edges_i, step_i), x, limit in zip(squares, q, top):
+                    if x < limit:
+                        (_, left), (_, up) = asc[((color_i, edges_i[p]),
+                                                  (color_j, edges_j[p + step_i]))]
+                        edges_j[p] = left
+                        edges_i[p + step_j] = up
+    return edges, strides
 
 
 @dataclass(frozen=True)
@@ -155,14 +193,16 @@ def shift_tail_equivalent(t1: Tail, t2: Tail, p: Degree, depth: int = 2
     P = t1.presentation
     if t2.presentation != P:
         raise ValueError("tails over different presentations")
+    if len(p) != P.k:
+        raise ValueError(f"shift {tuple(p)} must have {P.k} entries")
     if depth < 1:
         raise ValueError("depth must be >= 1")
     pre1, pre2 = t1.preperiod_degree, t2.preperiod_degree
     per1, per2 = t1.period_degree, t2.period_degree
     threshold = tuple(-(max(a, b) + max(0, q)) for a, b, q in zip(pre1, pre2, p))
     bottom = tuple(t - depth * lcm(a, b) for t, a, b in zip(threshold, per1, per2))
-    s1 = sigma_data(t1, tuple(-b for b in bottom)).as_dict()
-    s2 = sigma_data(t2, tuple(-(b + q) for b, q in zip(bottom, p))).as_dict()
+    s1 = sigma_data(t1, tuple(-b for b in bottom))
+    s2 = sigma_data(t2, tuple(-(b + q) for b, q in zip(bottom, p)))
     for n in itertools.product(*[range(b, t + 1) for b, t in zip(bottom, threshold)]):
         if s2[deg_add(n, p)] != s1[n]:
             return EquivalenceTranscript(p, False, threshold, bottom, counterexample=n)

@@ -86,6 +86,33 @@ class TestExitCodes:
         assert captured.err.startswith("input error:")
         assert "Traceback" not in captured.err
 
+    @pytest.mark.parametrize("argv", [
+        ["tail", "sigma", "--tail", "TAIL", "--box", "4"],
+        ["tail", "sigma", "--tail", "TAIL", "--box", "2,2,2"],
+        ["tail", "sigma", "--tail", "TAIL", "--box=-1,2"],
+        ["tail", "equivalent", "--tail", "TAIL", "--other", "TAIL"],
+        ["tail", "equivalent", "--tail", "TAIL", "--other", "TAIL", "--shift", "1,0,0"],
+        ["tail", "equivalent", "--tail", "TAIL", "--shift", "0,0"],
+        ["tail", "symmetry", "--tail", "TAIL", "--bound", "0"],
+        ["tail", "splice", "--depth", "0"],
+        ["rep", "build", "--words", "1x,12"],
+        ["rep", "build", "--words", "13,12"],
+        ["rep", "build", "--words", "1,1", "--alphas", "1-3,0/1"],
+        ["periodicity", "--pi", "1,1"],
+        ["periodicity", "--pi", "1,-1,0"],
+    ])
+    def test_bad_arguments_are_exit_1(self, argv, tmp_path, capsys):
+        tail_file = tmp_path / "tail.json"
+        tail_file.write_text(json.dumps({"preperiod": [], "period": [[1, 1], [2, 1]]}))
+        argv = [str(tail_file) if a == "TAIL" else a for a in argv]
+        command = argv[:2] if argv[0] in ("tail", "rep") else argv[:1]
+        argv = command + ["--presentation", "flip"] + argv[len(command):]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("input error:")
+        assert "Traceback" not in captured.err
+
     def test_periodic_pi_exit_0(self, capsys):
         assert main(["periodicity", "--presentation", "flip", "--pi", "1,-1"]) == 0
         out = json.loads(capsys.readouterr().out)

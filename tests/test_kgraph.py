@@ -253,6 +253,58 @@ class TestExtractPrefix:
             assert matches == [u]
 
 
+def _reference_extract_prefix(P, w, n):
+    """extract_prefix as first written: pop(0) from the front and a fresh
+    leftmost-letter scan for every pulled letter."""
+    if len(n) != P.k:
+        raise NotAPrefix(f"degree {n} has wrong length for k={P.k}")
+    d = degree(P, w)
+    if any(x < 0 for x in n) or not all(x <= y for x, y in zip(n, d)):
+        raise NotAPrefix(f"{n} is not componentwise between 0 and {d}")
+    asc, desc = P._asc, P._desc
+    rest = list(w)
+    prefix = []
+    for color in range(1, P.k + 1):
+        for _ in range(n[color - 1]):
+            pos = next(q for q, letter in enumerate(rest) if letter[0] == color)
+            for q in range(pos, 0, -1):
+                pair = (rest[q - 1], rest[q])
+                rest[q - 1], rest[q] = asc[pair] if pair[0][0] < color else desc[pair]
+            prefix.append(rest.pop(0))
+    return tuple(prefix), normal_form(P, tuple(rest))
+
+
+class TestExtractPrefixAgainstReference:
+    GRAPHS = GRAPHS + [catalog.cycle3_reverse_2graph()]
+
+    def test_matches_reference_and_random_sort(self):
+        rng = random.Random(31)
+        unsorted = 0
+        for P in self.GRAPHS:
+            for length in range(41):
+                w = tuple(rng.choice(list(P.letters())) for _ in range(length))
+                unsorted += normal_form(P, w) != w
+                d = degree(P, w)
+                for n in (d, P.zero(), tuple(rng.randint(0, x) for x in d)):
+                    u, v = extract_prefix(P, w, n)
+                    assert (u, v) == _reference_extract_prefix(P, w, n)
+                    # confluence: any sorting order reaches the same words
+                    srng = random.Random(length)
+                    assert random_sort(P, u, srng) == u and degree(P, u) == n
+                    assert random_sort(P, v, srng) == v
+                    assert random_sort(P, u + v, srng) == random_sort(P, w, srng)
+        assert unsorted >= 0.9 * 41 * len(self.GRAPHS)
+
+    @pytest.mark.parametrize("n", [(0,), (1, 0, 0), (-1, 1), (0, 3), (2, 0), (-1, 0)])
+    def test_not_a_prefix_matches_reference(self, n):
+        w = ((2, 1), (1, 2))
+        with pytest.raises(NotAPrefix) as new:
+            extract_prefix(FLIP, w, n)
+        with pytest.raises(NotAPrefix) as old:
+            _reference_extract_prefix(FLIP, w, n)
+        assert str(new.value) == str(old.value)
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_normal_form_is_a_semigroup_quotient(data):

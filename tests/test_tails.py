@@ -1,12 +1,14 @@
 import itertools
+import random
 
 import pytest
 
 from polygraph import catalog
-from polygraph.kgraph import normal_form
+from polygraph.kgraph import deg_add, extract_prefix, normal_form
 from polygraph.periodicity import symmetry_lattice
 from polygraph.tails import (
     InvalidTail,
+    SigmaData,
     shift_tail_equivalent,
     sigma_data,
     splice_separating_tail,
@@ -68,6 +70,84 @@ class TestSigmaData:
                 continue
             assert (shift_tail_equivalent(t1, t1, p).equivalent
                     == shift_tail_equivalent(t2, t2, p).equivalent)
+
+
+def _reference_sigma(t, box):
+    """Window data one point at a time: for each n and color i, extract
+    the degree -n + e_i prefix, then split its last color-i letter off
+    with a second extraction."""
+    P = t.presentation
+    word = t.unroll(deg_add(box, (1,) * P.k))
+    values = []
+    for n in itertools.product(*[range(-b, 1) for b in box]):
+        minus_n = tuple(-x for x in n)
+        out = []
+        for i in range(P.k):
+            target = tuple(c + (j == i) for j, c in enumerate(minus_n))
+            prefix, _ = extract_prefix(P, word, target)
+            _, last = extract_prefix(P, prefix, minus_n)
+            assert len(last) == 1 and last[0][0] == i + 1
+            out.append(last[0][1])
+        values.append((n, tuple(out)))
+    return SigmaData(box=tuple(box), values=tuple(values))
+
+
+GRID_GRAPHS = {
+    "flip": FLIP,
+    "square": catalog.square_2graph(),
+    "cycle3-forward": FWD,
+    "cycle3-reverse": catalog.cycle3_reverse_2graph(),
+    "flip-cycle-cycle": catalog.flip_cycle_cycle_3graph(),
+    "flip-square-square": catalog.flip_square_square_3graph(),
+    "transposition(3,2)": T3,
+}
+
+
+def _random_tail(P, rng):
+    def letter(c):
+        return (c, rng.randint(1, P.m[c - 1]))
+    preperiod = [letter(rng.randint(1, P.k)) for _ in range(rng.randint(0, 6))]
+    period = [letter(c) for c in range(1, P.k + 1)]
+    period += [letter(rng.randint(1, P.k)) for _ in range(rng.randint(0, 4))]
+    rng.shuffle(period)
+    return tail(P, tuple(preperiod), tuple(period))
+
+
+class TestSigmaGridFill:
+    @pytest.mark.parametrize("name", sorted(GRID_GRAPHS))
+    def test_matches_per_point_extraction(self, name):
+        P = GRID_GRAPHS[name]
+        rng = random.Random(f"sigma-{name}")
+        top = 4 if P.k == 2 else 3
+        boxes = [P.zero(), (top,) * P.k]
+        boxes += [tuple(rng.randint(0, top) for _ in range(P.k)) for _ in range(10)]
+        boxes += [tuple(0 if c == z else rng.randint(1, top) for c in range(P.k))
+                  for z in range(P.k)]
+        for box in boxes:
+            t = _random_tail(P, rng)
+            data = sigma_data(t, box)
+            assert data == _reference_sigma(t, box)
+
+    def test_lookup_equality_and_hash_use_box_and_values_only(self):
+        t = tail(FWD, ((2, 1),), ((1, 1), (1, 2), (2, 1)))
+        data = sigma_data(t, (3, 2))
+        copy = SigmaData(box=data.box, values=data.values)
+        assert copy == data and hash(copy) == hash(data)
+        assert hash(data) == hash((data.box, data.values))
+        assert all(data[n] == v for n, v in data.values)
+        assert data.as_dict() == dict(data.values)
+        assert data != SigmaData(box=data.box, values=data.values[:-1])
+
+    @pytest.mark.parametrize("box", [(2,), (2, 2, 2), (-1, 2), (0, -3)])
+    def test_box_must_match_the_rank(self, box):
+        t = tail(FLIP, (), ((1, 1), (2, 1)))
+        with pytest.raises(ValueError):
+            sigma_data(t, box)
+
+    def test_wrong_length_shift_rejected(self):
+        t = tail(FLIP, (), ((1, 1), (2, 1)))
+        with pytest.raises(ValueError):
+            shift_tail_equivalent(t, t, (1, 0, 0))
 
 
 class TestShiftEquivalence:
