@@ -183,6 +183,8 @@ def cmd_validate(args) -> int:
 
 def cmd_enumerate(args) -> int:
     m = _parse_vector(args.m)
+    if min(m) < 1:
+        raise FormatError(f"--m entries must be >= 1, got {list(m)}")
     presentations = list(enumerate_presentations(m, budget=args.budget, jobs=args.jobs))
     _say(f"{len(presentations)} valid presentations for m={list(m)}")
     if args.classify:
@@ -327,8 +329,21 @@ def cmd_paper_suite(args) -> int:
     return EXIT_OK if result["all_passed"] else EXIT_REJECTED
 
 
+class UsageError(Exception):
+    """A command line that argparse rejects."""
+
+
+class _Parser(argparse.ArgumentParser):
+    # argparse reports a usage error by exiting with status 2, which the
+    # exit-code contract reserves for mathematical rejections; raise
+    # instead, so that main reports it as an input error.  Subparsers
+    # inherit this class.
+    def error(self, message):
+        raise UsageError(f"{message}\n{self.format_usage().rstrip()}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="polygraph",
         description="single-vertex k-graph toolkit: validation, enumeration, "
                     "periodicity certificates, atomic representations")
@@ -399,7 +414,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except UsageError as err:
+        _say(f"input error: {err}")
+        return EXIT_INPUT
     try:
         return args.func(args)
     except FormatError as err:

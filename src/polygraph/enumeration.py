@@ -6,12 +6,16 @@ index relabeling per color, carrying the commutation tables of one
 presentation onto the other.  Classification is by brute-force orbit
 canonicalization: the class representative is the presentation whose
 flattened table encoding is lexicographically least over the relabeling
-orbit.  Everything here is desk scale (the search space is guarded by an
-explicit budget).
+orbit.  Both the search and the orbits work on table codes (see kgraph):
+the relabelings of a multiplicity vector are compiled once into maps on
+codes, and only presentations handed back to a caller are decoded and
+validated.  Everything here is desk scale (the search space is guarded by
+an explicit budget).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import os
@@ -19,7 +23,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .kgraph import Presentation, PresentationError, Theta, validate_presentation
+from .kgraph import Code, Presentation, _cubic_failure, color_pairs, presentation_from_codes
 
 DEFAULT_BUDGET = 10_000_000
 
@@ -37,27 +41,6 @@ def _env_budget(budget: int | None) -> int:
     return int(os.environ.get("POLYGRAPH_BUDGET", DEFAULT_BUDGET))
 
 
-Encoding = tuple[tuple[tuple[int, int], ...], ...]
-# per color pair (sorted), the flattened table; together with (k, m) this
-# pins the presentation.
-
-
-def _encode(P: Presentation) -> Encoding:
-    return tuple(flat for _, _, flat in P.theta)
-
-
-def _tables_from_encoding(k: int, enc: Encoding) -> dict[tuple[int, int], tuple]:
-    pairs = [(i, j) for i in range(1, k + 1) for j in range(i + 1, k + 1)]
-    return dict(zip(pairs, enc))
-
-
-def _all_tables(m_i: int, m_j: int) -> list[dict]:
-    """Every permutation of {1..m_i} x {1..m_j}, in lexicographic order of
-    the flattened value sequence."""
-    domain = [(s, t) for s in range(1, m_i + 1) for t in range(1, m_j + 1)]
-    return [dict(zip(domain, values)) for values in itertools.permutations(domain)]
-
-
 def count_candidate_tables(m: Sequence[int]) -> int:
     k = len(m)
     total = 1
@@ -72,59 +55,54 @@ def enumerate_presentations(m: Sequence[int], budget: int | None = None,
     """Yield every valid presentation with multiplicities m exactly once,
     in lexicographic order of the flattened tables.
 
-    Raises BudgetExceeded when the raw table count is above the budget
+    Raises ValueError unless every entry of m is at least 1, and
+    BudgetExceeded when the raw table count is above the budget
     (overridable via the POLYGRAPH_BUDGET environment variable).
     """
     m = tuple(m)
-    k = len(m)
+    if not m or min(m) < 1:
+        raise ValueError(f"multiplicities {list(m)} must be at least 1")
     budget = _env_budget(budget)
     needed = count_candidate_tables(m)
     if needed > budget:
         raise BudgetExceeded(needed, budget)
-    pairs = [(i, j) for i in range(1, k + 1) for j in range(i + 1, k + 1)]
-    per_pair = [_all_tables(m[i - 1], m[j - 1]) for (i, j) in pairs]
-    if jobs > 1 and len(per_pair) >= 1 and len(per_pair[0]) > 1:
-        yield from _enumerate_parallel(k, m, pairs, per_pair, jobs)
+    if jobs > 1 and len(m) > 1 and m[0] * m[1] > 1:
+        yield from _enumerate_parallel(m, jobs)
         return
-    for combo in itertools.product(*per_pair):
-        theta: Theta = dict(zip(pairs, combo))
-        try:
-            yield validate_presentation(k, m, theta)
-        except PresentationError:
-            continue
+    for codes in _candidates(m):
+        yield presentation_from_codes(len(m), m, codes)
 
 
-def _check_partition(args) -> list[Encoding]:
-    k, m, pairs, first_index, rest_tables = args
-    first = _all_tables(m[pairs[0][0] - 1], m[pairs[0][1] - 1])[first_index]
-    out = []
-    for combo in itertools.product(*rest_tables):
-        theta = dict(zip(pairs, (first,) + combo))
-        try:
-            out.append(_encode(validate_presentation(k, m, theta)))
-        except PresentationError:
-            continue
-    return out
+def _candidates(m: tuple[int, ...], first: Code | None = None) -> Iterator[tuple[Code, ...]]:
+    """The table codes of every presentation with multiplicities m, in
+    lexicographic order: each pair's table runs over the permutations of
+    its cell numbers, and a combination is kept when it passes the cubic
+    check.  With `first`, only the combinations whose first table is
+    `first`."""
+    k = len(m)
+    pairs = color_pairs(k)
+    per_pair = [list(itertools.permutations(range(m[i - 1] * m[j - 1])))
+                for i, j in (pairs if first is None else pairs[1:])]
+    if first is not None:
+        per_pair.insert(0, [first])
+    for codes in itertools.product(*per_pair):
+        if k < 3 or _cubic_failure(k, m, codes) is None:
+            yield codes
 
 
-def _enumerate_parallel(k, m, pairs, per_pair, jobs) -> Iterator[Presentation]:
-    # Partition the search on the first pair's table; workers validate
+def _check_partition(args) -> list[tuple[Code, ...]]:
+    m, first = args
+    return list(_candidates(m, first))
+
+
+def _enumerate_parallel(m, jobs) -> Iterator[Presentation]:
+    # Partition the search on the first pair's table; workers check
     # independently and results are re-ordered deterministically.
-    tasks = [(k, m, pairs, idx, per_pair[1:]) for idx in range(len(per_pair[0]))]
+    tasks = [(m, first) for first in itertools.permutations(range(m[0] * m[1]))]
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         for chunk in pool.map(_check_partition, tasks):
-            for enc in chunk:
-                yield presentation_from_encoding(k, m, enc)
-
-
-def presentation_from_encoding(k: int, m: tuple[int, ...], enc: Encoding) -> Presentation:
-    pairs = [(i, j) for i in range(1, k + 1) for j in range(i + 1, k + 1)]
-    theta: Theta = {}
-    for (i, j), flat in zip(pairs, enc):
-        mj = m[j - 1]
-        theta[(i, j)] = {(s, t): flat[(s - 1) * mj + (t - 1)]
-                         for s in range(1, m[i - 1] + 1) for t in range(1, mj + 1)}
-    return validate_presentation(k, m, theta)
+            for codes in chunk:
+                yield presentation_from_codes(len(m), m, codes)
 
 
 @dataclass(frozen=True)
@@ -160,6 +138,52 @@ def relabeling_group(m_src: Sequence[int], m_dst: Sequence[int] | None = None
             yield Relabeling(tuple(perm), tuple(maps))
 
 
+# A relabeling compiled against the source multiplicities: for each image
+# color pair, in color-pair order, (source pair number, inverted, tau,
+# tau^-1).  tau sends the cell of (s, t) in the source pair (i, j) to the
+# cell of its image in the image pair: (rho_i s, rho_j t) when pi(i) <
+# pi(j), else (rho_j t, rho_i s), where the table is read backwards
+# ("inverted").  The image table's code is then tau . u . tau^-1, with u
+# the source table's code, or its inverse when inverted.
+Plan = tuple[tuple[int, bool, Code, Code], ...]
+
+
+def _inverse(perm: Sequence[int]) -> Code:
+    out = [0] * len(perm)
+    for p, q in enumerate(perm):
+        out[q] = p
+    return tuple(out)
+
+
+def _plan(m: tuple[int, ...], rel: Relabeling) -> Plan:
+    rows = {}
+    for number, (i, j) in enumerate(color_pairs(len(m))):
+        a, b = rel.color_perm[i - 1], rel.color_perm[j - 1]
+        rho_i, rho_j = rel.index_maps[i - 1], rel.index_maps[j - 1]
+        if a < b:
+            tau = [(s - 1) * m[j - 1] + t - 1 for s in rho_i for t in rho_j]
+        else:
+            tau = [(t - 1) * m[i - 1] + s - 1 for s in rho_i for t in rho_j]
+        rows[min(a, b), max(a, b)] = (number, a > b, tuple(tau), _inverse(tau))
+    return tuple(rows[pair] for pair in color_pairs(len(m)))
+
+
+@functools.lru_cache(maxsize=16)
+def _compiled_group(m_src: tuple[int, ...], m_dst: tuple[int, ...]
+                    ) -> tuple[tuple[Relabeling, Plan], ...]:
+    return tuple((rel, _plan(m_src, rel)) for rel in relabeling_group(m_src, m_dst))
+
+
+def _images(P: Presentation, compiled: Iterable[tuple[Relabeling, Plan]]
+            ) -> Iterator[tuple[Relabeling, tuple[Code, ...]]]:
+    """Each relabeling with the table codes of P's image under it.  The
+    images are isomorphic copies of a valid P, so they are not validated."""
+    sources = (P.codes, tuple(_inverse(u) for u in P.codes))
+    for rel, plan in compiled:
+        yield rel, tuple([tuple([tau[sources[inverted][number][q]] for q in tau_inv])
+                          for number, inverted, tau, tau_inv in plan])
+
+
 def apply_relabeling(P: Presentation, rel: Relabeling) -> Presentation:
     """The presentation with every relation of P rewritten through rel.
 
@@ -168,50 +192,37 @@ def apply_relabeling(P: Presentation, rel: Relabeling) -> Presentation:
         theta'_{i'j'}(rho_i s, rho_j t) = (rho_i s', rho_j t')   if i' < j'
         theta'_{j'i'}(rho_j t', rho_i s') = (rho_j t, rho_i s)   if i' > j'.
     """
-    k, m = P.k, P.m
-    m_new = [0] * k
-    for i in range(1, k + 1):
-        m_new[rel.image_color(i) - 1] = m[i - 1]
-    new_theta: Theta = {(i, j): {} for i in range(1, k + 1) for j in range(i + 1, k + 1)}
-    for (i, j), flat in P._pairs():
-        mj = m[j - 1]
-        ii, jj = rel.image_color(i), rel.image_color(j)
-        for s in range(1, m[i - 1] + 1):
-            for t in range(1, mj + 1):
-                s2, t2 = flat[(s - 1) * mj + (t - 1)]
-                a, b = rel.image_index(i, s), rel.image_index(j, t)
-                a2, b2 = rel.image_index(i, s2), rel.image_index(j, t2)
-                if ii < jj:
-                    new_theta[(ii, jj)][(a, b)] = (a2, b2)
-                else:
-                    new_theta[(jj, ii)][(b2, a2)] = (b, a)
-    return validate_presentation(k, tuple(m_new), new_theta)
+    m_new = [0] * P.k
+    for i in range(1, P.k + 1):
+        m_new[rel.image_color(i) - 1] = P.m[i - 1]
+    _, codes = next(_images(P, [(rel, _plan(P.m, rel))]))
+    return presentation_from_codes(P.k, m_new, codes)
 
 
 def are_isomorphic(P1: Presentation, P2: Presentation) -> Relabeling | None:
     """A relabeling carrying P1 onto P2, if one exists."""
     if P1.k != P2.k or sorted(P1.m) != sorted(P2.m):
         return None
-    target = _encode(P2)
-    for rel in relabeling_group(P1.m, P2.m):
-        mapped = apply_relabeling(P1, rel)
-        if _encode(mapped) == target:
+    for rel, codes in _images(P1, _compiled_group(P1.m, P2.m)):
+        if codes == P2.codes:
             return rel
     return None
 
 
+def _canonical_codes(P: Presentation) -> tuple[tuple[Code, ...], Relabeling]:
+    """The least image codes over P's relabeling orbit, with the first
+    relabeling reaching them."""
+    best: tuple[tuple[Code, ...], Relabeling] | None = None
+    for rel, codes in _images(P, _compiled_group(P.m, P.m)):
+        if best is None or codes < best[0]:
+            best = (codes, rel)
+    return best
+
+
 def canonical_form(P: Presentation) -> tuple[Presentation, Relabeling]:
     """The lexicographically least relabeled copy of P, with the witness."""
-    best: tuple[Encoding, Relabeling] | None = None
-    for rel in relabeling_group(P.m):
-        mapped = apply_relabeling(P, rel)
-        if mapped.m != P.m:
-            continue
-        enc = _encode(mapped)
-        if best is None or enc < best[0]:
-            best = (enc, rel)
-    assert best is not None
-    return presentation_from_encoding(P.k, P.m, best[0]), best[1]
+    codes, rel = _canonical_codes(P)
+    return presentation_from_codes(P.k, P.m, codes), rel
 
 
 @dataclass(frozen=True)
@@ -229,17 +240,12 @@ def isomorphism_classes(presentations: Iterable[Presentation]) -> list[IsoClass]
     Input elements are assumed pairwise distinct; class sizes sum to the
     input count.  Classes are returned sorted by representative encoding.
     """
-    buckets: dict[Encoding, list] = {}
-    reps: dict[Encoding, tuple[Presentation, Relabeling]] = {}
+    # canonical codes -> [size, k, m, witness of the first-seen member]
+    classes: dict[tuple[Code, ...], list] = {}
     for P in presentations:
-        canon, rel = canonical_form(P)
-        enc = _encode(canon)
-        if enc not in buckets:
-            buckets[enc] = []
-            reps[enc] = (canon, rel)
-        buckets[enc].append(P)
-    out = []
-    for enc in sorted(buckets):
-        canon, rel = reps[enc]
-        out.append(IsoClass(representative=canon, size=len(buckets[enc]), relabeling=rel))
-    return out
+        codes, rel = _canonical_codes(P)
+        entry = classes.setdefault(codes, [0, P.k, P.m, rel])
+        entry[0] += 1
+    return [IsoClass(representative=presentation_from_codes(k, m, codes), size=size,
+                     relabeling=rel)
+            for codes, (size, k, m, rel) in sorted(classes.items())]

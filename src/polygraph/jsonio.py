@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Any
 
 from .groupcons import FiniteAbelianGroup, GroupConstruction, group_construction
-from .kgraph import Presentation, Theta, Word, validate_presentation
+from .kgraph import Presentation, Theta, Word, cells, validate_presentation
 from .periodicity import PeriodicityCertificate, SymmetryLattice, TailCheck
 from .tails import Tail, tail
 
@@ -27,15 +27,9 @@ class FormatError(ValueError):
 
 
 def presentation_to_obj(P: Presentation) -> dict:
-    theta = {}
-    for (i, j), flat in P._pairs():
-        mj = P.m[j - 1]
-        entries = []
-        for s in range(1, P.m[i - 1] + 1):
-            for t in range(1, mj + 1):
-                s2, t2 = flat[(s - 1) * mj + (t - 1)]
-                entries.append([[s, t], [s2, t2]])
-        theta[f"{i},{j}"] = entries
+    theta = {f"{i},{j}": [[[s, t], [s2, t2]]
+                          for (s, t), (s2, t2) in zip(cells(P.m[i - 1], P.m[j - 1]), flat)]
+             for i, j, flat in P.theta}
     return {"k": P.k, "m": list(P.m), "theta": theta}
 
 

@@ -20,6 +20,7 @@ safe to share between workers.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
@@ -65,14 +66,17 @@ class WordError(ValueError):
 
 
 Theta = dict[tuple[int, int], dict[tuple[int, int], tuple[int, int]]]
+Code = tuple[int, ...]
 
 
 @dataclass(frozen=True)
 class Presentation:
     """A validated single-vertex k-graph presentation.
 
-    theta maps each color pair (i, j) with i < j to the permutation table
-    {(s, t): (s', t')}.  Instances are immutable; construct through
+    theta lists, for each color pair (i, j) with i < j, the values
+    (s', t') of the permutation table at the cells (s, t) in lexicographic
+    order; codes holds the same tables in the table codec below.
+    Instances are immutable; construct through
     :func:`validate_presentation`, which checks bijectivity and (for
     k >= 3) the cubic condition, so every Presentation value is a k-graph.
     """
@@ -80,23 +84,18 @@ class Presentation:
     k: int
     m: tuple[int, ...]
     theta: tuple[tuple[int, int, tuple[tuple[int, int], ...]], ...]
-    # Rewrite tables, attached after validation (derived, not compared).
-    _asc: dict = field(default=None, repr=False, compare=False)
-    _desc: dict = field(default=None, repr=False, compare=False)
+    # Derived in _from_codes (not compared): the table codes in color-pair
+    # order, and the adjacent-swap rewrite tables.
+    codes: tuple[Code, ...] = field(repr=False, compare=False)
+    _asc: dict = field(repr=False, compare=False)
+    _desc: dict = field(repr=False, compare=False)
 
     def table(self, i: int, j: int) -> dict[tuple[int, int], tuple[int, int]]:
         """The permutation {(s,t): (s',t')} for the color pair i < j."""
         if not 1 <= i < j <= self.k:
             raise KeyError((i, j))
-        flat = dict(self._pairs())[(i, j)]
-        mj = self.m[j - 1]
-        return {(s, t): flat[(s - 1) * mj + (t - 1)]
-                for s in range(1, self.m[i - 1] + 1)
-                for t in range(1, mj + 1)}
-
-    def _pairs(self) -> Iterator[tuple[tuple[int, int], tuple[tuple[int, int], ...]]]:
-        for i, j, flat in self.theta:
-            yield (i, j), flat
+        _, _, flat = self.theta[color_pairs(self.k).index((i, j))]
+        return dict(zip(cells(self.m[i - 1], self.m[j - 1]), flat))
 
     def theta_apply(self, i: int, j: int, s: int, t: int) -> tuple[int, int]:
         """(s', t') with (i,s)(j,t) = (j,t')(i,s') for colors i < j."""
@@ -117,44 +116,103 @@ class Presentation:
         return hash((self.k, self.m, self.theta))
 
 
-def _flatten_table(m_i: int, m_j: int, table: dict[tuple[int, int], tuple[int, int]]
-                   ) -> tuple[tuple[int, int], ...]:
-    return tuple(table[(s, t)] for s in range(1, m_i + 1) for t in range(1, m_j + 1))
+# The table codec.  Cell q of the domain {1..m_i} x {1..m_j} is
+# (q // m_j + 1, q % m_j + 1), and a table is coded as the tuple whose
+# entry q is the cell number of its value at cell q.  Cell numbers order
+# cells lexicographically, so codes order tables as their flattened value
+# sequences do.
+
+@functools.cache
+def color_pairs(k: int) -> tuple[tuple[int, int], ...]:
+    """The color pairs (i, j), i < j, in lexicographic order."""
+    return tuple(itertools.combinations(range(1, k + 1), 2))
 
 
-def _check_bijection(i: int, j: int, m_i: int, m_j: int,
-                     table: dict[tuple[int, int], tuple[int, int]]) -> None:
-    domain = {(s, t) for s in range(1, m_i + 1) for t in range(1, m_j + 1)}
-    if set(table) != domain:
-        missing = sorted(domain - set(table))
-        extra = sorted(set(table) - domain)
+@functools.lru_cache(maxsize=64)
+def cells(m_i: int, m_j: int) -> tuple[tuple[int, int], ...]:
+    """The domain {1..m_i} x {1..m_j} in cell-number order (also the order
+    of the values listed in Presentation.theta)."""
+    return tuple(itertools.product(range(1, m_i + 1), range(1, m_j + 1)))
+
+
+@functools.lru_cache(maxsize=64)
+def _cell_numbers(m_i: int, m_j: int) -> dict[tuple[int, int], int]:
+    return {cell: q for q, cell in enumerate(cells(m_i, m_j))}
+
+
+def _encode_table(i: int, j: int, m_i: int, m_j: int,
+                  table: dict[tuple[int, int], tuple[int, int]]) -> Code:
+    """The code of a table, which must be a bijection of the domain."""
+    numbers = _cell_numbers(m_i, m_j)
+    if table.keys() != numbers.keys():
+        missing = sorted(numbers.keys() - table.keys())
+        extra = sorted(table.keys() - numbers.keys())
         raise InvalidPermutation(i, j, f"domain mismatch (missing {missing}, extra {extra})")
-    values = set(table.values())
-    if values != domain:
+    code = tuple([numbers.get(table[cell], -1) for cell in numbers])
+    if -1 in code or len(set(code)) != len(code):
         raise InvalidPermutation(i, j)
+    return code
 
 
-def _check_cubic(k: int, m: tuple[int, ...], theta: Theta) -> None:
-    # theta_ij theta_il theta_jl == theta_jl theta_il theta_ij on index
-    # triples (x, y, z) for colors i < j < l, rightmost factor applied first.
-    for i, j, l in itertools.combinations(range(1, k + 1), 3):
-        t_ij, t_il, t_jl = theta[(i, j)], theta[(i, l)], theta[(j, l)]
-        triples = itertools.product(range(1, m[i - 1] + 1),
-                                    range(1, m[j - 1] + 1),
-                                    range(1, m[l - 1] + 1))
-        for x, y, z in triples:
-            # left composite
-            y1, z1 = t_jl[(y, z)]
-            x1, z2 = t_il[(x, z1)]
-            x2, y2 = t_ij[(x1, y1)]
-            left = (x2, y2, z2)
-            # right composite
-            x3, y3 = t_ij[(x, y)]
-            x4, z3 = t_il[(x3, z)]
-            y4, z4 = t_jl[(y3, z3)]
-            right = (x4, y4, z4)
-            if left != right:
-                raise CubicViolation((i, j, l), (x, y, z), left, right)
+@functools.cache
+def _color_triples(k: int) -> tuple[tuple[tuple[int, int, int], int, int, int], ...]:
+    """Each color triple i < j < l with the numbers of its pairs ij, il, jl."""
+    number = {pair: n for n, pair in enumerate(color_pairs(k))}
+    return tuple(((i, j, l), number[i, j], number[i, l], number[j, l])
+                 for i, j, l in itertools.combinations(range(1, k + 1), 3))
+
+
+@functools.lru_cache(maxsize=4096)
+def _lift(factor: str, m_i: int, m_j: int, m_l: int, code: Code) -> Code:
+    """The table of the color pair `factor` ("ij", "il" or "jl") of colors
+    i < j < l, acting on index triples numbered x m_j m_l + y m_l + z."""
+    mjl = m_j * m_l
+    if factor == "ij":
+        return tuple([c * m_l + z for c in code for z in range(m_l)])
+    if factor == "jl":
+        return tuple([x + c for x in range(0, m_i * mjl, mjl) for c in code])
+    spread = [c // m_l * mjl + c % m_l for c in code]
+    return tuple([spread[row + z] + y for row in range(0, len(spread), m_l)
+                  for y in range(0, mjl, m_l) for z in range(m_l)])
+
+
+def _cubic_failure(k: int, m: tuple[int, ...], codes: tuple[Code, ...]):
+    """The first color triple at which the cubic condition fails, as
+    ((i, j, l), (m_i, m_j, m_l), left, right), or None.
+
+    For colors i < j < l, theta_ij theta_il theta_jl must equal
+    theta_jl theta_il theta_ij on index triples (x, y, z), rightmost
+    factor applied first.  left and right are these composites, composed
+    from the lifted tables, on the triples in lexicographic order.
+    """
+    for (i, j, l), ij, il, jl in _color_triples(k):
+        shape = m[i - 1], m[j - 1], m[l - 1]
+        t_ij = _lift("ij", *shape, codes[ij])
+        t_il = _lift("il", *shape, codes[il])
+        t_jl = _lift("jl", *shape, codes[jl])
+        left = [t_ij[t_il[p]] for p in t_jl]
+        right = [t_jl[t_il[p]] for p in t_ij]
+        if left != right:
+            return (i, j, l), shape, left, right
+    return None
+
+
+def _from_codes(k: int, m: tuple[int, ...], codes: tuple[Code, ...]) -> Presentation:
+    """The Presentation with these (already validated) table codes."""
+    theta = []
+    # Adjacent-swap tables.  asc maps an ascending-color letter pair to the
+    # equal descending pair; desc is the inverse rewrite (used for sorting).
+    asc: dict[tuple[Letter, Letter], tuple[Letter, Letter]] = {}
+    desc: dict[tuple[Letter, Letter], tuple[Letter, Letter]] = {}
+    for (i, j), code in zip(color_pairs(k), codes):
+        domain = cells(m[i - 1], m[j - 1])
+        flat = tuple([domain[q] for q in code])
+        theta.append((i, j, flat))
+        for (s, t), (s2, t2) in zip(domain, flat):
+            up, down = ((i, s), (j, t)), ((j, t2), (i, s2))
+            asc[up] = down
+            desc[down] = up
+    return Presentation(k, m, tuple(theta), codes, asc, desc)
 
 
 def validate_presentation(k: int, m: Iterable[int], theta: Theta) -> Presentation:
@@ -169,41 +227,30 @@ def validate_presentation(k: int, m: Iterable[int], theta: Theta) -> Presentatio
         raise PresentationError(f"need k >= 1, got {k}")
     if len(m) != k or any(mi < 1 for mi in m):
         raise PresentationError(f"multiplicities {m} invalid for k={k}")
-    expected_pairs = {(i, j) for i in range(1, k + 1) for j in range(i + 1, k + 1)}
-    if set(theta) != expected_pairs:
+    pairs = color_pairs(k)
+    if theta.keys() != set(pairs):
         raise PresentationError(
-            f"theta must have exactly the pairs {sorted(expected_pairs)}, got {sorted(theta)}")
-    for (i, j), table in theta.items():
-        _check_bijection(i, j, m[i - 1], m[j - 1], table)
+            f"theta must have exactly the pairs {list(pairs)}, got {sorted(theta)}")
+    code_of = {(i, j): _encode_table(i, j, m[i - 1], m[j - 1], table)
+               for (i, j), table in theta.items()}
+    codes = tuple(code_of[pair] for pair in pairs)
     if k >= 3:
-        _check_cubic(k, m, theta)
-
-    flat = tuple((i, j, _flatten_table(m[i - 1], m[j - 1], theta[(i, j)]))
-                 for (i, j) in sorted(expected_pairs))
-    pres = Presentation(k=k, m=m, theta=flat)
-    # Adjacent-swap tables.  asc maps an ascending-color letter pair to the
-    # equal descending pair; desc is the inverse rewrite (used for sorting).
-    asc: dict[tuple[Letter, Letter], tuple[Letter, Letter]] = {}
-    desc: dict[tuple[Letter, Letter], tuple[Letter, Letter]] = {}
-    for (i, j), table in theta.items():
-        for (s, t), (s2, t2) in table.items():
-            asc[((i, s), (j, t))] = ((j, t2), (i, s2))
-            desc[((j, t2), (i, s2))] = ((i, s), (j, t))
-    object.__setattr__(pres, "_asc", asc)
-    object.__setattr__(pres, "_desc", desc)
-    return pres
+        failure = _cubic_failure(k, m, codes)
+        if failure is not None:
+            colors, (_, mj, ml), left, right = failure
+            p = next(p for p, (a, b) in enumerate(zip(left, right)) if a != b)
+            raise CubicViolation(colors, *[(q // (mj * ml) + 1, q // ml % mj + 1, q % ml + 1)
+                                           for q in (p, left[p], right[p])])
+    return _from_codes(k, m, codes)
 
 
-def presentation_from_flat(k: int, m: Iterable[int],
-                           flat: dict[tuple[int, int], tuple[tuple[int, int], ...]]
-                           ) -> Presentation:
-    """Rebuild a Presentation from flattened tables (inverse of .theta)."""
+def presentation_from_codes(k: int, m: Iterable[int], codes: Iterable[Code]) -> Presentation:
+    """Decode table codes, given in color-pair order, and validate them."""
     m = tuple(m)
     theta: Theta = {}
-    for (i, j), entries in flat.items():
-        mj = m[j - 1]
-        theta[(i, j)] = {(s, t): entries[(s - 1) * mj + (t - 1)]
-                         for s in range(1, m[i - 1] + 1) for t in range(1, mj + 1)}
+    for (i, j), code in zip(color_pairs(k), codes):
+        domain = cells(m[i - 1], m[j - 1])
+        theta[(i, j)] = {cell: domain[q] for cell, q in zip(domain, code)}
     return validate_presentation(k, m, theta)
 
 

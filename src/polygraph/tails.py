@@ -197,16 +197,45 @@ def shift_tail_equivalent(t1: Tail, t2: Tail, p: Degree, depth: int = 2
         raise ValueError(f"shift {tuple(p)} must have {P.k} entries")
     if depth < 1:
         raise ValueError("depth must be >= 1")
+    threshold, bottom = _window(t1, t2, p, depth)
+    s1 = sigma_data(t1, tuple(-b for b in bottom))
+    s2 = sigma_data(t2, tuple(-(b + q) for b, q in zip(bottom, p)))
+    return _compare(s1, s2, p, threshold, bottom)
+
+
+def _window(t1: Tail, t2: Tail, p: Degree, depth: int) -> tuple[Degree, Degree]:
+    """The threshold and bottom of the region a shift-p check tests."""
     pre1, pre2 = t1.preperiod_degree, t2.preperiod_degree
     per1, per2 = t1.period_degree, t2.period_degree
     threshold = tuple(-(max(a, b) + max(0, q)) for a, b, q in zip(pre1, pre2, p))
     bottom = tuple(t - depth * lcm(a, b) for t, a, b in zip(threshold, per1, per2))
-    s1 = sigma_data(t1, tuple(-b for b in bottom))
-    s2 = sigma_data(t2, tuple(-(b + q) for b, q in zip(bottom, p)))
+    return threshold, bottom
+
+
+def _compare(s1: SigmaData, s2: SigmaData, p: Degree, threshold: Degree, bottom: Degree
+             ) -> EquivalenceTranscript:
     for n in itertools.product(*[range(b, t + 1) for b, t in zip(bottom, threshold)]):
         if s2[deg_add(n, p)] != s1[n]:
             return EquivalenceTranscript(p, False, threshold, bottom, counterexample=n)
     return EquivalenceTranscript(p, True, threshold, bottom)
+
+
+def _self_shifts(t: Tail, shifts: list[Degree], depth: int) -> list[EquivalenceTranscript]:
+    """shift_tail_equivalent(t, t, p, depth) for each p in shifts, read off
+    one SigmaData whose box covers the region of every shift: the region
+    of p reaches -(preperiod + max(p, 0) + depth * period) and its
+    translate by p reaches -(preperiod + max(-p, 0) + depth * period)."""
+    if depth < 1:
+        raise ValueError("depth must be >= 1")
+    reach = [max((abs(p[c]) for p in shifts), default=0) for c in range(t.presentation.k)]
+    box = tuple(a + r + depth * b
+                for a, r, b in zip(t.preperiod_degree, reach, t.period_degree))
+    data = sigma_data(t, box)
+    return [_compare(data, data, p, *_window(t, t, p, depth)) for p in shifts]
+
+
+def _nonzero_shifts(k: int, bound: int) -> list[Degree]:
+    return [p for p in itertools.product(range(-bound, bound + 1), repeat=k) if any(p)]
 
 
 @dataclass(frozen=True)
@@ -232,13 +261,9 @@ def tail_symmetry_group(t: Tail, bound: int = 2, depth: int = 2) -> TailSymmetry
     symmetry group: generators outside the search box are not found."""
     if bound < 1 or depth < 1:
         raise ValueError("bound and depth must be >= 1")
-    hits = []
-    for p in itertools.product(range(-bound, bound + 1), repeat=t.presentation.k):
-        if all(x == 0 for x in p):
-            continue
-        transcript = shift_tail_equivalent(t, t, p, depth)
-        if transcript.equivalent:
-            hits.append(transcript)
+    hits = [transcript for transcript in
+            _self_shifts(t, _nonzero_shifts(t.presentation.k, bound), depth)
+            if transcript.equivalent]
     basis = hermite_normal_form([h.shift for h in hits])
     return TailSymmetry(basis=basis, bound=bound, depth=depth, generators=tuple(hits))
 
@@ -261,26 +286,17 @@ def splice_separating_tail(P: Presentation, bound: int = 2, depth: int = 2,
     # periodic tail is always one of its symmetries, so keep it outside
     period = normal_form(P, pad * (bound + 1))
 
-    def survivors(per: Word) -> list[Degree]:
-        t0 = Tail(P, (), per)
-        out = []
-        for p in itertools.product(range(-bound, bound + 1), repeat=P.k):
-            if all(x == 0 for x in p):
-                continue
-            if shift_tail_equivalent(t0, t0, p, depth).equivalent:
-                out.append(p)
-        return out
-
+    shifts = _nonzero_shifts(P.k, bound)
     for _round in range(4 * (2 * bound + 1) ** P.k):
-        alive = survivors(period)
+        alive = [transcript.shift for transcript in _self_shifts(Tail(P, (), period), shifts, depth)
+                 if transcript.equivalent]
         if not alive:
             break
         p = alive[0]
         fixed = False
         for block in _blocks_by_degree(P, max_block_degree):
             candidate = normal_form(P, period + block)
-            t0 = Tail(P, (), candidate)
-            if not shift_tail_equivalent(t0, t0, p, depth).equivalent:
+            if not _self_shifts(Tail(P, (), candidate), [p], depth)[0].equivalent:
                 period = candidate
                 fixed = True
                 break

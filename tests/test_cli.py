@@ -113,6 +113,32 @@ class TestExitCodes:
         assert captured.err.startswith("input error:")
         assert "Traceback" not in captured.err
 
+    @pytest.mark.parametrize("argv", [
+        ["enumerate", "--m", "2,0"],
+        ["enumerate", "--m", "0"],
+        ["classify", "--m", "2,-1"],
+        ["enumerate", "--m", "2,2", "--classify", "--bogus"],
+        ["enumerate"],
+        ["--jobs", "x", "classify", "--m", "2,2"],
+        ["tail", "sigma", "--presentation", "flip", "--tail", "t.json", "--box", "-1,2"],
+        ["symmetry", "--presentation", "flip", "--bound", "two"],
+        ["no-such-command"],
+        [],
+    ], ids=lambda argv: " ".join(argv) or "no arguments")
+    def test_usage_errors_are_exit_1(self, argv, capsys):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("input error:")
+        assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("argv", [["--help"], ["classify", "--help"]])
+    def test_help_exits_0(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage:")
+
     def test_periodic_pi_exit_0(self, capsys):
         assert main(["periodicity", "--presentation", "flip", "--pi", "1,-1"]) == 0
         out = json.loads(capsys.readouterr().out)

@@ -1,11 +1,14 @@
+import itertools
 import random
 
 import pytest
 
 from polygraph import catalog
+from polygraph import enumeration as en
 from polygraph.enumeration import (
     BudgetExceeded,
     IsoClass,
+    Relabeling,
     apply_relabeling,
     are_isomorphic,
     canonical_form,
@@ -14,7 +17,7 @@ from polygraph.enumeration import (
     isomorphism_classes,
     relabeling_group,
 )
-from polygraph.kgraph import validate_presentation
+from polygraph.kgraph import PresentationError, presentation_from_codes, validate_presentation
 
 # regression constants, recomputed independently during development by a
 # raw itertools sweep with an inline cubic check
@@ -118,3 +121,159 @@ class TestClasses:
         classes = isomorphism_classes(enumerate_presentations((2, 2, 2)))
         assert len(classes) == CLASSES_222
         assert sum(c.size for c in classes) == VALID_222
+
+
+# The dict-based classification the table codes replaced: every relabeled
+# copy is rebuilt as {(s, t): (s', t')} tables and fully re-validated, and
+# copies are compared by their flattened tables.
+
+def _domain(m_i, m_j):
+    return [(s, t) for s in range(1, m_i + 1) for t in range(1, m_j + 1)]
+
+
+def _ref_apply_relabeling(P, rel):
+    k, m = P.k, P.m
+    m_new = [0] * k
+    for i in range(1, k + 1):
+        m_new[rel.image_color(i) - 1] = m[i - 1]
+    new_theta = {pair: {} for pair in itertools.combinations(range(1, k + 1), 2)}
+    for i, j in itertools.combinations(range(1, k + 1), 2):
+        ii, jj = rel.image_color(i), rel.image_color(j)
+        for (s, t), (s2, t2) in P.table(i, j).items():
+            a, b = rel.image_index(i, s), rel.image_index(j, t)
+            a2, b2 = rel.image_index(i, s2), rel.image_index(j, t2)
+            if ii < jj:
+                new_theta[(ii, jj)][(a, b)] = (a2, b2)
+            else:
+                new_theta[(jj, ii)][(b2, a2)] = (b, a)
+    return validate_presentation(k, tuple(m_new), new_theta)
+
+
+def _ref_encode(P):
+    return tuple(flat for _, _, flat in P.theta)
+
+
+def _ref_are_isomorphic(P1, P2):
+    if P1.k != P2.k or sorted(P1.m) != sorted(P2.m):
+        return None
+    for rel in relabeling_group(P1.m, P2.m):
+        if _ref_encode(_ref_apply_relabeling(P1, rel)) == _ref_encode(P2):
+            return rel
+    return None
+
+
+def _ref_canonical_form(P):
+    best = None
+    for rel in relabeling_group(P.m):
+        enc = _ref_encode(_ref_apply_relabeling(P, rel))
+        if best is None or enc < best[0]:
+            best = (enc, rel)
+    pairs = itertools.combinations(range(1, P.k + 1), 2)
+    theta = {(i, j): dict(zip(_domain(P.m[i - 1], P.m[j - 1]), flat))
+             for (i, j), flat in zip(pairs, best[0])}
+    return validate_presentation(P.k, P.m, theta), best[1]
+
+
+def _ref_classes(presentations):
+    classes = {}
+    for P in presentations:
+        canon, rel = _ref_canonical_form(P)
+        entry = classes.setdefault(_ref_encode(canon), [canon, 0, rel])
+        entry[1] += 1
+    return [(canon.theta, size, rel) for _, (canon, size, rel) in sorted(classes.items())]
+
+
+def _ref_sweep(m):
+    """Every table combination as dicts, each validated in full."""
+    k = len(m)
+    pairs = list(itertools.combinations(range(1, k + 1), 2))
+    per_pair = [[dict(zip(_domain(m[i - 1], m[j - 1]), values))
+                 for values in itertools.permutations(_domain(m[i - 1], m[j - 1]))]
+                for i, j in pairs]
+    out = []
+    for combo in itertools.product(*per_pair):
+        try:
+            out.append(validate_presentation(k, m, dict(zip(pairs, combo))))
+        except PresentationError:
+            continue
+    return out
+
+
+ORACLE_M = [(2, 2), (2, 3), (3, 2), (2, 2, 2), (1, 2, 2), (2, 1, 2), (2, 2, 1)]
+
+
+class TestCodesAgainstDictReference:
+    @pytest.mark.parametrize("m", ORACLE_M, ids=str)
+    def test_classes_match(self, m):
+        ps = list(enumerate_presentations(m))
+        got = [(c.representative.theta, c.size, c.relabeling) for c in isomorphism_classes(ps)]
+        assert got == _ref_classes(ps)
+
+    @pytest.mark.parametrize("m", [(2, 3), (2, 2, 2)], ids=str)
+    def test_enumeration_matches_full_sweep(self, m):
+        assert [p.theta for p in enumerate_presentations(m)] == \
+            [p.theta for p in _ref_sweep(m)]
+
+    @pytest.mark.parametrize("m", [(2, 2), (2, 3), (2, 2, 2), (1, 2, 2)], ids=str)
+    def test_witnesses_match_on_seeded_pairs(self, m):
+        rng = random.Random(f"iso-{m}")
+        ps = list(enumerate_presentations(m))
+        rels = list(relabeling_group(m))
+        pairs = [tuple(rng.sample(ps, 2)) for _ in range(20)]
+        pairs += [(P, _ref_apply_relabeling(P, rng.choice(rels))) for P in rng.sample(ps, 20)]
+        outcomes = set()
+        for P, Q in pairs:
+            witness = are_isomorphic(P, Q)
+            assert witness == _ref_are_isomorphic(P, Q)
+            outcomes.add(witness is None)
+            if witness is not None:
+                assert apply_relabeling(P, witness).theta == Q.theta
+        assert outcomes == {True, False}
+
+    def test_witnesses_match_across_multiplicity_orders(self):
+        rng = random.Random("iso-23-32")
+        p23 = list(enumerate_presentations((2, 3)))
+        p32 = list(enumerate_presentations((3, 2)))
+        swaps = list(relabeling_group((2, 3), (3, 2)))
+        pairs = [(rng.choice(p23), rng.choice(p32)) for _ in range(10)]
+        pairs += [(P, _ref_apply_relabeling(P, rng.choice(swaps))) for P in rng.sample(p23, 10)]
+        pairs += [(Q, P) for P, Q in pairs]
+        found = 0
+        for P, Q in pairs:
+            witness = are_isomorphic(P, Q)
+            assert witness == _ref_are_isomorphic(P, Q)
+            found += witness is not None
+        assert 20 <= found < len(pairs)
+
+    @pytest.mark.parametrize("m", [(2, 3), (2, 2, 2), (2, 1, 2)], ids=str)
+    def test_apply_relabeling_matches(self, m):
+        rng = random.Random(f"apply-{m}")
+        ps = list(enumerate_presentations(m))
+        for _ in range(40):
+            P = rng.choice(ps)
+            perm = tuple(rng.sample(range(1, len(m) + 1), len(m)))
+            maps = tuple(tuple(rng.sample(range(1, mi + 1), mi)) for mi in m)
+            rel = Relabeling(perm, maps)
+            Q = apply_relabeling(P, rel)
+            R = _ref_apply_relabeling(P, rel)
+            assert (Q.m, Q.theta) == (R.m, R.theta)
+
+    def test_every_222_orbit_image_is_valid(self):
+        # canonical_form and are_isomorphic skip validation of the images
+        # they compare; each one must still be a k-graph.
+        m = (2, 2, 2)
+        ps = list(enumerate_presentations(m))
+        images = 0
+        for P in ps:
+            for rel, codes in en._images(P, en._compiled_group(m, m)):
+                presentation_from_codes(3, m, codes)
+                images += 1
+        assert images == len(ps) * 48
+        for P in ps[::50]:
+            for rel, codes in en._images(P, en._compiled_group(m, m)):
+                assert codes == _ref_apply_relabeling(P, rel).codes
+
+    def test_multiplicities_below_one_rejected(self):
+        for m in [(2, 0), (2, -1), ()]:
+            with pytest.raises(ValueError):
+                next(enumerate_presentations(m))

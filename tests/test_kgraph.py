@@ -72,6 +72,44 @@ class TestValidation:
                 mismatches.append(((x, y, z), (x2, y2, z2), (x4, y4, z4)))
         assert mismatches[0] == ((1, 1, 1), (1, 2, 1), (1, 1, 2))
 
+    def test_cubic_witnesses_match_dict_reference(self):
+        rng = random.Random(7)
+        for m in [(2, 2, 2), (2, 3, 2), (3, 1, 2), (2, 2, 2, 2)]:
+            k = len(m)
+            outcomes = []
+            for _ in range(150):
+                theta = {}
+                for i, j in itertools.combinations(range(1, k + 1), 2):
+                    domain = [(s, t) for s in range(1, m[i - 1] + 1) for t in range(1, m[j - 1] + 1)]
+                    theta[(i, j)] = dict(zip(domain, rng.sample(domain, len(domain))))
+                expected = _reference_cubic_failure(k, m, theta)
+                outcomes.append(expected is None)
+                if expected is None:
+                    validate_presentation(k, m, theta)
+                    continue
+                with pytest.raises(CubicViolation) as exc:
+                    validate_presentation(k, m, theta)
+                err = exc.value
+                assert (err.triple, err.witness, err.left, err.right) == expected
+            assert False in outcomes
+            if m == (2, 2, 2):
+                assert True in outcomes
+
+    def test_bijection_errors(self):
+        domain = [(s, t) for s in (1, 2) for t in (1, 2)]
+        table = dict(zip(domain, domain))
+        del table[(2, 2)]
+        table[(3, 1)] = (2, 2)
+        with pytest.raises(InvalidPermutation) as exc:
+            validate_presentation(2, (2, 2), {(1, 2): table})
+        assert str(exc.value) == "theta[1,2]: domain mismatch (missing [(2, 2)], extra [(3, 1)])"
+        table = dict(zip(domain, domain))
+        table[(2, 2)] = (3, 1)
+        with pytest.raises(InvalidPermutation) as exc:
+            validate_presentation(2, (2, 2), {(1, 2): table})
+        assert str(exc.value) == "theta[1,2]: table is not a bijection"
+        assert exc.value.pair == (1, 2)
+
     def test_non_bijective_table_rejected(self):
         theta = {(1, 2): {(s, t): (1, 1) for s in (1, 2) for t in (1, 2)}}
         with pytest.raises(InvalidPermutation):
@@ -251,6 +289,24 @@ class TestExtractPrefix:
                        if any(words_equal(P, cand + rest, w)
                               for rest in words_of_degree(P, tuple(a - b for a, b in zip(d, n))))]
             assert matches == [u]
+
+
+def _reference_cubic_failure(k, m, theta):
+    """The cubic check as first written, on the dict tables: the first
+    (colors, witness, left, right) where the two composites differ."""
+    for i, j, l in itertools.combinations(range(1, k + 1), 3):
+        t_ij, t_il, t_jl = theta[(i, j)], theta[(i, l)], theta[(j, l)]
+        for x, y, z in itertools.product(range(1, m[i - 1] + 1), range(1, m[j - 1] + 1),
+                                         range(1, m[l - 1] + 1)):
+            y1, z1 = t_jl[(y, z)]
+            x1, z2 = t_il[(x, z1)]
+            x2, y2 = t_ij[(x1, y1)]
+            x3, y3 = t_ij[(x, y)]
+            x4, z3 = t_il[(x3, z)]
+            y4, z4 = t_jl[(y3, z3)]
+            if (x2, y2, z2) != (x4, y4, z4):
+                return (i, j, l), (x, y, z), (x2, y2, z2), (x4, y4, z4)
+    return None
 
 
 def _reference_extract_prefix(P, w, n):

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from polygraph import catalog
+from polygraph import tails
 from polygraph.kgraph import deg_add, extract_prefix, normal_form
 from polygraph.periodicity import symmetry_lattice
 from polygraph.tails import (
@@ -220,3 +221,42 @@ class TestTailSymmetry:
             sym = tail_symmetry_group(t, bound=2)
             for v in lat.basis:
                 assert sym.contains(v)
+
+
+class TestSelfShiftsFromOneGrid:
+    TWO_GRAPHS = {
+        "flip": FLIP,
+        "square": catalog.square_2graph(),
+        "cycle3-forward": FWD,
+        "cycle3-reverse": catalog.cycle3_reverse_2graph(),
+    }
+
+    @pytest.mark.parametrize("name", sorted(TWO_GRAPHS))
+    def test_transcripts_match_per_shift_checks(self, name):
+        P = self.TWO_GRAPHS[name]
+        rng = random.Random(f"self-shifts-{name}")
+        verdicts = set()
+        for bound, depth in [(1, 1), (2, 2), (3, 1), (2, 3)]:
+            t = _random_tail(P, rng)
+            shifts = tails._nonzero_shifts(P.k, bound)
+            transcripts = tails._self_shifts(t, shifts, depth)
+            assert transcripts == [shift_tail_equivalent(t, t, p, depth) for p in shifts]
+            verdicts.update(tr.equivalent for tr in transcripts)
+            sym = tail_symmetry_group(t, bound=bound, depth=depth)
+            assert sym.generators == tuple(tr for tr in transcripts if tr.equivalent)
+        if name != "flip":
+            assert verdicts == {True, False}
+
+    def test_one_sigma_grid_per_symmetry_search(self, monkeypatch):
+        calls = []
+
+        def counting(t, box):
+            calls.append(box)
+            return sigma_data(t, box)
+
+        monkeypatch.setattr(tails, "sigma_data", counting)
+        t = tail(FWD, ((2, 1),), ((1, 1), (1, 2), (2, 1)))
+        tail_symmetry_group(t, bound=3, depth=2)
+        # preperiod degree (0, 1), period degree (2, 1): preperiod + bound
+        # + depth * period
+        assert calls == [(0 + 3 + 2 * 2, 1 + 3 + 2 * 1)]
