@@ -137,6 +137,8 @@ def _parse_words(P, text: str):
         raise FormatError(f"need {P.k} comma-separated words, got {len(parts)}")
     words = []
     for i, part in enumerate(parts, start=1):
+        if not part:
+            raise FormatError(f"empty index word for color {i}")
         try:
             words.append(check_word(P, tuple((i, int(ch)) for ch in part)))
         except ValueError as err:  # a non-digit letter, or WordError
@@ -185,7 +187,7 @@ def cmd_enumerate(args) -> int:
     m = _parse_vector(args.m)
     if min(m) < 1:
         raise FormatError(f"--m entries must be >= 1, got {list(m)}")
-    presentations = list(enumerate_presentations(m, budget=args.budget, jobs=args.jobs))
+    presentations = list(enumerate_presentations(m, budget=args.budget))
     _say(f"{len(presentations)} valid presentations for m={list(m)}")
     if args.classify:
         classes = isomorphism_classes(presentations)
@@ -347,9 +349,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="polygraph",
         description="single-vertex k-graph toolkit: validation, enumeration, "
                     "periodicity certificates, atomic representations")
-    ap.add_argument("--jobs", type=int, default=1,
-                    help="worker processes for enumeration sweeps "
-                         "(results merged deterministically)")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("validate", help="validate a presentation file")

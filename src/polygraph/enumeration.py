@@ -19,7 +19,6 @@ import functools
 import itertools
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -50,8 +49,8 @@ def count_candidate_tables(m: Sequence[int]) -> int:
     return total
 
 
-def enumerate_presentations(m: Sequence[int], budget: int | None = None,
-                            jobs: int = 1) -> Iterator[Presentation]:
+def enumerate_presentations(m: Sequence[int], budget: int | None = None
+                            ) -> Iterator[Presentation]:
     """Yield every valid presentation with multiplicities m exactly once,
     in lexicographic order of the flattened tables.
 
@@ -66,43 +65,21 @@ def enumerate_presentations(m: Sequence[int], budget: int | None = None,
     needed = count_candidate_tables(m)
     if needed > budget:
         raise BudgetExceeded(needed, budget)
-    if jobs > 1 and len(m) > 1 and m[0] * m[1] > 1:
-        yield from _enumerate_parallel(m, jobs)
-        return
     for codes in _candidates(m):
         yield presentation_from_codes(len(m), m, codes)
 
 
-def _candidates(m: tuple[int, ...], first: Code | None = None) -> Iterator[tuple[Code, ...]]:
+def _candidates(m: tuple[int, ...]) -> Iterator[tuple[Code, ...]]:
     """The table codes of every presentation with multiplicities m, in
     lexicographic order: each pair's table runs over the permutations of
     its cell numbers, and a combination is kept when it passes the cubic
-    check.  With `first`, only the combinations whose first table is
-    `first`."""
+    check."""
     k = len(m)
-    pairs = color_pairs(k)
     per_pair = [list(itertools.permutations(range(m[i - 1] * m[j - 1])))
-                for i, j in (pairs if first is None else pairs[1:])]
-    if first is not None:
-        per_pair.insert(0, [first])
+                for i, j in color_pairs(k)]
     for codes in itertools.product(*per_pair):
         if k < 3 or _cubic_failure(k, m, codes) is None:
             yield codes
-
-
-def _check_partition(args) -> list[tuple[Code, ...]]:
-    m, first = args
-    return list(_candidates(m, first))
-
-
-def _enumerate_parallel(m, jobs) -> Iterator[Presentation]:
-    # Partition the search on the first pair's table; workers check
-    # independently and results are re-ordered deterministically.
-    tasks = [(m, first) for first in itertools.permutations(range(m[0] * m[1]))]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        for chunk in pool.map(_check_partition, tasks):
-            for codes in chunk:
-                yield presentation_from_codes(len(m), m, codes)
 
 
 @dataclass(frozen=True)

@@ -33,7 +33,6 @@ from .intlinalg import (
     solve_integer,
 )
 from .kgraph import (
-    Degree,
     Presentation,
     Word,
     deg_sub,
@@ -508,27 +507,27 @@ def decompose(gc: GroupConstruction) -> DecompositionReport:
     G2 = FiniteAbelianGroup.from_kernel(kernel2)
     characters = _quotient_characters(G.kernel, kernel2)
 
+    # The coefficients over kernel2 of each h and of each section correction
+    # do not depend on chi: solve for them once, then one dot product per chi.
+    sym_coeffs = [_kernel_coeffs(kernel2, h) for h in sym]
+    t2 = [[row[G.index(c)] for c in G2.elements] for row in gc.t]
+    steps = []  # (alpha at the lifted step into c, coefficients of its correction)
+    for i in range(P.k):
+        eps = tuple(int(j == i) for j in range(P.k))
+        srow = []
+        for c in G2.elements:
+            cm = G2.reduce(tuple(x - e for x, e in zip(c, eps)))
+            step = tuple(x + e for x, e in zip(cm, eps))
+            corr = tuple(a - b for a, b in zip(step, c))
+            srow.append((gc.alpha[i][G.index(step)], _kernel_coeffs(kernel2, corr)))
+        steps.append(srow)
     summands = []
     chi_rows = []
     for chi in characters:
-        chi_rows.append(tuple(_apply_character(kernel2, chi, h) for h in sym))
-        t2 = []
-        alpha2 = []
-        for i in range(1, P.k + 1):
-            trow, arow = [], []
-            for c in G2.elements:
-                lift = G.reduce(c)
-                trow.append(gc.t[i - 1][G.index(lift)])
-                cm = G2.reduce(tuple(x - (1 if j == i - 1 else 0)
-                                     for j, x in enumerate(c)))
-                step = tuple(x + (1 if j == i - 1 else 0) for j, x in enumerate(cm))
-                corr = tuple(a - b for a, b in zip(step, c))
-                arow.append((gc.alpha[i - 1][G.index(G.reduce(step))]
-                             + _apply_character(kernel2, chi, corr)) % 1)
-            t2.append(trow)
-            alpha2.append(arow)
-        summand = group_construction(P, G2, t2, alpha2)
-        summands.append(summand)
+        chi_rows.append(tuple(_character_value(coeffs, chi) for coeffs in sym_coeffs))
+        alpha2 = [[(a + _character_value(coeffs, chi)) % 1 for a, coeffs in srow]
+                  for srow in steps]
+        summands.append(group_construction(P, G2, t2, alpha2))
     report = DecompositionReport(parent=gc, symmetry=tuple(sym),
                                  character_table=tuple(chi_rows),
                                  summands=tuple(summands))
@@ -545,13 +544,7 @@ def decompose(gc: GroupConstruction) -> DecompositionReport:
 def _quotient_characters(kernel: Mat, kernel2: Mat) -> list[tuple[Phase, ...]]:
     """Characters of kernel2/kernel as rational vectors x (values on the
     kernel2 basis rows) with kernel . x = 0 mod 1."""
-    m_rows = []
-    for row in kernel:
-        coeffs = solve_integer(kernel2, row)
-        assert coeffs is not None, "kernel not inside the symmetry kernel"
-        m_rows.append(coeffs)
-    M = tuple(m_rows)
-    U, D, V = smith_normal_form(M)
+    U, D, V = smith_normal_form(tuple(_kernel_coeffs(kernel2, row) for row in kernel))
     k = len(kernel)
     out = []
     ranges = [range(D[i][i]) for i in range(k)]
@@ -563,9 +556,13 @@ def _quotient_characters(kernel: Mat, kernel2: Mat) -> list[tuple[Phase, ...]]:
     return out
 
 
-def _apply_character(kernel2: Mat, chi: tuple[Phase, ...], h: Vec) -> Phase:
+def _kernel_coeffs(kernel2: Mat, h: Vec) -> Vec:
     coeffs = solve_integer(kernel2, h)
     assert coeffs is not None, f"{h} is not in the symmetry kernel"
+    return coeffs
+
+
+def _character_value(coeffs: Vec, chi: tuple[Phase, ...]) -> Phase:
     return sum((c * x for c, x in zip(coeffs, chi)), Fraction(0)) % 1
 
 
@@ -597,254 +594,150 @@ def extend_to_group(P: Presentation, partial: PartialConstruction,
                     symmetry: list[Vec] | None = None) -> GroupConstruction:
     """Extend partially defined data to a full group construction.
 
-    Mirrors the dilation argument: grow a window corner by corner, taking
-    each new color-i value from the factorization of (corner choice) *
-    (path word) and propagating the other colors through single-letter
-    commutations; free corner choices default to index 1 but defer to
-    values already pinned by the same group element, retrying the finite
-    corner choices on conflict.  With `symmetry` generators given, the
-    data is collapsed to the quotient first and unfolded afterwards, so
-    the result has full symmetry containing them.  Complete input is
-    validated and returned as is; axis-complete input is routed through
-    the commuting-words filling.  Genuinely inconsistent data raises
-    InvalidConstruction.
+    The runnable form of the dilation step: :func:`_solve_indices`
+    completes the index slots and :func:`_solve_phases` the phases.  Both
+    are complete, so InvalidConstruction means that no extension exists; a
+    search that outgrows the group budget raises BudgetExceeded.  With
+    `symmetry` generators given, the data is collapsed to the quotient by
+    them first and the solution unfolded afterwards, so the result has
+    full symmetry containing them.
     """
-    G = partial.group
+    G = Q = partial.group
+    if G.k != P.k:
+        raise InvalidConstruction(f"group of rank {G.k} for a {P.k}-graph")
     if symmetry:
-        return _extend_with_symmetry(P, partial, symmetry)
-    if _is_complete(partial):
-        return _assemble(P, partial)
-    axis_words = _axis_words(P, partial)
-    if axis_words is not None:
-        return _extend_via_axes(P, partial, axis_words)
-    slots = _window_fill(P, partial)
-    return _assemble(P, PartialConstruction(G, slots[0], slots[1]))
+        Q = FiniteAbelianGroup.from_kernel(
+            hermite_normal_form(list(G.kernel) + [G.reduce(h) for h in symmetry]))
+    t = _solve_indices(P, Q, _slots(Q, partial.t, int))
+    alpha = _solve_phases(Q, _slots(Q, partial.alpha, phase))
+    lift = [Q.index(g) for g in G.elements]
+    return group_construction(P, G, [[row[n] for n in lift] for row in t],
+                              [[row[n] for n in lift] for row in alpha])
 
 
-def _is_complete(partial: PartialConstruction) -> bool:
-    G = partial.group
-    return all((i, g) in partial.t for g in G.elements for i in range(1, G.k + 1))
-
-
-def _assemble(P: Presentation, partial: PartialConstruction) -> GroupConstruction:
-    G = partial.group
-    t = [[partial.t[(i, g)] for g in G.elements] for i in range(1, G.k + 1)]
-    alpha = [[partial.alpha.get((i, g), phase(0)) for g in G.elements]
-             for i in range(1, G.k + 1)]
-    return group_construction(P, G, t, alpha)
-
-
-def _axis_words(P: Presentation, partial: PartialConstruction) -> list[Word] | None:
-    """Reconstruct the commuting axis words when every axis is fully
-    labelled: letter c+1 of word i is t^i at -c * g_i."""
-    G = partial.group
-    words = []
-    for i in range(1, G.k + 1):
-        n_i = G.generator_order(i)
-        letters = []
-        for c in range(n_i):
-            v = G.reduce(tuple(-c if j == i - 1 else 0 for j in range(G.k)))
-            if (i, v) not in partial.t:
-                return None
-            letters.append((i, partial.t[(i, v)]))
-        words.append(tuple(letters))
-    return words
-
-
-def _extend_via_axes(P: Presentation, partial: PartialConstruction,
-                     words: list[Word]) -> GroupConstruction:
-    G = partial.group
-    alphas = []
-    for i in range(1, G.k + 1):
-        vals = {a for (c, g), a in partial.alpha.items() if c == i}
-        if len(vals) > 1:
-            raise InvalidConstruction(
-                f"axis extension needs constant alpha per color, got {sorted(vals)}")
-        alphas.append(next(iter(vals)) if vals else phase(0))
-    if not words_commute(P, words):
-        raise NotCommuting(f"axis words {words} do not commute")
-    cyc = from_commuting_words(P, words, alphas=alphas)
-    # project the product-group construction onto G (checks periodicity)
-    Gc = cyc.group
-    t: dict = {}
-    alpha: dict = {}
-    for n, gvec in enumerate(Gc.elements):
-        target = G.reduce(gvec)
-        for i in range(1, G.k + 1):
-            for store, value in ((t, cyc.t[i - 1][n]), (alpha, cyc.alpha[i - 1][n])):
-                key = (i, target)
-                if key in store and store[key] != value:
-                    raise InvalidConstruction(
-                        f"axis data does not descend to the target group at {key}")
-                store[key] = value
-    out = _assemble(P, PartialConstruction(G, t, alpha))
-    _check_restriction(out, partial)
+def _slots(Q: FiniteAbelianGroup, data: dict, convert) -> dict:
+    """{slot: value} on Q for data keyed by (color, element); slot (i, q) is
+    numbered (i - 1) |Q| + index(q)."""
+    out: dict = {}
+    for (i, g), v in data.items():
+        if out.setdefault((i - 1) * Q.order + Q.index(g), convert(v)) != convert(v):
+            raise InvalidConstruction(f"data at {(i, g)} disagrees with its coset")
     return out
 
 
-def _check_restriction(gc: GroupConstruction, partial: PartialConstruction) -> None:
-    G = gc.group
-    for (i, g), v in partial.t.items():
-        if gc.t[i - 1][G.index(g)] != v:
-            raise InvalidConstruction(f"extension disagrees with given data at {(i, g)}")
-    for (i, g), a in partial.alpha.items():
-        if gc.alpha[i - 1][G.index(g)] != phase(a):
-            raise InvalidConstruction(f"extension disagrees with given alpha at {(i, g)}")
+def _squares(G: FiniteAbelianGroup) -> list[tuple[int, ...]]:
+    """(i, j, a, b, c, d) per element g and colors i < j: the slots of
+    theta_ij(t^i_g, t^j_{g-g_i}) = (t^i_{g-g_j}, t^j_g), in that order."""
+    N = G.order
+    return [(i, j, (i - 1) * N + n, (j - 1) * N + G._sub[i - 1][n],
+             (i - 1) * N + G._sub[j - 1][n], (j - 1) * N + n)
+            for n in range(N) for i in range(1, G.k + 1) for j in range(i + 1, G.k + 1)]
 
 
-def _extend_with_symmetry(P: Presentation, partial: PartialConstruction,
-                          symmetry: list[Vec]) -> GroupConstruction:
-    """Collapse by the given symmetry generators, extend on the quotient,
-    unfold; the result is invariant under the generators by construction."""
-    G = partial.group
-    kernel2 = hermite_normal_form(list(G.kernel) + [G.reduce(h) for h in symmetry])
-    G2 = FiniteAbelianGroup.from_kernel(kernel2)
-    t2: dict = {}
-    alpha2: dict = {}
-    for (i, g), v in partial.t.items():
-        key = (i, G2.reduce(g))
-        if key in t2 and t2[key] != v:
-            raise InvalidConstruction(f"data is not symmetric under {symmetry} at {key}")
-        t2[key] = v
-    for (i, g), a in partial.alpha.items():
-        key = (i, G2.reduce(g))
-        if key in alpha2 and alpha2[key] != phase(a):
-            raise InvalidConstruction(f"alpha is not symmetric under {symmetry} at {key}")
-        alpha2[key] = phase(a)
-    small = extend_to_group(P, PartialConstruction(G2, t2, alpha2))
-    t = {(i, g): small.t[i - 1][G2.index(g)]
-         for g in G.elements for i in range(1, G.k + 1)}
-    alpha = {(i, g): small.alpha[i - 1][G2.index(g)]
-             for g in G.elements for i in range(1, G.k + 1)}
-    out = _assemble(P, PartialConstruction(G, t, alpha))
-    _check_restriction(out, partial)
-    return out
+def _solve_indices(P: Presentation, G: FiniteAbelianGroup, given: dict
+                   ) -> list[list[int]]:
+    """Complete the index slots from the given {slot: index}.
 
-
-def _window_fill(P: Presentation, partial: PartialConstruction) -> tuple[dict, dict]:
-    """Corner-by-corner window growth of ragged data (see extend_to_group).
-
-    Window coordinates live in Z^k; every read/write goes through the
-    quotient map, so consistency across wrap-arounds is enforced by the
-    single store.  Each step extends one direction from the current
-    corner, filling color-i labels on the new slab from the factorization
-    e_p . w = w' . e_q and the other colors through the single-letter
-    commutation square.  Free corner choices are searched depth-first
-    within a budget; exhaustion raises InvalidConstruction.
+    A commutation square is a bijection between its two sides, so a known
+    side fixes the other.  Assignments propagate through the squares until
+    nothing changes or a square contradicts its data; then the first open
+    slot is branched on, values 1..m_i in turn, undoing the trail on a
+    contradiction.  The axis slots t^i at -c g_i come first, shortest axis
+    first: once one axis is known, each slot of the next closes a band of
+    squares around it, so a wrong value shows after one wrap of that band.
     """
-    G = partial.group
-    spans = [G.kernel[i][i] for i in range(G.k)]
-    depth = [2 * s for s in spans]
-    max_steps = G.k * (4 * sum(spans) + 8)
-    budget = 20_000
+    N = G.order
+    m = [P.m[s // N] for s in range(G.k * N)]
+    if any(not 1 <= v <= m[s] for s, v in given.items()):
+        raise InvalidConstruction("a given index is out of range")
+    val = [0] * len(m)  # 0 = open
+    at: list[list] = [[] for _ in m]
+    for sq in _squares(G):
+        for s in sq[2:]:
+            at[s].append(sq)
+    trail: list[int] = []
 
-    def complete(t) -> bool:
-        return all((i, g) in t for g in G.elements for i in range(1, G.k + 1))
-
-    def frame(t, alpha, corner, step):
-        # a backtracking frame: the pending corner choices at this step
-        i = step % G.k + 1
-        corner_key = (i, G.reduce(tuple(c + (1 if j == i - 1 else 0)
-                                        for j, c in enumerate(corner))))
-        choices = [t[corner_key]] if corner_key in t else list(range(1, P.m[i - 1] + 1))
-        return [t, alpha, corner, step, i, choices]
-
-    stack = [frame(dict(partial.t), dict(partial.alpha), (0,) * G.k, 0)]
-    while stack:
-        t, alpha, corner, step, i, choices = stack[-1]
-        if complete(t):
-            return t, alpha
-        if step >= max_steps or budget <= 0 or not choices:
-            stack.pop()
-            continue
-        p_corner = choices.pop(0)
-        budget -= 1
-        try:
-            t2, a2 = _extend_slab(P, G, dict(t), dict(alpha), corner, i,
-                                  p_corner, depth)
-        except InvalidConstruction:
-            continue
-        next_corner = tuple(c + (1 if j == i - 1 else 0) for j, c in enumerate(corner))
-        stack.append(frame(t2, a2, next_corner, step + 1))
-    raise InvalidConstruction(
-        "no consistent extension found within the search budget "
-        "(the data is inconsistent, or the window search gave up)")
-
-
-class _MissingData(Exception):
-    """A path below the corner crosses an undetermined slot (the window
-    has not grown far enough yet); the offset is skipped this round."""
-
-
-def _extend_slab(P, G, t, alpha, corner, i, p_corner, depth):
-    k = G.k
-
-    def eps(c):
-        return tuple(1 if j == c - 1 else 0 for j in range(k))
-
-    def setval(store, key, value, what):
-        if key in store and store[key] != value:
-            raise InvalidConstruction(f"window growth conflict for {what} at {key}")
-        store[key] = value
-
-    def path_word(start: Vec) -> Word:
-        # word labelling the edge path start -> corner, coordinates ascending
-        letters = []
-        cur = list(start)
-        for j in range(1, k + 1):
-            while cur[j - 1] < corner[j - 1]:
-                cur[j - 1] += 1
-                key = (j, G.reduce(tuple(cur)))
-                if key not in t:
-                    raise _MissingData(key)
-                letters.append((j, t[key]))
-        return normal_form(P, tuple(reversed(letters)))
-
-    setval(t, (i, G.reduce(tuple(c + e for c, e in zip(corner, eps(i))))),
-           p_corner, "index")
-    alpha.setdefault((i, G.reduce(tuple(c + e for c, e in zip(corner, eps(i))))), phase(0))
-    offsets = sorted(itertools.product(*[range(0, -(d + 1), -1) if j != i - 1 else (0,)
-                                         for j, d in enumerate(depth)]),
-                     key=lambda s: -sum(s))
-    for s in offsets:
-        if all(x == 0 for x in s):
-            continue
-        base = tuple(c + x for c, x in zip(corner, s))
-        try:
-            w = path_word(base)
-        except _MissingData:
-            continue  # deeper than the currently known region; later rounds fill it
-        big = normal_form(P, ((i, p_corner),) + w)
-        _, last = extract_prefix(P, big, deg_sub(degree(P, big), eps(i)))
-        p_here = last[0][1]
-        cell = tuple(b + e for b, e in zip(base, eps(i)))
-        setval(t, (i, G.reduce(cell)), p_here, "index")
-        alpha.setdefault((i, G.reduce(cell)), phase(0))
-        # the color-j edge into cell + e_j comes from the commutation
-        # square whose other corner is the slab cell above (offset s + e_j)
-        for j in range(1, k + 1):
-            if j == i or s[j - 1] == 0:
+    def assign(queue: list) -> bool:
+        while queue:
+            s, v = queue.pop()
+            if val[s]:
+                if val[s] != v:
+                    return False
                 continue
-            base_up = tuple(b + e for b, e in zip(base, eps(j)))
-            q = t.get((j, G.reduce(base_up)))
-            p_up = t.get((i, G.reduce(tuple(b + e for b, e in zip(base_up, eps(i))))))
-            if q is None or p_up is None:
+            val[s] = v
+            trail.append(s)
+            for i, j, a, b, c, d in at[s]:
+                if val[a] and val[b]:
+                    (_, vd), (_, vc) = P._asc[((i, val[a]), (j, val[b]))]
+                    queue += ((c, vc), (d, vd))
+                elif val[c] and val[d]:
+                    (_, va), (_, vb) = P._desc[((j, val[d]), (i, val[c]))]
+                    queue += ((a, va), (b, vb))
+        return True
+
+    if not assign(list(given.items())):
+        raise InvalidConstruction("the given indices break a commutation square")
+    axes = [(i - 1) * N + G.index(tuple(-c if j == i - 1 else 0 for j in range(G.k)))
+            for i in sorted(range(1, G.k + 1), key=G.generator_order)
+            for c in range(G.generator_order(i))]
+    order = list(dict.fromkeys(axes + list(range(len(m)))))
+    budget, nodes = _group_budget(None), 0
+    stack: list[list[int]] = []  # [slot, next value, trail length before it]
+    while (s := next((s for s in order if not val[s]), None)) is not None:
+        stack.append([s, 1, len(trail)])
+        while stack:
+            s, v, mark = stack[-1]
+            while len(trail) > mark:
+                val[trail.pop()] = 0
+            if v > m[s]:
+                stack.pop()
                 continue
-            if i < j:
-                (_, q2), (_, p2) = P._asc[((i, p_up), (j, q))]
+            nodes += 1
+            if nodes > budget:
+                raise BudgetExceeded(f"extension search exceeded {budget} branch nodes")
+            stack[-1][1] = v + 1
+            if assign([(s, v)]):
+                break
+        else:
+            raise InvalidConstruction("no index labelling extends the given data")
+    return [val[i * N:(i + 1) * N] for i in range(G.k)]
+
+
+def _solve_phases(G: FiniteAbelianGroup, given: dict) -> list[list[Phase]]:
+    """Complete the phase slots from the given {slot: phase}.
+
+    The square conditions alpha_a + alpha_b = alpha_c + alpha_d are blind
+    to adding a constant per color, so each color's first given phase (or
+    0) is subtracted and the residual x solves A x = r (mod 1) over the
+    open slots, through the Smith form U A V = D: x = V y with
+    y_t = (U r)_t / d_t.  A zero residual gives x = 0, so constant input
+    stays constant.  Where d_t = 0 the system is met only if (U r)_t is
+    integral; data that fails there fails the final validation.
+    """
+    N = G.order
+    base = [next((given[s] for s in sorted(given) if s // N == i), phase(0)) for i in range(G.k)]
+    x = {s: (v - base[s // N]) % 1 for s, v in given.items()}
+    col = {s: n for n, s in enumerate(s for s in range(G.k * N) if s not in given)}
+    rows, rhs = [], []
+    for _, _, *slots in _squares(G) if any(x.values()) else ():
+        row, r = [0] * len(col), Fraction(0)
+        for s, sign in zip(slots, (1, 1, -1, -1)):
+            if s in col:
+                row[col[s]] += sign
             else:
-                (_, q2), (_, p2) = P._desc[((i, p_up), (j, q))]
-            if p2 != p_here:
-                raise InvalidConstruction(
-                    f"commutation square broke at slab offset {s}: {p2} != {p_here}")
-            up_cell = tuple(c + e for c, e in zip(cell, eps(j)))
-            setval(t, (j, G.reduce(up_cell)), q2, "index")
-            a_src = alpha.get((j, G.reduce(base_up)), phase(0))
-            akey = (j, G.reduce(up_cell))
-            if akey in alpha and alpha[akey] != a_src:
-                raise InvalidConstruction(f"alpha propagation conflict at {akey}")
-            alpha[akey] = a_src
-    return t, alpha
+                r -= sign * x[s]
+        if any(row):
+            rows.append(row)
+            rhs.append(r)
+    y = [Fraction(0)] * len(col)
+    if rows:
+        U, D, V = smith_normal_form(rows)
+        for t in range(min(len(rows), len(y))):
+            if D[t][t]:
+                y[t] = sum((c * r for c, r in zip(U[t], rhs)), Fraction(0)) / D[t][t]
+        y = [sum((c * yt for c, yt in zip(vrow, y)), Fraction(0)) % 1 for vrow in V]
+    x.update(zip(col, y))
+    return [[(base[i] + x[i * N + n]) % 1 for n in range(N)] for i in range(G.k)]
 
 
 def to_atomic_graph(gc: GroupConstruction) -> dict:

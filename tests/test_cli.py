@@ -1,6 +1,10 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polygraph import catalog
 from polygraph.cli import main
@@ -97,6 +101,7 @@ class TestExitCodes:
         ["tail", "splice", "--depth", "0"],
         ["rep", "build", "--words", "1x,12"],
         ["rep", "build", "--words", "13,12"],
+        ["rep", "build", "--words", ",1"],
         ["rep", "build", "--words", "1,1", "--alphas", "1-3,0/1"],
         ["periodicity", "--pi", "1,1"],
         ["periodicity", "--pi", "1,-1,0"],
@@ -215,3 +220,77 @@ class TestCommands:
         assert files["good"] in man["input_hashes"]
         assert len(man["input_hashes"][files["good"]]) == 64
         assert man["tool"] == "polygraph" and man["version"]
+
+
+def _slot(good, bad=(), flag=None):
+    """One argv slot: left out, a good value (drawn three times as often) or
+    a bad one, each after `flag` when one is given."""
+    def part(value):
+        return (value,) if flag is None else (flag, value)
+    return [()] + [part(v) for v in good] * 3 + [part(v) for v in bad]
+
+
+PRESENTATIONS = _slot(["flip", "cycle3-forward", "flip-cycles", "GOOD"],
+                      ["twisted-periodic", "nope", "BAD"], "--presentation")
+# --bound is always given: its defaults (3 and 4) are above the cheap range
+BOUND = _slot(["1", "2"], ["0", "-1", "x"], "--bound")[1:]
+# argv = the command words, then one drawn alternative per slot; GOOD, BAD,
+# TRUNC and TAIL stand for the files written by the fixture below
+ARGV_VOCABULARY = {
+    ("validate",): [_slot(["GOOD"], ["BAD", "TRUNC", "missing.json"])],
+    ("enumerate",): [_slot(["1", "2", "1,2", "2,2", "2,1,2"], ["0", "2,-1", "x", ""], "--m"),
+                     _slot(["--classify"]), _slot(["10"], ["x"], "--budget")],
+    ("classify",): [_slot(["2", "2,2", "1,2,2", "2,2,2"], ["2,0", "a,b"], "--m"),
+                    _slot(["10"], flag="--budget")],
+    ("periodicity",): [PRESENTATIONS,
+                       _slot(["1,-1", "1,1", "1,-1,0"], ["0,0", "x"], "--pi")],
+    ("symmetry",): [PRESENTATIONS, BOUND],
+    ("tail",): [_slot(["sigma", "symmetry", "equivalent", "splice"], ["nope"]), PRESENTATIONS,
+                _slot(["TAIL"], ["TRUNC", "missing.json"], "--tail"),
+                _slot(["2,2", "1,2"], ["1", "-1,2", "x"], "--box"), BOUND,
+                _slot(["1"], ["0", "x"], "--depth"), _slot(["TAIL"], ["TRUNC"], "--other"),
+                _slot(["0,0", "1,0"], ["0,0,0"], "--shift")],
+    ("rep",): [_slot(["build", "decompose", "export-dot"], ["nope"]), PRESENTATIONS,
+               _slot(["1,1", "12,21", "112,112,112", "12,12,12"],
+                     [",1", "1x,1", "13,12", ""], "--words"),
+               _slot(["0/1,1/3", "1/2,1/2,1/2"], ["1-3", "1/0,0/1"], "--alphas")],
+    ("no-such-command",): [],
+}
+STRAY = _slot([], ["--bogus", "--jobs", "-1,2"]) + [()] * 11
+
+
+@pytest.fixture(scope="module")
+def argv_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("argv")
+    paths = {name: str(root / f"{name.lower()}.json")
+             for name in ("GOOD", "BAD", "TRUNC", "TAIL")}
+    dump_presentation(catalog.flip_2graph(), paths["GOOD"])
+    with open(paths["BAD"], "w") as fh:
+        json.dump({"k": 2, "m": [2, 2], "theta": {"1,2": [[[1, 1], [1, 1]]]}}, fh)
+    with open(paths["TRUNC"], "w") as fh:
+        fh.write('{"k": 2, "m": [2')
+    with open(paths["TAIL"], "w") as fh:
+        json.dump({"preperiod": [[1, 2]], "period": [[1, 1], [2, 1]]}, fh)
+    return paths
+
+
+@st.composite
+def argvs(draw):
+    command = draw(st.sampled_from(sorted(ARGV_VOCABULARY)))
+    slots = ARGV_VOCABULARY[command] + [STRAY]
+    return list(command) + [token for slot in slots for token in draw(st.sampled_from(slot))]
+
+
+class TestArgvContract:
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(argv=argvs())
+    def test_exit_code_stream_contract(self, argv, argv_files):
+        argv = [argv_files.get(token, token) for token in argv]
+        out, err = io.StringIO(), io.StringIO()
+        # an exception escaping main fails the test, as a traceback would
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1, 2, 3), argv
+        assert "Traceback" not in err.getvalue(), argv
+        if code in (0, 2) and argv[:2] != ["rep", "export-dot"]:
+            json.loads(out.getvalue())

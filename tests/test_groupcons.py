@@ -6,6 +6,7 @@ import pytest
 
 from polygraph import catalog
 from polygraph.groupcons import (
+    BudgetExceeded,
     FiniteAbelianGroup,
     GroupConstruction,
     InvalidConstruction,
@@ -358,6 +359,198 @@ class TestExtendToGroup:
         G = FiniteAbelianGroup.cyclic_product([2, 2])
         out = extend_to_group(FLIP, PartialConstruction(G, {}, {}))
         assert out.dimension == 4
+
+
+def _all_labellings(P, G):
+    """Every valid index labelling of P on G, as flat tuples over the slots
+    (i, n) numbered (i - 1) |G| + n: a plain depth-first sweep over the
+    slots that checks each commutation square once its last slot is set."""
+    N = G.order
+    checks = [[] for _ in range(P.k * N)]
+    for n in range(N):
+        for i in range(1, P.k + 1):
+            for j in range(i + 1, P.k + 1):
+                sq = (i, j, (i - 1) * N + n, (j - 1) * N + G.sub_generator(n, i),
+                      (i - 1) * N + G.sub_generator(n, j), (j - 1) * N + n)
+                checks[max(sq[2:])].append(sq)
+    out, val = [], [0] * (P.k * N)
+
+    def sweep(s):
+        if s == len(val):
+            out.append(tuple(val))
+            return
+        for v in range(1, P.m[s // N] + 1):
+            val[s] = v
+            if all(P.theta_apply(i, j, val[a], val[b]) == (val[c], val[d])
+                   for i, j, a, b, c, d in checks[s]):
+                sweep(s + 1)
+
+    sweep(0)
+    return out
+
+
+def _partial(G, seed):
+    N = G.order
+    return PartialConstruction(
+        G, {(s // N + 1, G.elements[s % N]): v for s, v in seed.items()}, {})
+
+
+class TestExtensionSolver:
+    GROUPS = {
+        "C2xC2": FiniteAbelianGroup.cyclic_product([2, 2]),
+        "C2xC3": FiniteAbelianGroup.cyclic_product([2, 3]),
+        "Z2/<(2,1),(0,3)>": FiniteAbelianGroup.from_kernel([(2, 1), (0, 3)]),
+        "C3xC3": FiniteAbelianGroup.cyclic_product([3, 3]),
+    }
+    GRAPHS = {
+        "flip": FLIP,
+        "square": catalog.square_2graph(),
+        "cycle3-forward": FWD,
+        "cycle3-reverse": catalog.cycle3_reverse_2graph(),
+    }
+
+    @pytest.mark.parametrize("graph", sorted(GRAPHS))
+    @pytest.mark.parametrize("group", sorted(GROUPS))
+    def test_verdicts_match_brute_force(self, group, graph):
+        P, G = self.GRAPHS[graph], self.GROUPS[group]
+        valid = _all_labellings(P, G)
+        slots = range(P.k * G.order)
+        axes = [(i - 1) * G.order + G.index(tuple(-c if j == i - 1 else 0 for j in (0, 1)))
+                for i in (1, 2) for c in range(G.generator_order(i))]
+        rng = random.Random(f"{group} {graph}")
+        seeds = [{}] + [{s: v} for s in slots for v in range(1, P.m[s // G.order] + 1)]
+        for source in ([rng.choice(valid) for _ in range(20)] if valid else []) + [
+                [rng.randint(1, P.m[s // G.order]) for s in slots] for _ in range(20)]:
+            seeds.append({s: source[s] for s in axes})
+            for _ in range(2):
+                chosen = rng.sample(list(slots), rng.randint(1, len(slots)))
+                seeds.append({s: source[s] for s in chosen})
+        wrong = []
+        for seed in seeds:
+            expected = any(all(lab[s] == v for s, v in seed.items()) for lab in valid)
+            try:
+                gc = extend_to_group(P, _partial(G, seed))
+            except InvalidConstruction:
+                got = False
+            else:
+                got = True
+                flat = tuple(itertools.chain(*gc.t))
+                assert flat in valid
+                assert all(flat[s] == v for s, v in seed.items())
+                assert all(a == 0 for row in gc.alpha for a in row)
+            if got != expected:
+                wrong.append(seed)
+        assert not wrong, f"{len(wrong)} of {len(seeds)} verdicts wrong, first {wrong[:3]}"
+
+    def test_axis_data_needs_no_branching(self, monkeypatch):
+        # the commuting axis words fix every slot by propagation alone
+        gc = gc27()
+        G = gc.group
+        axes = [(i, G.reduce(tuple(-c if j == i - 1 else 0 for j in range(3))))
+                for i in (1, 2, 3) for c in range(3)]
+        monkeypatch.setenv("POLYGRAPH_BUDGET", "0")
+        part = PartialConstruction(G, {key: gc.t_at(*key) for key in axes}, {})
+        out = extend_to_group(FCC, part)
+        assert out.t == gc.t
+        with pytest.raises(BudgetExceeded):
+            extend_to_group(FCC, PartialConstruction.restriction(gc, [(0, 0, 0)]))
+
+    def test_short_axis_is_branched_first(self, monkeypatch):
+        # on C30 x C6 a wrong value on the long axis would only show after
+        # the whole axis wraps; branching the short axis first finds one
+        # within a few dozen nodes
+        words = [tuple((1, int(ch)) for ch in "222122222122222122222122222122"),
+                 tuple((2, int(ch)) for ch in "222122")]
+        gc = from_commuting_words(FLIP, words)
+        monkeypatch.setenv("POLYGRAPH_BUDGET", "200")
+        out = extend_to_group(FLIP, PartialConstruction.restriction(gc, [(0, 0)]))
+        assert out.t_at(1, (0, 0)) == gc.t_at(1, (0, 0))
+        assert out.t_at(2, (0, 0)) == gc.t_at(2, (0, 0))
+
+    def test_symmetry_is_imposed(self):
+        # flip labels are constant along the antidiagonals x + y; the seeds
+        # sit on different ones, so only the symmetry (2, 0) ties them
+        G = FiniteAbelianGroup.cyclic_product([4, 4])
+        part = PartialConstruction(G, {(1, (0, 0)): 2}, {(2, (1, 0)): phase(1, 3)})
+        out = extend_to_group(FLIP, part, symmetry=[(2, 0)])
+        assert (2, 0) in full_symmetry_subgroup(out)
+        assert out.t_at(1, (0, 0)) == 2 and out.alpha_at(2, (1, 0)) == phase(1, 3)
+        clash = PartialConstruction(G, {(1, (0, 0)): 2, (1, (2, 0)): 1}, {})
+        assert extend_to_group(FLIP, clash).t_at(1, (2, 0)) == 1
+        with pytest.raises(InvalidConstruction):
+            extend_to_group(FLIP, clash, symmetry=[(2, 0)])
+
+    def test_square_on_c3xc3_has_no_labelling(self):
+        G = self.GROUPS["C3xC3"]
+        assert _all_labellings(catalog.square_2graph(), G) == []
+        with pytest.raises(InvalidConstruction):
+            extend_to_group(catalog.square_2graph(), PartialConstruction(G, {}, {}))
+
+    @staticmethod
+    def _gauged_gc27(rng):
+        gc = gc27(alphas=[phase(rng.randrange(6), 6) for _ in range(3)])
+        G = gc.group
+        d = [phase(rng.randrange(12), 12) for _ in range(G.order)]
+        alpha = [[(gc.alpha[i][n] + d[n] - d[G.sub_generator(n, i + 1)]) % 1
+                  for n in range(G.order)] for i in range(3)]
+        return group_construction(FCC, G, gc.t, alpha)
+
+    def test_phases_extend_exactly(self):
+        rng = random.Random(7)
+        for _ in range(6):
+            gc = self._gauged_gc27(rng)
+            G = gc.group
+            keys = rng.sample([(i, g) for i in (1, 2, 3) for g in G.elements],
+                              rng.randint(1, 81))
+            part = PartialConstruction(
+                G, {key: gc.t_at(*key) for key in keys},
+                {key: gc.alpha_at(*key) for key in keys[:rng.randint(1, len(keys))]})
+            out = extend_to_group(FCC, part)
+            assert validate_group_construction(FCC, G, out.t, out.alpha) is None
+            for key, v in part.t.items():
+                assert out.t_at(*key) == v
+            for key, a in part.alpha.items():
+                assert out.alpha_at(*key) == a
+
+    def test_constant_phases_stay_constant(self):
+        gc = gc27(alphas=[phase(1, 3), phase(1, 2), phase(0)])
+        out = extend_to_group(FCC, PartialConstruction.restriction(gc, [(1, 2, 0)]))
+        assert out.alpha == gc.alpha
+
+    def test_phases_breaking_a_square_are_rejected(self):
+        rng = random.Random(11)
+        for _ in range(6):
+            gc = self._gauged_gc27(rng)
+            G = gc.group
+            g = rng.choice(G.elements)
+            i, j = sorted(rng.sample((1, 2, 3), 2))
+            n = G.index(g)
+            square = [(i, g), (j, G.elements[G.sub_generator(n, i)]),
+                      (i, G.elements[G.sub_generator(n, j)]), (j, g)]
+            keys = set(square) | set(rng.sample(
+                [(c, h) for c in (1, 2, 3) for h in G.elements], rng.randint(0, 40)))
+            alpha = {key: gc.alpha_at(*key) for key in keys}
+            alpha[square[rng.randrange(4)]] += phase(1, 5)
+            with pytest.raises(InvalidConstruction):
+                extend_to_group(FCC, PartialConstruction(G, {}, alpha))
+
+    def test_phases_inconsistent_only_through_open_slots(self):
+        # every square holding the altered phase also holds an open one, so
+        # no given square is broken; the open phases cannot meet all squares
+        G = self.GROUPS["C3xC3"]
+        d = [phase(n * n, 9) for n in range(9)]
+        gc = group_construction(FLIP, G, [[1] * 9] * 2,
+                                [[d[n] - d[G.sub_generator(n, i)] for n in range(9)]
+                                 for i in (1, 2)])
+        opened = {(1, (1, 1)), (1, (2, 1))}
+        alpha = {(i, g): gc.alpha_at(i, g) for i in (1, 2) for g in G.elements
+                 if (i, g) not in opened}
+        alpha[(2, (1, 1))] += phase(1, 3)
+        with pytest.raises(InvalidConstruction):
+            extend_to_group(FLIP, PartialConstruction(G, {}, alpha))
+        del alpha[(2, (1, 1))]
+        out = extend_to_group(FLIP, PartialConstruction(G, {}, alpha))
+        assert out.alpha == gc.alpha
 
 
 class TestAtomicGraph:
