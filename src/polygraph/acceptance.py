@@ -2,7 +2,7 @@
 pytest acceptance module.
 
 Each criterion function returns a record {criterion, name, passed,
-details}; run_all executes them in order.  Expected values are either
+details}; ALL_CRITERIA lists them in order.  Expected values are either
 structural identities, frozen regression constants (independently
 recomputed during development), or the published invariants of the
 catalog graphs.
@@ -336,7 +336,3 @@ ALL_CRITERIA = [
     criterion_6_property_suites,
     criterion_7_report_footer,
 ]
-
-
-def run_all() -> list[dict]:
-    return [f() for f in ALL_CRITERIA]

@@ -9,7 +9,8 @@ output; human-readable progress goes to stderr.  Exit codes:
     2  mathematical rejection, with a witness in the JSON output
     3  budget or bound exhausted
 
-POLYGRAPH_BUDGET overrides the default enumeration budget.
+POLYGRAPH_BUDGET overrides the default enumeration budget and the group
+budgets (group order and extension branch nodes).
 """
 
 from __future__ import annotations

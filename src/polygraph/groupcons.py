@@ -24,6 +24,7 @@ import itertools
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .intlinalg import (
     Mat,
@@ -44,11 +45,10 @@ from .kgraph import (
 from .phases import Phase, phase
 
 GROUP_BUDGET = 1_000_000
+CYCLE_CAP = 100_000
 
 
-def _group_budget(budget: int | None) -> int:
-    if budget is not None:
-        return budget
+def _group_budget() -> int:
     return int(os.environ.get("POLYGRAPH_BUDGET", GROUP_BUDGET))
 
 
@@ -83,8 +83,7 @@ class FiniteAbelianGroup:
     _sub: tuple  # _sub[i][g] = index of g - g_i
 
     @staticmethod
-    def from_kernel(kernel_rows: list[Vec] | Mat, budget: int | None = None
-                    ) -> "FiniteAbelianGroup":
+    def from_kernel(kernel_rows: list[Vec] | Mat) -> "FiniteAbelianGroup":
         hnf = hermite_normal_form(kernel_rows)
         if not hnf or len(hnf) != len(hnf[0]):
             raise ValueError(f"kernel {kernel_rows} is not full rank; quotient is infinite")
@@ -94,7 +93,7 @@ class FiniteAbelianGroup:
             if hnf[i][i] == 0:
                 raise ValueError("kernel is not full rank")
             order *= hnf[i][i]
-        budget = _group_budget(budget)
+        budget = _group_budget()
         if order > budget:
             raise BudgetExceeded(f"group order {order} exceeds budget {budget}")
         elements = tuple(itertools.product(*[range(hnf[i][i]) for i in range(k)]))
@@ -280,14 +279,14 @@ def from_commuting_words(P: Presentation, words: list[Word],
     return group_construction(P, G, t, alpha)
 
 
-def cycle_construction(P: Presentation, seeds: list[Word], cap: int = 100_000
+def cycle_construction(P: Presentation, seeds: list[Word]
                        ) -> tuple[list[Word], list[int]]:
     """Iterate the commutation permutation on word tuples until the cycle
     closes, producing a pairwise commuting family (one pure word per
     color) from arbitrary nonempty seeds.
 
     Returns (words, cycle lengths per stage).  Raises BudgetExceeded when
-    a cycle does not close within cap steps.
+    a cycle does not close within CYCLE_CAP steps.
     """
     if len(seeds) != P.k or any(not s for s in seeds):
         raise ValueError("need one nonempty seed word per color")
@@ -304,7 +303,7 @@ def cycle_construction(P: Presentation, seeds: list[Word], cap: int = 100_000
     b0 = normal_form(P, tuple(itertools.chain(*seeds[1:])))
     a, b = a0, b0
     parts_a, parts_b = [], []
-    for step in range(cap):
+    for step in range(CYCLE_CAP):
         parts_a.append(a)
         parts_b.append(b)
         w = normal_form(P, a + b)
@@ -312,7 +311,7 @@ def cycle_construction(P: Presentation, seeds: list[Word], cap: int = 100_000
         if (a, b) == (a0, b0):
             break
     else:
-        raise BudgetExceeded(f"base cycle did not close within {cap} steps")
+        raise BudgetExceeded(f"base cycle did not close within {CYCLE_CAP} steps")
     lengths.append(len(parts_a))
     family: list[Word] = [normal_form(P, tuple(itertools.chain(*reversed(parts_a))))]
     rem: Word = normal_form(P, tuple(itertools.chain(*parts_b)))
@@ -329,7 +328,7 @@ def cycle_construction(P: Presentation, seeds: list[Word], cap: int = 100_000
         avec, c_cur, d_cur = tuple(family), c0, d0
         avec0 = avec
         parts_c, parts_d = [], []
-        for step in range(cap):
+        for step in range(CYCLE_CAP):
             parts_c.append(c_cur)
             parts_d.append(d_cur)
             w = normal_form(P, c_cur + d_cur)
@@ -346,7 +345,7 @@ def cycle_construction(P: Presentation, seeds: list[Word], cap: int = 100_000
             if (avec, c_cur, d_cur) == (avec0, c0, d0):
                 break
         else:
-            raise BudgetExceeded(f"stage cycle did not close within {cap} steps")
+            raise BudgetExceeded(f"stage cycle did not close within {CYCLE_CAP} steps")
         lengths.append(len(parts_c))
         family.append(normal_form(P, tuple(itertools.chain(*reversed(parts_c)))))
         rem = normal_form(P, tuple(itertools.chain(*parts_d)))
@@ -402,31 +401,17 @@ def full_symmetry_subgroup(gc: GroupConstruction) -> list[Vec]:
 def normalize_scalars(gc: GroupConstruction) -> GroupConstruction:
     """A unitarily equivalent construction with constant alpha functions.
 
-    Already-constant constructions are returned unchanged.  Otherwise the
-    loop character (path phases of the kernel rows) is solved exactly for
-    target constants, and a spanning-tree diagonal rescale realizes them;
-    loop phases are preserved by construction.
+    Already-constant constructions are returned unchanged.  Otherwise
+    :func:`_phase_potential` writes alpha^i_g = c_i + f(g) - f(g - g_i);
+    the diagonal rescale by e(-f) leaves the constants c, and loop phases
+    are preserved because they only see c.
     """
-    G, P = gc.group, gc.presentation
+    G = gc.group
     if all(len(set(row)) == 1 for row in gc.alpha):
         return gc
-    psi = [_path_phase(gc, row) for row in G.kernel]
-    consts = _solve_character(G.kernel, psi)
-    d = _spanning_tree_potential(gc, consts)
-    new_alpha = []
-    for i in range(1, P.k + 1):
-        row = []
-        for n in range(G.order):
-            val = (gc.alpha[i - 1][n] + d[n] - d[G.sub_generator(n, i)]) % 1
-            row.append(val)
-        if len(set(row)) != 1 or row[0] != consts[i - 1] % 1:
-            raise InvalidConstruction(
-                f"scalar normalization failed for color {i}: {sorted(set(row))}")
-        new_alpha.append(row)
-    out = group_construction(P, G, gc.t, new_alpha)
-    for row, p in zip(G.kernel, psi):
-        assert _path_phase(out, row) == p, "loop phase not preserved"
-    return out
+    c, _ = _phase_potential(G, {i * G.order + n: a for i, row in enumerate(gc.alpha)
+                                for n, a in enumerate(row)})
+    return group_construction(gc.presentation, G, gc.t, [[ci] * G.order for ci in c])
 
 
 def _path_phase(gc: GroupConstruction, vec: Vec) -> Phase:
@@ -447,36 +432,6 @@ def _path_phase(gc: GroupConstruction, vec: Vec) -> Phase:
                 total -= gc.alpha[i][G.index(cur)]
                 cur = G.add(cur, tuple(-x for x in eps))
     return total % 1
-
-
-def _solve_character(kernel: Mat, psi: list[Phase]) -> list[Phase]:
-    """The canonical rational solution x of kernel . x = psi (mod 1)."""
-    k = len(kernel)
-    x = [Fraction(0)] * k
-    for i in range(k - 1, -1, -1):
-        acc = sum((Fraction(kernel[i][j]) * x[j] for j in range(i + 1, k)), Fraction(0))
-        x[i] = Fraction(psi[i] - acc, kernel[i][i])
-    return [v % 1 for v in x]
-
-
-def _spanning_tree_potential(gc: GroupConstruction, consts: list[Phase]) -> list[Phase]:
-    from collections import deque
-    G = gc.group
-    d: list[Phase | None] = [None] * G.order
-    d[G.index((0,) * G.k)] = Fraction(0)
-    queue = deque([(0,) * G.k])
-    while queue:
-        g = queue.popleft()
-        gi = G.index(g)
-        for i in range(1, G.k + 1):
-            eps = tuple(1 if j == i - 1 else 0 for j in range(G.k))
-            h = G.add(g, eps)
-            hi = G.index(h)
-            if d[hi] is None:
-                d[hi] = (d[gi] + consts[i - 1] - gc.alpha[i - 1][hi]) % 1
-                queue.append(h)
-    assert all(v is not None for v in d), "Cayley graph not connected"
-    return d  # type: ignore[return-value]
 
 
 @dataclass(frozen=True)
@@ -595,7 +550,8 @@ def extend_to_group(P: Presentation, partial: PartialConstruction,
     """Extend partially defined data to a full group construction.
 
     The runnable form of the dilation step: :func:`_solve_indices`
-    completes the index slots and :func:`_solve_phases` the phases.  Both
+    completes the index slots and :func:`_solve_phases` the phases, as a
+    character plus a potential from :func:`_phase_potential`.  Both
     are complete, so InvalidConstruction means that no extension exists; a
     search that outgrows the group budget raises BudgetExceeded.  With
     `symmetry` generators given, the data is collapsed to the quotient by
@@ -681,7 +637,7 @@ def _solve_indices(P: Presentation, G: FiniteAbelianGroup, given: dict
             for i in sorted(range(1, G.k + 1), key=G.generator_order)
             for c in range(G.generator_order(i))]
     order = list(dict.fromkeys(axes + list(range(len(m)))))
-    budget, nodes = _group_budget(None), 0
+    budget, nodes = _group_budget(), 0
     stack: list[list[int]] = []  # [slot, next value, trail length before it]
     while (s := next((s for s in order if not val[s]), None)) is not None:
         stack.append([s, 1, len(trail)])
@@ -706,38 +662,66 @@ def _solve_indices(P: Presentation, G: FiniteAbelianGroup, given: dict
 def _solve_phases(G: FiniteAbelianGroup, given: dict) -> list[list[Phase]]:
     """Complete the phase slots from the given {slot: phase}.
 
-    The square conditions alpha_a + alpha_b = alpha_c + alpha_d are blind
-    to adding a constant per color, so each color's first given phase (or
-    0) is subtracted and the residual x solves A x = r (mod 1) over the
-    open slots, through the Smith form U A V = D: x = V y with
-    y_t = (U r)_t / d_t.  A zero residual gives x = 0, so constant input
-    stays constant.  Where d_t = 0 the system is met only if (U r)_t is
-    integral; data that fails there fails the final validation.
+    The squares are blind to adding a constant per color, so each color's
+    first given phase (or 0) is subtracted and the residual is written as
+    c_i + f(g) - f(g - g_i) by :func:`_phase_potential`.  A zero residual
+    gives c = 0 and f = 0, so constant input stays constant.
     """
     N = G.order
     base = [next((given[s] for s in sorted(given) if s // N == i), phase(0)) for i in range(G.k)]
-    x = {s: (v - base[s // N]) % 1 for s, v in given.items()}
-    col = {s: n for n, s in enumerate(s for s in range(G.k * N) if s not in given)}
-    rows, rhs = [], []
-    for _, _, *slots in _squares(G) if any(x.values()) else ():
-        row, r = [0] * len(col), Fraction(0)
-        for s, sign in zip(slots, (1, 1, -1, -1)):
-            if s in col:
-                row[col[s]] += sign
-            else:
-                r -= sign * x[s]
-        if any(row):
-            rows.append(row)
-            rhs.append(r)
-    y = [Fraction(0)] * len(col)
-    if rows:
-        U, D, V = smith_normal_form(rows)
-        for t in range(min(len(rows), len(y))):
-            if D[t][t]:
-                y[t] = sum((c * r for c, r in zip(U[t], rhs)), Fraction(0)) / D[t][t]
-        y = [sum((c * yt for c, yt in zip(vrow, y)), Fraction(0)) % 1 for vrow in V]
-    x.update(zip(col, y))
-    return [[(base[i] + x[i * N + n]) % 1 for n in range(N)] for i in range(G.k)]
+    c, f = _phase_potential(G, {s: v - base[s // N] for s, v in given.items()})
+    return [[(base[i] + c[i] + f[n] - f[G._sub[i][n]]) % 1 for n in range(N)]
+            for i in range(G.k)]
+
+
+def _phase_potential(G: FiniteAbelianGroup, given: dict
+                     ) -> tuple[list[Phase], list[Phase]]:
+    """Constants c and a potential f with alpha^i_g = c_i + f(g) - f(g - g_i)
+    (mod 1) on every given {slot: phase}, slots numbered as in :func:`_slots`.
+
+    A closed phase labelling is exactly a character c of Z^k plus the
+    coboundary of a potential.  Phases are scaled to integers by their
+    common denominator D.  One walk over the given edges writes
+    f(g) = q_g / D - v_g . c relative to the root of g's component, v_g
+    the lift of the walked path and q_g its scaled phase sum.  An edge
+    u -> g of color i then gives the row (w, r), asking w . c = r / D
+    (mod 1), with w = v_u + e_i - v_g in K and r = q_u + D alpha - q_g.
+    The rows go through the Hermite form together with (0, ..., 0, D): a
+    last pivot below D means no c exists.  Otherwise back-substitution
+    solves the echelon rows exactly, free columns 0; on full data those
+    rows are the kernel rows and their right sides D times the loop phases.
+    """
+    N, k = G.order, G.k
+    D = lcm(1, *(a.denominator for a in given.values()))
+    edges = [(G._sub[s // N][s % N], s // N, s % N, int(a * D)) for s, a in given.items()]
+    adj: list[list] = [[] for _ in range(N)]
+    for u, i, g, a in edges:
+        adj[u].append((g, i, 1, a))
+        adj[g].append((u, i, -1, -a))
+    v: list = [None] * N
+    q = [0] * N
+    for root in range(N):
+        if v[root] is not None:
+            continue
+        v[root], stack = (0,) * k, [root]
+        while stack:
+            x = stack.pop()
+            for y, i, sign, a in adj[x]:
+                if v[y] is None:
+                    v[y] = tuple(vj + sign * (j == i) for j, vj in enumerate(v[x]))
+                    q[y] = q[x] + a
+                    stack.append(y)
+    rows = [tuple(p + (j == i) - r for j, (p, r) in enumerate(zip(v[u], v[g])))
+            + (q[u] + a - q[g],) for u, i, g, a in edges]
+    hnf = hermite_normal_form(rows + [(0,) * k + (D,)])
+    if hnf[-1][k] != D:
+        raise InvalidConstruction("no phase labelling extends the given data")
+    c = [Fraction(0)] * k
+    for row in reversed(hnf[:-1]):
+        p = next(j for j in range(k) if row[j])
+        c[p] = (Fraction(row[k], D) - sum(row[j] * c[j] for j in range(p + 1, k))) / row[p]
+    c = [x % 1 for x in c]
+    return c, [(Fraction(q[n], D) - sum(x * y for x, y in zip(v[n], c))) % 1 for n in range(N)]
 
 
 def to_atomic_graph(gc: GroupConstruction) -> dict:

@@ -89,10 +89,6 @@ def lattice_contains(hnf: Mat, v: Vec) -> bool:
     return not any(r)
 
 
-def lattice_rank(hnf: Mat) -> int:
-    return len(hnf)
-
-
 def smith_normal_form(mat: Mat) -> tuple[Mat, Mat, Mat]:
     """Smith normal form with transforms: returns (U, D, V), U*mat*V = D.
 
@@ -177,11 +173,6 @@ def smith_normal_form(mat: Mat) -> tuple[Mat, Mat, Mat]:
                 u[t][c] = -u[t][c]
         t += 1
     return (tuple(map(tuple, u)), tuple(map(tuple, a)), tuple(map(tuple, v)))
-
-
-def _matmul(A: Mat, B: Mat) -> Mat:
-    return tuple(tuple(sum(A[i][t] * B[t][j] for t in range(len(B)))
-                       for j in range(len(B[0]))) for i in range(len(A)))
 
 
 def solve_integer(hnfA: Mat, b: Vec) -> Vec | None:

@@ -29,8 +29,6 @@ Letter = tuple[int, int]
 Word = tuple[Letter, ...]
 Degree = tuple[int, ...]
 
-EMPTY_WORD: Word = ()
-
 
 class PresentationError(ValueError):
     """Rejected input data for a presentation."""
@@ -270,10 +268,6 @@ def degree(P: Presentation, w: Word) -> Degree:
     return tuple(counts)
 
 
-def degree_total(n: Degree) -> int:
-    return sum(n)
-
-
 def deg_add(a: Degree, b: Degree) -> Degree:
     return tuple(x + y for x, y in zip(a, b))
 
@@ -315,10 +309,6 @@ def normal_form(P: Presentation, w: Word) -> Word:
             out[pos - 1], out[pos] = desc[(out[pos - 1], out[pos])]
             pos -= 1
     return tuple(out)
-
-
-def is_normal_form(w: Word) -> bool:
-    return all(w[i][0] <= w[i + 1][0] for i in range(len(w) - 1))
 
 
 def words_equal(P: Presentation, w1: Word, w2: Word) -> bool:

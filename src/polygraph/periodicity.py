@@ -168,8 +168,7 @@ def find_gamma(P: Presentation, pi: Iterable[int]) -> PeriodicityCertificate | N
 
 
 def check_tail_condition(P: Presentation, cert: PeriodicityCertificate,
-                         force_transducer: bool = False,
-                         state_cap: int = TRANSDUCER_STATE_CAP) -> TailCheck:
+                         force_transducer: bool = False) -> TailCheck:
     """Decide e tau = gamma(e) tau for all infinite tails.
 
     When pi has full support the condition is automatic.  Otherwise run
@@ -203,9 +202,9 @@ def check_tail_condition(P: Presentation, cert: PeriodicityCertificate,
                                  violation=(path, (r, s)))
             nxt = (r2, s2)
             if nxt not in seen:
-                if len(seen) >= state_cap:
+                if len(seen) >= TRANSDUCER_STATE_CAP:
                     raise TransducerCapExceeded(
-                        f"state cap {state_cap} reached while checking {pi}")
+                        f"state cap {TRANSDUCER_STATE_CAP} reached while checking {pi}")
                 seen[nxt] = (state, g)
                 queue.append(nxt)
     return TailCheck(mode="transducer", passed=True, states_visited=len(seen))

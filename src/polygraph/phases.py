@@ -24,18 +24,6 @@ def phase(p: int | Fraction, q: int | None = None) -> Phase:
     return f % 1
 
 
-def phase_mul(a: Phase, b: Phase) -> Phase:
-    return (a + b) % 1
-
-
-def phase_conj(a: Phase) -> Phase:
-    return (-a) % 1
-
-
-def phase_pow(a: Phase, n: int) -> Phase:
-    return (a * n) % 1
-
-
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     """Coefficients (low degree first) of the n-th cyclotomic polynomial.

@@ -25,6 +25,8 @@ from polygraph.groupcons import (
     words_commute,
 )
 from polygraph.groupcons import _path_phase
+from polygraph.groupcons import _slots, _squares
+from polygraph.intlinalg import smith_normal_form
 from polygraph.phases import phase
 
 FCC = catalog.flip_cycle_cycle_3graph()
@@ -551,6 +553,120 @@ class TestExtensionSolver:
         del alpha[(2, (1, 1))]
         out = extend_to_group(FLIP, PartialConstruction(G, {}, alpha))
         assert out.alpha == gc.alpha
+
+
+def _smith_solve_phases(G, given):
+    """Reference phase completion by one Smith-form system over all squares.
+
+    Each color's first given phase (or 0) is subtracted and the residual x
+    on the open slots solves A x = r (mod 1) through U A V = D: x = V y
+    with y_t = (U r)_t / d_t.  Where d_t = 0 the system is met only if
+    (U r)_t is integral, so the completion validates exactly when some
+    completion exists.
+    """
+    N = G.order
+    base = [next((given[s] for s in sorted(given) if s // N == i), phase(0)) for i in range(G.k)]
+    x = {s: (v - base[s // N]) % 1 for s, v in given.items()}
+    col = {s: n for n, s in enumerate(s for s in range(G.k * N) if s not in given)}
+    rows, rhs = [], []
+    for _, _, *slots in _squares(G) if any(x.values()) else ():
+        row, r = [0] * len(col), Fraction(0)
+        for s, sign in zip(slots, (1, 1, -1, -1)):
+            if s in col:
+                row[col[s]] += sign
+            else:
+                r -= sign * x[s]
+        if any(row):
+            rows.append(row)
+            rhs.append(r)
+    y = [Fraction(0)] * len(col)
+    if rows:
+        U, D, V = smith_normal_form(rows)
+        for t in range(min(len(rows), len(y))):
+            if D[t][t]:
+                y[t] = sum((c * r for c, r in zip(U[t], rhs)), Fraction(0)) / D[t][t]
+        y = [sum((c * yt for c, yt in zip(vrow, y)), Fraction(0)) % 1 for vrow in V]
+    x.update(zip(col, y))
+    return [[(base[i] + x[i * N + n]) % 1 for n in range(N)] for i in range(G.k)]
+
+
+def _reference_character(kernel, psi):
+    """The rational solution x of kernel . x = psi (mod 1) by exact
+    back-substitution on the echelon kernel rows."""
+    k = len(kernel)
+    x = [Fraction(0)] * k
+    for i in range(k - 1, -1, -1):
+        acc = sum((Fraction(kernel[i][j]) * x[j] for j in range(i + 1, k)), Fraction(0))
+        x[i] = Fraction(psi[i] - acc, kernel[i][i])
+    return [v % 1 for v in x]
+
+
+class TestPhaseSolver:
+    CASES = ["flip C3xC3", "flip C4xC4", "flip Z2/<(2,1),(0,3)>", "flip-cycles gc27"]
+
+    @staticmethod
+    def _scrambled(case, rng):
+        """A closed phase labelling that is not constant: random constants
+        plus the coboundary of a random potential."""
+        if case == "flip-cycles gc27":
+            gc = TestExtensionSolver._gauged_gc27(rng)
+        else:
+            G = {"flip C3xC3": FiniteAbelianGroup.cyclic_product([3, 3]),
+                 "flip C4xC4": FiniteAbelianGroup.cyclic_product([4, 4]),
+                 "flip Z2/<(2,1),(0,3)>": FiniteAbelianGroup.from_kernel([(2, 1), (0, 3)]),
+                 }[case]
+            c = [phase(rng.randrange(12), 12) for _ in range(2)]
+            d = [phase(rng.randrange(12), 12) for _ in range(G.order)]
+            gc = group_construction(FLIP, G, [[1] * G.order] * 2, [
+                [(c[i] + d[n] - d[G.sub_generator(n, i + 1)]) % 1 for n in range(G.order)]
+                for i in range(2)])
+        assert any(len(set(row)) > 1 for row in gc.alpha)
+        return gc
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_extension_verdicts_match_smith_form(self, case):
+        rng = random.Random(case)
+        verdicts = set()
+        for draw in range(30):
+            gc = self._scrambled(case, rng)
+            P, G = gc.presentation, gc.group
+            keys = rng.sample([(i, g) for i in range(1, G.k + 1) for g in G.elements],
+                              rng.randint(1, G.k * G.order))
+            alpha = {key: gc.alpha_at(*key) for key in keys}
+            if draw % 2:
+                alpha[rng.choice(keys)] += rng.choice((phase(1, 2), phase(1, 3), phase(1, 5)))
+            reference = _smith_solve_phases(G, _slots(G, alpha, phase))
+            solvable = validate_group_construction(P, G, gc.t, reference) is None
+            t = {(i, g): gc.t_at(i, g) for i in range(1, G.k + 1) for g in G.elements}
+            try:
+                out = extend_to_group(P, PartialConstruction(G, t, alpha))
+            except InvalidConstruction:
+                assert not solvable, f"draw {draw}: rejected, but the reference completes it"
+            else:
+                assert solvable, f"draw {draw}: extended, but the reference fails"
+                assert all(out.alpha_at(*key) == a % 1 for key, a in alpha.items())
+            verdicts.add(solvable)
+        assert verdicts == {True, False}
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_normalized_constants_match_the_loop_character(self, case):
+        rng = random.Random(case)
+        for _ in range(5):
+            gc = self._scrambled(case, rng)
+            kernel = gc.group.kernel
+            expected = _reference_character(kernel, [_path_phase(gc, row) for row in kernel])
+            assert normalize_scalars(gc).alpha == tuple(
+                (x,) * gc.group.order for x in expected)
+
+    def test_inconsistent_full_data_rejected_by_the_phase_solver(self):
+        # every slot given, all zero but one moved by 1/3: the squares at
+        # that slot close with phase 1/3, so no potential exists
+        G = FiniteAbelianGroup.cyclic_product([6, 6])
+        alpha = {(i, g): phase(0) for i in (1, 2) for g in G.elements}
+        alpha[(2, (3, 4))] = phase(1, 3)
+        with pytest.raises(InvalidConstruction,
+                           match="no phase labelling extends the given data"):
+            extend_to_group(FLIP, PartialConstruction(G, {}, alpha))
 
 
 class TestAtomicGraph:
