@@ -17,7 +17,7 @@ def main(bound: int) -> None:
     for idx, cls in enumerate(isomorphism_classes(enumerate_presentations((2, 2)))):
         lat = symmetry_lattice(cls.representative, bound=bound)
         tag = f"rank {lat.rank}, basis {[list(v) for v in lat.basis]}" if lat.rank \
-            else "aperiodic"
+            else f"no period found up to bound {bound}"
         print(f"class {idx} (orbit size {cls.size}): {tag}")
 
     print(f"\n== periodic 3-graphs (bound {bound}) ==")

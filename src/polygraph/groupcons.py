@@ -16,6 +16,9 @@ Such a construction is the restriction-to-window of an atomic
 *-representation; it is irreducible iff its translation symmetry subgroup
 is trivial, and in general it splits over the characters of that subgroup
 into irreducible constructions on the quotient.
+
+Phases are Fractions in [0, 1); the loops over elements run on integer
+numerators at one common level N, the lcm of the denominators.
 """
 
 from __future__ import annotations
@@ -24,7 +27,10 @@ import itertools
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import lcm
+from operator import mul
+from typing import Callable
 
 from .intlinalg import (
     Mat,
@@ -197,20 +203,27 @@ def validate_group_construction(P: Presentation, G: FiniteAbelianGroup,
         for v in t[i - 1]:
             if not 1 <= v <= P.m[i - 1]:
                 return ("range", None, i, 0, v, P.m[i - 1])
+    den, a = _numerators(alpha)
     for gi, gvec in enumerate(G.elements):
-        for i in range(1, P.k + 1):
-            for j in range(i + 1, P.k + 1):
-                g_min_i = G.sub_generator(gi, i)
-                g_min_j = G.sub_generator(gi, j)
-                lhs = (t[i - 1][gi], t[j - 1][g_min_i])
-                rhs = (t[i - 1][g_min_j], t[j - 1][gi])
-                if P.theta_apply(i, j, *lhs) != rhs:
-                    return ("words", gvec, i, j, lhs, rhs)
-                a_lhs = (alpha[i - 1][gi] + alpha[j - 1][g_min_i]) % 1
-                a_rhs = (alpha[j - 1][gi] + alpha[i - 1][g_min_j]) % 1
-                if a_lhs != a_rhs:
-                    return ("scalars", gvec, i, j, a_lhs, a_rhs)
+        for i, j in itertools.combinations(range(1, P.k + 1), 2):
+            g_min_i = G.sub_generator(gi, i)
+            g_min_j = G.sub_generator(gi, j)
+            lhs = (t[i - 1][gi], t[j - 1][g_min_i])
+            rhs = (t[i - 1][g_min_j], t[j - 1][gi])
+            if P.theta_apply(i, j, *lhs) != rhs:
+                return ("words", gvec, i, j, lhs, rhs)
+            a_lhs = (a[i - 1][gi] + a[j - 1][g_min_i]) % den
+            a_rhs = (a[j - 1][gi] + a[i - 1][g_min_j]) % den
+            if a_lhs != a_rhs:
+                return ("scalars", gvec, i, j, Fraction(a_lhs, den), Fraction(a_rhs, den))
     return None
+
+
+def _numerators(rows, level: int = 1) -> tuple[int, list[list[int]]]:
+    """The phase rows as integer numerators over one common level N, the
+    lcm of `level` and of every denominator: the integer a stands for a / N."""
+    N = lcm(level, *{a.denominator for row in rows for a in row})
+    return N, [[a.numerator * (N // a.denominator) for a in row] for row in rows]
 
 
 def group_construction(P: Presentation, G: FiniteAbelianGroup, t, alpha
@@ -361,16 +374,17 @@ def full_symmetry_subgroup(gc: GroupConstruction) -> list[Vec]:
     by h, in element order; the invariance conditions compose, so the set
     is a subgroup.
 
-    Each element carries the label (t^1..t^k, alpha^1..alpha^k), and only
-    the h labelled like 0 are candidates.  A candidate is checked along
-    the spanning tree parent(g) = g - g_c (c the last nonzero coordinate
-    of g, so parents precede children in element order): the translate of
-    g + h is one generator step from that of parent(g) + h.  The walk
-    stops at the first label that moves.
+    Each element carries the label (t^1..t^k, alpha^1..alpha^k, phases as
+    integer numerators); only the h labelled like 0 are candidates, each
+    checked along the spanning tree parent(g) = g - g_c (c the last nonzero
+    coordinate of g, so parents precede children in element order): the
+    translate of g + h is one generator step from that of parent(g) + h.
+    The walk stops at the first label that moves.
     """
     G = gc.group
     ids: dict = {}
-    label = [ids.setdefault(lab, len(ids)) for lab in zip(*gc.t, *gc.alpha)]
+    _, alpha = _numerators(gc.alpha)
+    label = [ids.setdefault(lab, len(ids)) for lab in zip(*gc.t, *alpha)]
     add = []  # add[c][n] = index of (element #n) + g_c
     for sub in G._sub:
         inv = [0] * G.order
@@ -454,13 +468,16 @@ def decompose(gc: GroupConstruction) -> DecompositionReport:
     Each character chi of H yields a construction on G/H with the same
     index functions and constants twisted by chi through the canonical
     section; the summands are irreducible (trivial symmetry) and their
-    dimensions sum to |G|.
+    dimensions sum to |G|.  With characters at level e, each character value
+    and twisted constant is one integer dot product mod N = lcm(e, phases).
     """
     G, P = gc.group, gc.presentation
     sym = full_symmetry_subgroup(gc)
     kernel2 = hermite_normal_form(list(G.kernel) + sym)
     G2 = FiniteAbelianGroup.from_kernel(kernel2)
-    characters = _quotient_characters(G.kernel, kernel2)
+    e, characters = _quotient_characters(G.kernel, kernel2)
+    N, alpha = _numerators(gc.alpha, e)
+    characters = [[x * (N // e) for x in chi] for chi in characters]
 
     # The coefficients over kernel2 of each h and of each section correction
     # do not depend on chi: solve for them once, then one dot product per chi.
@@ -471,16 +488,16 @@ def decompose(gc: GroupConstruction) -> DecompositionReport:
         eps = tuple(int(j == i) for j in range(P.k))
         srow = []
         for c in G2.elements:
-            cm = G2.reduce(tuple(x - e for x, e in zip(c, eps)))
-            step = tuple(x + e for x, e in zip(cm, eps))
+            cm = G2.reduce(tuple(x - y for x, y in zip(c, eps)))
+            step = tuple(x + y for x, y in zip(cm, eps))
             corr = tuple(a - b for a, b in zip(step, c))
-            srow.append((gc.alpha[i][G.index(step)], _kernel_coeffs(kernel2, corr)))
+            srow.append((alpha[i][G.index(step)], _kernel_coeffs(kernel2, corr)))
         steps.append(srow)
-    summands = []
-    chi_rows = []
+    value = cache(lambda r: Fraction(r, N))  # one Fraction per residue mod N
+    summands, chi_rows = [], []
     for chi in characters:
-        chi_rows.append(tuple(_character_value(coeffs, chi) for coeffs in sym_coeffs))
-        alpha2 = [[(a + _character_value(coeffs, chi)) % 1 for a, coeffs in srow]
+        chi_rows.append(tuple(value(sum(map(mul, coeffs, chi)) % N) for coeffs in sym_coeffs))
+        alpha2 = [[value((a + sum(map(mul, coeffs, chi))) % N) for a, coeffs in srow]
                   for srow in steps]
         summands.append(group_construction(P, G2, t2, alpha2))
     report = DecompositionReport(parent=gc, symmetry=tuple(sym),
@@ -496,29 +513,20 @@ def decompose(gc: GroupConstruction) -> DecompositionReport:
     return report
 
 
-def _quotient_characters(kernel: Mat, kernel2: Mat) -> list[tuple[Phase, ...]]:
-    """Characters of kernel2/kernel as rational vectors x (values on the
-    kernel2 basis rows) with kernel . x = 0 mod 1."""
-    U, D, V = smith_normal_form(tuple(_kernel_coeffs(kernel2, row) for row in kernel))
-    k = len(kernel)
-    out = []
-    ranges = [range(D[i][i]) for i in range(k)]
-    for z in itertools.product(*ranges):
-        zfrac = [Fraction(z[i], D[i][i]) for i in range(k)]
-        x = [sum((Fraction(V[r][c]) * zfrac[c] for c in range(k)), Fraction(0)) % 1
-             for r in range(k)]
-        out.append(tuple(x))
-    return out
+def _quotient_characters(kernel: Mat, kernel2: Mat) -> tuple[int, list[Vec]]:
+    """Characters chi = x / e of kernel2/kernel (values on the kernel2 rows,
+    kernel . chi = 0 mod 1) as integer vectors x, e the lcm of the Smith divisors."""
+    _, D, V = smith_normal_form(tuple(_kernel_coeffs(kernel2, row) for row in kernel))
+    d = [D[i][i] for i in range(len(D))]
+    e = lcm(*d)
+    return e, [tuple(sum(map(mul, row, z)) % e for row in V)
+               for z in itertools.product(*(range(0, e, e // di) for di in d))]
 
 
 def _kernel_coeffs(kernel2: Mat, h: Vec) -> Vec:
     coeffs = solve_integer(kernel2, h)
     assert coeffs is not None, f"{h} is not in the symmetry kernel"
     return coeffs
-
-
-def _character_value(coeffs: Vec, chi: tuple[Phase, ...]) -> Phase:
-    return sum((c * x for c, x in zip(coeffs, chi)), Fraction(0)) % 1
 
 
 @dataclass
@@ -669,15 +677,17 @@ def _solve_phases(G: FiniteAbelianGroup, given: dict) -> list[list[Phase]]:
     """
     N = G.order
     base = [next((given[s] for s in sorted(given) if s // N == i), phase(0)) for i in range(G.k)]
-    c, f = _phase_potential(G, {s: v - base[s // N] for s, v in given.items()})
+    c, potential = _phase_potential(G, {s: v - base[s // N] for s, v in given.items()})
+    f = [potential(n) for n in range(N)]
     return [[(base[i] + c[i] + f[n] - f[G._sub[i][n]]) % 1 for n in range(N)]
             for i in range(G.k)]
 
 
 def _phase_potential(G: FiniteAbelianGroup, given: dict
-                     ) -> tuple[list[Phase], list[Phase]]:
+                     ) -> tuple[list[Phase], Callable[[int], Phase]]:
     """Constants c and a potential f with alpha^i_g = c_i + f(g) - f(g - g_i)
-    (mod 1) on every given {slot: phase}, slots numbered as in :func:`_slots`.
+    (mod 1) on every given {slot: phase}, slots numbered as in :func:`_slots`;
+    f is a function of the element index, evaluated only where it is called.
 
     A closed phase labelling is exactly a character c of Z^k plus the
     coboundary of a potential.  Phases are scaled to integers by their
@@ -692,8 +702,8 @@ def _phase_potential(G: FiniteAbelianGroup, given: dict
     rows are the kernel rows and their right sides D times the loop phases.
     """
     N, k = G.order, G.k
-    D = lcm(1, *(a.denominator for a in given.values()))
-    edges = [(G._sub[s // N][s % N], s // N, s % N, int(a * D)) for s, a in given.items()]
+    D, (scaled,) = _numerators([given.values()])
+    edges = [(G._sub[s // N][s % N], s // N, s % N, a) for s, a in zip(given, scaled)]
     adj: list[list] = [[] for _ in range(N)]
     for u, i, g, a in edges:
         adj[u].append((g, i, 1, a))
@@ -721,7 +731,7 @@ def _phase_potential(G: FiniteAbelianGroup, given: dict
         p = next(j for j in range(k) if row[j])
         c[p] = (Fraction(row[k], D) - sum(row[j] * c[j] for j in range(p + 1, k))) / row[p]
     c = [x % 1 for x in c]
-    return c, [(Fraction(q[n], D) - sum(x * y for x, y in zip(v[n], c))) % 1 for n in range(N)]
+    return c, lambda n: (Fraction(q[n], D) - sum(x * y for x, y in zip(v[n], c))) % 1
 
 
 def to_atomic_graph(gc: GroupConstruction) -> dict:

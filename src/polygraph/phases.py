@@ -19,7 +19,10 @@ Phase = Fraction  # always reduced mod 1
 
 
 def phase(p: int | Fraction, q: int | None = None) -> Phase:
-    """The phase p/q (or the Fraction p) reduced into [0, 1)."""
+    """The phase p/q (or the Fraction p) reduced into [0, 1); a Fraction
+    already in [0, 1) is returned as it is."""
+    if q is None and isinstance(p, Fraction) and 0 <= p.numerator < p.denominator:
+        return p
     f = Fraction(p, q) if q is not None else Fraction(p)
     return f % 1
 

@@ -24,9 +24,9 @@ from polygraph.groupcons import (
     validate_group_construction,
     words_commute,
 )
-from polygraph.groupcons import _path_phase
+from polygraph.groupcons import _kernel_coeffs, _path_phase
 from polygraph.groupcons import _slots, _squares
-from polygraph.intlinalg import smith_normal_form
+from polygraph.intlinalg import hermite_normal_form, smith_normal_form
 from polygraph.phases import phase
 
 FCC = catalog.flip_cycle_cycle_3graph()
@@ -207,6 +207,19 @@ class TestNormalizeScalars:
             assert _path_phase(norm, loop) == _path_phase(scrambled, loop)
 
 
+def _scanned_symmetry(gc):
+    """The direct O(|G|^2) symmetry scan: translate every element by every
+    h and compare all t^i and alpha^i."""
+    G = gc.group
+    rows = gc.t + gc.alpha
+    out = []
+    for h in G.elements:
+        shifted = [G.index(tuple(x + y for x, y in zip(g, h))) for g in G.elements]
+        if all(row[shifted[n]] == row[n] for row in rows for n in range(G.order)):
+            out.append(h)
+    return out
+
+
 class TestSymmetryAndDecomposition:
     def test_full_symmetry_of_constant_construction(self):
         G = FiniteAbelianGroup.cyclic_product([2, 2, 2])
@@ -222,18 +235,6 @@ class TestSymmetryAndDecomposition:
         assert [h for h in sym if h[1] == 0] == [(0, 0)]
 
     def test_label_filter_matches_the_quadratic_scan(self):
-        # the reference is the direct O(|G|^2) scan: translate every
-        # element by every h and compare all t^i and alpha^i
-        def scan(gc):
-            G = gc.group
-            rows = gc.t + gc.alpha
-            out = []
-            for h in G.elements:
-                shifted = [G.index(tuple(x + y for x, y in zip(g, h))) for g in G.elements]
-                if all(row[shifted[n]] == row[n] for row in rows for n in range(G.order)):
-                    out.append(h)
-            return out
-
         def word(color, text):
             return tuple((color, int(ch)) for ch in text)
 
@@ -266,9 +267,9 @@ class TestSymmetryAndDecomposition:
         assert max(gc.dimension for gc in parents) == 144
         skew_kernels = 0
         for gc in parents:
-            assert full_symmetry_subgroup(gc) == scan(gc)
+            assert full_symmetry_subgroup(gc) == _scanned_symmetry(gc)
             for s in decompose(normalize_scalars(gc)).summands:
-                assert full_symmetry_subgroup(s) == scan(s)
+                assert full_symmetry_subgroup(s) == _scanned_symmetry(s)
                 skew_kernels += any(s.group.kernel[0][1:])
         assert skew_kernels > 0
 
@@ -667,6 +668,154 @@ class TestPhaseSolver:
         with pytest.raises(InvalidConstruction,
                            match="no phase labelling extends the given data"):
             extend_to_group(FLIP, PartialConstruction(G, {}, alpha))
+
+
+def _fraction_characters(kernel, kernel2):
+    """Reference characters of kernel2/kernel as Fraction vectors, one
+    Fraction sum per coordinate."""
+    U, D, V = smith_normal_form(tuple(_kernel_coeffs(kernel2, row) for row in kernel))
+    k = len(kernel)
+    out = []
+    for z in itertools.product(*[range(D[i][i]) for i in range(k)]):
+        zfrac = [Fraction(z[i], D[i][i]) for i in range(k)]
+        out.append(tuple(sum((Fraction(V[r][c]) * zfrac[c] for c in range(k)), Fraction(0)) % 1
+                         for r in range(k)))
+    return out
+
+
+def _fraction_character_value(coeffs, chi):
+    return sum((c * x for c, x in zip(coeffs, chi)), Fraction(0)) % 1
+
+
+def _fraction_decompose(gc):
+    """Reference (symmetry, character table, summands) of :func:`decompose`
+    in Fraction arithmetic, the symmetry by the quadratic scan."""
+    G, P = gc.group, gc.presentation
+    sym = _scanned_symmetry(gc)
+    kernel2 = hermite_normal_form(list(G.kernel) + sym)
+    G2 = FiniteAbelianGroup.from_kernel(kernel2)
+    sym_coeffs = [_kernel_coeffs(kernel2, h) for h in sym]
+    t2 = [[row[G.index(c)] for c in G2.elements] for row in gc.t]
+    steps = []
+    for i in range(P.k):
+        eps = tuple(int(j == i) for j in range(P.k))
+        srow = []
+        for c in G2.elements:
+            cm = G2.reduce(tuple(x - y for x, y in zip(c, eps)))
+            step = tuple(x + y for x, y in zip(cm, eps))
+            corr = tuple(a - b for a, b in zip(step, c))
+            srow.append((gc.alpha[i][G.index(step)], _kernel_coeffs(kernel2, corr)))
+        steps.append(srow)
+    table, summands = [], []
+    for chi in _fraction_characters(G.kernel, kernel2):
+        table.append(tuple(_fraction_character_value(coeffs, chi) for coeffs in sym_coeffs))
+        alpha2 = [[(a + _fraction_character_value(coeffs, chi)) % 1 for a, coeffs in srow]
+                  for srow in steps]
+        summands.append(group_construction(P, G2, t2, alpha2))
+    return tuple(sym), tuple(table), tuple(summands)
+
+
+def _fraction_witness(P, G, t, alpha):
+    """Reference first violation of the commutation conditions, the
+    phases compared as Fractions mod 1."""
+    for gi, gvec in enumerate(G.elements):
+        for i in range(1, P.k + 1):
+            for j in range(i + 1, P.k + 1):
+                g_min_i = G.sub_generator(gi, i)
+                g_min_j = G.sub_generator(gi, j)
+                lhs = (t[i - 1][gi], t[j - 1][g_min_i])
+                rhs = (t[i - 1][g_min_j], t[j - 1][gi])
+                if P.theta_apply(i, j, *lhs) != rhs:
+                    return ("words", gvec, i, j, lhs, rhs)
+                a_lhs = (alpha[i - 1][gi] + alpha[j - 1][g_min_i]) % 1
+                a_rhs = (alpha[j - 1][gi] + alpha[i - 1][g_min_j]) % 1
+                if a_lhs != a_rhs:
+                    return ("scalars", gvec, i, j, a_lhs, a_rhs)
+    return None
+
+
+def _gauged(gc, denominator, rng):
+    """gc with its phases moved by the coboundary of a random potential."""
+    G = gc.group
+    d = [Fraction(rng.randrange(denominator), denominator) for _ in range(G.order)]
+    return group_construction(gc.presentation, G, gc.t, [
+        [(gc.alpha[i][n] + d[n] - d[G.sub_generator(n, i + 1)]) % 1 for n in range(G.order)]
+        for i in range(G.k)])
+
+
+class TestIntegerPhases:
+    """decompose, validate_group_construction and phase work on integer
+    numerators; each is checked against the Fraction arithmetic it replaced."""
+
+    @staticmethod
+    def _assert_decomposes_like_fractions(gc):
+        rep = decompose(gc)
+        symmetry, table, summands = _fraction_decompose(gc)
+        assert rep.symmetry == symmetry
+        assert rep.character_table == table
+        assert rep.summands == summands
+
+    @pytest.mark.parametrize("alphas", [None, [phase(1, 3)] * 3,
+                                        [phase(1, 3), phase(1, 2), phase(0)]])
+    def test_27dim_decomposition_matches_fractions(self, alphas):
+        self._assert_decomposes_like_fractions(gc27(alphas))
+
+    def test_normalized_decomposition_matches_fractions(self):
+        rng = random.Random(8)
+        gc = _gauged(gc27([phase(1, 3), phase(1, 2), phase(0)]), 12, rng)
+        assert any(len(set(row)) > 1 for row in gc.alpha)
+        self._assert_decomposes_like_fractions(normalize_scalars(gc))
+
+    def test_seeded_cycle_constructions_match_fractions(self):
+        rng = random.Random(9)
+        orders, levels = set(), set()
+        for P in (FLIP, FWD):
+            drawn = 0
+            while drawn < 20:
+                seeds = [tuple((c, rng.randint(1, 2)) for _ in range(rng.randint(1, 4)))
+                         for c in (1, 2)]
+                family, _ = cycle_construction(P, seeds)
+                if len(family[0]) * len(family[1]) > 144:
+                    continue
+                alphas = [phase(rng.randrange(6), rng.choice((1, 2, 3, 4, 6))) for _ in (1, 2)]
+                gc = from_commuting_words(P, family, alphas)
+                self._assert_decomposes_like_fractions(gc)
+                orders.add(gc.dimension)
+                levels.add(max(a.denominator for s in decompose(gc).summands
+                               for row in s.alpha for a in row))
+                drawn += 1
+        assert max(orders) == 144 and len(orders) >= 10
+        assert len(levels) >= 4
+
+    @pytest.mark.parametrize("denominator, move", [(3, phase(1, 5)), (7, phase(1, 2))])
+    def test_scalar_witness_matches_fractions(self, denominator, move):
+        rng = random.Random(denominator)
+        if denominator == 3:
+            base = gc27([phase(1, 3), phase(2, 3), phase(0)])
+        else:
+            G = FiniteAbelianGroup.cyclic_product([7, 7])
+            base = group_construction(FLIP, G, [[1] * G.order] * 2,
+                                      [[phase(2, 7)] * G.order, [phase(5, 7)] * G.order])
+        for _ in range(10):
+            gc = _gauged(base, denominator, rng)
+            G = gc.group
+            alpha = [list(row) for row in gc.alpha]
+            i, n = rng.randrange(G.k), rng.randrange(G.order)
+            alpha[i][n] = phase(alpha[i][n] + move)
+            witness = validate_group_construction(gc.presentation, G, gc.t, alpha)
+            assert witness is not None and witness[0] == "scalars"
+            assert witness == _fraction_witness(gc.presentation, G, gc.t, alpha)
+            assert all(type(x) is Fraction for x in witness[4:])
+            assert validate_group_construction(gc.presentation, G, gc.t, gc.alpha) is None
+
+    def test_phase_reduces_like_fraction_mod_one(self):
+        for p in (5, -7, Fraction(-5, 6), Fraction(7, 3), Fraction(1), Fraction(-1, 2)):
+            out = phase(p)
+            assert type(out) is Fraction and out == Fraction(p) % 1 and 0 <= out < 1
+        for p, q in ((5, 3), (-1, 4), (6, 3), (2, -6)):
+            assert phase(p, q) == Fraction(p, q) % 1
+        for p in (Fraction(0), Fraction(2, 7), Fraction(11, 12)):
+            assert phase(p) is p
 
 
 class TestAtomicGraph:
