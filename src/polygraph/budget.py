@@ -1,0 +1,28 @@
+"""The one budget mechanism: each bounded search reads its limit once
+through :func:`limit` and raises :class:`BudgetExceeded` past it."""
+
+from __future__ import annotations
+
+import os
+
+
+class BudgetExceeded(RuntimeError):
+    """A bounded search counted `consumed` against the limit of budget `name`."""
+
+    def __init__(self, name: str, limit: int, consumed: int):
+        self.name, self.limit, self.consumed = name, limit, consumed
+        super().__init__(f"{name}: {consumed} exceeds the limit {limit}")
+
+
+class InvalidBudget(ValueError):
+    """POLYGRAPH_BUDGET is set to something other than a nonnegative integer."""
+
+
+def limit(default: int) -> int:
+    """A search's limit: POLYGRAPH_BUDGET when set, else `default`."""
+    text = os.environ.get("POLYGRAPH_BUDGET")
+    if text is None:
+        return default
+    if not text.strip().isdecimal():
+        raise InvalidBudget(f"POLYGRAPH_BUDGET must be a nonnegative integer, got {text!r}")
+    return int(text)

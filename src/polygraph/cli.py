@@ -9,8 +9,12 @@ output; human-readable progress goes to stderr.  Exit codes:
     2  mathematical rejection, with a witness in the JSON output
     3  budget or bound exhausted
 
-POLYGRAPH_BUDGET overrides the default enumeration budget and the group
-budgets (group order and extension branch nodes).
+Named budgets bound the searches: "tables" of enumeration (10M, or
+--budget), "group order" (1M), extension "branch nodes" (1M), "cycle
+steps" (100,000), "transducer states" (10M) and "splice rounds" of the
+tail splice (4 (2 bound + 1)^k).  POLYGRAPH_BUDGET, a nonnegative
+integer, replaces all of them; running past one exits 3 with
+"budget/bound exceeded: <name>: <count> exceeds the limit <limit>".
 """
 
 from __future__ import annotations
@@ -22,13 +26,9 @@ import sys
 from fractions import Fraction
 
 from . import __version__, acceptance, catalog
-from .enumeration import (
-    BudgetExceeded,
-    enumerate_presentations,
-    isomorphism_classes,
-)
+from .budget import BudgetExceeded, InvalidBudget, limit
+from .enumeration import enumerate_presentations, isomorphism_classes
 from .groupcons import (
-    BudgetExceeded as GroupBudgetExceeded,
     InvalidConstruction,
     NotCommuting,
     decompose,
@@ -47,16 +47,17 @@ from .jsonio import (
     load_presentation,
     presentation_to_obj,
     tail_from_obj,
-    word_to_obj,
+    tail_to_obj,
 )
 from .kgraph import PresentationError, CubicViolation, InvalidPermutation, check_word
 from .periodicity import (
     LatticeInconsistency,
-    TransducerCapExceeded,
+    central_element,
     is_periodic,
     structure_report,
     symmetry_lattice,
 )
+from .staralg import render
 from .tails import InvalidTail, shift_tail_equivalent, sigma_data, splice_separating_tail, tail_symmetry_group
 
 EXIT_OK, EXIT_INPUT, EXIT_REJECTED, EXIT_BUDGET = 0, 1, 2, 3
@@ -188,6 +189,8 @@ def cmd_enumerate(args) -> int:
     m = _parse_vector(args.m)
     if min(m) < 1:
         raise FormatError(f"--m entries must be >= 1, got {list(m)}")
+    if args.budget is not None and args.budget < 0:
+        raise FormatError(f"--budget must be >= 0, got {args.budget}")
     presentations = list(enumerate_presentations(m, budget=args.budget))
     _say(f"{len(presentations)} valid presentations for m={list(m)}")
     if args.classify:
@@ -215,7 +218,6 @@ def cmd_tail(args) -> int:
     P, inputs = _load(args)
     if args.tail_command == "splice":
         tl = splice_separating_tail(P, bound=args.bound, depth=args.depth)
-        from .jsonio import tail_to_obj
         sym = tail_symmetry_group(tl, bound=args.bound, depth=args.depth)
         result = {"tail": tail_to_obj(tl), "symmetry_rank": sym.rank,
                   "symmetry_basis": [list(v) for v in sym.basis]}
@@ -257,8 +259,6 @@ def cmd_tail(args) -> int:
 
 
 def cmd_periodicity(args) -> int:
-    from .periodicity import central_element
-    from .staralg import render
     P, inputs = _load(args)
     pi = _parse_degree(P, args.pi, "--pi")
     if any(pi) and not min(pi) < 0 < max(pi):
@@ -420,15 +420,12 @@ def main(argv: list[str] | None = None) -> int:
         _say(f"input error: {err}")
         return EXIT_INPUT
     try:
+        limit(0)  # a malformed POLYGRAPH_BUDGET is an input error for every command
         return args.func(args)
-    except FormatError as err:
+    except (FormatError, InvalidBudget, OSError, json.JSONDecodeError) as err:
         _say(f"input error: {err}")
         return EXIT_INPUT
-    except (OSError, json.JSONDecodeError) as err:
-        _say(f"input error: {err}")
-        return EXIT_INPUT
-    except (BudgetExceeded, GroupBudgetExceeded, TransducerCapExceeded,
-            LatticeInconsistency) as err:
+    except (BudgetExceeded, LatticeInconsistency) as err:
         _say(f"budget/bound exceeded: {err}")
         return EXIT_BUDGET
     except (PresentationError, InvalidConstruction, NotCommuting, InvalidTail) as err:

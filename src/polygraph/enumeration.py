@@ -18,26 +18,11 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import os
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
+from .budget import BudgetExceeded, limit
 from .kgraph import Code, Presentation, _cubic_failure, color_pairs, presentation_from_codes
-
-DEFAULT_BUDGET = 10_000_000
-
-
-class BudgetExceeded(RuntimeError):
-    def __init__(self, needed: int, budget: int):
-        self.needed = needed
-        self.budget = budget
-        super().__init__(f"search space of {needed} tables exceeds budget {budget}")
-
-
-def _env_budget(budget: int | None) -> int:
-    if budget is not None:
-        return budget
-    return int(os.environ.get("POLYGRAPH_BUDGET", DEFAULT_BUDGET))
 
 
 def count_candidate_tables(m: Sequence[int]) -> int:
@@ -55,16 +40,16 @@ def enumerate_presentations(m: Sequence[int], budget: int | None = None
     in lexicographic order of the flattened tables.
 
     Raises ValueError unless every entry of m is at least 1, and
-    BudgetExceeded when the raw table count is above the budget
-    (overridable via the POLYGRAPH_BUDGET environment variable).
+    BudgetExceeded when the raw table count is above `budget` (by
+    default the "tables" limit, 10M).
     """
     m = tuple(m)
     if not m or min(m) < 1:
         raise ValueError(f"multiplicities {list(m)} must be at least 1")
-    budget = _env_budget(budget)
+    budget = limit(10_000_000) if budget is None else budget
     needed = count_candidate_tables(m)
     if needed > budget:
-        raise BudgetExceeded(needed, budget)
+        raise BudgetExceeded("tables", budget, needed)
     for codes in _candidates(m):
         yield presentation_from_codes(len(m), m, codes)
 

@@ -24,7 +24,6 @@ numerators at one common level N, the lcm of the denominators.
 from __future__ import annotations
 
 import itertools
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -32,6 +31,7 @@ from math import lcm
 from operator import mul
 from typing import Callable
 
+from .budget import BudgetExceeded, limit
 from .intlinalg import (
     Mat,
     Vec,
@@ -50,13 +50,6 @@ from .kgraph import (
 )
 from .phases import Phase, phase
 
-GROUP_BUDGET = 1_000_000
-CYCLE_CAP = 100_000
-
-
-def _group_budget() -> int:
-    return int(os.environ.get("POLYGRAPH_BUDGET", GROUP_BUDGET))
-
 
 class InvalidConstruction(ValueError):
     """Group construction data violating the commutation conditions."""
@@ -68,10 +61,6 @@ class InvalidConstruction(ValueError):
 
 class NotCommuting(ValueError):
     """The given per-color words do not pairwise commute."""
-
-
-class BudgetExceeded(RuntimeError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -99,9 +88,9 @@ class FiniteAbelianGroup:
             if hnf[i][i] == 0:
                 raise ValueError("kernel is not full rank")
             order *= hnf[i][i]
-        budget = _group_budget()
+        budget = limit(1_000_000)
         if order > budget:
-            raise BudgetExceeded(f"group order {order} exceeds budget {budget}")
+            raise BudgetExceeded("group order", budget, order)
         elements = tuple(itertools.product(*[range(hnf[i][i]) for i in range(k)]))
         index = {e: n for n, e in enumerate(elements)}
         sub = []
@@ -299,7 +288,7 @@ def cycle_construction(P: Presentation, seeds: list[Word]
     color) from arbitrary nonempty seeds.
 
     Returns (words, cycle lengths per stage).  Raises BudgetExceeded when
-    a cycle does not close within CYCLE_CAP steps.
+    a cycle does not close within the "cycle steps" limit (100,000).
     """
     if len(seeds) != P.k or any(not s for s in seeds):
         raise ValueError("need one nonempty seed word per color")
@@ -310,13 +299,14 @@ def cycle_construction(P: Presentation, seeds: list[Word]
     if P.k == 1:
         return list(seeds), []
 
+    cap = limit(100_000)
     lengths: list[int] = []
     # base stage: cycle (a, b) with a = seed_1, b = product of the rest
     a0 = seeds[0]
     b0 = normal_form(P, tuple(itertools.chain(*seeds[1:])))
     a, b = a0, b0
     parts_a, parts_b = [], []
-    for step in range(CYCLE_CAP):
+    for step in range(cap):
         parts_a.append(a)
         parts_b.append(b)
         w = normal_form(P, a + b)
@@ -324,7 +314,7 @@ def cycle_construction(P: Presentation, seeds: list[Word]
         if (a, b) == (a0, b0):
             break
     else:
-        raise BudgetExceeded(f"base cycle did not close within {CYCLE_CAP} steps")
+        raise BudgetExceeded("cycle steps", cap, cap + 1)
     lengths.append(len(parts_a))
     family: list[Word] = [normal_form(P, tuple(itertools.chain(*reversed(parts_a))))]
     rem: Word = normal_form(P, tuple(itertools.chain(*parts_b)))
@@ -341,7 +331,7 @@ def cycle_construction(P: Presentation, seeds: list[Word]
         avec, c_cur, d_cur = tuple(family), c0, d0
         avec0 = avec
         parts_c, parts_d = [], []
-        for step in range(CYCLE_CAP):
+        for step in range(cap):
             parts_c.append(c_cur)
             parts_d.append(d_cur)
             w = normal_form(P, c_cur + d_cur)
@@ -358,7 +348,7 @@ def cycle_construction(P: Presentation, seeds: list[Word]
             if (avec, c_cur, d_cur) == (avec0, c0, d0):
                 break
         else:
-            raise BudgetExceeded(f"stage cycle did not close within {CYCLE_CAP} steps")
+            raise BudgetExceeded("cycle steps", cap, cap + 1)
         lengths.append(len(parts_c))
         family.append(normal_form(P, tuple(itertools.chain(*reversed(parts_c)))))
         rem = normal_form(P, tuple(itertools.chain(*parts_d)))
@@ -561,7 +551,7 @@ def extend_to_group(P: Presentation, partial: PartialConstruction,
     completes the index slots and :func:`_solve_phases` the phases, as a
     character plus a potential from :func:`_phase_potential`.  Both
     are complete, so InvalidConstruction means that no extension exists; a
-    search that outgrows the group budget raises BudgetExceeded.  With
+    search past the "branch nodes" limit (1M) raises BudgetExceeded.  With
     `symmetry` generators given, the data is collapsed to the quotient by
     them first and the solution unfolded afterwards, so the result has
     full symmetry containing them.
@@ -645,7 +635,7 @@ def _solve_indices(P: Presentation, G: FiniteAbelianGroup, given: dict
             for i in sorted(range(1, G.k + 1), key=G.generator_order)
             for c in range(G.generator_order(i))]
     order = list(dict.fromkeys(axes + list(range(len(m)))))
-    budget, nodes = _group_budget(), 0
+    budget, nodes = limit(1_000_000), 0
     stack: list[list[int]] = []  # [slot, next value, trail length before it]
     while (s := next((s for s in order if not val[s]), None)) is not None:
         stack.append([s, 1, len(trail)])
@@ -658,7 +648,7 @@ def _solve_indices(P: Presentation, G: FiniteAbelianGroup, given: dict
                 continue
             nodes += 1
             if nodes > budget:
-                raise BudgetExceeded(f"extension search exceeded {budget} branch nodes")
+                raise BudgetExceeded("branch nodes", budget, nodes)
             stack[-1][1] = v + 1
             if assign([(s, v)]):
                 break

@@ -25,6 +25,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable
 
+from .budget import BudgetExceeded, limit
 from .intlinalg import hermite_normal_form, lattice_contains, meets_positive_orthant
 from .kgraph import (
     Degree,
@@ -39,17 +40,11 @@ from .kgraph import (
 )
 from .staralg import StarSum, identity_sum, monomial, multiply, star_equal
 
-TRANSDUCER_STATE_CAP = 10_000_000
-
 
 class LatticeInconsistency(RuntimeError):
     """An HNF basis vector of the collected lattice failed re-verification,
     or the lattice met the nonnegative orthant: the bounded search clipped
     a generator or produced inconsistent certificates."""
-
-
-class TransducerCapExceeded(RuntimeError):
-    """Tail-condition transducer grew past the hard state cap."""
 
 
 @dataclass(frozen=True)
@@ -182,8 +177,8 @@ def check_tail_condition(P: Presentation, cert: PeriodicityCertificate,
     pi = cert.pi
     if not force_transducer and all(x != 0 for x in pi):
         return TailCheck(mode="automatic", passed=True)
+    cap = limit(10_000_000)
     gamma = cert.gamma_map()
-    plus, minus = pi_split(P, pi)
     start = [(e, gamma[e]) for e in cert.E]
     seen: dict[tuple[Word, Word], tuple] = {st: None for st in start}
     queue = deque(seen)
@@ -202,9 +197,8 @@ def check_tail_condition(P: Presentation, cert: PeriodicityCertificate,
                                  violation=(path, (r, s)))
             nxt = (r2, s2)
             if nxt not in seen:
-                if len(seen) >= TRANSDUCER_STATE_CAP:
-                    raise TransducerCapExceeded(
-                        f"state cap {TRANSDUCER_STATE_CAP} reached while checking {pi}")
+                if len(seen) >= cap:
+                    raise BudgetExceeded("transducer states", cap, len(seen) + 1)
                 seen[nxt] = (state, g)
                 queue.append(nxt)
     return TailCheck(mode="transducer", passed=True, states_visited=len(seen))

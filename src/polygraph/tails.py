@@ -20,6 +20,7 @@ import itertools
 from dataclasses import dataclass, field
 from math import lcm
 
+from .budget import BudgetExceeded, limit
 from .intlinalg import hermite_normal_form, lattice_contains
 from .kgraph import (
     Degree,
@@ -30,6 +31,7 @@ from .kgraph import (
     degree,
     extract_prefix,
     normal_form,
+    words_of_degree,
 )
 
 
@@ -280,6 +282,8 @@ def splice_separating_tail(P: Presentation, bound: int = 2, depth: int = 2,
     cannot be eventually p-periodic.  The period is finally padded so its
     degree exceeds the bound (the period degree itself is always a
     symmetry of an eventually periodic tail, and must leave the box).
+    Raises BudgetExceeded when candidates survive the "splice rounds"
+    limit, 4 (2 bound + 1)^k by default.
     """
     pad = tuple((i, 1) for i in range(1, P.k + 1))
     # start above the search box: the period degree of an eventually
@@ -287,11 +291,14 @@ def splice_separating_tail(P: Presentation, bound: int = 2, depth: int = 2,
     period = normal_form(P, pad * (bound + 1))
 
     shifts = _nonzero_shifts(P.k, bound)
-    for _round in range(4 * (2 * bound + 1) ** P.k):
+    rounds = limit(4 * (2 * bound + 1) ** P.k)
+    for done in itertools.count():
         alive = [transcript.shift for transcript in _self_shifts(Tail(P, (), period), shifts, depth)
                  if transcript.equivalent]
         if not alive:
             break
+        if done == rounds:
+            raise BudgetExceeded("splice rounds", rounds, done + 1)
         p = alive[0]
         fixed = False
         for block in _blocks_by_degree(P, max_block_degree):
@@ -306,7 +313,6 @@ def splice_separating_tail(P: Presentation, bound: int = 2, depth: int = 2,
 
 
 def _blocks_by_degree(P: Presentation, max_total: int):
-    from .kgraph import words_of_degree
     for total in range(1, max_total + 1):
         for degs in itertools.product(range(total + 1), repeat=P.k):
             if sum(degs) != total:

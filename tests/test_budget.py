@@ -1,0 +1,130 @@
+"""The one budget mechanism: every bounded search raises budget.BudgetExceeded
+past its named limit, and POLYGRAPH_BUDGET replaces every default."""
+
+import ast
+import dataclasses
+from pathlib import Path
+
+import pytest
+
+from polygraph import catalog
+from polygraph.budget import BudgetExceeded, InvalidBudget, limit
+from polygraph.enumeration import enumerate_presentations
+from polygraph.groupcons import (
+    FiniteAbelianGroup,
+    PartialConstruction,
+    cycle_construction,
+    extend_to_group,
+    from_commuting_words,
+)
+from polygraph.periodicity import check_tail_condition, find_gamma
+from polygraph.tails import splice_separating_tail
+
+SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "polygraph").glob("*.py"))
+
+
+def _raised(monkeypatch, value, search):
+    monkeypatch.setenv("POLYGRAPH_BUDGET", value)
+    with pytest.raises(BudgetExceeded) as info:
+        search()
+    return info.value.name, info.value.limit, info.value.consumed
+
+
+class TestNamedBudgets:
+    def test_tables(self, monkeypatch):
+        # (2, 2) has 4! = 24 candidate tables
+        assert _raised(monkeypatch, "10", lambda: list(enumerate_presentations((2, 2)))) \
+            == ("tables", 10, 24)
+
+    def test_tables_override_beats_the_variable(self, monkeypatch):
+        monkeypatch.setenv("POLYGRAPH_BUDGET", "10")
+        assert len(list(enumerate_presentations((2, 2), budget=24))) == 24
+
+    def test_group_order(self, monkeypatch):
+        assert _raised(monkeypatch, "8", lambda: FiniteAbelianGroup.cyclic_product([3, 3])) \
+            == ("group order", 8, 9)
+
+    def test_branch_nodes(self, monkeypatch):
+        P = catalog.flip_cycle_cycle_3graph()
+        gc = from_commuting_words(P, [tuple((i, int(ch)) for ch in "112") for i in (1, 2, 3)])
+        part = PartialConstruction.restriction(gc, [(0, 0, 0)])
+        assert _raised(monkeypatch, "0", lambda: extend_to_group(P, part)) \
+            == ("branch nodes", 0, 1)
+
+    def test_cycle_steps(self, monkeypatch):
+        # the flip cycle of these seeds closes after exactly 3 steps
+        P = catalog.flip_2graph()
+        seeds = [((1, 1), (1, 2)), ((2, 1),)]
+        assert _raised(monkeypatch, "2", lambda: cycle_construction(P, seeds)) \
+            == ("cycle steps", 2, 3)
+        monkeypatch.setenv("POLYGRAPH_BUDGET", "3")
+        assert cycle_construction(P, seeds)[1] == [3]
+
+    def test_transducer_states(self, monkeypatch):
+        # started from one of the two pairs (e, gamma(e)), the transducer
+        # must add a second state, which a limit of 1 forbids
+        P = catalog.flip_square_square_3graph()
+        cert = find_gamma(P, (1, -1, 0))
+        assert check_tail_condition(P, cert).states_visited == 2
+        one = dataclasses.replace(cert, E=cert.E[:1])
+        assert _raised(monkeypatch, "1", lambda: check_tail_condition(P, one)) \
+            == ("transducer states", 1, 2)
+
+    def test_automatic_tail_condition_reads_no_budget(self, monkeypatch):
+        P = catalog.flip_2graph()
+        cert = find_gamma(P, (1, -1))
+        monkeypatch.setenv("POLYGRAPH_BUDGET", "abc")
+        assert check_tail_condition(P, cert).mode == "automatic"
+
+    def test_splice_rounds(self, monkeypatch):
+        P = catalog.square_2graph()
+        assert _raised(monkeypatch, "0", lambda: splice_separating_tail(P, bound=1)) \
+            == ("splice rounds", 0, 1)
+
+
+class TestLimit:
+    def test_default_when_unset(self, monkeypatch):
+        monkeypatch.delenv("POLYGRAPH_BUDGET", raising=False)
+        assert limit(123) == 123
+
+    @pytest.mark.parametrize("value, expected", [("0", 0), ("7", 7), (" 42 ", 42)])
+    def test_variable_replaces_the_default(self, monkeypatch, value, expected):
+        monkeypatch.setenv("POLYGRAPH_BUDGET", value)
+        assert limit(123) == expected
+
+    @pytest.mark.parametrize("value", ["abc", "-1", "", "1.5"])
+    def test_bad_values_are_rejected(self, monkeypatch, value):
+        monkeypatch.setenv("POLYGRAPH_BUDGET", value)
+        with pytest.raises(InvalidBudget, match="POLYGRAPH_BUDGET"):
+            limit(123)
+
+
+def _docstrings(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)) \
+                and node.body and isinstance(node.body[0], ast.Expr) \
+                and isinstance(node.body[0].value, ast.Constant):
+            yield node.body[0].value
+
+
+class TestOneBudgetPath:
+    """A second budget path (another exhaustion class, or another read of
+    the variable) must not come back unnoticed."""
+
+    def test_one_module_reads_the_variable(self):
+        readers = []
+        for path in SOURCES:
+            tree = ast.parse(path.read_text())
+            docs = {id(node) for node in _docstrings(tree)}
+            if any(isinstance(node, ast.Constant) and isinstance(node.value, str)
+                   and "POLYGRAPH_BUDGET" in node.value and id(node) not in docs
+                   for node in ast.walk(tree)):
+                readers.append(path.name)
+        assert readers == ["budget.py"]
+
+    def test_one_exhaustion_class(self):
+        classes = [(path.name, node.name) for path in SOURCES
+                   for node in ast.walk(ast.parse(path.read_text()))
+                   if isinstance(node, ast.ClassDef)
+                   and ("Budget" in node.name or "Exceeded" in node.name or "Cap" in node.name)]
+        assert classes == [("budget.py", "BudgetExceeded"), ("budget.py", "InvalidBudget")]

@@ -75,8 +75,42 @@ class TestExitCodes:
         assert main(["validate", files["trunc"]]) == 1
         assert main(["validate", str(files["dir"] / "missing.json")]) == 1
 
-    def test_budget_exit_3(self, files):
+    def test_budget_exit_3(self, files, capsys):
         assert main(["enumerate", "--m", "2,2,2", "--budget", "10"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "budget/bound exceeded: tables: 13824 exceeds the limit 10\n"
+
+    @pytest.mark.parametrize("budget, argv, name", [
+        ("10", ["rep", "build", "--presentation", "flip-cycles", "--words", "112,112,112"],
+         "group order"),
+        ("0", ["tail", "splice", "--presentation", "square", "--bound", "1"], "splice rounds"),
+        ("10", ["classify", "--m", "2,2"], "tables"),
+    ])
+    def test_named_budget_exit_3(self, budget, argv, name, monkeypatch, capsys):
+        monkeypatch.setenv("POLYGRAPH_BUDGET", budget)
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"budget/bound exceeded: {name}: ")
+        assert captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("budget, argv, named", [
+        ("abc", ["classify", "--m", "2,2"], "POLYGRAPH_BUDGET"),
+        ("-1", ["classify", "--m", "2,2"], "POLYGRAPH_BUDGET"),
+        ("abc", ["symmetry", "--presentation", "flip", "--bound", "1"], "POLYGRAPH_BUDGET"),
+        (None, ["enumerate", "--m", "2,2", "--budget", "-5"], "--budget"),
+    ])
+    def test_bad_budget_is_exit_1(self, budget, argv, named, monkeypatch, capsys):
+        if budget is not None:
+            monkeypatch.setenv("POLYGRAPH_BUDGET", budget)
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("input error:")
+        assert named in captured.err
+        assert "Traceback" not in captured.err
 
     def test_aperiodic_pi_exit_2(self, capsys):
         assert main(["periodicity", "--presentation", "cycle3-forward",

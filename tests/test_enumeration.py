@@ -5,8 +5,8 @@ import pytest
 
 from polygraph import catalog
 from polygraph import enumeration as en
+from polygraph.budget import BudgetExceeded
 from polygraph.enumeration import (
-    BudgetExceeded,
     IsoClass,
     Relabeling,
     apply_relabeling,

@@ -5,8 +5,8 @@ from fractions import Fraction
 import pytest
 
 from polygraph import catalog
+from polygraph.budget import BudgetExceeded
 from polygraph.groupcons import (
-    BudgetExceeded,
     FiniteAbelianGroup,
     GroupConstruction,
     InvalidConstruction,
