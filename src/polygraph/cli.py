@@ -11,9 +11,9 @@ output; human-readable progress goes to stderr.  Exit codes:
 
 Named budgets bound the searches: "tables" of enumeration (10M, or
 --budget), "group order" (1M), extension "branch nodes" (1M), "cycle
-steps" (100,000), "transducer states" (10M) and "splice rounds" of the
-tail splice (4 (2 bound + 1)^k).  POLYGRAPH_BUDGET, a nonnegative
-integer, replaces all of them; running past one exits 3 with
+steps" (100,000) and "splice rounds" of the tail splice
+(4 (2 bound + 1)^k).  POLYGRAPH_BUDGET, a nonnegative integer, replaces
+all of them; running past one exits 3 with
 "budget/bound exceeded: <name>: <count> exceeds the limit <limit>".
 """
 
@@ -166,8 +166,6 @@ def _parse_alphas(P, text: str | None):
 def cmd_validate(args) -> int:
     try:
         P = load_presentation(args.path)
-    except FormatError:
-        raise
     except InvalidPermutation as err:
         _emit(args, [args.path], "rejected",
               {"valid": False, "error": "invalid permutation", "pair": list(err.pair)})

@@ -8,7 +8,7 @@ a bijection gamma: E -> F with
 
 together with e tau = gamma(e) tau for every infinite tail tau; the tail
 condition holds automatically when pi has no zero entries, and otherwise
-is decided by a product transducer over residual word pairs.
+is decided by one pass over the transducer's start pairs (e, gamma(e)).
 
 gamma, when it exists, is forced by a single probe: splitting e f_0 at
 degree pi_- must give a suffix independent of e, and the prefix is
@@ -21,11 +21,9 @@ consequences (torus rank, tensor factorization, simplicity verdict).
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable
 
-from .budget import BudgetExceeded, limit
 from .intlinalg import hermite_normal_form, lattice_contains, meets_positive_orthant
 from .kgraph import (
     Degree,
@@ -38,7 +36,7 @@ from .kgraph import (
     normal_form,
     words_of_degree,
 )
-from .staralg import StarSum, identity_sum, monomial, multiply, star_equal
+from .staralg import StarSum, adjoint, identity_sum, monomial, multiply, star_equal
 
 
 class LatticeInconsistency(RuntimeError):
@@ -55,7 +53,7 @@ class TailCheck:
     passed: bool
     states_visited: int = 0
     violation: tuple[Word, tuple[Word, Word]] | None = None
-    # violation = (generator path fed so far, the mismatching state)
+    # violation = ((g,), (e, gamma(e))): the generator whose move fails
 
 
 @dataclass(frozen=True)
@@ -104,9 +102,9 @@ def find_gamma(P: Presentation, pi: Iterable[int]) -> PeriodicityCertificate | N
     impossible); pi = 0 returns the trivial certificate.  Probe
     construction: fix the least f_0 in F and split each e f_0 at degree
     pi_-; the suffix must be constant in e and the prefix defines
-    gamma(e).  gamma^{-1} is built the same way from the least e_0, then
-    bijectivity and (dagger) are checked exhaustively.  None is definitive
-    for this pi (the probe recovers gamma whenever one exists).
+    gamma(e).  gamma must be injective, gamma^{-1} is its inverse, and
+    (dagger) is checked exhaustively.  None is definitive for this pi:
+    (dagger) at f_0 forces the probe's gamma whenever one exists.
     """
     pi = tuple(pi)
     plus, minus = pi_split(P, pi)
@@ -132,24 +130,9 @@ def find_gamma(P: Presentation, pi: Iterable[int]) -> PeriodicityCertificate | N
         elif tail != suffix0:
             return None
         gamma[e] = head
-    if len(set(gamma.values())) != len(E):
+    gamma_inv = {f: e for e, f in gamma.items()}
+    if len(gamma_inv) != len(E):
         return None
-    e0 = E[0]
-    gamma_inv: dict[Word, Word] = {}
-    head0 = None
-    for f in F:
-        w = normal_form(P, e0 + f)
-        head, tail = extract_prefix(P, w, minus)
-        if head0 is None:
-            head0 = head
-        elif head != head0:
-            return None
-        gamma_inv[f] = tail
-    if len(set(gamma_inv.values())) != len(F):
-        return None
-    for e in E:
-        if gamma_inv[gamma[e]] != e:
-            return None
     # exhaustive (dagger): e f == gamma(e) gamma_inv(f)
     for e in E:
         ge = gamma[e]
@@ -166,61 +149,40 @@ def check_tail_condition(P: Presentation, cert: PeriodicityCertificate,
                          force_transducer: bool = False) -> TailCheck:
     """Decide e tau = gamma(e) tau for all infinite tails.
 
-    When pi has full support the condition is automatic.  Otherwise run
-    the product transducer: states are residual pairs (r, s) with degrees
-    pi_+ and pi_-, started at (e, gamma(e)); feeding a generator g of
-    color c factors r g = g1 r' and s g = g2 s' at degree e_c, and the
-    move is valid iff g1 = g2.  A reachable mismatch extends to a tail
-    separating e tau from gamma(e) tau; a mismatch-free transducer forces
-    equal prefixes of every degree on every tail.
+    When pi has full support the condition is automatic.  Otherwise the
+    transducer on residual pairs (r, s) of degrees pi_+ and pi_- starts
+    at the pairs (e, gamma(e)), and feeding a generator g of color c
+    factors e g = g1 r' and gamma(e) g = g2 s' at degree e_c.  One pass
+    over the start pairs decides it: the condition holds iff g1 = g2 and
+    gamma(r') = s' for every e and g.  If the condition holds, cancelling
+    g1 leaves r' tau = s' tau for every tau; r' is in E (every word of
+    degree pi_+), so s' and gamma(r') are both the degree-pi_- prefix of
+    r' tau.  Conversely, every move then agrees on its letter and lands
+    on a start pair, so e tau and gamma(e) tau agree letter by letter.
+    The transducer never leaves its start pairs: states_visited is |E|.
     """
     pi = cert.pi
     if not force_transducer and all(x != 0 for x in pi):
         return TailCheck(mode="automatic", passed=True)
-    cap = limit(10_000_000)
     gamma = cert.gamma_map()
-    start = [(e, gamma[e]) for e in cert.E]
-    seen: dict[tuple[Word, Word], tuple] = {st: None for st in start}
-    queue = deque(seen)
-    generators = list(P.letters())
+    states = len(cert.E)
     eps = {c: tuple(1 if i == c - 1 else 0 for i in range(P.k)) for c in range(1, P.k + 1)}
-    while queue:
-        r, s = state = queue.popleft()
-        for g in generators:
-            e_c = eps[g[0]]
-            g1, r2 = extract_prefix(P, r + (g,), e_c)
-            g2, s2 = extract_prefix(P, s + (g,), e_c)
-            if g1 != g2:
-                path = _transducer_path(seen, state) + (g,)
+    for e, ge in cert.gamma:
+        for g in P.letters():
+            g1, r = extract_prefix(P, e + (g,), eps[g[0]])
+            g2, s = extract_prefix(P, ge + (g,), eps[g[0]])
+            if g1 != g2 or gamma.get(r) != s:
                 return TailCheck(mode="transducer", passed=False,
-                                 states_visited=len(seen),
-                                 violation=(path, (r, s)))
-            nxt = (r2, s2)
-            if nxt not in seen:
-                if len(seen) >= cap:
-                    raise BudgetExceeded("transducer states", cap, len(seen) + 1)
-                seen[nxt] = (state, g)
-                queue.append(nxt)
-    return TailCheck(mode="transducer", passed=True, states_visited=len(seen))
+                                 states_visited=states, violation=((g,), (e, ge)))
+    return TailCheck(mode="transducer", passed=True, states_visited=states)
 
 
-def _transducer_path(seen: dict, state) -> Word:
-    path = []
-    while seen[state] is not None:
-        state, g = seen[state]
-        path.append(g)
-    return tuple(reversed(path))
-
-
-def is_periodic(P: Presentation, pi: Iterable[int],
-                force_transducer: bool = False) -> PeriodicityCertificate | None:
+def is_periodic(P: Presentation, pi: Iterable[int]) -> PeriodicityCertificate | None:
     """Full periodicity decision: gamma certificate plus tail condition."""
     cert = find_gamma(P, pi)
-    if cert is None:
-        return None
-    if cert.tail_check is not None and not force_transducer:
+    if cert is None or cert.tail_check is not None:
         return cert
-    check = check_tail_condition(P, cert, force_transducer=force_transducer)
+    check = check_tail_condition(P, cert)
     if not check.passed:
         return None
     return PeriodicityCertificate(pi=cert.pi, E=cert.E, F=cert.F,
@@ -302,7 +264,6 @@ def central_element(P: Presentation, cert: PeriodicityCertificate) -> StarSum:
 
 def verify_central(P: Presentation, cert: PeriodicityCertificate) -> bool:
     """W commutes with every generator and W W* = W* W = identity."""
-    from .staralg import adjoint
     W = central_element(P, cert)
     ident = identity_sum()
     if not star_equal(P, multiply(P, W, adjoint(W)), ident):

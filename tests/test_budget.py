@@ -2,7 +2,7 @@
 past its named limit, and POLYGRAPH_BUDGET replaces every default."""
 
 import ast
-import dataclasses
+import re
 from pathlib import Path
 
 import pytest
@@ -20,7 +20,8 @@ from polygraph.groupcons import (
 from polygraph.periodicity import check_tail_condition, find_gamma
 from polygraph.tails import splice_separating_tail
 
-SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "polygraph").glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+SOURCES = sorted((ROOT / "src" / "polygraph").glob("*.py"))
 
 
 def _raised(monkeypatch, value, search):
@@ -59,16 +60,6 @@ class TestNamedBudgets:
             == ("cycle steps", 2, 3)
         monkeypatch.setenv("POLYGRAPH_BUDGET", "3")
         assert cycle_construction(P, seeds)[1] == [3]
-
-    def test_transducer_states(self, monkeypatch):
-        # started from one of the two pairs (e, gamma(e)), the transducer
-        # must add a second state, which a limit of 1 forbids
-        P = catalog.flip_square_square_3graph()
-        cert = find_gamma(P, (1, -1, 0))
-        assert check_tail_condition(P, cert).states_visited == 2
-        one = dataclasses.replace(cert, E=cert.E[:1])
-        assert _raised(monkeypatch, "1", lambda: check_tail_condition(P, one)) \
-            == ("transducer states", 1, 2)
 
     def test_automatic_tail_condition_reads_no_budget(self, monkeypatch):
         P = catalog.flip_2graph()
@@ -128,3 +119,17 @@ class TestOneBudgetPath:
                    if isinstance(node, ast.ClassDef)
                    and ("Budget" in node.name or "Exceeded" in node.name or "Cap" in node.name)]
         assert classes == [("budget.py", "BudgetExceeded"), ("budget.py", "InvalidBudget")]
+
+    def test_documented_names_are_the_raised_names(self):
+        # the README budget table and the cli module docstring list
+        # exactly the names that src/ passes to BudgetExceeded
+        raised = set()
+        for path in SOURCES:
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "BudgetExceeded":
+                    assert isinstance(node.args[0], ast.Constant), (path.name, node.lineno)
+                    raised.add(node.args[0].value)
+        readme = re.findall(r"^\| `([^`]+)` \|", (ROOT / "README.md").read_text(), re.M)
+        cli_doc = ast.get_docstring(ast.parse((ROOT / "src" / "polygraph" / "cli.py").read_text()))
+        cli = [" ".join(name.split()) for name in re.findall(r'"([a-z][a-z\s]*)"', cli_doc)]
+        assert sorted(readme) == sorted(cli) == sorted(raised)

@@ -1,3 +1,5 @@
+import collections
+import dataclasses
 import functools
 import itertools
 
@@ -6,7 +8,7 @@ import pytest
 from polygraph import catalog
 from polygraph.enumeration import enumerate_presentations, isomorphism_classes
 from polygraph.intlinalg import hermite_normal_form, meets_positive_orthant
-from polygraph.kgraph import normal_form, words_equal, words_of_degree
+from polygraph.kgraph import extract_prefix, normal_form, words_equal, words_of_degree
 from polygraph.periodicity import (
     PeriodicityCertificate,
     central_element,
@@ -37,6 +39,48 @@ def _classes(m):
     return isomorphism_classes(enumerate_presentations(m))
 
 
+def _mixed_sign(k, bound):
+    return [pi for pi in itertools.product(range(-bound, bound + 1), repeat=k)
+            if min(pi) < 0 < max(pi)]
+
+
+def _dagger_bijections(P, pi):
+    """Every bijection gamma: E -> F for which (dagger) holds on all pairs."""
+    E = list(words_of_degree(P, tuple(max(x, 0) for x in pi)))
+    F = list(words_of_degree(P, tuple(max(-x, 0) for x in pi)))
+    if len(E) != len(F):
+        return []
+    found = []
+    for images in itertools.permutations(F):
+        gamma, inverse = dict(zip(E, images)), dict(zip(images, E))
+        if all(words_equal(P, e + f, gamma[e] + inverse[f]) for e in E for f in F):
+            found.append(gamma)
+    return found
+
+
+def _reference_tail_search(P, cert):
+    """The tail transducer as a breadth-first search: states are residual
+    pairs (r, s) of degrees pi_+ and pi_-, started at every (e, gamma(e));
+    feeding a generator g of color c factors r g = g1 r' and s g = g2 s' at
+    degree e_c, and a move with g1 != g2 separates two tails.  Returns the
+    verdict and the number of states reached."""
+    gamma = cert.gamma_map()
+    seen = {(e, gamma[e]) for e in cert.E}
+    queue = collections.deque(seen)
+    while queue:
+        r, s = queue.popleft()
+        for g in P.letters():
+            e_c = tuple(int(i == g[0] - 1) for i in range(P.k))
+            g1, r2 = extract_prefix(P, r + (g,), e_c)
+            g2, s2 = extract_prefix(P, s + (g,), e_c)
+            if g1 != g2:
+                return False, len(seen)
+            if (r2, s2) not in seen:
+                seen.add((r2, s2))
+                queue.append((r2, s2))
+    return True, len(seen)
+
+
 class TestFindGamma:
     def test_flip_gamma_is_the_index_identity(self):
         cert = find_gamma(FLIP, (1, -1))
@@ -65,6 +109,23 @@ class TestFindGamma:
         with pytest.raises(ValueError):
             find_gamma(FLIP, (1, 0))
 
+    def test_matches_the_bijection_oracle(self):
+        # at most one bijection E -> F satisfies (dagger), and find_gamma
+        # returns it, or None when there is none
+        cases = [(P, pi) for P in enumerate_presentations((2, 2)) for pi in _mixed_sign(2, 2)]
+        cases += [(cls.representative, pi)
+                  for cls in _classes((2, 2, 2)) for pi in _mixed_sign(3, 1)]
+        certified = 0
+        for P, pi in cases:
+            found = _dagger_bijections(P, pi)
+            assert len(found) <= 1, (P.theta, pi)
+            cert = find_gamma(P, pi)
+            assert (cert.gamma_map() if cert else None) == (found[0] if found else None), \
+                (P.theta, pi)
+            certified += cert is not None
+        assert len(cases) == 1080
+        assert certified == 48
+
     def test_dagger_holds_exhaustively(self):
         for P, pi in [(FLIP, (1, -1)), (SQUARE, (2, -2)), (PRODUCT, (1, 1, -1))]:
             cert = find_gamma(P, pi)
@@ -91,7 +152,6 @@ class TestTailCondition:
         assert check.mode == "transducer" and check.passed
 
     def test_transducer_matches_brute_force_on_a_3graph(self):
-        from polygraph.kgraph import extract_prefix
         cert = find_gamma(FSS, (1, -1, 0))
         verdict = check_tail_condition(FSS, cert).passed
         gmap = cert.gamma_map()
@@ -104,6 +164,52 @@ class TestTailCondition:
                 if lhs != rhs:
                     brute = False
         assert verdict == brute is True
+
+    @staticmethod
+    def _agrees_with_reference(P, case):
+        verdict, states = _reference_tail_search(P, case)
+        check = check_tail_condition(P, case, force_transducer=True)
+        assert check.passed == verdict, (P.theta, case.pi, case.gamma)
+        if verdict:
+            assert check.states_visited == states == len(case.E)
+        return verdict, states
+
+    def test_one_pass_matches_the_reference_search(self):
+        # every (2,2,2) certificate with |pi_i| <= 2, and the same
+        # certificates with their gamma images rotated by one place
+        failing = collections.Counter()
+        for P in enumerate_presentations((2, 2, 2)):
+            for pi in _mixed_sign(3, 2):
+                cert = find_gamma(P, pi)
+                if cert is None:
+                    continue
+                images = [f for _, f in cert.gamma]
+                rotated = dataclasses.replace(
+                    cert, gamma=tuple(zip(cert.E, images[1:] + images[:1])))
+                failing["total"] += 1
+                failing["certificates"] += not self._agrees_with_reference(P, cert)[0]
+                failing["rotated"] += not self._agrees_with_reference(P, rotated)[0]
+        assert failing == {"total": 1008, "certificates": 96, "rotated": 1008}
+
+    def test_one_pass_matches_the_reference_search_on_every_bijection(self):
+        # every bijection E -> F of the (2,2,2) class representatives that
+        # have a certificate with |pi_i| <= 2; on 782 of them the search
+        # leaves the start pairs, so the one pass must reject them by
+        # gamma(r') != s' when the first letters agree
+        counts = collections.Counter()
+        for cls in _classes((2, 2, 2)):
+            P = cls.representative
+            for pi in _mixed_sign(3, 2):
+                cert = find_gamma(P, pi)
+                if cert is None:
+                    continue
+                for images in itertools.permutations([f for _, f in cert.gamma]):
+                    case = dataclasses.replace(cert, gamma=tuple(zip(cert.E, images)))
+                    verdict, states = self._agrees_with_reference(P, case)
+                    counts["total"] += 1
+                    counts["passing"] += verdict
+                    counts["beyond the start pairs"] += states > len(case.E)
+        assert counts == {"total": 1608, "passing": 92, "beyond the start pairs": 782}
 
     def test_violating_transducer_reports_a_path(self):
         # graft a wrong gamma onto the flip graph: swap the images so
@@ -185,7 +291,6 @@ class TestSymmetryLattice:
         # candidate with a bijection: the transducer and the word-prefix
         # oracle must agree.  Some bijections pass (dagger) but fail the
         # tail condition; the counts are frozen as regression constants.
-        from polygraph.kgraph import extract_prefix
         classes = _classes((2, 2, 2))
         candidates = [pi for pi in itertools.product((-1, 0, 1), repeat=3)
                       if any(x > 0 for x in pi) and any(x < 0 for x in pi)]
