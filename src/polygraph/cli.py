@@ -11,9 +11,9 @@ output; human-readable progress goes to stderr.  Exit codes:
 
 Named budgets bound the searches: "tables" of enumeration (10M, or
 --budget), "group order" (1M), extension "branch nodes" (1M), "cycle
-steps" (100,000) and "splice rounds" of the tail splice
-(4 (2 bound + 1)^k).  POLYGRAPH_BUDGET, a nonnegative integer, replaces
-all of them; running past one exits 3 with
+steps" (100,000), "splice rounds" of the tail splice (4 (2 bound + 1)^k)
+and period "certificate words" (1M).  POLYGRAPH_BUDGET, a nonnegative
+integer, replaces all of them; running past one exits 3 with
 "budget/bound exceeded: <name>: <count> exceeds the limit <limit>".
 """
 

@@ -12,21 +12,25 @@ is decided by one pass over the transducer's start pairs (e, gamma(e)).
 
 gamma, when it exists, is forced by a single probe: splitting e f_0 at
 degree pi_- must give a suffix independent of e, and the prefix is
-gamma(e).  Each certified pi yields a central element W = sum gamma(e) e*
-in the relation algebra; the certified pi's under a bound generate the
-symmetry lattice, reported in Hermite normal form with the structural
-consequences (torus rank, tensor factorization, simplicity verdict).
+gamma(e); (dagger) and the tail condition are checked by one-letter moves.
+Each certified pi yields a central element W = sum gamma(e) e* in the
+relation algebra; the certified pi's under a bound, searched on the lattice
+where |E| = |F|, generate the symmetry lattice, reported in Hermite normal
+form with the structural consequences (torus rank, tensor factorization,
+simplicity verdict).
 """
 
 from __future__ import annotations
 
-import itertools
+import functools
 from dataclasses import dataclass
 from typing import Iterable
 
+from .budget import BudgetExceeded, limit
 from .intlinalg import hermite_normal_form, lattice_contains, meets_positive_orthant
 from .kgraph import (
     Degree,
+    Letter,
     Presentation,
     Word,
     deg_add,
@@ -94,6 +98,17 @@ def _word_count(P: Presentation, d: Degree) -> int:
     return out
 
 
+def _mover(P: Presentation):
+    """move(r, x) = (y, r') with r x = y r', y of x's color; memoised."""
+    units = [tuple(int(i == c) for i in range(P.k)) for c in range(P.k)]
+
+    @functools.lru_cache(maxsize=None)
+    def move(r: Word, x: Letter) -> tuple[Letter, Word]:
+        (y,), rest = extract_prefix(P, r + (x,), units[x[0] - 1])
+        return y, rest
+    return move
+
+
 def find_gamma(P: Presentation, pi: Iterable[int]) -> PeriodicityCertificate | None:
     """The bijection certificate for pi, without the tail condition.
 
@@ -103,8 +118,12 @@ def find_gamma(P: Presentation, pi: Iterable[int]) -> PeriodicityCertificate | N
     construction: fix the least f_0 in F and split each e f_0 at degree
     pi_-; the suffix must be constant in e and the prefix defines
     gamma(e).  gamma must be injective, gamma^{-1} is its inverse, and
-    (dagger) is checked exhaustively.  None is definitive for this pi:
-    (dagger) at f_0 forces the probe's gamma whenever one exists.
+    (dagger) is checked for every pair by moving the letters of f through
+    e one at a time: e f = y_1 ... y_n r_n with y_1 ... y_n in normal form
+    (f is), so by unique factorization (dagger) holds iff y_1 ... y_n =
+    gamma(e) and r_n = gamma^{-1}(f).  None is definitive for this pi:
+    (dagger) at f_0 forces the probe's gamma whenever one exists.  An |E|
+    past the "certificate words" budget (1M) raises before E is built.
     """
     pi = tuple(pi)
     plus, minus = pi_split(P, pi)
@@ -115,8 +134,12 @@ def find_gamma(P: Presentation, pi: Iterable[int]) -> PeriodicityCertificate | N
         return cert
     if not any(x > 0 for x in pi) or not any(x < 0 for x in pi):
         raise ValueError(f"pi {pi} must have entries of both signs (or be zero)")
-    if _word_count(P, plus) != _word_count(P, minus):
+    words = _word_count(P, plus)
+    if words != _word_count(P, minus):
         return None
+    cap = limit(1_000_000)
+    if words > cap:
+        raise BudgetExceeded("certificate words", cap, words)
     E = tuple(words_of_degree(P, plus))
     F = tuple(words_of_degree(P, minus))
     f0 = F[0]
@@ -133,13 +156,16 @@ def find_gamma(P: Presentation, pi: Iterable[int]) -> PeriodicityCertificate | N
     gamma_inv = {f: e for e, f in gamma.items()}
     if len(gamma_inv) != len(E):
         return None
-    # exhaustive (dagger): e f == gamma(e) gamma_inv(f)
+    move = _mover(P)
     for e in E:
         ge = gamma[e]
         for f in F:
-            lhs = normal_form(P, e + f)
-            rhs = normal_form(P, ge + gamma_inv[f])
-            if lhs != rhs:
+            r = e
+            for x, gx in zip(f, ge):
+                y, r = move(r, x)
+                if y != gx:
+                    return None
+            if r != gamma_inv[f]:
                 return None
     return PeriodicityCertificate(pi=pi, E=E, F=F,
                                   gamma=tuple((e, gamma[e]) for e in E))
@@ -166,11 +192,11 @@ def check_tail_condition(P: Presentation, cert: PeriodicityCertificate,
         return TailCheck(mode="automatic", passed=True)
     gamma = cert.gamma_map()
     states = len(cert.E)
-    eps = {c: tuple(1 if i == c - 1 else 0 for i in range(P.k)) for c in range(1, P.k + 1)}
+    move = _mover(P)
     for e, ge in cert.gamma:
         for g in P.letters():
-            g1, r = extract_prefix(P, e + (g,), eps[g[0]])
-            g2, s = extract_prefix(P, ge + (g,), eps[g[0]])
+            g1, r = move(e, g)
+            g2, s = move(ge, g)
             if g1 != g2 or gamma.get(r) != s:
                 return TailCheck(mode="transducer", passed=False,
                                  states_visited=states, violation=((g,), (e, ge)))
@@ -207,20 +233,51 @@ class SymmetryLattice:
         return lattice_contains(self.basis, pi)
 
 
-def _mixed_sign_candidates(k: int, bound: int):
-    for pi in itertools.product(range(-bound, bound + 1), repeat=k):
-        if min(pi) < 0 < max(pi):
-            yield pi
+def _prime_valuations(n: int) -> dict[int, int]:
+    """{p: v_p(n)} by trial division."""
+    out: dict[int, int] = {}
+    p = 2
+    while n > 1:
+        p = p if p * p <= n else n  # no factor up to sqrt(n): n is prime
+        while n % p == 0:
+            out[p] = out.get(p, 0) + 1
+            n //= p
+        p += 1
+    return out
+
+
+def _period_candidates(m: tuple[int, ...], bound: int) -> list[tuple[int, ...]]:
+    """The mixed-sign points of L_m = {pi : prod m_i^pi_i = 1} with
+    |pi_i| <= bound, by increasing L1 norm (ties lexicographic).  The HNF
+    rows (0 | b) of the rows (v(m_i) | e_i), v the prime valuations, are
+    an echelon basis of L_m; each b fixes the coordinate at its pivot, so
+    the walk keeps the coefficients that hold it within the bound.
+    """
+    k, vals = len(m), [_prime_valuations(mi) for mi in m]
+    primes = sorted(set().union(*vals))
+    rows = [tuple(v.get(p, 0) for p in primes) + tuple(int(i == j) for j in range(k))
+            for i, v in enumerate(vals)]
+    points = [(0,) * k]
+    for row in hermite_normal_form(rows):
+        if any(row[:len(primes)]):
+            continue
+        b = row[len(primes):]
+        col = next(c for c in range(k) if b[c])
+        points = [tuple(x + c * y for x, y in zip(pt, b)) for pt in points
+                  for c in range(-((bound + pt[col]) // b[col]), (bound - pt[col]) // b[col] + 1)]
+    inside = [pi for pi in points if min(pi) < 0 < max(pi) and max(map(abs, pi)) <= bound]
+    return sorted(inside, key=lambda pi: (sum(map(abs, pi)), pi))
 
 
 def symmetry_lattice(P: Presentation, bound: int = 4) -> SymmetryLattice:
     """Find every mixed-sign period pi with |pi_i| <= bound, close the
     hits into a lattice (HNF), and re-verify each basis vector.
 
-    Periods form a subgroup of Z^k, so the search accepts by closure:
-    candidates are visited by increasing L1 norm (ties lexicographic), a
-    candidate inside the lattice spanned by the hits so far is accepted
-    without a certificate, and only candidates outside it go to
+    A period has |E| = |F|, so the candidates are the points of L_m in
+    the box (none for m = (2, 3)).  Periods form a subgroup of Z^k, so the
+    search accepts by closure: candidates are visited by increasing L1
+    norm (ties lexicographic), one inside the lattice spanned by the hits
+    so far is accepted without a certificate, and only the rest go to
     `is_periodic`.  `hits` holds every mixed-sign lattice point of the box.
 
     Raises LatticeInconsistency if a basis vector fails re-verification
@@ -231,8 +288,7 @@ def symmetry_lattice(P: Presentation, bound: int = 4) -> SymmetryLattice:
         raise ValueError("bound must be >= 1")
     hits = []
     basis: tuple[tuple[int, ...], ...] = ()  # HNF of the hits so far
-    # a stable sort: candidates are generated in lexicographic order
-    for pi in sorted(_mixed_sign_candidates(P.k, bound), key=lambda pi: sum(map(abs, pi))):
+    for pi in _period_candidates(P.m, bound):
         if basis and lattice_contains(basis, pi):
             hits.append(pi)
         elif is_periodic(P, pi) is not None:

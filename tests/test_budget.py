@@ -67,6 +67,11 @@ class TestNamedBudgets:
         monkeypatch.setenv("POLYGRAPH_BUDGET", "abc")
         assert check_tail_condition(P, cert).mode == "automatic"
 
+    def test_certificate_words(self, monkeypatch):
+        # (2, -2) on the flip graph has |E| = |F| = 4
+        assert _raised(monkeypatch, "3", lambda: find_gamma(catalog.flip_2graph(), (2, -2))) \
+            == ("certificate words", 3, 4)
+
     def test_splice_rounds(self, monkeypatch):
         P = catalog.square_2graph()
         assert _raised(monkeypatch, "0", lambda: splice_separating_tail(P, bound=1)) \

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -86,6 +87,7 @@ class TestExitCodes:
          "group order"),
         ("0", ["tail", "splice", "--presentation", "square", "--bound", "1"], "splice rounds"),
         ("10", ["classify", "--m", "2,2"], "tables"),
+        ("3", ["periodicity", "--presentation", "flip", "--pi", "2,-2"], "certificate words"),
     ])
     def test_named_budget_exit_3(self, budget, argv, name, monkeypatch, capsys):
         monkeypatch.setenv("POLYGRAPH_BUDGET", budget)
@@ -95,6 +97,15 @@ class TestExitCodes:
         assert captured.err.startswith(f"budget/bound exceeded: {name}: ")
         assert captured.err.count("\n") == 1
         assert "Traceback" not in captured.err
+
+    def test_huge_pi_is_exit_3_before_building_words(self, monkeypatch, capsys):
+        # 2^40 words of degree (40, 0) are over the default limit
+        monkeypatch.delenv("POLYGRAPH_BUDGET", raising=False)
+        t0 = time.perf_counter()
+        assert main(["periodicity", "--presentation", "flip", "--pi", "40,-40"]) == 3
+        assert time.perf_counter() - t0 < 5
+        assert capsys.readouterr().err == ("budget/bound exceeded: certificate words: "
+                                           "1099511627776 exceeds the limit 1000000\n")
 
     @pytest.mark.parametrize("budget, argv, named", [
         ("abc", ["classify", "--m", "2,2"], "POLYGRAPH_BUDGET"),

@@ -2,15 +2,17 @@ import collections
 import dataclasses
 import functools
 import itertools
+import math
 
 import pytest
 
-from polygraph import catalog
+from polygraph import catalog, periodicity
 from polygraph.enumeration import enumerate_presentations, isomorphism_classes
 from polygraph.intlinalg import hermite_normal_form, meets_positive_orthant
 from polygraph.kgraph import extract_prefix, normal_form, words_equal, words_of_degree
 from polygraph.periodicity import (
     PeriodicityCertificate,
+    _period_candidates,
     central_element,
     check_tail_condition,
     find_gamma,
@@ -56,6 +58,29 @@ def _dagger_bijections(P, pi):
         if all(words_equal(P, e + f, gamma[e] + inverse[f]) for e in E for f in F):
             found.append(gamma)
     return found
+
+
+def _reference_find_gamma(P, pi):
+    """find_gamma with (dagger) decided by the normal forms of both sides
+    for every pair.  Returns the stage that decided and the certificate:
+    "word counts", "probe" or "dagger" with None, or "certified"."""
+    plus, minus = tuple(max(x, 0) for x in pi), tuple(max(-x, 0) for x in pi)
+    E, F = tuple(words_of_degree(P, plus)), tuple(words_of_degree(P, minus))
+    if len(E) != len(F):
+        return "word counts", None
+    gamma, suffixes = {}, set()
+    for e in E:
+        gamma[e], tail = extract_prefix(P, normal_form(P, e + F[0]), minus)
+        suffixes.add(tail)
+    inverse = {f: e for e, f in gamma.items()}
+    if len(suffixes) > 1 or len(inverse) != len(E):
+        return "probe", None
+    for e in E:
+        for f in F:
+            if normal_form(P, e + f) != normal_form(P, gamma[e] + inverse[f]):
+                return "dagger", None
+    return "certified", PeriodicityCertificate(
+        pi=pi, E=E, F=F, gamma=tuple((e, gamma[e]) for e in E))
 
 
 def _reference_tail_search(P, cert):
@@ -125,6 +150,22 @@ class TestFindGamma:
             certified += cert is not None
         assert len(cases) == 1080
         assert certified == 48
+
+    def test_dagger_walk_matches_the_normal_form_reference(self):
+        # the one-letter-move (dagger) check against normal forms of both
+        # sides for every pair; about a third of the probe passes fail
+        # (dagger), so both the letter and the end-state clauses are hit
+        cases = [(cls.representative, pi)
+                 for cls in _classes((2, 2, 2)) for pi in _mixed_sign(3, 2)]
+        cases += [(P, pi) for P in CATALOG if P.k == 3 for pi in _mixed_sign(3, 3)]
+        stages = collections.Counter()
+        for P, pi in cases:
+            stage, reference = _reference_find_gamma(P, pi)
+            assert find_gamma(P, pi) == reference, (P.theta, pi)
+            stages[stage] += 1
+        assert len(cases) == 6408
+        assert stages["dagger"] + stages["certified"] == 288
+        assert stages["dagger"] == 100
 
     def test_dagger_holds_exhaustively(self):
         for P, pi in [(FLIP, (1, -1)), (SQUARE, (2, -2)), (PRODUCT, (1, 1, -1))]:
@@ -222,7 +263,30 @@ class TestTailCondition:
         assert not check.passed and check.violation is not None
 
 
+def _boxed_periods_reference(m, bound):
+    """The mixed-sign pi in the box with prod m_i^pi_i+ = prod m_i^pi_i-,
+    by increasing L1 norm, ties lexicographic."""
+    found = [pi for pi in itertools.product(range(-bound, bound + 1), repeat=len(m))
+             if min(pi) < 0 < max(pi)
+             and math.prod(mi ** max(x, 0) for mi, x in zip(m, pi))
+             == math.prod(mi ** max(-x, 0) for mi, x in zip(m, pi))]
+    return sorted(found, key=lambda pi: sum(map(abs, pi)))
+
+
 class TestSymmetryLattice:
+    @pytest.mark.parametrize("m", [(2, 2), (2, 3), (2, 2, 2), (3, 3, 3), (2, 4), (4, 2, 8),
+                                   (6, 2, 3), (1, 2), (1, 1, 3), (5, 7), (4, 4, 4, 2)])
+    def test_candidates_are_the_boxed_points_of_L_m(self, m):
+        for bound in range(1, 5):
+            assert _period_candidates(m, bound) == _boxed_periods_reference(m, bound), bound
+
+    def test_no_certificate_is_tried_when_L_m_is_zero(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(periodicity, "is_periodic", lambda P, pi: calls.append(pi))
+        P = next(iter(enumerate_presentations((2, 3))))
+        lat = symmetry_lattice(P, bound=4)
+        assert lat.basis == lat.hits == () and calls == []
+
     def test_flip_and_square(self):
         assert symmetry_lattice(FLIP, bound=3).basis == ((1, -1),)
         assert symmetry_lattice(SQUARE, bound=3).basis == ((2, -2),)
