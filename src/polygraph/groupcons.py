@@ -13,9 +13,10 @@ tables force, for every g and every color pair i < j,
     alpha^i_g + alpha^j_{g-g_i} = alpha^j_g + alpha^i_{g-g_j}   (mod 1).
 
 Such a construction is the restriction-to-window of an atomic
-*-representation; it is irreducible iff its translation symmetry subgroup
-is trivial, and in general it splits over the characters of that subgroup
-into irreducible constructions on the quotient.
+*-representation, and commuting words give one as the quotient of their
+periodic tail's window data; it is irreducible iff its translation
+symmetry subgroup is trivial, and in general it splits over the
+characters of that subgroup into irreducible constructions on the quotient.
 
 Phases are Fractions in [0, 1); the loops over elements run on integer
 numerators at one common level N, the lcm of the denominators.
@@ -42,13 +43,13 @@ from .intlinalg import (
 from .kgraph import (
     Presentation,
     Word,
-    deg_sub,
     degree,
     extract_prefix,
     normal_form,
     words_equal,
 )
 from .phases import Phase, phase
+from .tails import sigma_data, tail
 
 
 class InvalidConstruction(ValueError):
@@ -238,46 +239,27 @@ def words_commute(P: Presentation, words: list[Word]) -> bool:
 
 
 def from_commuting_words(P: Presentation, words: list[Word],
-                         alphas: list[Phase] | None = None,
-                         color_order: list[int] | None = None) -> GroupConstruction:
+                         alphas: list[Phase] | None = None) -> GroupConstruction:
     """The unique group construction on C_{n_1} x ... x C_{n_k} whose base
     point is fixed by the given commuting words (with constant scalars).
 
-    For each color i and each base point b off the i-axis, factor the
-    product of the other colors' words (in the given introduction order)
-    followed by word i as A . B . C with deg C matching b and B of pure
-    color i; B is the color-i loop at b and its letters, read right to
-    left, fill t^i along that coset line.  Unique factorization makes the
-    result independent of the introduction order.
+    t^i_g is coordinate i of the window data sigma(n) of the tail
+    x = (w_1 ... w_k)^infinity at the box point n <= 0 congruent to g,
+    n_j = -((-g_j) mod n_j).  The fold is well defined: as w_i commutes
+    with every word, x = w_i x, so the color-i edge leaving -n + n_i e_i in
+    x's grid is the one leaving -n.  Thus sigma is periodic under every
+    n_i e_i, and the box of sides n_i - 1 holds one period of it.
     """
     if len(words) != P.k or any(not w for w in words):
         raise ValueError("need one nonempty word per color")
     if not words_commute(P, words):
         raise NotCommuting(f"words {words} do not pairwise commute")
-    if alphas is None:
-        alphas = [phase(0)] * P.k
-    order = list(color_order) if color_order is not None else list(range(1, P.k + 1))
-    if sorted(order) != list(range(1, P.k + 1)):
-        raise ValueError(f"color_order {color_order} is not a permutation of colors")
     lengths = [len(w) for w in words]
     G = FiniteAbelianGroup.cyclic_product(lengths)
-    t = [[0] * G.order for _ in range(P.k)]
-    for i in range(1, P.k + 1):
-        n_i = lengths[i - 1]
-        big = tuple(itertools.chain(*[words[c - 1] for c in order if c != i])) + words[i - 1]
-        big_deg = degree(P, big)
-        bases = [r for r in G.elements if r[i - 1] == 0]
-        for b in bases:
-            suffix_deg = tuple(b[j] if j != i - 1 else 0 for j in range(P.k))
-            head, _c = extract_prefix(P, big, deg_sub(big_deg, suffix_deg))
-            _a, loop = extract_prefix(P, head, deg_sub(degree(P, head),
-                                                       tuple(n_i if j == i - 1 else 0
-                                                             for j in range(P.k))))
-            # loop = l_1 ... l_{n_i}; t^i at b + s*g_i is l_{n_i + 1 - s}
-            for s in range(1, n_i + 1):
-                point = tuple(s % n_i if j == i - 1 else b[j] for j in range(P.k))
-                t[i - 1][G.index(point)] = loop[n_i - s][1]
-    alpha = [[phase(alphas[i])] * G.order for i in range(P.k)]
+    data = sigma_data(tail(P, (), tuple(itertools.chain(*words))),
+                      tuple(n - 1 for n in lengths))
+    t = zip(*(data[tuple(-(-x % n) for x, n in zip(g, lengths))] for g in G.elements))
+    alpha = [[phase(alphas[i] if alphas else 0)] * G.order for i in range(P.k)]
     return group_construction(P, G, t, alpha)
 
 
@@ -286,6 +268,11 @@ def cycle_construction(P: Presentation, seeds: list[Word]
     """Iterate the commutation permutation on word tuples until the cycle
     closes, producing a pairwise commuting family (one pure word per
     color) from arbitrary nonempty seeds.
+
+    A stage cycles (family, c, d), c pure: c d = d' c', and c passes
+    through each family word.  Stage one starts at (seed_1, the other
+    seeds' product) with no family; each stage adds the product of its c's
+    and splits off the first pure color of its d's product for the next.
 
     Returns (words, cycle lengths per stage).  Raises BudgetExceeded when
     a cycle does not close within the "cycle steps" limit (100,000).
@@ -301,46 +288,20 @@ def cycle_construction(P: Presentation, seeds: list[Word]
 
     cap = limit(100_000)
     lengths: list[int] = []
-    # base stage: cycle (a, b) with a = seed_1, b = product of the rest
-    a0 = seeds[0]
-    b0 = normal_form(P, tuple(itertools.chain(*seeds[1:])))
-    a, b = a0, b0
-    parts_a, parts_b = [], []
-    for step in range(cap):
-        parts_a.append(a)
-        parts_b.append(b)
-        w = normal_form(P, a + b)
-        b, a = extract_prefix(P, w, degree(P, b))
-        if (a, b) == (a0, b0):
-            break
-    else:
-        raise BudgetExceeded("cycle steps", cap, cap + 1)
-    lengths.append(len(parts_a))
-    family: list[Word] = [normal_form(P, tuple(itertools.chain(*reversed(parts_a))))]
-    rem: Word = normal_form(P, tuple(itertools.chain(*parts_b)))
-
+    family: list[Word] = []
+    c0, d0 = seeds[0], normal_form(P, tuple(itertools.chain(*seeds[1:])))
     while True:
-        rem_deg = degree(P, rem)
-        colors = [c for c in range(1, P.k + 1) if rem_deg[c - 1] > 0]
-        if len(colors) == 1:
-            family.append(rem)
-            break
-        c_next = colors[0]
-        head_deg = tuple(0 if c == c_next else d for c, d in enumerate(rem_deg, start=1))
-        d0, c0 = extract_prefix(P, rem, head_deg)
-        avec, c_cur, d_cur = tuple(family), c0, d0
-        avec0 = avec
+        avec = avec0 = tuple(family)
+        c_cur, d_cur = c0, d0
         parts_c, parts_d = [], []
-        for step in range(cap):
+        for _ in range(cap):
             parts_c.append(c_cur)
             parts_d.append(d_cur)
-            w = normal_form(P, c_cur + d_cur)
-            d_new, c_new = extract_prefix(P, w, degree(P, d_cur))
+            d_new, c_new = extract_prefix(P, normal_form(P, c_cur + d_cur), degree(P, d_cur))
             a_new = []
             for aw in avec:
-                w2 = normal_form(P, c_cur + aw)
-                head, tail = extract_prefix(P, w2, degree(P, aw))
-                if tail != c_cur:
+                head, rest = extract_prefix(P, normal_form(P, c_cur + aw), degree(P, aw))
+                if rest != c_cur:
                     raise InvalidConstruction(
                         f"family word {aw} failed to pass the cycle word {c_cur}")
                 a_new.append(head)
@@ -350,10 +311,16 @@ def cycle_construction(P: Presentation, seeds: list[Word]
         else:
             raise BudgetExceeded("cycle steps", cap, cap + 1)
         lengths.append(len(parts_c))
-        family.append(normal_form(P, tuple(itertools.chain(*reversed(parts_c)))))
+        family.append(tuple(itertools.chain(*reversed(parts_c))))
         rem = normal_form(P, tuple(itertools.chain(*parts_d)))
+        rem_deg = degree(P, rem)
+        colors = [c for c in range(1, P.k + 1) if rem_deg[c - 1] > 0]
+        if len(colors) == 1:
+            family.append(rem)
+            break
+        head_deg = tuple(0 if c == colors[0] else d for c, d in enumerate(rem_deg, start=1))
+        d0, c0 = extract_prefix(P, rem, head_deg)
 
-    family = [normal_form(P, w) for w in family]
     if not words_commute(P, family):
         raise InvalidConstruction("cycle construction produced a non-commuting family")
     return family, lengths

@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Any
 
 from .groupcons import FiniteAbelianGroup, GroupConstruction, group_construction
-from .kgraph import Presentation, Theta, Word, cells, validate_presentation
+from .kgraph import Presentation, Theta, Word, WordError, cells, validate_presentation
 from .periodicity import PeriodicityCertificate, SymmetryLattice, TailCheck
 from .tails import Tail, tail
 
@@ -83,11 +83,9 @@ def tail_to_obj(t: Tail) -> dict:
 
 def tail_from_obj(P: Presentation, obj: Any) -> Tail:
     try:
-        pre = word_from_obj(obj.get("preperiod", []))
-        per = word_from_obj(obj["period"])
-    except (KeyError, AttributeError) as err:
+        return tail(P, word_from_obj(obj.get("preperiod", [])), word_from_obj(obj["period"]))
+    except (KeyError, AttributeError, WordError) as err:
         raise FormatError(f"malformed tail object: {err}") from err
-    return tail(P, pre, per)
 
 
 def phase_str(p: Fraction) -> str:

@@ -144,6 +144,8 @@ class TestExitCodes:
         ["tail", "equivalent", "--tail", "TAIL", "--shift", "0,0"],
         ["tail", "symmetry", "--tail", "TAIL", "--bound", "0"],
         ["tail", "splice", "--depth", "0"],
+        ["tail", "sigma", "--tail", "LETTER5", "--box", "1,1"],
+        ["tail", "symmetry", "--tail", "COLOR3"],
         ["rep", "build", "--words", "1x,12"],
         ["rep", "build", "--words", "13,12"],
         ["rep", "build", "--words", ",1"],
@@ -152,9 +154,12 @@ class TestExitCodes:
         ["periodicity", "--pi", "1,-1,0"],
     ])
     def test_bad_arguments_are_exit_1(self, argv, tmp_path, capsys):
-        tail_file = tmp_path / "tail.json"
-        tail_file.write_text(json.dumps({"preperiod": [], "period": [[1, 1], [2, 1]]}))
-        argv = [str(tail_file) if a == "TAIL" else a for a in argv]
+        files = {"TAIL": {"preperiod": [], "period": [[1, 1], [2, 1]]},
+                 "LETTER5": {"period": [[1, 5], [2, 1]]},
+                 "COLOR3": {"preperiod": [[3, 1]], "period": [[1, 1], [2, 1]]}}
+        for name, obj in files.items():
+            (tmp_path / f"{name}.json").write_text(json.dumps(obj))
+        argv = [str(tmp_path / f"{a}.json") if a in files else a for a in argv]
         command = argv[:2] if argv[0] in ("tail", "rep") else argv[:1]
         argv = command + ["--presentation", "flip"] + argv[len(command):]
         assert main(argv) == 1
@@ -280,7 +285,8 @@ PRESENTATIONS = _slot(["flip", "cycle3-forward", "flip-cycles", "GOOD"],
 # --bound is always given: its defaults (3 and 4) are above the cheap range
 BOUND = _slot(["1", "2"], ["0", "-1", "x"], "--bound")[1:]
 # argv = the command words, then one drawn alternative per slot; GOOD, BAD,
-# TRUNC and TAIL stand for the files written by the fixture below
+# TRUNC, TAIL and BADTAIL (a letter out of range) stand for the files
+# written by the fixture below
 ARGV_VOCABULARY = {
     ("validate",): [_slot(["GOOD"], ["BAD", "TRUNC", "missing.json"])],
     ("enumerate",): [_slot(["1", "2", "1,2", "2,2", "2,1,2"], ["0", "2,-1", "x", ""], "--m"),
@@ -291,9 +297,9 @@ ARGV_VOCABULARY = {
                        _slot(["1,-1", "1,1", "1,-1,0"], ["0,0", "x"], "--pi")],
     ("symmetry",): [PRESENTATIONS, BOUND],
     ("tail",): [_slot(["sigma", "symmetry", "equivalent", "splice"], ["nope"]), PRESENTATIONS,
-                _slot(["TAIL"], ["TRUNC", "missing.json"], "--tail"),
+                _slot(["TAIL"], ["TRUNC", "missing.json", "BADTAIL"], "--tail"),
                 _slot(["2,2", "1,2"], ["1", "-1,2", "x"], "--box"), BOUND,
-                _slot(["1"], ["0", "x"], "--depth"), _slot(["TAIL"], ["TRUNC"], "--other"),
+                _slot(["1"], ["0", "x"], "--depth"), _slot(["TAIL"], ["TRUNC", "BADTAIL"], "--other"),
                 _slot(["0,0", "1,0"], ["0,0,0"], "--shift")],
     ("rep",): [_slot(["build", "decompose", "export-dot"], ["nope"]), PRESENTATIONS,
                _slot(["1,1", "12,21", "112,112,112", "12,12,12"],
@@ -308,7 +314,7 @@ STRAY = _slot([], ["--bogus", "--jobs", "-1,2"]) + [()] * 11
 def argv_files(tmp_path_factory):
     root = tmp_path_factory.mktemp("argv")
     paths = {name: str(root / f"{name.lower()}.json")
-             for name in ("GOOD", "BAD", "TRUNC", "TAIL")}
+             for name in ("GOOD", "BAD", "TRUNC", "TAIL", "BADTAIL")}
     dump_presentation(catalog.flip_2graph(), paths["GOOD"])
     with open(paths["BAD"], "w") as fh:
         json.dump({"k": 2, "m": [2, 2], "theta": {"1,2": [[[1, 1], [1, 1]]]}}, fh)
@@ -316,6 +322,8 @@ def argv_files(tmp_path_factory):
         fh.write('{"k": 2, "m": [2')
     with open(paths["TAIL"], "w") as fh:
         json.dump({"preperiod": [[1, 2]], "period": [[1, 1], [2, 1]]}, fh)
+    with open(paths["BADTAIL"], "w") as fh:
+        json.dump({"period": [[1, 5], [2, 1]]}, fh)
     return paths
 
 

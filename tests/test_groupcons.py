@@ -1,11 +1,13 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from polygraph import catalog
-from polygraph.budget import BudgetExceeded
+from polygraph import catalog, groupcons
+from polygraph.acceptance import factorized_indices
+from polygraph.budget import BudgetExceeded, limit
 from polygraph.groupcons import (
     FiniteAbelianGroup,
     GroupConstruction,
@@ -27,12 +29,18 @@ from polygraph.groupcons import (
 from polygraph.groupcons import _kernel_coeffs, _path_phase
 from polygraph.groupcons import _slots, _squares
 from polygraph.intlinalg import hermite_normal_form, smith_normal_form
+from polygraph.kgraph import degree, extract_prefix, normal_form
 from polygraph.phases import phase
 
 FCC = catalog.flip_cycle_cycle_3graph()
 FWD = catalog.cycle3_forward_2graph()
 FLIP = catalog.flip_2graph()
 T3 = catalog.transposition_kgraph(3, 2)
+CATALOG = {"flip": FLIP, "cycle3-forward": FWD, "square": catalog.square_2graph(),
+           "cycle3-reverse": catalog.cycle3_reverse_2graph(), "flip-cycles": FCC,
+           "flip-squares": catalog.flip_square_square_3graph(), "transposition(3,2)": T3,
+           "product-periodic": catalog.product_periodic_3graph(),
+           "twisted-periodic": catalog.twisted_periodic_3graph()}
 
 WORDS_112 = [tuple((i, int(ch)) for ch in "112") for i in (1, 2, 3)]
 
@@ -122,9 +130,19 @@ class TestFromCommutingWords:
                 assert gc.t_at(i, point) == WORDS_112[i - 1][(3 - s) % 3][1]
 
     def test_introduction_order_is_irrelevant(self):
+        # the factorization reference, in every order, agrees with the fold
         base = gc27()
         for perm in itertools.permutations((1, 2, 3)):
-            assert from_commuting_words(FCC, WORDS_112, color_order=list(perm)).t == base.t
+            assert factorized_indices(FCC, WORDS_112, perm) == base.t
+
+    def test_group_order_budget_trips_before_the_grid(self, monkeypatch):
+        def no_grid(*args):
+            raise AssertionError("the window grid was built")
+        monkeypatch.setattr(groupcons, "sigma_data", no_grid)
+        monkeypatch.setenv("POLYGRAPH_BUDGET", "26")
+        with pytest.raises(BudgetExceeded) as info:
+            gc27()
+        assert (info.value.name, info.value.consumed) == ("group order", 27)
 
     def test_non_commuting_words_rejected(self):
         with pytest.raises(NotCommuting):
@@ -135,7 +153,127 @@ class TestFromCommutingWords:
         assert all(a == Fraction(1, 3) for row in gc.alpha for a in row)
 
 
+def _seeds(rng, P, longest):
+    return [tuple((i, rng.randint(1, P.m[i - 1])) for _ in range(rng.randint(1, longest)))
+            for i in range(1, P.k + 1)]
+
+
+class TestGridFoldMatchesFactorization:
+    """from_commuting_words folds the periodic tail's window grid; the
+    per-base-point factorization in acceptance.py is its reference (the
+    27-dim words in every order are in TestFromCommutingWords)."""
+
+    @pytest.mark.parametrize("name", list(CATALOG)[:7])
+    def test_seeded_cycle_families(self, name):
+        P = CATALOG[name]
+        rng = random.Random(12)
+        drawn = 0
+        while drawn < 15:
+            family, _ = cycle_construction(P, _seeds(rng, P, 2))
+            if math.prod(map(len, family)) > 256:
+                continue
+            assert from_commuting_words(P, family).t \
+                == factorized_indices(P, family, tuple(range(1, P.k + 1))), family
+            drawn += 1
+
+    def test_long_word_family(self):
+        family, _ = cycle_construction(FWD, [tuple((1, int(c)) for c in "1222"), ((2, 1),)])
+        assert [len(w) for w in family] == [84, 21]
+        assert from_commuting_words(FWD, family).t == factorized_indices(FWD, family, (1, 2))
+
+
+def _base_stage_cycle_construction(P, seeds):
+    """cycle_construction as it was with a separate base stage: the
+    reference for the one-loop form."""
+    if len(seeds) != P.k or any(not s for s in seeds):
+        raise ValueError("need one nonempty seed word per color")
+    for i, w in enumerate(seeds, start=1):
+        for c, _ in w:
+            if c != i:
+                raise ValueError(f"seed {i} contains a letter of color {c}")
+    if P.k == 1:
+        return list(seeds), []
+
+    cap = limit(100_000)
+    lengths = []
+    a0 = seeds[0]
+    b0 = normal_form(P, tuple(itertools.chain(*seeds[1:])))
+    a, b = a0, b0
+    parts_a, parts_b = [], []
+    for step in range(cap):
+        parts_a.append(a)
+        parts_b.append(b)
+        w = normal_form(P, a + b)
+        b, a = extract_prefix(P, w, degree(P, b))
+        if (a, b) == (a0, b0):
+            break
+    else:
+        raise BudgetExceeded("cycle steps", cap, cap + 1)
+    lengths.append(len(parts_a))
+    family = [normal_form(P, tuple(itertools.chain(*reversed(parts_a))))]
+    rem = normal_form(P, tuple(itertools.chain(*parts_b)))
+
+    while True:
+        rem_deg = degree(P, rem)
+        colors = [c for c in range(1, P.k + 1) if rem_deg[c - 1] > 0]
+        if len(colors) == 1:
+            family.append(rem)
+            break
+        c_next = colors[0]
+        head_deg = tuple(0 if c == c_next else d for c, d in enumerate(rem_deg, start=1))
+        d0, c0 = extract_prefix(P, rem, head_deg)
+        avec, c_cur, d_cur = tuple(family), c0, d0
+        avec0 = avec
+        parts_c, parts_d = [], []
+        for step in range(cap):
+            parts_c.append(c_cur)
+            parts_d.append(d_cur)
+            w = normal_form(P, c_cur + d_cur)
+            d_new, c_new = extract_prefix(P, w, degree(P, d_cur))
+            a_new = []
+            for aw in avec:
+                w2 = normal_form(P, c_cur + aw)
+                head, tail = extract_prefix(P, w2, degree(P, aw))
+                if tail != c_cur:
+                    raise InvalidConstruction(
+                        f"family word {aw} failed to pass the cycle word {c_cur}")
+                a_new.append(head)
+            avec, c_cur, d_cur = tuple(a_new), c_new, d_new
+            if (avec, c_cur, d_cur) == (avec0, c0, d0):
+                break
+        else:
+            raise BudgetExceeded("cycle steps", cap, cap + 1)
+        lengths.append(len(parts_c))
+        family.append(normal_form(P, tuple(itertools.chain(*reversed(parts_c)))))
+        rem = normal_form(P, tuple(itertools.chain(*parts_d)))
+
+    family = [normal_form(P, w) for w in family]
+    if not words_commute(P, family):
+        raise InvalidConstruction("cycle construction produced a non-commuting family")
+    return family, lengths
+
+
+def _outcome(run):
+    try:
+        return run()
+    except (ValueError, BudgetExceeded) as err:  # type and message are compared
+        return type(err), str(err)
+
+
 class TestCycleConstruction:
+    def test_one_loop_matches_the_separate_base_stage(self, monkeypatch):
+        monkeypatch.setenv("POLYGRAPH_BUDGET", "200")
+        rng = random.Random(7)
+        exhausted = 0
+        for name, P in CATALOG.items():
+            for _ in range(20):
+                seeds = _seeds(rng, P, 3)
+                outcome = _outcome(lambda: cycle_construction(P, seeds))
+                assert outcome == _outcome(lambda: _base_stage_cycle_construction(P, seeds)), \
+                    (name, seeds)
+                exhausted += outcome[0] is BudgetExceeded
+        assert exhausted >= 1  # the "cycle steps" exhaustion is compared too
+
     def test_already_commuting_seeds_close_immediately(self):
         fam, lens = cycle_construction(FLIP, [((1, 1),), ((2, 1),)])
         assert lens == [1]
