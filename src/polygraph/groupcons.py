@@ -43,6 +43,7 @@ from .intlinalg import (
 from .kgraph import (
     Presentation,
     Word,
+    check_word,
     degree,
     extract_prefix,
     normal_form,
@@ -252,6 +253,8 @@ def from_commuting_words(P: Presentation, words: list[Word],
     """
     if len(words) != P.k or any(not w for w in words):
         raise ValueError("need one nonempty word per color")
+    for w in words:
+        check_word(P, w)
     if not words_commute(P, words):
         raise NotCommuting(f"words {words} do not pairwise commute")
     lengths = [len(w) for w in words]
@@ -279,6 +282,8 @@ def cycle_construction(P: Presentation, seeds: list[Word]
     """
     if len(seeds) != P.k or any(not s for s in seeds):
         raise ValueError("need one nonempty seed word per color")
+    for w in seeds:
+        check_word(P, w)
     for i, w in enumerate(seeds, start=1):
         for c, _ in w:
             if c != i:
@@ -589,10 +594,10 @@ def _solve_indices(P: Presentation, G: FiniteAbelianGroup, given: dict
             trail.append(s)
             for i, j, a, b, c, d in at[s]:
                 if val[a] and val[b]:
-                    (_, vd), (_, vc) = P._asc[((i, val[a]), (j, val[b]))]
+                    (_, vd), (_, vc) = P._swap[((i, val[a]), (j, val[b]))]
                     queue += ((c, vc), (d, vd))
                 elif val[c] and val[d]:
-                    (_, va), (_, vb) = P._desc[((j, val[d]), (i, val[c]))]
+                    (_, va), (_, vb) = P._swap[((j, val[d]), (i, val[c]))]
                     queue += ((a, va), (b, vb))
         return True
 

@@ -14,8 +14,7 @@ Unique factorization then gives every word a normal form with colors
 sorted ascending, and a unique prefix of every degree below its own.
 
 Letters are (color, index) pairs, 1-based on both coordinates.  Words are
-plain tuples of letters; all functions return new tuples, so values are
-safe to share between workers.
+plain tuples of letters; all functions return new tuples.
 """
 
 from __future__ import annotations
@@ -83,10 +82,9 @@ class Presentation:
     m: tuple[int, ...]
     theta: tuple[tuple[int, int, tuple[tuple[int, int], ...]], ...]
     # Derived in _from_codes (not compared): the table codes in color-pair
-    # order, and the adjacent-swap rewrite tables.
+    # order, and the adjacent-swap rewrite table.
     codes: tuple[Code, ...] = field(repr=False, compare=False)
-    _asc: dict = field(repr=False, compare=False)
-    _desc: dict = field(repr=False, compare=False)
+    _swap: dict = field(repr=False, compare=False)
 
     def table(self, i: int, j: int) -> dict[tuple[int, int], tuple[int, int]]:
         """The permutation {(s,t): (s',t')} for the color pair i < j."""
@@ -97,7 +95,7 @@ class Presentation:
 
     def theta_apply(self, i: int, j: int, s: int, t: int) -> tuple[int, int]:
         """(s', t') with (i,s)(j,t) = (j,t')(i,s') for colors i < j."""
-        (_, t2), (_, s2) = self._asc[((i, s), (j, t))]
+        (_, t2), (_, s2) = self._swap[((i, s), (j, t))]
         return (s2, t2)
 
     def letters(self, color: int | None = None) -> Iterator[Letter]:
@@ -198,19 +196,19 @@ def _cubic_failure(k: int, m: tuple[int, ...], codes: tuple[Code, ...]):
 def _from_codes(k: int, m: tuple[int, ...], codes: tuple[Code, ...]) -> Presentation:
     """The Presentation with these (already validated) table codes."""
     theta = []
-    # Adjacent-swap tables.  asc maps an ascending-color letter pair to the
-    # equal descending pair; desc is the inverse rewrite (used for sorting).
-    asc: dict[tuple[Letter, Letter], tuple[Letter, Letter]] = {}
-    desc: dict[tuple[Letter, Letter], tuple[Letter, Letter]] = {}
+    # The adjacent-swap table maps each ascending-color letter pair to the
+    # equal descending pair and back; the two kinds of key differ in color
+    # order, so they never collide and the table is its own inverse.
+    swap: dict[tuple[Letter, Letter], tuple[Letter, Letter]] = {}
     for (i, j), code in zip(color_pairs(k), codes):
         domain = cells(m[i - 1], m[j - 1])
         flat = tuple([domain[q] for q in code])
         theta.append((i, j, flat))
         for (s, t), (s2, t2) in zip(domain, flat):
             up, down = ((i, s), (j, t)), ((j, t2), (i, s2))
-            asc[up] = down
-            desc[down] = up
-    return Presentation(k, m, tuple(theta), codes, asc, desc)
+            swap[up] = down
+            swap[down] = up
+    return Presentation(k, m, tuple(theta), codes, swap)
 
 
 def validate_presentation(k: int, m: Iterable[int], theta: Theta) -> Presentation:
@@ -300,13 +298,13 @@ def normal_form(P: Presentation, w: Word) -> Word:
     within a family), and unique factorization makes the result
     independent of the swap order.
     """
-    desc = P._desc
+    swap = P._swap
     out: list[Letter] = []
     for letter in w:
         out.append(letter)
         pos = len(out) - 1
         while pos > 0 and out[pos - 1][0] > out[pos][0]:
-            out[pos - 1], out[pos] = desc[(out[pos - 1], out[pos])]
+            out[pos - 1], out[pos] = swap[(out[pos - 1], out[pos])]
             pos -= 1
     return tuple(out)
 
@@ -326,30 +324,38 @@ def extract_prefix(P: Presentation, w: Word, n: Degree) -> tuple[Word, Word]:
     normal form; the suffix is normalized before returning.  Uniqueness of
     the factorization makes the result strategy-independent.
 
-    The prefix grows in place in front of `front`.  A swap keeps the
-    colors of the letters the pulled one passes (each shifts right by
-    one), so the next letter of the same color lies beyond the previous
-    one's old position and the scan for it never restarts.
+    The prefix grows in place in front of `front`.  The pulled letter
+    moves left in a local, one swap-table lookup per letter it passes.  A
+    swap keeps the colors of the letters the pulled one passes (each
+    shifts right by one), so the next letter of the same color lies beyond
+    the previous one's old position and the scan for it never restarts.
+    The scan is also the range check: a negative entry of n, or a scan
+    that runs off the end of w, raises NotAPrefix.
     """
     if len(n) != P.k:
         raise NotAPrefix(f"degree {n} has wrong length for k={P.k}")
-    d = degree(P, w)
-    if not all(0 <= x <= y for x, y in zip(n, d)):
-        raise NotAPrefix(f"{n} is not componentwise between 0 and {d}")
-    asc, desc = P._asc, P._desc
+    swap = P._swap
     rest = list(w)
     front = 0
-    for color, count in enumerate(n, start=1):
-        scan = front
-        for _ in range(count):
-            while rest[scan][0] != color:
-                scan += 1
-            for q in range(scan, front, -1):
-                pair = (rest[q - 1], rest[q])
-                rest[q - 1], rest[q] = asc[pair] if pair[0][0] < color else desc[pair]
-            front += 1
-            scan += 1
-    return tuple(rest[:front]), normal_form(P, tuple(rest[front:]))
+    if min(n) >= 0:
+        try:
+            for color, count in enumerate(n, start=1):
+                scan = front
+                for _ in range(count):
+                    while rest[scan][0] != color:
+                        scan += 1
+                    if scan > front:
+                        letter = rest[scan]
+                        for q in range(scan, front, -1):
+                            letter, rest[q] = swap[rest[q - 1], letter]
+                        rest[front] = letter
+                    front += 1
+                    scan += 1
+        except IndexError:
+            pass
+        else:
+            return tuple(rest[:front]), normal_form(P, tuple(rest[front:]))
+    raise NotAPrefix(f"{n} is not componentwise between 0 and {degree(P, w)}")
 
 
 def random_sort(P: Presentation, w: Word, rng) -> Word:
@@ -358,14 +364,14 @@ def random_sort(P: Presentation, w: Word, rng) -> Word:
     On a valid presentation this agrees with normal_form whatever the
     random choices (confluence); used as a test oracle.
     """
-    desc = P._desc
+    swap = P._swap
     out = list(w)
     while True:
         sites = [q for q in range(len(out) - 1) if out[q][0] > out[q + 1][0]]
         if not sites:
             return tuple(out)
         q = rng.choice(sites)
-        out[q], out[q + 1] = desc[(out[q], out[q + 1])]
+        out[q], out[q + 1] = swap[(out[q], out[q + 1])]
 
 
 def words_of_degree(P: Presentation, n: Degree) -> Iterator[Word]:

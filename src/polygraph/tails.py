@@ -141,7 +141,7 @@ def _edge_grid(P: Presentation, word: Word, top: Degree
     (i, edges[i][p]) (j, edges[j][p + e_i]), rewrites to the path
     left-then-top, (j, edges[j][p]) (i, edges[i][p + e_j]).
     """
-    k, asc = P.k, P._asc
+    k, swap = P.k, P._swap
     strides = [0] * k
     size = 1
     for c in reversed(range(k)):
@@ -161,8 +161,8 @@ def _edge_grid(P: Presentation, word: Word, top: Degree
                 p = r * step_j + sum(x * s for x, s in zip(q, strides))
                 for (color_i, edges_i, step_i), x, limit in zip(squares, q, top):
                     if x < limit:
-                        (_, left), (_, up) = asc[((color_i, edges_i[p]),
-                                                  (color_j, edges_j[p + step_i]))]
+                        (_, left), (_, up) = swap[((color_i, edges_i[p]),
+                                                   (color_j, edges_j[p + step_i]))]
                         edges_j[p] = left
                         edges_i[p + step_j] = up
     return edges, strides

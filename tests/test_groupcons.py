@@ -29,7 +29,7 @@ from polygraph.groupcons import (
 from polygraph.groupcons import _kernel_coeffs, _path_phase
 from polygraph.groupcons import _slots, _squares
 from polygraph.intlinalg import hermite_normal_form, smith_normal_form
-from polygraph.kgraph import degree, extract_prefix, normal_form
+from polygraph.kgraph import WordError, degree, extract_prefix, normal_form
 from polygraph.phases import phase
 
 FCC = catalog.flip_cycle_cycle_3graph()
@@ -147,6 +147,10 @@ class TestFromCommutingWords:
     def test_non_commuting_words_rejected(self):
         with pytest.raises(NotCommuting):
             from_commuting_words(FWD, [((1, 1),), ((2, 1),)])
+
+    def test_out_of_range_letter_is_a_word_error(self):
+        with pytest.raises(WordError, match=r"letter \(1, 5\)"):
+            from_commuting_words(FLIP, [((1, 5),), ((2, 1),)])
 
     def test_constant_alphas_stored(self):
         gc = gc27(alphas=[phase(1, 3)] * 3)
@@ -278,6 +282,10 @@ class TestCycleConstruction:
         fam, lens = cycle_construction(FLIP, [((1, 1),), ((2, 1),)])
         assert lens == [1]
         assert fam == [((1, 1),), ((2, 1),)]
+
+    def test_out_of_range_letter_is_a_word_error(self):
+        with pytest.raises(WordError, match=r"letter \(1, 5\)"):
+            cycle_construction(FLIP, [((1, 5),), ((2, 1),)])
 
     def test_forward_cycle_seed_closes_in_three(self):
         fam, lens = cycle_construction(FWD, [((1, 1),), ((2, 1),)])

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polygraph import catalog
+from polygraph.cli import CATALOG
 from polygraph.kgraph import (
     CubicViolation,
     InvalidPermutation,
@@ -311,13 +312,18 @@ def _reference_cubic_failure(k, m, theta):
 
 def _reference_extract_prefix(P, w, n):
     """extract_prefix as first written: pop(0) from the front and a fresh
-    leftmost-letter scan for every pulled letter."""
+    leftmost-letter scan for every pulled letter, with its own rewrite
+    tables built from the public P.table."""
     if len(n) != P.k:
         raise NotAPrefix(f"degree {n} has wrong length for k={P.k}")
     d = degree(P, w)
     if any(x < 0 for x in n) or not all(x <= y for x, y in zip(n, d)):
         raise NotAPrefix(f"{n} is not componentwise between 0 and {d}")
-    asc, desc = P._asc, P._desc
+    asc, desc = {}, {}
+    for i, j in itertools.combinations(range(1, P.k + 1), 2):
+        for (s, t), (s2, t2) in P.table(i, j).items():
+            asc[(i, s), (j, t)] = ((j, t2), (i, s2))
+            desc[(j, t2), (i, s2)] = ((i, s), (j, t))
     rest = list(w)
     prefix = []
     for color in range(1, P.k + 1):
@@ -351,14 +357,35 @@ class TestExtractPrefixAgainstReference:
                     assert random_sort(P, u + v, srng) == random_sort(P, w, srng)
         assert unsorted >= 0.9 * 41 * len(self.GRAPHS)
 
-    @pytest.mark.parametrize("n", [(0,), (1, 0, 0), (-1, 1), (0, 3), (2, 0), (-1, 0)])
-    def test_not_a_prefix_matches_reference(self, n):
-        w = ((2, 1), (1, 2))
+    # The last three words are unsorted.  In the first and third the scan
+    # runs off the end of w after swaps have started; the second mixes a
+    # negative entry with one beyond the degree of w.
+    NOT_A_PREFIX = [(FLIP, ((2, 1), (1, 2)), n)
+                    for n in [(0,), (1, 0, 0), (-1, 1), (0, 3), (2, 0), (-1, 0)]] + [
+        (FLIP, ((2, 1), (1, 2), (2, 2)), (1, 3)),
+        (FLIP, ((2, 1), (1, 2), (2, 2)), (-1, 5)),
+        (FCC, ((3, 1), (2, 2), (1, 1), (3, 2), (2, 1)), (1, 1, 3)),
+    ]
+
+    @pytest.mark.parametrize("P, w, n", NOT_A_PREFIX,
+                             ids=[f"n{q}" for q in range(len(NOT_A_PREFIX))])
+    def test_not_a_prefix_matches_reference(self, P, w, n):
         with pytest.raises(NotAPrefix) as new:
-            extract_prefix(FLIP, w, n)
+            extract_prefix(P, w, n)
         with pytest.raises(NotAPrefix) as old:
-            _reference_extract_prefix(FLIP, w, n)
+            _reference_extract_prefix(P, w, n)
         assert str(new.value) == str(old.value)
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG))
+def test_swap_table_is_an_involution_on_both_orders(name):
+    P = CATALOG[name]()
+    swap = P._swap
+    assert len(swap) == 2 * sum(P.m[i - 1] * P.m[j - 1]
+                                for i, j in itertools.combinations(range(1, P.k + 1), 2))
+    for pair, image in swap.items():
+        assert swap[image] == pair
+        assert (pair[0][0] < pair[1][0]) == (image[0][0] > image[1][0])
 
 
 @settings(max_examples=200, deadline=None)
