@@ -8,10 +8,10 @@ from __future__ import annotations
 
 import itertools
 
-from .kgraph import Presentation, validate_presentation
+from .kgraph import Presentation, cells, validate_presentation
 
 
-def _perm_from_cycle(domain: list[tuple[int, int]], cycle: list[tuple[int, int]]
+def _perm_from_cycle(domain: tuple[tuple[int, int], ...], cycle: list[tuple[int, int]]
                      ) -> dict[tuple[int, int], tuple[int, int]]:
     table = {p: p for p in domain}
     for a, b in zip(cycle, cycle[1:] + cycle[:1]):
@@ -19,32 +19,28 @@ def _perm_from_cycle(domain: list[tuple[int, int]], cycle: list[tuple[int, int]]
     return table
 
 
-def _domain(m_i: int, m_j: int) -> list[tuple[int, int]]:
-    return [(s, t) for s in range(1, m_i + 1) for t in range(1, m_j + 1)]
-
-
 def flip_table(m_i: int, m_j: int) -> dict[tuple[int, int], tuple[int, int]]:
     """(s, t) -> (t, s); needs m_i = m_j."""
-    return {(s, t): (t, s) for s, t in _domain(m_i, m_j)}
+    return {(s, t): (t, s) for s, t in cells(m_i, m_j)}
 
 
 def identity_table(m_i: int, m_j: int) -> dict[tuple[int, int], tuple[int, int]]:
-    return {(s, t): (s, t) for s, t in _domain(m_i, m_j)}
+    return {(s, t): (s, t) for s, t in cells(m_i, m_j)}
 
 
 def square_table() -> dict[tuple[int, int], tuple[int, int]]:
     """The 4-cycle (1,1) -> (1,2) -> (2,2) -> (2,1) on {1,2}^2."""
-    return _perm_from_cycle(_domain(2, 2), [(1, 1), (1, 2), (2, 2), (2, 1)])
+    return _perm_from_cycle(cells(2, 2), [(1, 1), (1, 2), (2, 2), (2, 1)])
 
 
 def cycle3_forward_table() -> dict[tuple[int, int], tuple[int, int]]:
     """The 3-cycle (1,1) -> (1,2) -> (2,1) on {1,2}^2, fixing (2,2)."""
-    return _perm_from_cycle(_domain(2, 2), [(1, 1), (1, 2), (2, 1)])
+    return _perm_from_cycle(cells(2, 2), [(1, 1), (1, 2), (2, 1)])
 
 
 def cycle3_reverse_table() -> dict[tuple[int, int], tuple[int, int]]:
     """The 3-cycle (1,1) -> (2,1) -> (1,2) on {1,2}^2, fixing (2,2)."""
-    return _perm_from_cycle(_domain(2, 2), [(1, 1), (2, 1), (1, 2)])
+    return _perm_from_cycle(cells(2, 2), [(1, 1), (2, 1), (1, 2)])
 
 
 def flip_2graph() -> Presentation:

@@ -23,7 +23,6 @@ import argparse
 import hashlib
 import json
 import sys
-from fractions import Fraction
 
 from . import __version__, acceptance, catalog
 from .budget import BudgetExceeded, InvalidBudget, limit
@@ -45,6 +44,7 @@ from .jsonio import (
     group_construction_to_obj,
     lattice_to_obj,
     load_presentation,
+    phase_from_str,
     presentation_to_obj,
     tail_from_obj,
     tail_to_obj,
@@ -151,13 +151,7 @@ def _parse_words(P, text: str):
 def _parse_alphas(P, text: str | None):
     if text is None:
         return None
-    out = []
-    for part in text.split(","):
-        try:
-            num, den = part.split("/")
-            out.append(Fraction(int(num), int(den)) % 1)
-        except (ValueError, ZeroDivisionError) as err:
-            raise FormatError(f"bad phase {part!r}, expected p/q") from err
+    out = [phase_from_str(part) for part in text.split(",")]
     if len(out) != P.k:
         raise FormatError(f"need {P.k} phases, got {len(out)}")
     return out

@@ -6,10 +6,10 @@ index relabeling per color, carrying the commutation tables of one
 presentation onto the other.  Classification is by brute-force orbit
 canonicalization: the class representative is the presentation whose
 flattened table encoding is lexicographically least over the relabeling
-orbit.  Both the search and the orbits work on table codes (see kgraph):
-the relabelings of a multiplicity vector are compiled once into maps on
-codes, and only presentations handed back to a caller are decoded and
-validated.  Everything here is desk scale (the search space is guarded by
+orbit.  Both the search and the orbits work on table codes (see kgraph),
+which are what a Presentation stores: the relabelings of a multiplicity
+vector are compiled once into maps on codes, and only presentations
+handed back to a caller are validated (by presentation_from_codes).  Everything here is desk scale (the search space is guarded by
 an explicit budget).
 """
 

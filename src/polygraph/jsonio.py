@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Any
 
 from .groupcons import FiniteAbelianGroup, GroupConstruction, group_construction
-from .kgraph import Presentation, Theta, Word, WordError, cells, validate_presentation
+from .kgraph import Presentation, Theta, Word, WordError, color_pairs, validate_presentation
 from .periodicity import PeriodicityCertificate, SymmetryLattice, TailCheck
 from .tails import Tail, tail
 
@@ -27,9 +27,8 @@ class FormatError(ValueError):
 
 
 def presentation_to_obj(P: Presentation) -> dict:
-    theta = {f"{i},{j}": [[[s, t], [s2, t2]]
-                          for (s, t), (s2, t2) in zip(cells(P.m[i - 1], P.m[j - 1]), flat)]
-             for i, j, flat in P.theta}
+    theta = {f"{i},{j}": [[[s, t], [s2, t2]] for (s, t), (s2, t2) in P.table(i, j).items()]
+             for i, j in color_pairs(P.k)}
     return {"k": P.k, "m": list(P.m), "theta": theta}
 
 

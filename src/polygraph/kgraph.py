@@ -68,30 +68,38 @@ Code = tuple[int, ...]
 
 @dataclass(frozen=True)
 class Presentation:
-    """A validated single-vertex k-graph presentation.
-
-    theta lists, for each color pair (i, j) with i < j, the values
-    (s', t') of the permutation table at the cells (s, t) in lexicographic
-    order; codes holds the same tables in the table codec below.
-    Instances are immutable; construct through
-    :func:`validate_presentation`, which checks bijectivity and (for
-    k >= 3) the cubic condition, so every Presentation value is a k-graph.
-    """
+    """A validated single-vertex k-graph presentation: k, m and the codes
+    (see the table codec below) of the tables of the color pairs i < j in
+    color-pair order, which alone make up `==` and `hash`.  Construct
+    through :func:`presentation_from_codes` or :func:`validate_presentation`,
+    which check bijectivity and (for k >= 3) the cubic condition, so every
+    Presentation value is a k-graph."""
 
     k: int
     m: tuple[int, ...]
-    theta: tuple[tuple[int, int, tuple[tuple[int, int], ...]], ...]
-    # Derived in _from_codes (not compared): the table codes in color-pair
-    # order, and the adjacent-swap rewrite table.
-    codes: tuple[Code, ...] = field(repr=False, compare=False)
-    _swap: dict = field(repr=False, compare=False)
+    codes: tuple[Code, ...]
+    # The adjacent-swap table, derived from codes: each ascending-color letter
+    # pair maps to the equal descending pair and back (keys never collide).
+    _swap: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        swap: dict[tuple[Letter, Letter], tuple[Letter, Letter]] = {}
+        for (i, j), code in zip(color_pairs(self.k), self.codes):
+            domain = cells(self.m[i - 1], self.m[j - 1])
+            for (s, t), q in zip(domain, code):
+                s2, t2 = domain[q]
+                up, down = ((i, s), (j, t)), ((j, t2), (i, s2))
+                swap[up] = down
+                swap[down] = up
+        object.__setattr__(self, "_swap", swap)
 
     def table(self, i: int, j: int) -> dict[tuple[int, int], tuple[int, int]]:
         """The permutation {(s,t): (s',t')} for the color pair i < j."""
         if not 1 <= i < j <= self.k:
             raise KeyError((i, j))
-        _, _, flat = self.theta[color_pairs(self.k).index((i, j))]
-        return dict(zip(cells(self.m[i - 1], self.m[j - 1]), flat))
+        domain = cells(self.m[i - 1], self.m[j - 1])
+        code = self.codes[color_pairs(self.k).index((i, j))]
+        return {cell: domain[q] for cell, q in zip(domain, code)}
 
     def theta_apply(self, i: int, j: int, s: int, t: int) -> tuple[int, int]:
         """(s', t') with (i,s)(j,t) = (j,t')(i,s') for colors i < j."""
@@ -107,9 +115,6 @@ class Presentation:
 
     def zero(self) -> Degree:
         return (0,) * self.k
-
-    def __hash__(self) -> int:
-        return hash((self.k, self.m, self.theta))
 
 
 # The table codec.  Cell q of the domain {1..m_i} x {1..m_j} is
@@ -127,7 +132,7 @@ def color_pairs(k: int) -> tuple[tuple[int, int], ...]:
 @functools.lru_cache(maxsize=64)
 def cells(m_i: int, m_j: int) -> tuple[tuple[int, int], ...]:
     """The domain {1..m_i} x {1..m_j} in cell-number order (also the order
-    of the values listed in Presentation.theta)."""
+    of Presentation.table's keys)."""
     return tuple(itertools.product(range(1, m_i + 1), range(1, m_j + 1)))
 
 
@@ -193,43 +198,46 @@ def _cubic_failure(k: int, m: tuple[int, ...], codes: tuple[Code, ...]):
     return None
 
 
-def _from_codes(k: int, m: tuple[int, ...], codes: tuple[Code, ...]) -> Presentation:
-    """The Presentation with these (already validated) table codes."""
-    theta = []
-    # The adjacent-swap table maps each ascending-color letter pair to the
-    # equal descending pair and back; the two kinds of key differ in color
-    # order, so they never collide and the table is its own inverse.
-    swap: dict[tuple[Letter, Letter], tuple[Letter, Letter]] = {}
-    for (i, j), code in zip(color_pairs(k), codes):
-        domain = cells(m[i - 1], m[j - 1])
-        flat = tuple([domain[q] for q in code])
-        theta.append((i, j, flat))
-        for (s, t), (s2, t2) in zip(domain, flat):
-            up, down = ((i, s), (j, t)), ((j, t2), (i, s2))
-            swap[up] = down
-            swap[down] = up
-    return Presentation(k, m, tuple(theta), codes, swap)
-
-
-def validate_presentation(k: int, m: Iterable[int], theta: Theta) -> Presentation:
-    """Validate raw presentation data and build a Presentation.
-
-    theta maps (i, j) with i < j to {(s, t): (s', t')}.  Raises
-    InvalidPermutation / CubicViolation on bad data, so the returned value
-    is always a genuine k-graph.
-    """
+def _check_shape(k: int, m: Iterable[int]) -> tuple[int, ...]:
+    """m as a tuple, once k >= 1 and m lists k multiplicities of at least 1."""
     m = tuple(m)
     if k < 1:
         raise PresentationError(f"need k >= 1, got {k}")
     if len(m) != k or any(mi < 1 for mi in m):
         raise PresentationError(f"multiplicities {m} invalid for k={k}")
+    return m
+
+
+def validate_presentation(k: int, m: Iterable[int], theta: Theta) -> Presentation:
+    """Validate raw presentation data and build a Presentation.
+
+    theta maps (i, j) with i < j to {(s, t): (s', t')}.  Tables are encoded
+    in theta's order, so InvalidPermutation names the first bad one; the
+    codes are then checked by presentation_from_codes.
+    """
+    m = _check_shape(k, m)
     pairs = color_pairs(k)
     if theta.keys() != set(pairs):
         raise PresentationError(
             f"theta must have exactly the pairs {list(pairs)}, got {sorted(theta)}")
     code_of = {(i, j): _encode_table(i, j, m[i - 1], m[j - 1], table)
                for (i, j), table in theta.items()}
-    codes = tuple(code_of[pair] for pair in pairs)
+    return presentation_from_codes(k, m, [code_of[pair] for pair in pairs])
+
+
+def presentation_from_codes(k: int, m: Iterable[int], codes: Iterable[Code]) -> Presentation:
+    """The Presentation with these table codes, in color-pair order, once
+    they pass the one validator: PresentationError for a bad shape or code
+    count, InvalidPermutation(i, j) unless code ij permutes range(m_i m_j),
+    and (for k >= 3) CubicViolation."""
+    m = _check_shape(k, m)
+    codes = tuple(codes)
+    pairs = color_pairs(k)
+    if len(codes) != len(pairs):
+        raise PresentationError(f"need {len(pairs)} table codes for k={k}, got {len(codes)}")
+    for (i, j), code in zip(pairs, codes):
+        if sorted(code) != list(range(m[i - 1] * m[j - 1])):
+            raise InvalidPermutation(i, j)
     if k >= 3:
         failure = _cubic_failure(k, m, codes)
         if failure is not None:
@@ -237,17 +245,7 @@ def validate_presentation(k: int, m: Iterable[int], theta: Theta) -> Presentatio
             p = next(p for p, (a, b) in enumerate(zip(left, right)) if a != b)
             raise CubicViolation(colors, *[(q // (mj * ml) + 1, q // ml % mj + 1, q % ml + 1)
                                            for q in (p, left[p], right[p])])
-    return _from_codes(k, m, codes)
-
-
-def presentation_from_codes(k: int, m: Iterable[int], codes: Iterable[Code]) -> Presentation:
-    """Decode table codes, given in color-pair order, and validate them."""
-    m = tuple(m)
-    theta: Theta = {}
-    for (i, j), code in zip(color_pairs(k), codes):
-        domain = cells(m[i - 1], m[j - 1])
-        theta[(i, j)] = {cell: domain[q] for cell, q in zip(domain, code)}
-    return validate_presentation(k, m, theta)
+    return Presentation(k, m, codes)
 
 
 def check_word(P: Presentation, w: Word) -> Word:
@@ -259,10 +257,15 @@ def check_word(P: Presentation, w: Word) -> Word:
 
 
 def degree(P: Presentation, w: Word) -> Degree:
-    """Per-color letter counts of w."""
+    """Per-color letter counts of w; a color outside 1..k raises WordError."""
     counts = [0] * P.k
-    for c, _ in w:
-        counts[c - 1] += 1
+    try:
+        for c, s in w:
+            if c < 1:
+                raise IndexError
+            counts[c - 1] += 1
+    except IndexError:
+        raise WordError(f"letter {(c, s)} outside presentation ranges") from None
     return tuple(counts)
 
 

@@ -4,7 +4,7 @@ import json
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from polygraph import catalog
@@ -41,7 +41,7 @@ def files(tmp_path):
 class TestRoundTrips:
     def test_presentation_json(self):
         for P in (catalog.flip_2graph(), catalog.twisted_periodic_3graph(2)):
-            assert presentation_from_obj(presentation_to_obj(P)).theta == P.theta
+            assert presentation_from_obj(presentation_to_obj(P)) == P
 
     def test_tail_json(self):
         P = catalog.flip_2graph()
@@ -337,6 +337,9 @@ def argvs(draw):
 class TestArgvContract:
     @settings(derandomize=True, deadline=None, max_examples=300)
     @given(argv=argvs())
+    @example(argv=["tail", "sigma", "--presentation", "flip", "--tail", "BADTAIL", "--bound", "1"])
+    @example(argv=["tail", "equivalent", "--presentation", "flip", "--tail", "TAIL",
+                   "--other", "BADTAIL", "--shift", "1,0", "--bound", "1"])
     def test_exit_code_stream_contract(self, argv, argv_files):
         argv = [argv_files.get(token, token) for token in argv]
         out, err = io.StringIO(), io.StringIO()

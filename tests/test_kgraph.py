@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 
@@ -11,12 +12,14 @@ from polygraph.kgraph import (
     CubicViolation,
     InvalidPermutation,
     NotAPrefix,
+    Presentation,
     PresentationError,
     WordError,
     concat,
     degree,
     extract_prefix,
     normal_form,
+    presentation_from_codes,
     random_sort,
     validate_presentation,
     words_equal,
@@ -130,6 +133,42 @@ class TestValidation:
         with pytest.raises(PresentationError):
             validate_presentation(2, (2, 2), {})
 
+    @pytest.mark.parametrize("code", [(0, 1, 2, -1), (0, 1, 2, 5), (0, 1, 1, 2), (0, 1, 2)],
+                             ids=["negative", "too-large", "duplicate", "short"])
+    def test_codes_must_be_permutations(self, code):
+        with pytest.raises(InvalidPermutation) as exc:
+            presentation_from_codes(2, (2, 2), [code])
+        assert exc.value.pair == (1, 2)
+        with pytest.raises(InvalidPermutation) as exc:
+            presentation_from_codes(3, (2, 2, 2), [FCC.codes[0], code, FCC.codes[2]])
+        assert exc.value.pair == (1, 3)
+
+    def test_code_count_and_shape_errors(self):
+        for k, m, codes in [(2, (2, 2), []), (2, (2, 2), [(0, 1, 2, 3)] * 2),
+                            (3, (2, 2, 2), FCC.codes[:2]), (0, (), []), (2, (2,), [(0, 1)])]:
+            with pytest.raises(PresentationError) as exc:
+                presentation_from_codes(k, m, codes)
+            assert not isinstance(exc.value, InvalidPermutation)
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG))
+def test_both_validators_give_equal_values(name):
+    P = CATALOG[name]()
+    Q = presentation_from_codes(P.k, P.m, P.codes)
+    R = validate_presentation(P.k, P.m, {pair: P.table(*pair)
+                                         for pair in itertools.combinations(range(1, P.k + 1), 2)})
+    assert P == Q == R
+    assert hash(P) == hash(Q) == hash(R)
+    assert Q._swap == P._swap
+
+
+def test_presentation_compares_only_its_codes():
+    # == and hash read exactly k, m and the table codes; the swap table is
+    # derived from them
+    compared = [f.name for f in dataclasses.fields(Presentation) if f.compare]
+    assert compared == ["k", "m", "codes"]
+    assert FLIP != catalog.square_2graph() and FLIP.m == catalog.square_2graph().m
+
 
 class TestDegreeAndConcat:
     def test_empty_word_degree(self):
@@ -151,6 +190,11 @@ class TestDegreeAndConcat:
         w = ((1, 1), (2, 2))
         assert concat(FLIP, (), w) == w
         assert concat(FLIP, w, ()) == w
+
+    @pytest.mark.parametrize("color", [0, -1, 3])
+    def test_degree_rejects_colors_outside_range(self, color):
+        with pytest.raises(WordError):
+            degree(FLIP, ((color, 1),))
 
     def test_concat_rejects_foreign_letters(self):
         with pytest.raises(WordError):
@@ -239,6 +283,10 @@ class TestWordsEqual:
 
     def test_transposition_example(self):
         assert words_equal(TRANSPOSITION2, ((1, 1), (2, 2)), ((2, 1), (1, 2)))
+
+    def test_color_zero_is_not_a_letter(self):
+        with pytest.raises(WordError):
+            words_equal(FLIP, ((0, 1),), ((2, 1),))
 
 
 class TestExtractPrefix:

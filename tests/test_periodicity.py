@@ -143,10 +143,10 @@ class TestFindGamma:
         certified = 0
         for P, pi in cases:
             found = _dagger_bijections(P, pi)
-            assert len(found) <= 1, (P.theta, pi)
+            assert len(found) <= 1, (P, pi)
             cert = find_gamma(P, pi)
             assert (cert.gamma_map() if cert else None) == (found[0] if found else None), \
-                (P.theta, pi)
+                (P, pi)
             certified += cert is not None
         assert len(cases) == 1080
         assert certified == 48
@@ -161,7 +161,7 @@ class TestFindGamma:
         stages = collections.Counter()
         for P, pi in cases:
             stage, reference = _reference_find_gamma(P, pi)
-            assert find_gamma(P, pi) == reference, (P.theta, pi)
+            assert find_gamma(P, pi) == reference, (P, pi)
             stages[stage] += 1
         assert len(cases) == 6408
         assert stages["dagger"] + stages["certified"] == 288
@@ -210,7 +210,7 @@ class TestTailCondition:
     def _agrees_with_reference(P, case):
         verdict, states = _reference_tail_search(P, case)
         check = check_tail_condition(P, case, force_transducer=True)
-        assert check.passed == verdict, (P.theta, case.pi, case.gamma)
+        assert check.passed == verdict, (P, case.pi, case.gamma)
         if verdict:
             assert check.states_visited == states == len(case.E)
         return verdict, states
@@ -346,7 +346,7 @@ class TestSymmetryLattice:
         for P, bound in cases:
             lat = symmetry_lattice(P, bound=bound)
             assert (lat.basis, lat.hits, lat.certificates) == certify_all(P, bound), \
-                (P.theta, bound)
+                (P, bound)
             rank_two += lat.rank == 2
         assert rank_two > 0
 
@@ -379,7 +379,7 @@ class TestSymmetryLattice:
                             break
                     if not brute:
                         break
-                assert verdict == brute, (cls.representative.theta, pi)
+                assert verdict == brute, (cls.representative, pi)
                 if not verdict:
                     tail_failing += 1
         assert certified == 36
