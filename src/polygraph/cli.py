@@ -34,7 +34,6 @@ from .groupcons import (
     from_commuting_words,
     full_symmetry_subgroup,
     normalize_scalars,
-    to_atomic_graph,
     to_dot,
 )
 from .jsonio import (

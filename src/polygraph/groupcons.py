@@ -25,10 +25,10 @@ numerators at one common level N, the lcm of the denominators.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
-from math import lcm
+from math import lcm, prod
 from operator import mul
 from typing import Callable
 
@@ -37,6 +37,7 @@ from .intlinalg import (
     Mat,
     Vec,
     hermite_normal_form,
+    reduce_mod,
     smith_normal_form,
     solve_integer,
 )
@@ -71,36 +72,37 @@ class FiniteAbelianGroup:
 
     Canonical coset representatives are the box vectors below the Hermite
     pivots; elements are indexed in lexicographic order of those vectors.
+    `k` and `kernel` alone make up `==` and `hash`; the tables are derived
+    from them.  Construct through :meth:`from_kernel`.
     """
 
     k: int
     kernel: Mat  # row-style HNF, full rank k
-    _elements: tuple[Vec, ...]
-    _index: dict
-    _sub: tuple  # _sub[i][g] = index of g - g_i
+    _elements: tuple[Vec, ...] = field(init=False, repr=False, compare=False)
+    _index: dict = field(init=False, repr=False, compare=False)
+    _sub: tuple = field(init=False, repr=False, compare=False)  # _sub[i][g] = index of g - g_i
+
+    def __post_init__(self):
+        k, hnf = self.k, self.kernel
+        elements = tuple(itertools.product(*[range(hnf[i][i]) for i in range(k)]))
+        index = {e: n for n, e in enumerate(elements)}
+        sub = tuple(tuple(index[reduce_mod(hnf, g[:i] + (g[i] - 1,) + g[i + 1:])[1]]
+                          for g in elements) for i in range(k))
+        object.__setattr__(self, "_elements", elements)
+        object.__setattr__(self, "_index", index)
+        object.__setattr__(self, "_sub", sub)
 
     @staticmethod
     def from_kernel(kernel_rows: list[Vec] | Mat) -> "FiniteAbelianGroup":
         hnf = hermite_normal_form(kernel_rows)
         if not hnf or len(hnf) != len(hnf[0]):
             raise ValueError(f"kernel {kernel_rows} is not full rank; quotient is infinite")
-        k = len(hnf)
-        order = 1
-        for i in range(k):
-            if hnf[i][i] == 0:
-                raise ValueError("kernel is not full rank")
-            order *= hnf[i][i]
+        # a square echelon basis has its pivots on the diagonal
+        order = prod(hnf[i][i] for i in range(len(hnf)))
         budget = limit(1_000_000)
         if order > budget:
             raise BudgetExceeded("group order", budget, order)
-        elements = tuple(itertools.product(*[range(hnf[i][i]) for i in range(k)]))
-        index = {e: n for n, e in enumerate(elements)}
-        sub = []
-        for i in range(k):
-            eps = tuple(-1 if j == i else 0 for j in range(k))
-            sub.append(tuple(index[_reduce(hnf, tuple(x + y for x, y in zip(g, eps)))]
-                             for g in elements))
-        return FiniteAbelianGroup(k, hnf, elements, index, tuple(sub))
+        return FiniteAbelianGroup(len(hnf), hnf)
 
     @staticmethod
     def cyclic_product(orders: list[int]) -> "FiniteAbelianGroup":
@@ -117,7 +119,7 @@ class FiniteAbelianGroup:
         return self._elements
 
     def reduce(self, v: Vec) -> Vec:
-        return _reduce(self.kernel, tuple(v))
+        return reduce_mod(self.kernel, v)[1]
 
     def index(self, v: Vec) -> int:
         return self._index[self.reduce(v)]
@@ -137,23 +139,6 @@ class FiniteAbelianGroup:
             cur = self.add(cur, eps)
             n += 1
         return n
-
-    def __hash__(self):
-        return hash(self.kernel)
-
-    def __eq__(self, other):
-        return isinstance(other, FiniteAbelianGroup) and self.kernel == other.kernel
-
-
-def _reduce(hnf: Mat, v: Vec) -> Vec:
-    out = list(v)
-    k = len(hnf)
-    for i in range(k):
-        q = out[i] // hnf[i][i]
-        if q:
-            for c in range(i, k):
-                out[c] -= q * hnf[i][c]
-    return tuple(out)
 
 
 @dataclass(frozen=True)

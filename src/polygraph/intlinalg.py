@@ -1,10 +1,12 @@
 """Exact integer linear algebra for small lattices.
 
 Row-style Hermite normal form (canonical bases for sublattices of Z^k),
-Smith normal form with transform tracking (character enumeration of
-finite quotients), exact membership/solving, and a Fourier-Motzkin check
-that a sublattice meets the nonnegative orthant only in 0.  Everything is
-plain int/Fraction arithmetic on k x k matrices with k tiny.
+one reduction walk modulo such a basis (canonical coset representatives,
+membership and exact solving all read it), Smith normal form with
+transform tracking (character enumeration of finite quotients), and a
+Fourier-Motzkin check that a sublattice meets the nonnegative orthant
+only in 0.  Everything is plain int/Fraction arithmetic on k x k
+matrices with k tiny.
 """
 
 from __future__ import annotations
@@ -21,72 +23,63 @@ def hermite_normal_form(rows: list[Vec] | Mat) -> Mat:
     Returns a tuple of linearly independent rows in echelon form: pivots
     positive, strictly right-moving, entries above each pivot reduced into
     [0, pivot).  The empty tuple is the zero lattice.
+
+    One pass over the columns keeps this invariant: after column c, the
+    placed rows and the rows still to be placed span the input lattice,
+    the rows to be placed are zero in columns <= c, and the placed rows
+    are in Hermite form up to column c.  Euclid's algorithm on the rows
+    nonzero in the next column leaves one pivot row; reducing the placed
+    rows by it touches that column and those to its right only, so their
+    own pivots stay put.
     """
     work = [list(r) for r in rows if any(r)]
-    if not work:
-        return ()
-    ncols = len(work[0])
     basis: list[list[int]] = []
-    col = 0
-    while col < ncols and work:
-        live = [r for r in work if r[col] != 0]
+    ncols = len(work[0]) if work else 0
+    for col in range(ncols):
+        live = [r for r in work if r[col]]
+        while len(live) > 1:
+            pivot = min(live, key=lambda r: abs(r[col]))
+            for r in live:
+                if r is not pivot:
+                    q = r[col] // pivot[col]
+                    for c in range(col, ncols):
+                        r[c] -= q * pivot[c]
+            live = [r for r in live if r[col]]
         if not live:
-            col += 1
             continue
-        while True:
-            live.sort(key=lambda r: abs(r[col]))
-            pivot = live[0]
-            if len(live) == 1:
-                break
-            for r in live[1:]:
-                q = r[col] // pivot[col]
-                for c in range(ncols):
-                    r[c] -= q * pivot[c]
-            live = [r for r in live if r[col] != 0]
-            rest = [r for r in work if r[col] == 0 and any(r)]
-            work = live + rest
-            if len(live) <= 1:
-                break
+        pivot = live[0]
         if pivot[col] < 0:
-            pivot = [-x for x in pivot]
+            pivot[col:] = [-x for x in pivot[col:]]
+        for r in basis:
+            q = r[col] // pivot[col]
+            for c in range(col, ncols):
+                r[c] -= q * pivot[c]
         basis.append(pivot)
-        work = [r for r in work if r is not pivot and any(r)]
-        for r in work:
-            if r[col] != 0:
-                q = r[col] // pivot[col]
-                for c in range(ncols):
-                    r[c] -= q * pivot[c]
-        work = [r for r in work if any(r)]
-        col += 1
-    # reduce entries above pivots, left to right (later reductions only
-    # touch columns right of the pivots already fixed)
-    for i in range(len(basis)):
-        pcol = next(c for c in range(ncols) if basis[i][c] != 0)
-        p = basis[i][pcol]
-        for j in range(i):
-            q = basis[j][pcol] // p
-            if q:
-                for c in range(ncols):
-                    basis[j][c] -= q * basis[i][c]
-    return tuple(tuple(r) for r in basis)
+        work = [r for r in work if r is not pivot]
+    return tuple(map(tuple, basis))
 
 
-def lattice_contains(hnf: Mat, v: Vec) -> bool:
-    """Membership of v in the lattice with (row-style) HNF basis `hnf`."""
-    if not hnf:
-        return not any(v)
+def reduce_mod(hnf: Mat, v: Vec) -> tuple[Vec, Vec]:
+    """(x, r) with v = x * hnf + r and r reduced into [0, pivot) at every
+    pivot column of the (row) HNF basis `hnf`.
+
+    One forward walk: the pivots move strictly right, and subtracting a
+    row touches only its pivot column and those to the right of it.  r is
+    the canonical representative of v modulo the lattice, zero exactly
+    when v lies in it, and then x is the unique solution of x * hnf = v.
+    """
     r = list(v)
-    # echelon rows have strictly increasing pivot columns: one forward walk
+    x = []
     pcol = 0
     for row in hnf:
-        while row[pcol] == 0:
+        while not row[pcol]:
             pcol += 1
-        q, rem = divmod(r[pcol], row[pcol])
-        if rem:
-            return False
-        for c in range(pcol, len(row)):
-            r[c] -= q * row[c]
-    return not any(r)
+        q = r[pcol] // row[pcol]
+        x.append(q)
+        if q:
+            for c in range(pcol, len(r)):
+                r[c] -= q * row[c]
+    return tuple(x), tuple(r)
 
 
 def smith_normal_form(mat: Mat) -> tuple[Mat, Mat, Mat]:
@@ -176,21 +169,9 @@ def smith_normal_form(mat: Mat) -> tuple[Mat, Mat, Mat]:
 
 
 def solve_integer(hnfA: Mat, b: Vec) -> Vec | None:
-    """One integer solution x of x * A = b for A a (row) HNF basis, or None."""
-    if not hnfA:
-        return () if not any(b) else None
-    ncols = len(hnfA[0])
-    r = list(b)
-    coefs = []
-    for row in hnfA:
-        pcol = next(c for c in range(ncols) if row[c] != 0)
-        if r[pcol] % row[pcol] != 0:
-            return None
-        q = r[pcol] // row[pcol]
-        coefs.append(q)
-        for c in range(ncols):
-            r[c] -= q * row[c]
-    return tuple(coefs) if not any(r) else None
+    """The integer solution x of x * A = b for A a (row) HNF basis, or None."""
+    x, r = reduce_mod(hnfA, b)
+    return None if any(r) else x
 
 
 def meets_positive_orthant(hnf: Mat, dim: int) -> bool:

@@ -27,14 +27,13 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .budget import BudgetExceeded, limit
-from .intlinalg import hermite_normal_form, lattice_contains, meets_positive_orthant
+from .intlinalg import hermite_normal_form, meets_positive_orthant, solve_integer
 from .kgraph import (
     Degree,
     Letter,
     Presentation,
     Word,
     deg_add,
-    deg_sub,
     degree,
     extract_prefix,
     normal_form,
@@ -230,7 +229,7 @@ class SymmetryLattice:
         return len(self.basis)
 
     def contains(self, pi: Degree) -> bool:
-        return lattice_contains(self.basis, pi)
+        return solve_integer(self.basis, pi) is not None
 
 
 def _prime_valuations(n: int) -> dict[int, int]:
@@ -289,7 +288,7 @@ def symmetry_lattice(P: Presentation, bound: int = 4) -> SymmetryLattice:
     hits = []
     basis: tuple[tuple[int, ...], ...] = ()  # HNF of the hits so far
     for pi in _period_candidates(P.m, bound):
-        if basis and lattice_contains(basis, pi):
+        if solve_integer(basis, pi) is not None:
             hits.append(pi)
         elif is_periodic(P, pi) is not None:
             hits.append(pi)

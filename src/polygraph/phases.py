@@ -79,8 +79,8 @@ class PhaseInt:
     terms: tuple[tuple[Phase, int], ...]
 
     @staticmethod
-    def from_phase(p: Phase, mult: int = 1) -> "PhaseInt":
-        return PhaseInt(((p % 1, mult),)) if mult else PHASE_ZERO
+    def from_phase(p: Phase) -> "PhaseInt":
+        return PhaseInt(((p % 1, 1),))
 
     @staticmethod
     def of(mapping: dict[Phase, int]) -> "PhaseInt":
@@ -112,9 +112,6 @@ class PhaseInt:
                 p = (p1 + p2) % 1
                 out[p] = out.get(p, 0) + c1 * c2
         return PhaseInt.of(out)
-
-    def scale(self, p: Phase, mult: int = 1) -> "PhaseInt":
-        return self * PhaseInt.from_phase(p, mult)
 
     def conj(self) -> "PhaseInt":
         return PhaseInt.of({(-p) % 1: c for p, c in self.as_dict().items()})
@@ -167,5 +164,4 @@ class PhaseInt:
         return "".join(parts)
 
 
-PHASE_ZERO = PhaseInt(())
 PHASE_ONE = PhaseInt(((Fraction(0), 1),))

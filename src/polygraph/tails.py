@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from math import lcm
 
 from .budget import BudgetExceeded, limit
-from .intlinalg import hermite_normal_form, lattice_contains
+from .intlinalg import hermite_normal_form, solve_integer
 from .kgraph import (
     Degree,
     Presentation,
@@ -254,7 +254,7 @@ class TailSymmetry:
         return len(self.basis)
 
     def contains(self, p: Degree) -> bool:
-        return lattice_contains(self.basis, p)
+        return solve_integer(self.basis, p) is not None
 
 
 def tail_symmetry_group(t: Tail, bound: int = 2, depth: int = 2) -> TailSymmetry:

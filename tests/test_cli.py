@@ -13,7 +13,6 @@ from polygraph.jsonio import (
     dump_presentation,
     group_construction_to_obj,
     group_construction_from_obj,
-    load_presentation,
     presentation_from_obj,
     presentation_to_obj,
     tail_from_obj,

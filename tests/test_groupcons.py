@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import random
@@ -10,7 +11,6 @@ from polygraph.acceptance import factorized_indices
 from polygraph.budget import BudgetExceeded, limit
 from polygraph.groupcons import (
     FiniteAbelianGroup,
-    GroupConstruction,
     InvalidConstruction,
     NotCommuting,
     PartialConstruction,
@@ -66,6 +66,23 @@ class TestFiniteAbelianGroup:
     def test_infinite_quotient_rejected(self):
         with pytest.raises(ValueError):
             FiniteAbelianGroup.from_kernel([(1, -1)])
+
+    def test_group_compares_only_its_kernel(self):
+        # == and hash read exactly k and the kernel; the element, index and
+        # subtraction tables are derived from them
+        compared = [f.name for f in dataclasses.fields(FiniteAbelianGroup) if f.compare]
+        assert compared == ["k", "kernel"]
+        G = FiniteAbelianGroup.from_kernel([(2, 1), (0, 3)])
+        same = FiniteAbelianGroup.from_kernel([(2, 4), (4, 5)])
+        assert G == same and hash(G) == hash(same) and G._sub == same._sub
+        assert G != FiniteAbelianGroup.cyclic_product([2, 3])
+
+    def test_subtraction_table_steps_back_one_generator(self):
+        G = FiniteAbelianGroup.from_kernel([(2, 1), (0, 3)])
+        for color in (1, 2):
+            step = tuple(int(j == color - 1) for j in range(2))
+            for n, g in enumerate(G.elements):
+                assert G.add(G.elements[G.sub_generator(n, color)], step) == g
 
 
 class TestValidation:

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polygraph import catalog
-from polygraph.kgraph import deg_le, deg_sub, degree, extract_prefix, normal_form
+from polygraph.kgraph import deg_le, degree, extract_prefix, normal_form
 from polygraph.phases import PHASE_ONE, PhaseInt, cyclotomic_polynomial, phase
 from polygraph.staralg import (
     StarSum,
