@@ -3,13 +3,21 @@
 An isomorphism of single-vertex k-graphs is a color permutation pi
 (allowed only between colors of equal multiplicity) together with one
 index relabeling per color, carrying the commutation tables of one
-presentation onto the other.  Classification is by brute-force orbit
-canonicalization: the class representative is the presentation whose
-flattened table encoding is lexicographically least over the relabeling
-orbit.  Both the search and the orbits work on table codes (see kgraph),
-which are what a Presentation stores: the relabelings of a multiplicity
-vector are compiled once into maps on codes, and only presentations
-handed back to a caller are validated (by presentation_from_codes).  Everything here is desk scale (the search space is guarded by
+presentation onto the other.  The class representative is the
+presentation whose flattened table encoding is lexicographically least
+over the relabeling orbit.  Both the search and the orbits work on table
+codes (see kgraph), which are what a Presentation stores: the relabelings
+of a multiplicity vector are compiled once into maps on codes, and only
+presentations handed back to a caller are validated (by
+presentation_from_codes).
+
+The least image is found pair by pair: every relabeling maps color pair
+0, those reaching the least code survive to pair 1, and so on, so most
+relabelings are dropped after one pair.  Classification goes by orbits:
+the first member of an orbit is mapped through every relabeling, and
+each image's codes are recorded, so a later member costs one dict lookup
+(every member of an orbit has the same orbit, hence the same least
+image).  Everything here is desk scale (the search space is guarded by
 an explicit budget).
 """
 
@@ -136,14 +144,26 @@ def _compiled_group(m_src: tuple[int, ...], m_dst: tuple[int, ...]
     return tuple((rel, _plan(m_src, rel)) for rel in relabeling_group(m_src, m_dst))
 
 
+def _sources(P: Presentation) -> tuple[tuple[Code, ...], tuple[Code, ...]]:
+    """P's table codes and their inverses, indexed by a plan row's flag."""
+    return P.codes, tuple(_inverse(u) for u in P.codes)
+
+
+def _image_code(sources: tuple[tuple[Code, ...], tuple[Code, ...]],
+                row: tuple[int, bool, Code, Code]) -> Code:
+    """The code of one image table: a plan row applied to _sources(P)."""
+    number, inverted, tau, tau_inv = row
+    u = sources[inverted][number]
+    return tuple([tau[u[q]] for q in tau_inv])
+
+
 def _images(P: Presentation, compiled: Iterable[tuple[Relabeling, Plan]]
             ) -> Iterator[tuple[Relabeling, tuple[Code, ...]]]:
     """Each relabeling with the table codes of P's image under it.  The
     images are isomorphic copies of a valid P, so they are not validated."""
-    sources = (P.codes, tuple(_inverse(u) for u in P.codes))
+    sources = _sources(P)
     for rel, plan in compiled:
-        yield rel, tuple([tuple([tau[sources[inverted][number][q]] for q in tau_inv])
-                          for number, inverted, tau, tau_inv in plan])
+        yield rel, tuple([_image_code(sources, row) for row in plan])
 
 
 def apply_relabeling(P: Presentation, rel: Relabeling) -> Presentation:
@@ -162,23 +182,45 @@ def apply_relabeling(P: Presentation, rel: Relabeling) -> Presentation:
 
 
 def are_isomorphic(P1: Presentation, P2: Presentation) -> Relabeling | None:
-    """A relabeling carrying P1 onto P2, if one exists."""
+    """A relabeling carrying P1 onto P2, if one exists.  A relabeling is
+    dropped at the first color pair whose image differs from P2's table."""
     if P1.k != P2.k or sorted(P1.m) != sorted(P2.m):
         return None
-    for rel, codes in _images(P1, _compiled_group(P1.m, P2.m)):
-        if codes == P2.codes:
+    sources = _sources(P1)
+    for rel, plan in _compiled_group(P1.m, P2.m):
+        for row, target in zip(plan, P2.codes):
+            if _image_code(sources, row) != target:
+                break
+        else:
             return rel
     return None
 
 
 def _canonical_codes(P: Presentation) -> tuple[tuple[Code, ...], Relabeling]:
     """The least image codes over P's relabeling orbit, with the first
-    relabeling reaching them."""
-    best: tuple[tuple[Code, ...], Relabeling] | None = None
-    for rel, codes in _images(P, _compiled_group(P.m, P.m)):
-        if best is None or codes < best[0]:
-            best = (codes, rel)
-    return best
+    relabeling reaching them.
+
+    Pair by pair: each surviving relabeling maps the next color pair, and
+    those reaching the least code for it survive, in order.  Codes compare
+    pair by pair, so the survivors after the last pair are exactly the
+    relabelings reaching the least image, and the first of them is the
+    first one in the group's order.
+    """
+    sources = _sources(P)
+    survivors = _compiled_group(P.m, P.m)
+    least: list[Code] = []
+    for pair in range(len(P.codes)):
+        best: Code | None = None
+        kept = []
+        for entry in survivors:
+            image = _image_code(sources, entry[1][pair])
+            if best is None or image < best:
+                best, kept = image, [entry]
+            elif image == best:
+                kept.append(entry)
+        least.append(best)
+        survivors = kept
+    return tuple(least), survivors[0][0]
 
 
 def canonical_form(P: Presentation) -> tuple[Presentation, Relabeling]:
@@ -197,17 +239,34 @@ class IsoClass:
 
 
 def isomorphism_classes(presentations: Iterable[Presentation]) -> list[IsoClass]:
-    """Partition presentations by isomorphism (orbit canonicalization).
+    """Partition presentations of one multiplicity vector by isomorphism.
 
     Input elements are assumed pairwise distinct; class sizes sum to the
     input count.  Classes are returned sorted by representative encoding.
+    The first member of each orbit is mapped through every relabeling;
+    a later member is found among those images and only counted.  Raises
+    ValueError when the input mixes multiplicity vectors, whose tables
+    could share codes without being isomorphic.
     """
-    # canonical codes -> [size, k, m, witness of the first-seen member]
+    m = None
+    # canonical codes -> [size, witness of the first-seen member]
     classes: dict[tuple[Code, ...], list] = {}
+    # the codes of every orbit image seen so far -> its class's entry
+    orbits: dict[tuple[Code, ...], list] = {}
     for P in presentations:
-        codes, rel = _canonical_codes(P)
-        entry = classes.setdefault(codes, [0, P.k, P.m, rel])
+        if m is None:
+            m = P.m
+        elif P.m != m:
+            raise ValueError(f"isomorphism_classes needs one multiplicity vector, "
+                             f"got {list(m)} and {list(P.m)}")
+        entry = orbits.get(P.codes)
+        if entry is None:
+            images = list(_images(P, _compiled_group(m, m)))
+            rel, codes = min(images, key=lambda image: image[1])
+            entry = classes[codes] = [0, rel]
+            for _, image in images:
+                orbits[image] = entry
         entry[0] += 1
-    return [IsoClass(representative=presentation_from_codes(k, m, codes), size=size,
+    return [IsoClass(representative=presentation_from_codes(len(m), m, codes), size=size,
                      relabeling=rel)
-            for codes, (size, k, m, rel) in sorted(classes.items())]
+            for codes, (size, rel) in sorted(classes.items())]

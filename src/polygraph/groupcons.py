@@ -567,6 +567,7 @@ def _solve_indices(P: Presentation, G: FiniteAbelianGroup, given: dict
         for s in sq[2:]:
             at[s].append(sq)
     trail: list[int] = []
+    swap = P.swaps()
 
     def assign(queue: list) -> bool:
         while queue:
@@ -579,10 +580,10 @@ def _solve_indices(P: Presentation, G: FiniteAbelianGroup, given: dict
             trail.append(s)
             for i, j, a, b, c, d in at[s]:
                 if val[a] and val[b]:
-                    (_, vd), (_, vc) = P._swap[((i, val[a]), (j, val[b]))]
+                    (_, vd), (_, vc) = swap[((i, val[a]), (j, val[b]))]
                     queue += ((c, vc), (d, vd))
                 elif val[c] and val[d]:
-                    (_, va), (_, vb) = P._swap[((j, val[d]), (i, val[c]))]
+                    (_, va), (_, vb) = swap[((j, val[d]), (i, val[c]))]
                     queue += ((a, va), (b, vb))
         return True
 

@@ -73,16 +73,24 @@ class Presentation:
     color-pair order, which alone make up `==` and `hash`.  Construct
     through :func:`presentation_from_codes` or :func:`validate_presentation`,
     which check bijectivity and (for k >= 3) the cubic condition, so every
-    Presentation value is a k-graph."""
+    Presentation value is a k-graph.  The adjacent-swap table the word
+    functions use is built on first use (:meth:`swaps`), so a presentation
+    that only takes part in a census never builds one."""
 
     k: int
     m: tuple[int, ...]
     codes: tuple[Code, ...]
-    # The adjacent-swap table, derived from codes: each ascending-color letter
-    # pair maps to the equal descending pair and back (keys never collide).
-    _swap: dict = field(init=False, repr=False, compare=False)
+    # The adjacent-swap table, derived from codes and built on first use by
+    # swaps(): each ascending-color letter pair maps to the equal descending
+    # pair and back (keys never collide).  normal_form, extract_prefix and
+    # theta_apply read it as `P._swap or P.swaps()`, a plain attribute read
+    # once it is built; other readers call swaps().
+    _swap: dict | None = field(default=None, init=False, repr=False, compare=False)
 
-    def __post_init__(self):
+    def swaps(self) -> dict[tuple[Letter, Letter], tuple[Letter, Letter]]:
+        """The adjacent-swap table, built and kept on the first call."""
+        if self._swap is not None:
+            return self._swap
         swap: dict[tuple[Letter, Letter], tuple[Letter, Letter]] = {}
         for (i, j), code in zip(color_pairs(self.k), self.codes):
             domain = cells(self.m[i - 1], self.m[j - 1])
@@ -92,6 +100,7 @@ class Presentation:
                 swap[up] = down
                 swap[down] = up
         object.__setattr__(self, "_swap", swap)
+        return swap
 
     def table(self, i: int, j: int) -> dict[tuple[int, int], tuple[int, int]]:
         """The permutation {(s,t): (s',t')} for the color pair i < j."""
@@ -103,7 +112,7 @@ class Presentation:
 
     def theta_apply(self, i: int, j: int, s: int, t: int) -> tuple[int, int]:
         """(s', t') with (i,s)(j,t) = (j,t')(i,s') for colors i < j."""
-        (_, t2), (_, s2) = self._swap[((i, s), (j, t))]
+        (_, t2), (_, s2) = (self._swap or self.swaps())[((i, s), (j, t))]
         return (s2, t2)
 
     def letters(self, color: int | None = None) -> Iterator[Letter]:
@@ -301,7 +310,7 @@ def normal_form(P: Presentation, w: Word) -> Word:
     within a family), and unique factorization makes the result
     independent of the swap order.
     """
-    swap = P._swap
+    swap = P._swap or P.swaps()
     out: list[Letter] = []
     for letter in w:
         out.append(letter)
@@ -337,7 +346,7 @@ def extract_prefix(P: Presentation, w: Word, n: Degree) -> tuple[Word, Word]:
     """
     if len(n) != P.k:
         raise NotAPrefix(f"degree {n} has wrong length for k={P.k}")
-    swap = P._swap
+    swap = P._swap or P.swaps()
     rest = list(w)
     front = 0
     if min(n) >= 0:
@@ -367,7 +376,7 @@ def random_sort(P: Presentation, w: Word, rng) -> Word:
     On a valid presentation this agrees with normal_form whatever the
     random choices (confluence); used as a test oracle.
     """
-    swap = P._swap
+    swap = P.swaps()
     out = list(w)
     while True:
         sites = [q for q in range(len(out) - 1) if out[q][0] > out[q + 1][0]]

@@ -141,7 +141,7 @@ def _edge_grid(P: Presentation, word: Word, top: Degree
     (i, edges[i][p]) (j, edges[j][p + e_i]), rewrites to the path
     left-then-top, (j, edges[j][p]) (i, edges[i][p + e_j]).
     """
-    k, swap = P.k, P._swap
+    k, swap = P.k, P.swaps()
     strides = [0] * k
     size = 1
     for c in reversed(range(k)):

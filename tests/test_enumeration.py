@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 
@@ -117,6 +118,13 @@ class TestClasses:
         assert len(classes) == CLASSES_222
         assert sum(c.size for c in classes) == VALID_222
 
+    def test_mixed_multiplicity_vectors_rejected(self):
+        # a (2,3) table and a (3,2) table can share codes without being
+        # isomorphic, so one call classifies one multiplicity vector
+        ps = list(enumerate_presentations((2, 3))) + list(enumerate_presentations((3, 2)))
+        with pytest.raises(ValueError, match="one multiplicity vector"):
+            isomorphism_classes(ps)
+
 
 # The dict-based classification the table codes replaced: every relabeled
 # copy is rebuilt as {(s, t): (s', t')} tables and fully re-validated, and
@@ -158,6 +166,7 @@ def _ref_are_isomorphic(P1, P2):
     return None
 
 
+@functools.cache  # the input-order tests classify each presentation several times
 def _ref_canonical_form(P):
     best = None
     for rel in relabeling_group(P.m):
@@ -204,6 +213,21 @@ class TestCodesAgainstDictReference:
         ps = list(enumerate_presentations(m))
         got = [(c.representative, c.size, c.relabeling) for c in isomorphism_classes(ps)]
         assert got == _ref_classes(ps)
+
+    @pytest.mark.parametrize("m", ORACLE_M, ids=str)
+    def test_classes_match_in_any_input_order(self, m):
+        # the orbit pass keys later members by the first member's images:
+        # sizes, witnesses and the class order must not depend on which
+        # member comes first, and a subset that is not a union of classes
+        # must count only its own members
+        ps = list(enumerate_presentations(m))
+        full = {c.representative: c.size for c in isomorphism_classes(ps)}
+        shuffled = random.Random(f"order-{m}").sample(ps, len(ps))
+        for order in (shuffled, ps[::-1], ps[::3]):
+            got = [(c.representative, c.size, c.relabeling) for c in isomorphism_classes(order)]
+            assert got == _ref_classes(order)
+        partial = isomorphism_classes(ps[::3])
+        assert any(c.size < full[c.representative] for c in partial)
 
     @pytest.mark.parametrize("m", [(2, 3), (2, 2, 2)], ids=str)
     def test_enumeration_matches_full_sweep(self, m):
@@ -252,6 +276,20 @@ class TestCodesAgainstDictReference:
             Q = apply_relabeling(P, rel)
             R = _ref_apply_relabeling(P, rel)
             assert Q == R
+
+    @pytest.mark.parametrize("m", [(2, 3), (3, 2), (2, 2, 2), (1, 2, 2)], ids=str)
+    def test_pruned_canonical_codes_match_the_full_orbit(self, m):
+        # the pair-by-pair search against the least of all images and the
+        # first relabeling reaching it, on every presentation of m
+        compiled = en._compiled_group(m, m)
+        ties = 0
+        for P in enumerate_presentations(m):
+            images = list(en._images(P, compiled))
+            least = min(codes for _, codes in images)
+            witnesses = [rel for rel, codes in images if codes == least]
+            assert en._canonical_codes(P) == (least, witnesses[0])
+            ties += len(witnesses) > 1
+        assert ties > 0
 
     def test_every_222_orbit_image_is_valid(self):
         # canonical_form and are_isomorphic skip validation of the images

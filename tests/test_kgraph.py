@@ -159,7 +159,7 @@ def test_both_validators_give_equal_values(name):
                                          for pair in itertools.combinations(range(1, P.k + 1), 2)})
     assert P == Q == R
     assert hash(P) == hash(Q) == hash(R)
-    assert Q._swap == P._swap
+    assert Q.swaps() == P.swaps()
 
 
 def test_presentation_compares_only_its_codes():
@@ -428,12 +428,25 @@ class TestExtractPrefixAgainstReference:
 @pytest.mark.parametrize("name", sorted(CATALOG))
 def test_swap_table_is_an_involution_on_both_orders(name):
     P = CATALOG[name]()
-    swap = P._swap
+    swap = P.swaps()
     assert len(swap) == 2 * sum(P.m[i - 1] * P.m[j - 1]
                                 for i, j in itertools.combinations(range(1, P.k + 1), 2))
     for pair, image in swap.items():
         assert swap[image] == pair
         assert (pair[0][0] < pair[1][0]) == (image[0][0] > image[1][0])
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG))
+def test_swap_table_is_built_on_first_use(name):
+    P = CATALOG[name]()
+    fresh = presentation_from_codes(P.k, P.m, P.codes)
+    used = presentation_from_codes(P.k, P.m, P.codes)
+    assert fresh._swap is None and used._swap is None
+    normal_form(used, tuple(reversed(list(used.letters()))))
+    assert used._swap is not None
+    assert used.swaps() is used._swap
+    assert fresh._swap is None
+    assert fresh == used and hash(fresh) == hash(used) and repr(fresh) == repr(used)
 
 
 @settings(max_examples=200, deadline=None)
