@@ -10,11 +10,12 @@ output; human-readable progress goes to stderr.  Exit codes:
     3  budget or bound exhausted
 
 Named budgets bound the searches: "tables" of enumeration (10M, or
---budget), "group order" (1M), extension "branch nodes" (1M), "cycle
-steps" (100,000), "splice rounds" of the tail splice (4 (2 bound + 1)^k)
-and period "certificate words" (1M).  POLYGRAPH_BUDGET, a nonnegative
-integer, replaces all of them; running past one exits 3 with
-"budget/bound exceeded: <name>: <count> exceeds the limit <limit>".
+--budget), "relabelings" of classification (100,000), "group order"
+(1M), extension "branch nodes" (1M), "cycle steps" (100,000), "splice
+rounds" of the tail splice (4 (2 bound + 1)^k) and period "certificate
+words" (1M).  POLYGRAPH_BUDGET, a nonnegative integer, replaces all of
+them; running past one exits 3 with "budget/bound exceeded: <name>:
+<count> exceeds the limit <limit>".
 """
 
 from __future__ import annotations
@@ -183,9 +184,9 @@ def cmd_enumerate(args) -> int:
     if args.budget is not None and args.budget < 0:
         raise FormatError(f"--budget must be >= 0, got {args.budget}")
     presentations = list(enumerate_presentations(m, budget=args.budget))
+    classes = isomorphism_classes(presentations) if args.classify else None
     _say(f"{len(presentations)} valid presentations for m={list(m)}")
-    if args.classify:
-        classes = isomorphism_classes(presentations)
+    if classes is not None:
         result = {"m": list(m), "count": len(presentations),
                   "classes": [{"representative": presentation_to_obj(c.representative),
                                "size": c.size} for c in classes]}

@@ -1,5 +1,11 @@
 """Exhaustive generation of presentations and classification up to isomorphism.
 
+Enumeration walks the color pairs depth first, choosing one table per
+pair in lexicographic order, and checks the cubic condition of each
+color triple as soon as its last pair is chosen, so a failed triple cuts
+off its whole branch (see _candidates).  Every survivor is still
+validated in full by presentation_from_codes.
+
 An isomorphism of single-vertex k-graphs is a color permutation pi
 (allowed only between colors of equal multiplicity) together with one
 index relabeling per color, carrying the commutation tables of one
@@ -17,29 +23,53 @@ relabelings are dropped after one pair.  Classification goes by orbits:
 the first member of an orbit is mapped through every relabeling, and
 each image's codes are recorded, so a later member costs one dict lookup
 (every member of an orbit has the same orbit, hence the same least
-image).  Everything here is desk scale (the search space is guarded by
-an explicit budget).
+image).  Everything here is desk scale: the table combinations and the
+relabeling group are counted, and guarded by the "tables" and
+"relabelings" budgets, before either is built.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from .budget import BudgetExceeded, limit
-from .kgraph import Code, Presentation, _cubic_failure, color_pairs, presentation_from_codes
+from .kgraph import (
+    Code,
+    Presentation,
+    _color_triples,
+    _lift_table,
+    color_pairs,
+    presentation_from_codes,
+)
 
 
-def count_candidate_tables(m: Sequence[int]) -> int:
-    k = len(m)
+# A count up to this is exact in a BudgetExceeded message; a larger one is
+# a lower bound, so that checking and printing it stay cheap.
+_EXACT_COUNT = 10 ** 18
+
+
+def _factorial_product(ns: Iterable[int], cap: int) -> int:
+    """The product of n! over ns when it is at most cap, else its first
+    partial product past cap: a lower bound, reached in a few
+    multiplications however large the n are."""
     total = 1
-    for i in range(k):
-        for j in range(i + 1, k):
-            total *= math.factorial(m[i] * m[j])
+    for n in ns:
+        for x in range(2, n + 1):
+            total *= x
+            if total > cap:
+                return total
     return total
+
+
+def count_candidate_tables(m: Sequence[int], cap: int = _EXACT_COUNT) -> int:
+    """The number of table combinations for multiplicities m, the product
+    of (m_i m_j)! over the color pairs: exact up to cap, and past cap a
+    lower bound above it."""
+    return _factorial_product([m[i - 1] * m[j - 1] for i, j in color_pairs(len(m))], cap)
 
 
 def enumerate_presentations(m: Sequence[int], budget: int | None = None
@@ -55,7 +85,7 @@ def enumerate_presentations(m: Sequence[int], budget: int | None = None
     if not m or min(m) < 1:
         raise ValueError(f"multiplicities {list(m)} must be at least 1")
     budget = limit(10_000_000) if budget is None else budget
-    needed = count_candidate_tables(m)
+    needed = count_candidate_tables(m, max(budget, _EXACT_COUNT))
     if needed > budget:
         raise BudgetExceeded("tables", budget, needed)
     for codes in _candidates(m):
@@ -64,15 +94,58 @@ def enumerate_presentations(m: Sequence[int], budget: int | None = None
 
 def _candidates(m: tuple[int, ...]) -> Iterator[tuple[Code, ...]]:
     """The table codes of every presentation with multiplicities m, in
-    lexicographic order: each pair's table runs over the permutations of
-    its cell numbers, and a combination is kept when it passes the cubic
-    check."""
-    k = len(m)
-    per_pair = [list(itertools.permutations(range(m[i - 1] * m[j - 1])))
-                for i, j in color_pairs(k)]
-    for codes in itertools.product(*per_pair):
-        if k < 3 or _cubic_failure(k, m, codes) is None:
-            yield codes
+    lexicographic order, by a depth-first walk over the color pairs.
+
+    Each pair's table runs over the permutations of its cell numbers, so
+    the walk visits combinations in itertools.product order.  A color
+    triple i < j < l is checked as soon as its last pair jl is chosen:
+    with A = t_ij t_il and B = t_il t_ij composed once from the chosen
+    lifted tables, a lifted jl table T passes when A T = T B, which is
+    _cubic_failure's left == right, so a failed triple cuts off the rest of
+    its branch.  The lifted tables are built once per call, outside
+    _lift's cache.  For k <= 2 no triple is due and the walk is the plain
+    product.  enumerate_presentations still validates every survivor in
+    full, cubic check included, with presentation_from_codes.
+    """
+    pairs = color_pairs(len(m))
+    tables = [list(itertools.permutations(range(m[i - 1] * m[j - 1]))) for i, j in pairs]
+    # per pair number, the triples whose last pair it is, as the numbers
+    # of their pairs ij and il and the lifts of every ij, il and jl table
+    due: list[list] = [[] for _ in pairs]
+    for (i, j, l), ij, il, jl in _color_triples(len(m)):
+        shape = m[i - 1], m[j - 1], m[l - 1]
+        lifts = [[_lift_table(factor, *shape, code) for code in tables[n]]
+                 for factor, n in (("ij", ij), ("il", il), ("jl", jl))]
+        due[jl].append((ij, il, *lifts))
+    chosen: list[int] = []  # the table picked for each pair so far, by position
+
+    def walk() -> Iterator[tuple[Code, ...]]:
+        depth = len(chosen)
+        if depth == len(pairs):
+            yield tuple([tables[n][c] for n, c in enumerate(chosen)])
+            return
+        survivors: Sequence[int] = range(len(tables[depth]))
+        for ij, il, lifts_ij, lifts_il, lifts_jl in due[depth]:
+            t_ij, t_il = lifts_ij[chosen[ij]], lifts_il[chosen[il]]
+            A = [t_ij[x] for x in t_il]
+            B = [t_il[x] for x in t_ij]
+            b0, kept = B[0], []
+            for c in survivors:
+                T = lifts_jl[c]
+                if A[T[0]] == T[b0] and [A[x] for x in T] == [T[x] for x in B]:
+                    kept.append(c)
+            survivors = kept
+        if depth + 1 == len(pairs):
+            head = tuple([tables[n][c] for n, c in enumerate(chosen)])
+            for c in survivors:
+                yield (*head, tables[depth][c])
+            return
+        for c in survivors:
+            chosen.append(c)
+            yield from walk()
+            chosen.pop()
+
+    yield from walk()
 
 
 @dataclass(frozen=True)
@@ -141,6 +214,15 @@ def _plan(m: tuple[int, ...], rel: Relabeling) -> Plan:
 @functools.lru_cache(maxsize=16)
 def _compiled_group(m_src: tuple[int, ...], m_dst: tuple[int, ...]
                     ) -> tuple[tuple[Relabeling, Plan], ...]:
+    """relabeling_group(m_src, m_dst), each relabeling with its plan.
+    Before building it, raises BudgetExceeded when the group's order (the
+    product of c! over the c colors sharing each multiplicity and of m_i!
+    over the colors) is above the "relabelings" limit, 100,000; a group
+    already built is reused without a second check."""
+    budget = limit(100_000)
+    order = _factorial_product([*Counter(m_src).values(), *m_src], max(budget, _EXACT_COUNT))
+    if order > budget:
+        raise BudgetExceeded("relabelings", budget, order)
     return tuple((rel, _plan(m_src, rel)) for rel in relabeling_group(m_src, m_dst))
 
 

@@ -9,7 +9,13 @@ import pytest
 
 from polygraph import catalog
 from polygraph.budget import BudgetExceeded, InvalidBudget, limit
-from polygraph.enumeration import enumerate_presentations
+from polygraph.enumeration import (
+    _compiled_group,
+    are_isomorphic,
+    canonical_form,
+    enumerate_presentations,
+    isomorphism_classes,
+)
 from polygraph.groupcons import (
     FiniteAbelianGroup,
     PartialConstruction,
@@ -40,6 +46,17 @@ class TestNamedBudgets:
     def test_tables_override_beats_the_variable(self, monkeypatch):
         monkeypatch.setenv("POLYGRAPH_BUDGET", "10")
         assert len(list(enumerate_presentations((2, 2), budget=24))) == 24
+
+    @pytest.mark.parametrize("search", [canonical_form, lambda P: are_isomorphic(P, P),
+                                        lambda P: isomorphism_classes([P])])
+    def test_relabelings(self, monkeypatch, search):
+        # (2, 2, 2) has 3! 2!^3 = 48 relabelings, counted when the group is
+        # built, so the test starts from an empty cache
+        P = next(enumerate_presentations((2, 2, 2)))
+        _compiled_group.cache_clear()
+        assert _raised(monkeypatch, "47", lambda: search(P)) == ("relabelings", 47, 48)
+        monkeypatch.setenv("POLYGRAPH_BUDGET", "48")
+        search(P)
 
     def test_group_order(self, monkeypatch):
         assert _raised(monkeypatch, "8", lambda: FiniteAbelianGroup.cyclic_product([3, 3])) \

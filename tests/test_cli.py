@@ -87,6 +87,7 @@ class TestExitCodes:
         ("0", ["tail", "splice", "--presentation", "square", "--bound", "1"], "splice rounds"),
         ("10", ["classify", "--m", "2,2"], "tables"),
         ("3", ["periodicity", "--presentation", "flip", "--pi", "2,-2"], "certificate words"),
+        ("10", ["classify", "--m", "1,1,1,1"], "relabelings"),
     ])
     def test_named_budget_exit_3(self, budget, argv, name, monkeypatch, capsys):
         monkeypatch.setenv("POLYGRAPH_BUDGET", budget)
@@ -105,6 +106,23 @@ class TestExitCodes:
         assert time.perf_counter() - t0 < 5
         assert capsys.readouterr().err == ("budget/bound exceeded: certificate words: "
                                            "1099511627776 exceeds the limit 1000000\n")
+
+    @pytest.mark.parametrize("argv, message", [
+        # 1600! and 1000000! are never computed: the count stops at 20!
+        (["enumerate", "--m", "40,40"], "tables: 2432902008176640000 exceeds the limit 10000000"),
+        (["enumerate", "--m", "1000,1000"],
+         "tables: 2432902008176640000 exceeds the limit 10000000"),
+        # 9! relabelings are refused before any is built
+        (["classify", "--m", "1,1,1,1,1,1,1,1,1"], "relabelings: 362880 exceeds the limit 100000"),
+    ])
+    def test_huge_census_is_exit_3_at_once(self, argv, message, monkeypatch, capsys):
+        monkeypatch.delenv("POLYGRAPH_BUDGET", raising=False)
+        t0 = time.perf_counter()
+        assert main(argv) == 3
+        assert time.perf_counter() - t0 < 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"budget/bound exceeded: {message}\n"
 
     @pytest.mark.parametrize("budget, argv, named", [
         ("abc", ["classify", "--m", "2,2"], "POLYGRAPH_BUDGET"),

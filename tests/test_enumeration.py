@@ -1,5 +1,6 @@
 import functools
 import itertools
+import math
 import random
 
 import pytest
@@ -18,7 +19,13 @@ from polygraph.enumeration import (
     isomorphism_classes,
     relabeling_group,
 )
-from polygraph.kgraph import PresentationError, presentation_from_codes, validate_presentation
+from polygraph.kgraph import (
+    PresentationError,
+    _cubic_failure,
+    color_pairs,
+    presentation_from_codes,
+    validate_presentation,
+)
 
 # regression constants, recomputed independently during development by a
 # raw itertools sweep with an inline cubic check
@@ -46,6 +53,13 @@ class TestEnumerate:
         assert count_candidate_tables((2, 2, 2)) == 24 ** 3
         with pytest.raises(BudgetExceeded):
             list(enumerate_presentations((2, 2, 2), budget=100))
+
+    @pytest.mark.parametrize("m", [(2, 2, 2), (1, 3, 2), (40, 40), (3,) * 6], ids=str)
+    def test_table_count_stops_past_its_cap(self, m):
+        exact = math.prod(math.factorial(m[i - 1] * m[j - 1]) for i, j in color_pairs(len(m)))
+        for cap in (0, 10, 10 ** 4, exact - 1, exact, 10 ** 18):
+            count = count_candidate_tables(m, cap)
+            assert count == exact if exact <= cap else cap < count <= exact
 
     def test_budget_env_override(self, monkeypatch):
         monkeypatch.setenv("POLYGRAPH_BUDGET", "10")
@@ -306,7 +320,39 @@ class TestCodesAgainstDictReference:
             for rel, codes in en._images(P, en._compiled_group(m, m)):
                 assert codes == _ref_apply_relabeling(P, rel).codes
 
+    @pytest.mark.parametrize("m", [(2, 2, 2), (1, 2, 2), (2, 3), (3, 2, 3), (1, 1, 1, 2)],
+                             ids=str)
+    def test_relabelings_budget_counts_the_group(self, m, monkeypatch):
+        order = len(list(relabeling_group(m)))
+        en._compiled_group.cache_clear()
+        monkeypatch.setenv("POLYGRAPH_BUDGET", str(order - 1))
+        with pytest.raises(BudgetExceeded) as info:
+            en._compiled_group(m, m)
+        assert (info.value.name, info.value.consumed) == ("relabelings", order)
+        monkeypatch.setenv("POLYGRAPH_BUDGET", str(order))
+        assert len(en._compiled_group(m, m)) == order
+
     def test_multiplicities_below_one_rejected(self):
         for m in [(2, 0), (2, -1), ()]:
             with pytest.raises(ValueError):
                 next(enumerate_presentations(m))
+
+
+def _reference_candidates(m):
+    """The product-then-filter loop the pruned walk replaced: every
+    combination of tables, kept when _cubic_failure finds no bad triple."""
+    k = len(m)
+    per_pair = [list(itertools.permutations(range(m[i - 1] * m[j - 1])))
+                for i, j in color_pairs(k)]
+    for codes in itertools.product(*per_pair):
+        if k < 3 or _cubic_failure(k, m, codes) is None:
+            yield codes
+
+
+class TestCandidateWalk:
+    # in (1, 1, 2, 2) and (1, 2, 2, 2) two triples, 134 and 234, are due at
+    # the last pair 34; every pair of (1, 2, 2, 2) has several tables
+    @pytest.mark.parametrize("m", [(1, 1), (2, 2), (2, 3), (2, 1, 2), (1, 2, 2), (2, 2, 2),
+                                   (1, 1, 2, 2), (1, 1, 1, 2), (1, 2, 2, 2)], ids=str)
+    def test_walk_matches_the_product_filter(self, m):
+        assert list(en._candidates(m)) == list(_reference_candidates(m))
