@@ -25,4 +25,7 @@ def limit(default: int) -> int:
         return default
     if not text.strip().isdecimal():
         raise InvalidBudget(f"POLYGRAPH_BUDGET must be a nonnegative integer, got {text!r}")
-    return int(text)
+    try:
+        return int(text)
+    except ValueError:  # more digits than int(str) accepts
+        raise InvalidBudget(f"POLYGRAPH_BUDGET has {len(text.strip())} digits, too many") from None

@@ -39,6 +39,7 @@ from .kgraph import (
     normal_form,
     words_of_degree,
 )
+from .phases import PHASE_ONE
 from .staralg import StarSum, adjoint, identity_sum, monomial, multiply, star_equal
 
 
@@ -97,8 +98,11 @@ def _word_count(P: Presentation, d: Degree) -> int:
     return out
 
 
+@functools.lru_cache(maxsize=1)
 def _mover(P: Presentation):
-    """move(r, x) = (y, r') with r x = y r', y of x's color; memoised."""
+    """move(r, x) = (y, r') with r x = y r', y of x's color; memoised.  The
+    memo is shared by every call on P (find_gamma, check_tail_condition)
+    and kept, growing, until _mover is called on another presentation."""
     units = [tuple(int(i == c) for i in range(P.k)) for c in range(P.k)]
 
     @functools.lru_cache(maxsize=None)
@@ -114,15 +118,17 @@ def find_gamma(P: Presentation, pi: Iterable[int]) -> PeriodicityCertificate | N
     pi must have at least one positive and one negative entry (a one-sided
     nonzero period would meet the nonnegative orthant, which is
     impossible); pi = 0 returns the trivial certificate.  Probe
-    construction: fix the least f_0 in F and split each e f_0 at degree
-    pi_-; the suffix must be constant in e and the prefix defines
-    gamma(e).  gamma must be injective, gamma^{-1} is its inverse, and
+    construction: split e f_0 at degree pi_-, f_0 the first word of degree
+    pi_-, for the words e of degree pi_+ walked lazily; the suffix must be
+    constant in e (the probe usually fails at the second e) and the prefix
+    defines gamma(e).  E is gamma's keys; F is built only once the probe
+    passes and gamma is injective.  gamma^{-1} is its inverse, and
     (dagger) is checked for every pair by moving the letters of f through
     e one at a time: e f = y_1 ... y_n r_n with y_1 ... y_n in normal form
     (f is), so by unique factorization (dagger) holds iff y_1 ... y_n =
     gamma(e) and r_n = gamma^{-1}(f).  None is definitive for this pi:
     (dagger) at f_0 forces the probe's gamma whenever one exists.  An |E|
-    past the "certificate words" budget (1M) raises before E is built.
+    past the "certificate words" budget (1M) raises before any word is built.
     """
     pi = tuple(pi)
     plus, minus = pi_split(P, pi)
@@ -139,22 +145,20 @@ def find_gamma(P: Presentation, pi: Iterable[int]) -> PeriodicityCertificate | N
     cap = limit(1_000_000)
     if words > cap:
         raise BudgetExceeded("certificate words", cap, words)
-    E = tuple(words_of_degree(P, plus))
-    F = tuple(words_of_degree(P, minus))
-    f0 = F[0]
+    f0 = next(words_of_degree(P, minus))
     gamma: dict[Word, Word] = {}
     suffix0 = None
-    for e in E:
-        w = normal_form(P, e + f0)
-        head, tail = extract_prefix(P, w, minus)
+    for e in words_of_degree(P, plus):
+        head, tail = extract_prefix(P, normal_form(P, e + f0), minus)
         if suffix0 is None:
             suffix0 = tail
         elif tail != suffix0:
             return None
         gamma[e] = head
     gamma_inv = {f: e for e, f in gamma.items()}
-    if len(gamma_inv) != len(E):
+    if len(gamma_inv) != len(gamma):
         return None
+    E, F = tuple(gamma), tuple(words_of_degree(P, minus))
     move = _mover(P)
     for e in E:
         ge = gamma[e]
@@ -166,8 +170,7 @@ def find_gamma(P: Presentation, pi: Iterable[int]) -> PeriodicityCertificate | N
                     return None
             if r != gamma_inv[f]:
                 return None
-    return PeriodicityCertificate(pi=pi, E=E, F=F,
-                                  gamma=tuple((e, gamma[e]) for e in E))
+    return PeriodicityCertificate(pi=pi, E=E, F=F, gamma=tuple(gamma.items()))
 
 
 def check_tail_condition(P: Presentation, cert: PeriodicityCertificate,
@@ -309,12 +312,10 @@ def symmetry_lattice(P: Presentation, bound: int = 4) -> SymmetryLattice:
 
 
 def central_element(P: Presentation, cert: PeriodicityCertificate) -> StarSum:
-    """W = sum over e in E of gamma(e) e*; every monomial has grading -pi."""
-    gamma = cert.gamma_map()
-    total = StarSum(())
-    for e in cert.E:
-        total = total + monomial(P, gamma[e], e)
-    return total
+    """W = sum over e in E of gamma(e) e*; every monomial has grading -pi.
+    The pairs (gamma(e), e) are the keys as they stand: normal forms, as
+    find_gamma builds them."""
+    return StarSum.of({(ge, e): PHASE_ONE for e, ge in cert.gamma})
 
 
 def verify_central(P: Presentation, cert: PeriodicityCertificate) -> bool:

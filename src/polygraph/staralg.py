@@ -43,6 +43,7 @@ class StarSum:
 
     terms maps (u, v) pairs of normal-form words to nonzero exact
     coefficients.  The empty sum is zero; {((), ()): 1} is the identity.
+    StarSum.of keeps keys as given; multiply and star_equal need normal forms.
     """
 
     terms: tuple[tuple[Key, PhaseInt], ...]
@@ -126,12 +127,16 @@ def reduce_adjoint_product(P: Presentation, v: Word, x: Word) -> StarSum:
 
 
 def multiply(P: Presentation, A: StarSum, B: StarSum) -> StarSum:
-    """Bilinear product: (u v*)(x y*) = sum u a (y b)* over v a = x b."""
+    """Bilinear product: (u v*)(x y*) = sum u a (y b)* over v a = x b;
+    x is matched against normal forms, so B's keys must be normal forms."""
     out: dict[Key, PhaseInt] = {}
     for (u, v), c1 in A.terms:
         for (x, y), c2 in B.terms:
+            pairs = _reduce_adjoint_cached(P, v, x)
+            if not pairs:
+                continue
             c = c1 * c2
-            for a, b in _reduce_adjoint_cached(P, v, x):
+            for a, b in pairs:
                 key = (normal_form(P, u + a), normal_form(P, y + b))
                 out[key] = out[key] + c if key in out else c
     return StarSum.of(out)

@@ -105,7 +105,9 @@ class TestLimit:
         monkeypatch.setenv("POLYGRAPH_BUDGET", value)
         assert limit(123) == expected
 
-    @pytest.mark.parametrize("value", ["abc", "-1", "", "1.5"])
+    # past 4,300 digits int(str) raises ValueError of its own
+    @pytest.mark.parametrize("value", ["abc", "-1", "", "1.5",
+                                       pytest.param("9" * 5000, id="5000-digits")])
     def test_bad_values_are_rejected(self, monkeypatch, value):
         monkeypatch.setenv("POLYGRAPH_BUDGET", value)
         with pytest.raises(InvalidBudget, match="POLYGRAPH_BUDGET"):

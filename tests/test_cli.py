@@ -140,6 +140,14 @@ class TestExitCodes:
         assert named in captured.err
         assert "Traceback" not in captured.err
 
+    def test_overlong_budget_is_one_input_error_line(self, monkeypatch, capsys):
+        # 5,000 digits pass the decimal check but not int(str)'s digit limit
+        monkeypatch.setenv("POLYGRAPH_BUDGET", "9" * 5000)
+        assert main(["classify", "--m", "2,2"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "input error: POLYGRAPH_BUDGET has 5000 digits, too many\n"
+
     def test_aperiodic_pi_exit_2(self, capsys):
         assert main(["periodicity", "--presentation", "cycle3-forward",
                      "--pi", "1,-1"]) == 2

@@ -23,7 +23,7 @@ from polygraph.periodicity import (
     verify_central,
     verify_homomorphism,
 )
-from polygraph.staralg import adjoint, identity_sum, monomial, multiply, star_equal
+from polygraph.staralg import StarSum, adjoint, identity_sum, monomial, multiply, star_equal
 
 FLIP = catalog.flip_2graph()
 SQUARE = catalog.square_2graph()
@@ -81,6 +81,12 @@ def _reference_find_gamma(P, pi):
                 return "dagger", None
     return "certified", PeriodicityCertificate(
         pi=pi, E=E, F=F, gamma=tuple((e, gamma[e]) for e in E))
+
+
+def _swap_first_images(cert):
+    """The certificate with the gamma images of its first two words swapped."""
+    (e0, g0), (e1, g1), *rest = cert.gamma
+    return dataclasses.replace(cert, gamma=((e0, g1), (e1, g0), *rest))
 
 
 def _reference_tail_search(P, cert):
@@ -154,7 +160,9 @@ class TestFindGamma:
     def test_dagger_walk_matches_the_normal_form_reference(self):
         # the one-letter-move (dagger) check against normal forms of both
         # sides for every pair; about a third of the probe passes fail
-        # (dagger), so both the letter and the end-state clauses are hit
+        # (dagger), so both the letter and the end-state clauses are hit.
+        # The reference builds E and F as tuple(words_of_degree(...)) before
+        # its probe, so == also checks the lazy probe's E, F and verdicts
         cases = [(cls.representative, pi)
                  for cls in _classes((2, 2, 2)) for pi in _mixed_sign(3, 2)]
         cases += [(P, pi) for P in CATALOG if P.k == 3 for pi in _mixed_sign(3, 3)]
@@ -166,6 +174,7 @@ class TestFindGamma:
         assert len(cases) == 6408
         assert stages["dagger"] + stages["certified"] == 288
         assert stages["dagger"] == 100
+        assert stages["probe"] == 1200
 
     def test_dagger_holds_exhaustively(self):
         for P, pi in [(FLIP, (1, -1)), (SQUARE, (2, -2)), (PRODUCT, (1, 1, -1))]:
@@ -454,6 +463,34 @@ class TestCentralElements:
         assert periodic == 12
         assert checked == 13
 
+    def test_central_element_matches_the_monomial_fold(self):
+        # one StarSum.of over the certificate against the old sum of one
+        # normalised monomial per word of E, on every bound-2 period of
+        # the (2,2,2) class representatives
+        checked = 0
+        for cls in _classes((2, 2, 2)):
+            P = cls.representative
+            for pi in symmetry_lattice(P, bound=2).hits:
+                cert = is_periodic(P, pi)
+                gamma, reference = cert.gamma_map(), StarSum(())
+                for e in cert.E:
+                    reference = reference + monomial(P, gamma[e], e)
+                assert central_element(P, cert).terms == reference.terms, pi
+                checked += 1
+        assert checked == 92
+
+    @pytest.mark.parametrize("P, pi", [(FLIP, (1, -1)), (TWISTED, (1, 1, -1)),
+                                       (TWISTED, (0, 2, -1))])
+    def test_swapped_images_are_caught(self, P, pi):
+        # a certificate with two gamma images swapped gives a W that is
+        # not central, and W_h W_0 differs from its W
+        cert, zero = is_periodic(P, pi), find_gamma(P, (0,) * P.k)
+        swapped = _swap_first_images(cert)
+        assert verify_central(P, cert) and verify_homomorphism(P, cert, zero, cert)
+        assert not verify_central(P, swapped)
+        assert not verify_homomorphism(P, cert, zero, swapped)
+        assert not verify_homomorphism(P, swapped, zero, cert)
+
     def test_homomorphism_with_zero(self):
         cert = is_periodic(FLIP, (1, -1))
         zero = find_gamma(FLIP, (0, 0))
@@ -463,6 +500,43 @@ class TestCentralElements:
         cert = is_periodic(FLIP, (1, -1))
         with pytest.raises(ValueError):
             verify_homomorphism(FLIP, cert, cert, cert)
+
+
+class TestSharedMoveMemo:
+    """One move memo serves every certificate on the latest presentation;
+    the results must be those of a cold memo."""
+
+    @staticmethod
+    def _results(P):
+        lat = symmetry_lattice(P, bound=3)
+        certs = [is_periodic(P, pi) for pi in _mixed_sign(P.k, 2)]
+        tails = []
+        for cert in lat.certificates:
+            tails += [check_tail_condition(P, c, force_transducer=True)
+                      for c in (cert, _swap_first_images(cert))]
+        return lat.certificates, certs, tails
+
+    def test_results_do_not_depend_on_the_memo(self):
+        order = (TWISTED, catalog.flip_cycle_cycle_3graph(), TWISTED, FLIP, FLIP)
+        periodicity._mover.cache_clear()
+        warm = [self._results(P) for P in order]
+        cold = []
+        for P in order:
+            periodicity._mover.cache_clear()
+            cold.append(self._results(P))
+        assert warm == cold
+        tails = [t for _, _, ts in warm for t in ts]
+        assert any(t.passed for t in tails) and any(not t.passed for t in tails)
+
+    def test_one_memo_per_presentation(self):
+        periodicity._mover.cache_clear()
+        is_periodic(FSS, (1, 1, -2))
+        is_periodic(FSS, (0, 2, -2))  # a zero entry: the transducer reuses the memo
+        info = periodicity._mover.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (2, 1, 1)
+        move = periodicity._mover(FSS)
+        is_periodic(FLIP, (1, -1))
+        assert periodicity._mover(FSS) is not move  # FLIP's call dropped FSS's moves
 
 
 class TestProductRelations:

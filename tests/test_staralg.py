@@ -7,10 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polygraph import catalog
-from polygraph.kgraph import deg_le, degree, extract_prefix, normal_form
+from polygraph.kgraph import deg_le, degree, extract_prefix, normal_form, words_of_degree
 from polygraph.phases import PHASE_ONE, PhaseInt, cyclotomic_polynomial, phase
 from polygraph.staralg import (
     StarSum,
+    _reduce_adjoint_cached,
     adjoint,
     contracted,
     gradings,
@@ -94,7 +95,37 @@ class TestReduceAdjointProduct:
             assert lhs.terms == rhs.terms
 
 
+def _reference_multiply(P, A, B):
+    """multiply with c1 c2 computed for every pair of monomials."""
+    out = {}
+    for (u, v), c1 in A.terms:
+        for (x, y), c2 in B.terms:
+            c = c1 * c2
+            for a, b in _reduce_adjoint_cached(P, v, x):
+                key = (normal_form(P, u + a), normal_form(P, y + b))
+                out[key] = out[key] + c if key in out else c
+    return StarSum.of(out)
+
+
+def _normal_words(P, top):
+    """Every normal-form word of degree at most `top`."""
+    return [w for d in itertools.product(*(range(t + 1) for t in top))
+            for w in words_of_degree(P, d)]
+
+
 class TestMultiply:
+    def test_matches_the_all_pairs_reference(self):
+        rng = random.Random(22)
+        for P in (FLIP, FCC):
+            words = _normal_words(P, (1,) * P.k)
+            for _ in range(40):
+                A, B = (StarSum.of({(rng.choice(words), rng.choice(words)):
+                                    PhaseInt.from_phase(phase(rng.randrange(6), 6))
+                                    for _ in range(rng.randint(1, 4))}) for _ in range(2))
+                for left, right in ((A, B), (A, adjoint(A)), (adjoint(B), B)):
+                    assert multiply(P, left, right).terms == \
+                        _reference_multiply(P, left, right).terms
+
     def test_zero_annihilates(self):
         m = star(FLIP, ((1, 1),), ((2, 2),))
         assert multiply(FLIP, m, zero_sum()).is_zero()
