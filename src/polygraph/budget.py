@@ -24,7 +24,8 @@ def limit(default: int) -> int:
     if text is None:
         return default
     if not text.strip().isdecimal():
-        raise InvalidBudget(f"POLYGRAPH_BUDGET must be a nonnegative integer, got {text!r}")
+        shown = repr(text[:40]) + (f" ({len(text)} characters)" if len(text) > 40 else "")
+        raise InvalidBudget(f"POLYGRAPH_BUDGET must be a nonnegative integer, got {shown}")
     try:
         return int(text)
     except ValueError:  # more digits than int(str) accepts

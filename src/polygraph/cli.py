@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import json
 import sys
 
 from . import __version__, acceptance, catalog
@@ -46,6 +45,7 @@ from .jsonio import (
     load_presentation,
     phase_from_str,
     presentation_to_obj,
+    read_json,
     tail_from_obj,
     tail_to_obj,
 )
@@ -217,8 +217,7 @@ def cmd_tail(args) -> int:
         return EXIT_OK
     if args.tail is None:
         raise FormatError("--tail is required for sigma/symmetry/equivalent")
-    with open(args.tail) as fh:
-        tl = tail_from_obj(P, json.load(fh))
+    tl = tail_from_obj(P, read_json(args.tail, "tail"))
     inputs.append(args.tail)
     if args.tail_command == "sigma":
         box = _parse_degree(P, args.box, "--box")
@@ -239,8 +238,7 @@ def cmd_tail(args) -> int:
         if args.other is None:
             raise FormatError("--other is required for equivalent")
         shift = _parse_degree(P, args.shift, "--shift")
-        with open(args.other) as fh:
-            other = tail_from_obj(P, json.load(fh))
+        other = tail_from_obj(P, read_json(args.other, "tail"))
         inputs.append(args.other)
         tr = shift_tail_equivalent(tl, other, shift, depth=args.depth)
         result = {"shift": list(tr.shift), "equivalent": tr.equivalent,
@@ -414,7 +412,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         limit(0)  # a malformed POLYGRAPH_BUDGET is an input error for every command
         return args.func(args)
-    except (FormatError, InvalidBudget, OSError, json.JSONDecodeError) as err:
+    except (FormatError, InvalidBudget, OSError) as err:
         _say(f"input error: {err}")
         return EXIT_INPUT
     except (BudgetExceeded, LatticeInconsistency) as err:

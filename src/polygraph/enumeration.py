@@ -162,9 +162,6 @@ class Relabeling:
     def image_color(self, i: int) -> int:
         return self.color_perm[i - 1]
 
-    def image_index(self, i: int, s: int) -> int:
-        return self.index_maps[i - 1][s - 1]
-
 
 def relabeling_group(m_src: Sequence[int], m_dst: Sequence[int] | None = None
                      ) -> Iterator[Relabeling]:

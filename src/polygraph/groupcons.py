@@ -158,12 +158,6 @@ class GroupConstruction:
     def dimension(self) -> int:
         return self.group.order
 
-    def t_at(self, color: int, g: Vec) -> int:
-        return self.t[color - 1][self.group.index(g)]
-
-    def alpha_at(self, color: int, g: Vec) -> Phase:
-        return self.alpha[color - 1][self.group.index(g)]
-
 
 def validate_group_construction(P: Presentation, G: FiniteAbelianGroup,
                                 t, alpha) -> tuple | None:
@@ -375,26 +369,6 @@ def normalize_scalars(gc: GroupConstruction) -> GroupConstruction:
     return group_construction(gc.presentation, G, gc.t, [[ci] * G.order for ci in c])
 
 
-def _path_phase(gc: GroupConstruction, vec: Vec) -> Phase:
-    """Accumulated scalar along the coordinate path 0 -> vec (valid
-    constructions make this path independent)."""
-    G = gc.group
-    total = Fraction(0)
-    cur = (0,) * G.k
-    for i in range(G.k):
-        eps = tuple(1 if j == i else 0 for j in range(G.k))
-        steps = vec[i]
-        for _ in range(abs(steps)):
-            if steps > 0:
-                cur2 = G.add(cur, eps)
-                total += gc.alpha[i][G.index(cur2)]
-                cur = cur2
-            else:
-                total -= gc.alpha[i][G.index(cur)]
-                cur = G.add(cur, tuple(-x for x in eps))
-    return total % 1
-
-
 @dataclass(frozen=True)
 class DecompositionReport:
     """Splitting of a construction over the characters of its symmetry."""
@@ -487,17 +461,6 @@ class PartialConstruction:
     group: FiniteAbelianGroup
     t: dict
     alpha: dict
-
-    @staticmethod
-    def restriction(gc: GroupConstruction, elements) -> "PartialConstruction":
-        G = gc.group
-        t, alpha = {}, {}
-        for g in elements:
-            g = G.reduce(g)
-            for i in range(1, G.k + 1):
-                t[(i, g)] = gc.t[i - 1][G.index(g)]
-                alpha[(i, g)] = gc.alpha[i - 1][G.index(g)]
-        return PartialConstruction(G, t, alpha)
 
 
 def extend_to_group(P: Presentation, partial: PartialConstruction,

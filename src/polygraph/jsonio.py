@@ -16,7 +16,7 @@ import json
 from fractions import Fraction
 from typing import Any
 
-from .groupcons import FiniteAbelianGroup, GroupConstruction, group_construction
+from .groupcons import GroupConstruction
 from .kgraph import Presentation, Theta, Word, WordError, color_pairs, validate_presentation
 from .periodicity import PeriodicityCertificate, SymmetryLattice, TailCheck
 from .tails import Tail, tail
@@ -50,19 +50,18 @@ def presentation_from_obj(obj: Any) -> Presentation:
     return validate_presentation(k, m, theta)
 
 
-def load_presentation(path: str) -> Presentation:
+def read_json(path: str, what: str) -> Any:
+    """The JSON value in the file at `path`; FormatError names `what` when
+    the file cannot be opened, is not UTF-8, is not JSON, or nests too deep."""
     try:
-        with open(path) as fh:
-            obj = json.load(fh)
-    except (OSError, json.JSONDecodeError) as err:
-        raise FormatError(f"cannot read presentation from {path}: {err}") from err
-    return presentation_from_obj(obj)
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as err:
+        raise FormatError(f"cannot read {what} from {path}: {err}") from err
 
 
-def dump_presentation(P: Presentation, path: str) -> None:
-    with open(path, "w") as fh:
-        json.dump(presentation_to_obj(P), fh, sort_keys=True, indent=1)
-        fh.write("\n")
+def load_presentation(path: str) -> Presentation:
+    return presentation_from_obj(read_json(path, "presentation"))
 
 
 def word_to_obj(w: Word) -> list:
@@ -137,17 +136,6 @@ def group_construction_to_obj(gc: GroupConstruction) -> dict:
         "t": [list(row) for row in gc.t],
         "alpha": [[phase_str(a) for a in row] for row in gc.alpha],
     }
-
-
-def group_construction_from_obj(P: Presentation, obj: Any) -> GroupConstruction:
-    try:
-        kernel = [tuple(int(x) for x in row) for row in obj["kernel"]]
-        G = FiniteAbelianGroup.from_kernel(kernel)
-        t = [tuple(int(x) for x in row) for row in obj["t"]]
-        alpha = [tuple(phase_from_str(a) for a in row) for row in obj["alpha"]]
-    except (KeyError, TypeError, ValueError) as err:
-        raise FormatError(f"malformed group construction object: {err}") from err
-    return group_construction(P, G, t, alpha)
 
 
 def dump_json(obj: Any, path: str | None) -> str:

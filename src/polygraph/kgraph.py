@@ -296,17 +296,6 @@ def deg_join(a: Degree, b: Degree) -> Degree:
     return tuple(max(x, y) for x, y in zip(a, b))
 
 
-def deg_le(a: Degree, b: Degree) -> bool:
-    return all(x <= y for x, y in zip(a, b))
-
-
-def concat(P: Presentation, w1: Word, w2: Word) -> Word:
-    """Concatenation (the semigroup product before normalization)."""
-    check_word(P, w1)
-    check_word(P, w2)
-    return w1 + w2
-
-
 def normal_form(P: Presentation, w: Word) -> Word:
     """The unique color-sorted representative of w's semigroup element.
 

@@ -78,9 +78,6 @@ class PeriodicityCertificate:
     def gamma_map(self) -> dict[Word, Word]:
         return dict(self.gamma)
 
-    def gamma_inverse(self) -> dict[Word, Word]:
-        return {f: e for e, f in self.gamma}
-
 
 def pi_split(P: Presentation, pi: Iterable[int]) -> tuple[Degree, Degree]:
     pi = tuple(pi)

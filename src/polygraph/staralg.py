@@ -53,9 +53,6 @@ class StarSum:
         items = tuple(sorted((k, c) for k, c in mapping.items() if not c.is_zero()))
         return StarSum(items)
 
-    def as_dict(self) -> dict[Key, PhaseInt]:
-        return dict(self.terms)
-
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -67,15 +64,6 @@ class StarSum:
 
     def __len__(self) -> int:
         return len(self.terms)
-
-
-def gradings(P: Presentation, A: StarSum) -> set[Degree]:
-    """The set deg(u) - deg(v) over the monomials of A."""
-    return {deg_sub(degree(P, u), degree(P, v)) for (u, v), _ in A.terms}
-
-
-def zero_sum() -> StarSum:
-    return StarSum(())
 
 
 def identity_sum() -> StarSum:
@@ -112,18 +100,6 @@ def _reduce_adjoint_cached(P: Presentation, v: Word, x: Word) -> tuple[tuple[Wor
         if px == x:
             out.append((a, b))
     return tuple(out)
-
-
-def reduce_adjoint_product(P: Presentation, v: Word, x: Word) -> StarSum:
-    """v* x as a sum of monomials a b* of complementary degrees.
-
-    Over all words a with deg(a) = (deg v or deg x) - deg v, keep those
-    with v a = x b in the semigroup (b the complementary suffix); then
-    v* x = sum a b*.  When deg v = deg x this is the Kronecker delta.
-    """
-    v = normal_form(P, check_word(P, v))
-    x = normal_form(P, check_word(P, x))
-    return StarSum.of({pair: PHASE_ONE for pair in _reduce_adjoint_cached(P, v, x)})
 
 
 def multiply(P: Presentation, A: StarSum, B: StarSum) -> StarSum:
@@ -166,43 +142,6 @@ def star_equal(P: Presentation, A: StarSum, B: StarSum) -> bool:
     if set(ea) != set(eb):
         return False
     return all(ea[k].value_eq(eb[k]) for k in ea)
-
-
-def contracted(P: Presentation, A: StarSum) -> StarSum:
-    """Contract complete defect-free families: if all m_i extensions
-    (u e^i_r)(v e^i_r)* appear with one coefficient, merge them to u v*.
-    Repeats to a fixed point; useful for compact rendering."""
-    terms = A.as_dict()
-    changed = True
-    while changed:
-        changed = False
-        groups: dict[tuple[Word, Word, int], list[tuple[Key, int]]] = {}
-        for (u, v) in terms:
-            du, dv = degree(P, u), degree(P, v)
-            for color in range(1, P.k + 1):
-                if du[color - 1] >= 1 and dv[color - 1] >= 1:
-                    eps = tuple(1 if c == color else 0 for c in range(1, P.k + 1))
-                    pu, lu = extract_prefix(P, u, deg_sub(du, eps))
-                    pv, lv = extract_prefix(P, v, deg_sub(dv, eps))
-                    if lu == lv:
-                        groups.setdefault((pu, pv, color), []).append(((u, v), lu[0][1]))
-        for (pu, pv, color), members in groups.items():
-            if len({r for _, r in members}) != P.m[color - 1]:
-                continue
-            coeffs = [terms[key] for key, _ in members]
-            if not all(key in terms for key, _ in members):
-                continue
-            if not all(coeffs[0].value_eq(c) for c in coeffs[1:]):
-                continue
-            for key, _ in members:
-                del terms[key]
-            newkey = (pu, pv)
-            terms[newkey] = terms[newkey] + coeffs[0] if newkey in terms else coeffs[0]
-            if terms[newkey].is_zero():
-                del terms[newkey]
-            changed = True
-            break
-    return StarSum.of(terms)
 
 
 def render_word(w: Word) -> str:

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from math import lcm
 
 from .budget import BudgetExceeded, limit
-from .intlinalg import hermite_normal_form, solve_integer
+from .intlinalg import hermite_normal_form
 from .kgraph import (
     Degree,
     Presentation,
@@ -252,9 +252,6 @@ class TailSymmetry:
     @property
     def rank(self) -> int:
         return len(self.basis)
-
-    def contains(self, p: Degree) -> bool:
-        return solve_integer(self.basis, p) is not None
 
 
 def tail_symmetry_group(t: Tail, bound: int = 2, depth: int = 2) -> TailSymmetry:

@@ -9,6 +9,7 @@ import pytest
 
 from polygraph import catalog
 from polygraph.budget import BudgetExceeded, InvalidBudget, limit
+from polygraph.cli import main
 from polygraph.enumeration import (
     _compiled_group,
     are_isomorphic,
@@ -65,7 +66,8 @@ class TestNamedBudgets:
     def test_branch_nodes(self, monkeypatch):
         P = catalog.flip_cycle_cycle_3graph()
         gc = from_commuting_words(P, [tuple((i, int(ch)) for ch in "112") for i in (1, 2, 3)])
-        part = PartialConstruction.restriction(gc, [(0, 0, 0)])
+        seed = {(i, (0, 0, 0)): gc.t[i - 1][0] for i in (1, 2, 3)}
+        part = PartialConstruction(gc.group, seed, {})
         assert _raised(monkeypatch, "0", lambda: extend_to_group(P, part)) \
             == ("branch nodes", 0, 1)
 
@@ -112,6 +114,15 @@ class TestLimit:
         monkeypatch.setenv("POLYGRAPH_BUDGET", value)
         with pytest.raises(InvalidBudget, match="POLYGRAPH_BUDGET"):
             limit(123)
+
+    def test_long_bad_value_is_clipped_on_stderr(self, monkeypatch, capsys):
+        monkeypatch.setenv("POLYGRAPH_BUDGET", "x" * 5000)
+        assert main(["classify", "--m", "2,2"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.encode()) < 200
+        assert captured.err == ("input error: POLYGRAPH_BUDGET must be a nonnegative integer, "
+                                f"got {'x' * 40!r} (5000 characters)\n")
 
 
 def _docstrings(tree):

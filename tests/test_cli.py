@@ -10,22 +10,35 @@ from hypothesis import strategies as st
 from polygraph import catalog
 from polygraph.cli import main
 from polygraph.jsonio import (
-    dump_presentation,
     group_construction_to_obj,
-    group_construction_from_obj,
+    phase_from_str,
     presentation_from_obj,
     presentation_to_obj,
     tail_from_obj,
     tail_to_obj,
 )
-from polygraph.groupcons import from_commuting_words
+from polygraph.groupcons import FiniteAbelianGroup, from_commuting_words, group_construction
 from polygraph.tails import tail
+
+
+def group_construction_from_obj(P, obj):
+    """The reader matching jsonio.group_construction_to_obj."""
+    G = FiniteAbelianGroup.from_kernel([tuple(row) for row in obj["kernel"]])
+    return group_construction(P, G, [tuple(row) for row in obj["t"]],
+                              [tuple(phase_from_str(a) for a in row) for row in obj["alpha"]])
+
+
+def _write_unreadable(root):
+    """Two JSON files json.load cannot return: one not in UTF-8, one nested
+    deeper than the recursion limit."""
+    (root / "LATIN1.json").write_bytes('{"k": 2, "m": [2, 2], "theta": "\u00e9"}'.encode("latin-1"))
+    (root / "DEEP.json").write_text("[" * 100_000 + "]" * 100_000)
 
 
 @pytest.fixture
 def files(tmp_path):
     good = tmp_path / "fcc.json"
-    dump_presentation(catalog.flip_cycle_cycle_3graph(), str(good))
+    good.write_text(json.dumps(presentation_to_obj(catalog.flip_cycle_cycle_3graph())))
     bad = tmp_path / "broken.json"
     data = catalog.broken_cubic_triple()
     obj = {"k": 3, "m": [2, 2, 2], "theta": {}}
@@ -34,6 +47,7 @@ def files(tmp_path):
     bad.write_text(json.dumps(obj))
     trunc = tmp_path / "trunc.json"
     trunc.write_text('{"k": 3, "m": [2')
+    _write_unreadable(tmp_path)
     return {"good": str(good), "bad": str(bad), "trunc": str(trunc), "dir": tmp_path}
 
 
@@ -71,9 +85,14 @@ class TestExitCodes:
         assert sorted([out["result"]["left"], out["result"]["right"]]) == \
             [[1, 1, 2], [1, 2, 1]]
 
-    def test_malformed_input_is_exit_1(self, files):
-        assert main(["validate", files["trunc"]]) == 1
-        assert main(["validate", str(files["dir"] / "missing.json")]) == 1
+    def test_malformed_input_is_exit_1(self, files, capsys):
+        for command in (["validate"], ["symmetry", "--presentation"]):
+            for name in ("trunc.json", "missing.json", "LATIN1.json", "DEEP.json"):
+                assert main(command + [str(files["dir"] / name)]) == 1
+                captured = capsys.readouterr()
+                assert captured.out == ""
+                assert captured.err.startswith("input error: cannot read presentation from ")
+                assert captured.err.count("\n") == 1
 
     def test_budget_exit_3(self, files, capsys):
         assert main(["enumerate", "--m", "2,2,2", "--budget", "10"]) == 3
@@ -171,6 +190,10 @@ class TestExitCodes:
         ["tail", "splice", "--depth", "0"],
         ["tail", "sigma", "--tail", "LETTER5", "--box", "1,1"],
         ["tail", "symmetry", "--tail", "COLOR3"],
+        ["tail", "sigma", "--tail", "LATIN1", "--box", "1,1"],
+        ["tail", "sigma", "--tail", "DEEP", "--box", "1,1"],
+        ["tail", "equivalent", "--tail", "TAIL", "--other", "LATIN1", "--shift", "0,0"],
+        ["tail", "equivalent", "--tail", "TAIL", "--other", "DEEP", "--shift", "0,0"],
         ["rep", "build", "--words", "1x,12"],
         ["rep", "build", "--words", "13,12"],
         ["rep", "build", "--words", ",1"],
@@ -184,7 +207,9 @@ class TestExitCodes:
                  "COLOR3": {"preperiod": [[3, 1]], "period": [[1, 1], [2, 1]]}}
         for name, obj in files.items():
             (tmp_path / f"{name}.json").write_text(json.dumps(obj))
-        argv = [str(tmp_path / f"{a}.json") if a in files else a for a in argv]
+        _write_unreadable(tmp_path)
+        argv = [str(tmp_path / f"{a}.json") if a in (*files, "LATIN1", "DEEP") else a
+                for a in argv]
         command = argv[:2] if argv[0] in ("tail", "rep") else argv[:1]
         argv = command + ["--presentation", "flip"] + argv[len(command):]
         assert main(argv) == 1
@@ -340,7 +365,8 @@ def argv_files(tmp_path_factory):
     root = tmp_path_factory.mktemp("argv")
     paths = {name: str(root / f"{name.lower()}.json")
              for name in ("GOOD", "BAD", "TRUNC", "TAIL", "BADTAIL")}
-    dump_presentation(catalog.flip_2graph(), paths["GOOD"])
+    with open(paths["GOOD"], "w") as fh:
+        json.dump(presentation_to_obj(catalog.flip_2graph()), fh)
     with open(paths["BAD"], "w") as fh:
         json.dump({"k": 2, "m": [2, 2], "theta": {"1,2": [[[1, 1], [1, 1]]]}}, fh)
     with open(paths["TRUNC"], "w") as fh:

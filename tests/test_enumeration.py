@@ -157,8 +157,8 @@ def _ref_apply_relabeling(P, rel):
     for i, j in itertools.combinations(range(1, k + 1), 2):
         ii, jj = rel.image_color(i), rel.image_color(j)
         for (s, t), (s2, t2) in P.table(i, j).items():
-            a, b = rel.image_index(i, s), rel.image_index(j, t)
-            a2, b2 = rel.image_index(i, s2), rel.image_index(j, t2)
+            a, b = rel.index_maps[i - 1][s - 1], rel.index_maps[j - 1][t - 1]
+            a2, b2 = rel.index_maps[i - 1][s2 - 1], rel.index_maps[j - 1][t2 - 1]
             if ii < jj:
                 new_theta[(ii, jj)][(a, b)] = (a2, b2)
             else:

@@ -6,17 +6,15 @@ from fractions import Fraction
 
 import pytest
 
-from polygraph import catalog, groupcons
+from polygraph import PartialConstruction, catalog, extend_to_group, groupcons
 from polygraph.acceptance import factorized_indices
 from polygraph.budget import BudgetExceeded, limit
 from polygraph.groupcons import (
     FiniteAbelianGroup,
     InvalidConstruction,
     NotCommuting,
-    PartialConstruction,
     cycle_construction,
     decompose,
-    extend_to_group,
     from_commuting_words,
     full_symmetry_subgroup,
     group_construction,
@@ -26,7 +24,7 @@ from polygraph.groupcons import (
     validate_group_construction,
     words_commute,
 )
-from polygraph.groupcons import _kernel_coeffs, _path_phase
+from polygraph.groupcons import _kernel_coeffs
 from polygraph.groupcons import _slots, _squares
 from polygraph.intlinalg import hermite_normal_form, smith_normal_form
 from polygraph.kgraph import WordError, degree, extract_prefix, normal_form
@@ -47,6 +45,42 @@ WORDS_112 = [tuple((i, int(ch)) for ch in "112") for i in (1, 2, 3)]
 
 def gc27(alphas=None):
     return from_commuting_words(FCC, WORDS_112, alphas=alphas)
+
+
+def _t_at(gc, color, g):
+    return gc.t[color - 1][gc.group.index(g)]
+
+
+def _alpha_at(gc, color, g):
+    return gc.alpha[color - 1][gc.group.index(g)]
+
+
+def _restriction(gc, elements):
+    """The data of gc on the given elements, as partial data."""
+    G = gc.group
+    keys = [(i, G.reduce(g)) for g in elements for i in range(1, G.k + 1)]
+    return PartialConstruction(G, {key: _t_at(gc, *key) for key in keys},
+                               {key: _alpha_at(gc, *key) for key in keys})
+
+
+def _path_phase(gc, vec):
+    """Accumulated scalar along the coordinate path 0 -> vec (valid
+    constructions make this path independent)."""
+    G = gc.group
+    total = Fraction(0)
+    cur = (0,) * G.k
+    for i in range(G.k):
+        eps = tuple(1 if j == i else 0 for j in range(G.k))
+        steps = vec[i]
+        for _ in range(abs(steps)):
+            if steps > 0:
+                cur2 = G.add(cur, eps)
+                total += gc.alpha[i][G.index(cur2)]
+                cur = cur2
+            else:
+                total -= gc.alpha[i][G.index(cur)]
+                cur = G.add(cur, tuple(-x for x in eps))
+    return total % 1
 
 
 class TestFiniteAbelianGroup:
@@ -144,7 +178,7 @@ class TestFromCommutingWords:
         for i in (1, 2, 3):
             for s in (1, 2, 3):
                 point = tuple(s % 3 if j == i - 1 else 0 for j in range(3))
-                assert gc.t_at(i, point) == WORDS_112[i - 1][(3 - s) % 3][1]
+                assert _t_at(gc, i, point) == WORDS_112[i - 1][(3 - s) % 3][1]
 
     def test_introduction_order_is_irrelevant(self):
         # the factorization reference, in every order, agrees with the fold
@@ -477,7 +511,7 @@ class TestSymmetryAndDecomposition:
 class TestExtendToGroup:
     def test_full_input_identity(self):
         gc = gc27()
-        part = PartialConstruction.restriction(gc, gc.group.elements)
+        part = _restriction(gc, gc.group.elements)
         out = extend_to_group(FCC, part)
         assert out.t == gc.t and out.alpha == gc.alpha
 
@@ -499,20 +533,20 @@ class TestExtendToGroup:
         G = gc.group
         H = full_symmetry_subgroup(gc)
         domain = sorted({G.add(g, h) for g in G.elements if g[0] == 0 for h in H})
-        part = PartialConstruction.restriction(gc, domain)
+        part = _restriction(gc, domain)
         out = extend_to_group(FCC, part, symmetry=H)
         out_sym = set(full_symmetry_subgroup(out))
         assert set(H) <= out_sym
         for g in domain:
             for i in (1, 2, 3):
-                assert out.t_at(i, g) == gc.t_at(i, g)
+                assert _t_at(out, i, g) == _t_at(gc, i, g)
 
     def test_single_point_bootstrap(self):
         gc = gc27()
-        part = PartialConstruction.restriction(gc, [(0, 0, 0)])
+        part = _restriction(gc, [(0, 0, 0)])
         out = extend_to_group(FCC, part)
         assert out.dimension == 27
-        assert out.t_at(1, (0, 0, 0)) == gc.t_at(1, (0, 0, 0))
+        assert _t_at(out, 1, (0, 0, 0)) == _t_at(gc, 1, (0, 0, 0))
 
     def test_inconsistent_seed_rejected(self):
         # flip constructions force t^1 = t^2 pointwise
@@ -615,11 +649,11 @@ class TestExtensionSolver:
         axes = [(i, G.reduce(tuple(-c if j == i - 1 else 0 for j in range(3))))
                 for i in (1, 2, 3) for c in range(3)]
         monkeypatch.setenv("POLYGRAPH_BUDGET", "0")
-        part = PartialConstruction(G, {key: gc.t_at(*key) for key in axes}, {})
+        part = PartialConstruction(G, {key: _t_at(gc, *key) for key in axes}, {})
         out = extend_to_group(FCC, part)
         assert out.t == gc.t
         with pytest.raises(BudgetExceeded):
-            extend_to_group(FCC, PartialConstruction.restriction(gc, [(0, 0, 0)]))
+            extend_to_group(FCC, _restriction(gc, [(0, 0, 0)]))
 
     def test_short_axis_is_branched_first(self, monkeypatch):
         # on C30 x C6 a wrong value on the long axis would only show after
@@ -629,9 +663,9 @@ class TestExtensionSolver:
                  tuple((2, int(ch)) for ch in "222122")]
         gc = from_commuting_words(FLIP, words)
         monkeypatch.setenv("POLYGRAPH_BUDGET", "200")
-        out = extend_to_group(FLIP, PartialConstruction.restriction(gc, [(0, 0)]))
-        assert out.t_at(1, (0, 0)) == gc.t_at(1, (0, 0))
-        assert out.t_at(2, (0, 0)) == gc.t_at(2, (0, 0))
+        out = extend_to_group(FLIP, _restriction(gc, [(0, 0)]))
+        assert _t_at(out, 1, (0, 0)) == _t_at(gc, 1, (0, 0))
+        assert _t_at(out, 2, (0, 0)) == _t_at(gc, 2, (0, 0))
 
     def test_symmetry_is_imposed(self):
         # flip labels are constant along the antidiagonals x + y; the seeds
@@ -640,9 +674,9 @@ class TestExtensionSolver:
         part = PartialConstruction(G, {(1, (0, 0)): 2}, {(2, (1, 0)): phase(1, 3)})
         out = extend_to_group(FLIP, part, symmetry=[(2, 0)])
         assert (2, 0) in full_symmetry_subgroup(out)
-        assert out.t_at(1, (0, 0)) == 2 and out.alpha_at(2, (1, 0)) == phase(1, 3)
+        assert _t_at(out, 1, (0, 0)) == 2 and _alpha_at(out, 2, (1, 0)) == phase(1, 3)
         clash = PartialConstruction(G, {(1, (0, 0)): 2, (1, (2, 0)): 1}, {})
-        assert extend_to_group(FLIP, clash).t_at(1, (2, 0)) == 1
+        assert _t_at(extend_to_group(FLIP, clash), 1, (2, 0)) == 1
         with pytest.raises(InvalidConstruction):
             extend_to_group(FLIP, clash, symmetry=[(2, 0)])
 
@@ -669,18 +703,18 @@ class TestExtensionSolver:
             keys = rng.sample([(i, g) for i in (1, 2, 3) for g in G.elements],
                               rng.randint(1, 81))
             part = PartialConstruction(
-                G, {key: gc.t_at(*key) for key in keys},
-                {key: gc.alpha_at(*key) for key in keys[:rng.randint(1, len(keys))]})
+                G, {key: _t_at(gc, *key) for key in keys},
+                {key: _alpha_at(gc, *key) for key in keys[:rng.randint(1, len(keys))]})
             out = extend_to_group(FCC, part)
             assert validate_group_construction(FCC, G, out.t, out.alpha) is None
             for key, v in part.t.items():
-                assert out.t_at(*key) == v
+                assert _t_at(out, *key) == v
             for key, a in part.alpha.items():
-                assert out.alpha_at(*key) == a
+                assert _alpha_at(out, *key) == a
 
     def test_constant_phases_stay_constant(self):
         gc = gc27(alphas=[phase(1, 3), phase(1, 2), phase(0)])
-        out = extend_to_group(FCC, PartialConstruction.restriction(gc, [(1, 2, 0)]))
+        out = extend_to_group(FCC, _restriction(gc, [(1, 2, 0)]))
         assert out.alpha == gc.alpha
 
     def test_phases_breaking_a_square_are_rejected(self):
@@ -695,7 +729,7 @@ class TestExtensionSolver:
                       (i, G.elements[G.sub_generator(n, j)]), (j, g)]
             keys = set(square) | set(rng.sample(
                 [(c, h) for c in (1, 2, 3) for h in G.elements], rng.randint(0, 40)))
-            alpha = {key: gc.alpha_at(*key) for key in keys}
+            alpha = {key: _alpha_at(gc, *key) for key in keys}
             alpha[square[rng.randrange(4)]] += phase(1, 5)
             with pytest.raises(InvalidConstruction):
                 extend_to_group(FCC, PartialConstruction(G, {}, alpha))
@@ -709,7 +743,7 @@ class TestExtensionSolver:
                                 [[d[n] - d[G.sub_generator(n, i)] for n in range(9)]
                                  for i in (1, 2)])
         opened = {(1, (1, 1)), (1, (2, 1))}
-        alpha = {(i, g): gc.alpha_at(i, g) for i in (1, 2) for g in G.elements
+        alpha = {(i, g): _alpha_at(gc, i, g) for i in (1, 2) for g in G.elements
                  if (i, g) not in opened}
         alpha[(2, (1, 1))] += phase(1, 3)
         with pytest.raises(InvalidConstruction):
@@ -796,19 +830,19 @@ class TestPhaseSolver:
             P, G = gc.presentation, gc.group
             keys = rng.sample([(i, g) for i in range(1, G.k + 1) for g in G.elements],
                               rng.randint(1, G.k * G.order))
-            alpha = {key: gc.alpha_at(*key) for key in keys}
+            alpha = {key: _alpha_at(gc, *key) for key in keys}
             if draw % 2:
                 alpha[rng.choice(keys)] += rng.choice((phase(1, 2), phase(1, 3), phase(1, 5)))
             reference = _smith_solve_phases(G, _slots(G, alpha, phase))
             solvable = validate_group_construction(P, G, gc.t, reference) is None
-            t = {(i, g): gc.t_at(i, g) for i in range(1, G.k + 1) for g in G.elements}
+            t = {(i, g): _t_at(gc, i, g) for i in range(1, G.k + 1) for g in G.elements}
             try:
                 out = extend_to_group(P, PartialConstruction(G, t, alpha))
             except InvalidConstruction:
                 assert not solvable, f"draw {draw}: rejected, but the reference completes it"
             else:
                 assert solvable, f"draw {draw}: extended, but the reference fails"
-                assert all(out.alpha_at(*key) == a % 1 for key, a in alpha.items())
+                assert all(_alpha_at(out, *key) == a % 1 for key, a in alpha.items())
             verdicts.add(solvable)
         assert verdicts == {True, False}
 

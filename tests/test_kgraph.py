@@ -15,7 +15,7 @@ from polygraph.kgraph import (
     Presentation,
     PresentationError,
     WordError,
-    concat,
+    check_word,
     degree,
     extract_prefix,
     normal_form,
@@ -182,14 +182,14 @@ class TestDegreeAndConcat:
         rng = random.Random(0)
         for _ in range(50):
             w1, w2 = random_word(FCC, rng), random_word(FCC, rng)
-            got = degree(FCC, concat(FCC, w1, w2))
+            got = degree(FCC, w1 + w2)
             assert got == tuple(a + b for a, b in
                                 zip(degree(FCC, w1), degree(FCC, w2)))
 
-    def test_concat_identity(self):
+    def test_check_word_passes_words_through(self):
         w = ((1, 1), (2, 2))
-        assert concat(FLIP, (), w) == w
-        assert concat(FLIP, w, ()) == w
+        assert check_word(FLIP, ()) == ()
+        assert check_word(FLIP, w) == w
 
     @pytest.mark.parametrize("color", [0, -1, 3])
     def test_degree_rejects_colors_outside_range(self, color):
@@ -198,9 +198,9 @@ class TestDegreeAndConcat:
 
     def test_concat_rejects_foreign_letters(self):
         with pytest.raises(WordError):
-            concat(FLIP, ((3, 1),), ())
+            check_word(FLIP, ((3, 1),))
         with pytest.raises(WordError):
-            concat(FLIP, ((1, 5),), ())
+            check_word(FLIP, ((1, 5),))
 
 
 class TestNormalForm:

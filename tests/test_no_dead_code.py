@@ -1,13 +1,18 @@
 """Every top-level function, class, constant and method in src/polygraph
-is used, and every imported name is used where it is imported.
+has a product caller, and every imported name is used where it is imported.
 
-A definition counts as used when some file under src/, tests/, bench/ or
-scripts/ refers to it outside its own definition: as a name, an
-attribute, an imported name, or a part of a dotted string such as the
-bench tracer's "kgraph.normal_form".  Methods are the non-dunder
-functions in the body of a top-level class.  A name bound by
-`from ... import` must be loaded in its file, apart from `__future__`
-features and the re-exports of an `__init__.py`.
+A definition counts as used when product code refers to it: a file under
+src/, bench/ or scripts/, outside the definition itself and outside every
+definition already found unused.  `polygraph/__init__.py` imports the
+public API, so a name it imports is used; that file is the one list of
+names kept for callers outside the repository.  References from tests do
+not count: a helper only tests reach belongs in the tests.  The unused set
+is grown to a fixed point, so a helper called only by a dead helper is
+dead too.  A reference is a name, an attribute, an imported name, or a
+part of a dotted string such as the bench tracer's "kgraph.normal_form".
+Methods are the non-dunder functions in the body of a top-level class.  A
+name bound by `from ... import` must be loaded in its file, apart from
+`__future__` features and the re-exports of an `__init__.py`.
 """
 
 import ast
@@ -16,8 +21,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted(ROOT.glob("src/polygraph/*.py"))
-FILES = sorted(p for d in ("src", "tests", "bench", "scripts")
-               for p in (ROOT / d).rglob("*.py"))
+PRODUCT = sorted(p for d in ("src", "bench", "scripts") for p in (ROOT / d).rglob("*.py"))
+FILES = sorted(PRODUCT + list((ROOT / "tests").rglob("*.py")))
 
 
 def _is_dunder(name):
@@ -57,18 +62,44 @@ def _references(tree):
                     yield part, node.lineno
 
 
-def test_every_top_level_name_is_referenced():
+def _inside(where, line, definition):
+    path, _, first, last = definition
+    return where == path and first <= line <= last
+
+
+def unused_definitions(sources: dict, product: dict) -> list[str]:
+    """The "module.name" of each definition in `sources` that no code in
+    `product` reaches; both map a path to its text, and every source is
+    also product code."""
     uses: dict = {}
-    for path in FILES:
-        for name, line in _references(ast.parse(path.read_text())):
+    for path, text in product.items():
+        for name, line in _references(ast.parse(text)):
             uses.setdefault(name, []).append((path, line))
-    unused = []
-    for path in SOURCES:
-        for name, first, last in _definitions(ast.parse(path.read_text())):
-            if all(where == path and first <= line <= last
-                   for where, line in uses.get(name.rpartition(".")[2], [])):
-                unused.append(f"{path.stem}.{name}")
-    assert not unused, f"defined but never referenced: {unused}"
+    defs = [(path, name, first, last) for path, text in sources.items()
+            for name, first, last in _definitions(ast.parse(text))]
+    dead: list = []
+    while new := [d for d in defs if d not in dead and all(
+            _inside(where, line, d) or any(_inside(where, line, x) for x in dead)
+            for where, line in uses.get(d[1].rpartition(".")[2], []))]:
+        dead += new
+    return sorted(f"{Path(path).stem}.{name}" for path, name, _, _ in dead)
+
+
+def test_every_top_level_name_is_referenced():
+    unused = unused_definitions({p: p.read_text() for p in SOURCES},
+                                {p: p.read_text() for p in PRODUCT})
+    assert not unused, f"defined but never reached by product code: {unused}"
+
+
+def test_a_helper_called_only_by_a_dead_helper_is_dead():
+    lib = ("def live():\n    return 1\n\n\n"
+           "def dead():\n    return helper()\n\n\n"
+           "def helper():\n    return 2\n")
+    sources = {"src/lib.py": lib}
+    cli = {"src/cli.py": "from .lib import live\n\nprint(live())\n"}
+    assert unused_definitions(sources, {**sources, **cli}) == ["lib.dead", "lib.helper"]
+    cli["src/cli.py"] += "print(helper())\n"
+    assert unused_definitions(sources, {**sources, **cli}) == ["lib.dead"]
 
 
 def test_every_imported_name_is_loaded():

@@ -7,21 +7,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polygraph import catalog
-from polygraph.kgraph import deg_le, degree, extract_prefix, normal_form, words_of_degree
+from polygraph.kgraph import deg_sub, degree, extract_prefix, normal_form, words_of_degree
 from polygraph.phases import PHASE_ONE, PhaseInt, cyclotomic_polynomial, phase
 from polygraph.staralg import (
     StarSum,
     _reduce_adjoint_cached,
     adjoint,
-    contracted,
-    gradings,
     identity_sum,
     monomial,
     multiply,
-    reduce_adjoint_product,
     render,
     star_equal,
-    zero_sum,
 )
 
 FLIP = catalog.flip_2graph()
@@ -65,19 +61,24 @@ def star(P, u, v, coeff=None):
     return monomial(P, u, v, coeff)
 
 
+def adjoint_product(P, v, x):
+    """v* x, a sum of monomials a b* with v a = x b."""
+    return multiply(P, monomial(P, (), v), monomial(P, x, ()))
+
+
 class TestReduceAdjointProduct:
     def test_equal_words_give_identity(self):
         v = ((1, 1), (2, 2))
-        assert star_equal(FLIP, reduce_adjoint_product(FLIP, v, v), identity_sum())
+        assert star_equal(FLIP, adjoint_product(FLIP, v, v), identity_sum())
 
     def test_same_degree_distinct_words_give_zero(self):
-        a = reduce_adjoint_product(FLIP, ((1, 1),), ((1, 2),))
+        a = adjoint_product(FLIP, ((1, 1),), ((1, 2),))
         assert a.is_zero()
 
     def test_flip_cross_color(self):
         # e_s* f_t = delta_st sum_b f_b e_b*
         for s, t in itertools.product((1, 2), repeat=2):
-            got = reduce_adjoint_product(FLIP, ((1, s),), ((2, t),))
+            got = adjoint_product(FLIP, ((1, s),), ((2, t),))
             if s != t:
                 assert got.is_zero()
             else:
@@ -90,8 +91,8 @@ class TestReduceAdjointProduct:
         for _ in range(40):
             v = tuple(rng.choice(letters) for _ in range(rng.randint(0, 3)))
             x = tuple(rng.choice(letters) for _ in range(rng.randint(0, 3)))
-            lhs = adjoint(reduce_adjoint_product(FCC, v, x))
-            rhs = reduce_adjoint_product(FCC, x, v)
+            lhs = adjoint(adjoint_product(FCC, v, x))
+            rhs = adjoint_product(FCC, x, v)
             assert lhs.terms == rhs.terms
 
 
@@ -128,8 +129,8 @@ class TestMultiply:
 
     def test_zero_annihilates(self):
         m = star(FLIP, ((1, 1),), ((2, 2),))
-        assert multiply(FLIP, m, zero_sum()).is_zero()
-        assert multiply(FLIP, zero_sum(), m).is_zero()
+        assert multiply(FLIP, m, StarSum(())).is_zero()
+        assert multiply(FLIP, StarSum(()), m).is_zero()
 
     def test_identity_neutral(self):
         m = star(FLIP, ((1, 1), (2, 1)), ((2, 2),))
@@ -153,7 +154,7 @@ class TestMultiply:
         letters = list(P.letters())
 
         def rand_sum():
-            total = zero_sum()
+            total = StarSum(())
             for _ in range(rng.randint(1, 2)):
                 u = tuple(rng.choice(letters) for _ in range(rng.randint(0, 2)))
                 v = tuple(rng.choice(letters) for _ in range(rng.randint(0, 2)))
@@ -188,26 +189,26 @@ class TestMultiply:
                 a - b + c - d for a, b, c, d in
                 zip(degree(FLIP, u1), degree(FLIP, v1),
                     degree(FLIP, u2), degree(FLIP, v2)))
-            assert gradings(FLIP, prod) == {expected}
+            assert {deg_sub(degree(FLIP, u), degree(FLIP, v)) for (u, v), _ in prod.terms} \
+                == {expected}
 
 
 class TestEquality:
     def test_defect_free_family_equals_identity(self):
         fam = StarSum.of({(((2, s),), ((2, s),)): PHASE_ONE for s in (1, 2)})
         assert star_equal(FLIP, fam, identity_sum())
-        assert contracted(FLIP, fam).terms == identity_sum().terms
 
     def test_partial_family_not_identity(self):
         part = star(FLIP, ((2, 1),), ((2, 1),))
         assert not star_equal(FLIP, part, identity_sum())
 
     def test_zero_vs_identity(self):
-        assert not star_equal(FLIP, zero_sum(), identity_sum())
+        assert not star_equal(FLIP, StarSum(()), identity_sum())
 
     def test_two_level_expansion(self):
         # u v* expanded one level stays equal
         m = star(FCC, ((1, 1),), ((3, 2),))
-        expanded = zero_sum()
+        expanded = StarSum(())
         for g in FCC.letters(2):
             expanded = expanded + multiply(
                 FCC, m, star(FCC, (g,), (g,)))
@@ -216,7 +217,7 @@ class TestEquality:
     def test_render(self):
         m = star(FLIP, ((1, 2), (2, 1)), (), phase(1, 2))
         assert render(m) == "+(1/2)*1:2.2:1*1^*"
-        assert render(zero_sum()) == "0"
+        assert render(StarSum(())) == "0"
         assert render(identity_sum()) == "+(0/1)*1*1^*"
 
 
@@ -247,7 +248,7 @@ class WindowOracle:
         d_label = degree(self.P, label)
         for (a, b), coeff in A.terms:
             db = degree(self.P, b)
-            if not deg_le(db, d_label):
+            if any(x > y for x, y in zip(db, d_label)):
                 continue
             head, rest = extract_prefix(self.P, label, db)
             if head != b:
@@ -273,7 +274,7 @@ def test_star_equal_matches_the_window_oracle():
         letters = list(P.letters())
 
         def rand_sum():
-            total = zero_sum()
+            total = StarSum(())
             for _ in range(rng.randint(1, 3)):
                 u = tuple(rng.choice(letters) for _ in range(rng.randint(0, 2)))
                 v = tuple(rng.choice(letters) for _ in range(rng.randint(0, 2)))
@@ -284,7 +285,7 @@ def test_star_equal_matches_the_window_oracle():
         for _ in range(40):
             a, b = rand_sum(), rand_sum()
             pairs.append((a, b))
-            pairs.append((a, a + zero_sum()))
+            pairs.append((a, a + StarSum(())))
         # known-equal pair with different keys: full family vs identity
         fam = StarSum.of({(((1, s),), ((1, s),)): PHASE_ONE for s in (1, 2)})
         pairs.append((fam, identity_sum()))
@@ -303,7 +304,7 @@ def test_adjoint_is_an_involution_and_antihomomorphism(data):
 
     def draw_sum():
         n = data.draw(st.integers(1, 2))
-        total = zero_sum()
+        total = StarSum(())
         for _ in range(n):
             u = tuple(data.draw(st.lists(st.sampled_from(letters), max_size=2)))
             v = tuple(data.draw(st.lists(st.sampled_from(letters), max_size=2)))

@@ -5,6 +5,7 @@ import pytest
 
 from polygraph import catalog
 from polygraph import tails
+from polygraph.intlinalg import solve_integer
 from polygraph.kgraph import deg_add, extract_prefix, normal_form
 from polygraph.periodicity import symmetry_lattice
 from polygraph.tails import (
@@ -204,7 +205,7 @@ class TestTailSymmetry:
     def test_period_degree_is_always_a_symmetry(self):
         t = tail(FWD, (), ((1, 1), (1, 2), (2, 1)))
         sym = tail_symmetry_group(t, bound=3)
-        assert sym.contains((2, 1))
+        assert solve_integer(sym.basis, (2, 1)) is not None
 
     def test_spliced_tail_on_aperiodic_graph_has_no_symmetry(self):
         t = splice_separating_tail(FWD, bound=2, depth=2)
@@ -220,7 +221,7 @@ class TestTailSymmetry:
             t = tail(FLIP, (), period)
             sym = tail_symmetry_group(t, bound=2)
             for v in lat.basis:
-                assert sym.contains(v)
+                assert solve_integer(sym.basis, v) is not None
 
 
 class TestSelfShiftsFromOneGrid:
