@@ -33,7 +33,6 @@ from .groupcons import (
     decompose,
     from_commuting_words,
     full_symmetry_subgroup,
-    normalize_scalars,
     to_dot,
 )
 from .jsonio import (
@@ -287,7 +286,7 @@ def cmd_rep(args) -> int:
                   "symmetry_order": len(full_symmetry_subgroup(gc))}
         _emit(args, inputs, f"built {gc.dimension}-dimensional construction", result)
     elif args.rep_command == "decompose":
-        rep = decompose(normalize_scalars(gc))
+        rep = decompose(gc)
         result = {
             "dimension": gc.dimension,
             "symmetry": [list(h) for h in rep.symmetry],

@@ -14,9 +14,10 @@ tables force, for every g and every color pair i < j,
 
 Such a construction is the restriction-to-window of an atomic
 *-representation, and commuting words give one as the quotient of their
-periodic tail's window data; it is irreducible iff its translation
-symmetry subgroup is trivial, and in general it splits over the
-characters of that subgroup into irreducible constructions on the quotient.
+periodic tail's window data.  With constant phases it is irreducible iff
+its translation symmetry subgroup is trivial, and in general it splits
+over the characters of that subgroup into irreducible constructions on
+the quotient; other phases are first made constant by a diagonal unitary.
 
 Phases are Fractions in [0, 1); the loops over elements run on integer
 numerators at one common level N, the lcm of the denominators.
@@ -84,10 +85,14 @@ class FiniteAbelianGroup:
 
     def __post_init__(self):
         k, hnf = self.k, self.kernel
-        elements = tuple(itertools.product(*[range(hnf[i][i]) for i in range(k)]))
+        d = [hnf[i][i] for i in range(k)]
+        elements = tuple(itertools.product(*map(range, d)))
         index = {e: n for n, e in enumerate(elements)}
-        sub = tuple(tuple(index[reduce_mod(hnf, g[:i] + (g[i] - 1,) + g[i + 1:])[1]]
-                          for g in elements) for i in range(k))
+        # g - g_i is the element stride_i places back, unless g_i = 0 wraps
+        strides = [prod(d[i + 1:]) for i in range(k)]
+        sub = tuple(tuple(n - strides[i] if g[i] else
+                          index[reduce_mod(hnf, g[:i] + (-1,) + g[i + 1:])[1]]
+                          for n, g in enumerate(elements)) for i in range(k))
         object.__setattr__(self, "_elements", elements)
         object.__setattr__(self, "_index", index)
         object.__setattr__(self, "_sub", sub)
@@ -124,21 +129,17 @@ class FiniteAbelianGroup:
     def index(self, v: Vec) -> int:
         return self._index[self.reduce(v)]
 
-    def add(self, a: Vec, b: Vec) -> Vec:
-        return self.reduce(tuple(x + y for x, y in zip(a, b)))
-
     def sub_generator(self, g_index: int, color: int) -> int:
         """Index of (element #g_index) - g_color, colors 1-based."""
         return self._sub[color - 1][g_index]
 
     def generator_order(self, color: int) -> int:
-        eps = tuple(1 if j == color - 1 else 0 for j in range(self.k))
-        cur = self.reduce(eps)
-        n = 1
-        while any(cur):
-            cur = self.add(cur, eps)
-            n += 1
-        return n
+        """The length of the cycle of g -> g - g_color through 0."""
+        sub = self._sub[color - 1]
+        n, order = sub[0], 1
+        while n:
+            n, order = sub[n], order + 1
+        return order
 
 
 @dataclass(frozen=True)
@@ -161,29 +162,42 @@ class GroupConstruction:
 
 def validate_group_construction(P: Presentation, G: FiniteAbelianGroup,
                                 t, alpha) -> tuple | None:
-    """First violation of the commutation conditions, or None if valid.
+    """First violation of the commutation conditions (shapes, ranges and
+    words before scalars), or None if valid.
 
     Witness: ("words" | "scalars", element vector, i, j, lhs, rhs).
     """
+    return _words_witness(P, G, t) or _scalars_witness(G, *_numerators(alpha))
+
+
+def _words_witness(P: Presentation, G: FiniteAbelianGroup, t) -> tuple | None:
     if G.k != P.k:
         return ("shape", None, 0, 0, G.k, P.k)
     for i in range(1, P.k + 1):
-        if len(t[i - 1]) != G.order or len(alpha[i - 1]) != G.order:
+        if len(t[i - 1]) != G.order:
             return ("shape", None, i, 0, len(t[i - 1]), G.order)
         for v in t[i - 1]:
             if not 1 <= v <= P.m[i - 1]:
                 return ("range", None, i, 0, v, P.m[i - 1])
-    den, a = _numerators(alpha)
     for gi, gvec in enumerate(G.elements):
         for i, j in itertools.combinations(range(1, P.k + 1), 2):
-            g_min_i = G.sub_generator(gi, i)
-            g_min_j = G.sub_generator(gi, j)
-            lhs = (t[i - 1][gi], t[j - 1][g_min_i])
-            rhs = (t[i - 1][g_min_j], t[j - 1][gi])
+            lhs = (t[i - 1][gi], t[j - 1][G._sub[i - 1][gi]])
+            rhs = (t[i - 1][G._sub[j - 1][gi]], t[j - 1][gi])
             if P.theta_apply(i, j, *lhs) != rhs:
                 return ("words", gvec, i, j, lhs, rhs)
-            a_lhs = (a[i - 1][gi] + a[j - 1][g_min_i]) % den
-            a_rhs = (a[j - 1][gi] + a[i - 1][g_min_j]) % den
+    return None
+
+
+def _scalars_witness(G: FiniteAbelianGroup, den: int, a: list) -> tuple | None:
+    """The scalar half of :func:`validate_group_construction`, on the phases
+    a / den given as integer numerators."""
+    for i, row in enumerate(a, start=1):
+        if len(row) != G.order:
+            return ("shape", None, i, 0, len(row), G.order)
+    for gi, gvec in enumerate(G.elements):
+        for i, j in itertools.combinations(range(1, G.k + 1), 2):
+            a_lhs = (a[i - 1][gi] + a[j - 1][G._sub[i - 1][gi]]) % den
+            a_rhs = (a[j - 1][gi] + a[i - 1][G._sub[j - 1][gi]]) % den
             if a_lhs != a_rhs:
                 return ("scalars", gvec, i, j, Fraction(a_lhs, den), Fraction(a_rhs, den))
     return None
@@ -312,35 +326,37 @@ def cycle_construction(P: Presentation, seeds: list[Word]
 
 def full_symmetry_subgroup(gc: GroupConstruction) -> list[Vec]:
     """All h in G with every t^i and alpha^i invariant under translation
-    by h, in element order; the invariance conditions compose, so the set
-    is a subgroup.
+    by h, in element order: a subgroup, as the conditions compose."""
+    return _translation_symmetry(gc.group, [*gc.t, *_numerators(gc.alpha)[1]])
 
-    Each element carries the label (t^1..t^k, alpha^1..alpha^k, phases as
-    integer numerators); only the h labelled like 0 are candidates, each
-    checked along the spanning tree parent(g) = g - g_c (c the last nonzero
-    coordinate of g, so parents precede children in element order): the
-    translate of g + h is one generator step from that of parent(g) + h.
-    The walk stops at the first label that moves.
+
+def _translation_symmetry(G: FiniteAbelianGroup, rows) -> list[Vec]:
+    """All h in G with every row (a function of the element index)
+    invariant under translation by h, in element order.
+
+    Each element carries the label (row values at it); only the h labelled
+    like 0 are candidates, each checked along the spanning tree
+    parent(g) = g - g_c (c the last nonzero coordinate of g, so parents
+    precede children in element order): the translate of g + h is one
+    generator step from that of parent(g) + h.  The walk stops at the first
+    label that moves.  Once h passes, its walk has filled shift(g) = g + h,
+    and the cosets S + h, S + 2h, ... of the members S found so far are
+    marked; marked candidates are members without a walk.
     """
-    G = gc.group
     ids: dict = {}
-    _, alpha = _numerators(gc.alpha)
-    label = [ids.setdefault(lab, len(ids)) for lab in zip(*gc.t, *alpha)]
-    add = []  # add[c][n] = index of (element #n) + g_c
-    for sub in G._sub:
-        inv = [0] * G.order
-        for n, s in enumerate(sub):
-            inv[s] = n
-        add.append(inv)
+    label = [ids.setdefault(lab, len(ids)) for lab in zip(*rows)]
+    # add[c][n] = index of (element #n) + g_c: the inverse permutation of _sub[c]
+    add = [sorted(range(G.order), key=sub.__getitem__) for sub in G._sub]
     tree = []  # (n, add_c, parent index) for every nonzero element, in order
-    for n, g in enumerate(G.elements):
-        c = max((i for i, x in enumerate(g) if x), default=None)
-        if c is not None:
-            tree.append((n, add[c], G._sub[c][n]))
-    out = []
+    for n, g in enumerate(G.elements[1:], start=1):
+        c = G.k - 1
+        while not g[c]:
+            c -= 1
+        tree.append((n, add[c], G._sub[c][n]))
+    found, member = [0], [1] + [0] * (G.order - 1)  # the members so far
     shift = [0] * G.order  # shift[n] = index of (element #n) + h
-    for h_index, h in enumerate(G.elements):
-        if label[h_index] != label[0]:
+    for h_index in range(1, G.order):
+        if member[h_index] or label[h_index] != label[0]:
             continue
         shift[0] = h_index
         for n, add_c, parent in tree:
@@ -349,8 +365,13 @@ def full_symmetry_subgroup(gc: GroupConstruction) -> list[Vec]:
                 break
             shift[n] = s
         else:
-            out.append(h)
-    return out
+            coset, grown = found, []
+            while not member[(coset := [shift[x] for x in coset])[0]]:
+                for x in coset:
+                    member[x] = 1
+                grown += coset
+            found += grown
+    return [g for g, m in zip(G.elements, member) if m]
 
 
 def normalize_scalars(gc: GroupConstruction) -> GroupConstruction:
@@ -386,51 +407,60 @@ class DecompositionReport:
 def decompose(gc: GroupConstruction) -> DecompositionReport:
     """Split over the dual of the full symmetry subgroup H.
 
-    Each character chi of H yields a construction on G/H with the same
-    index functions and constants twisted by chi through the canonical
-    section; the summands are irreducible (trivial symmetry) and their
-    dimensions sum to |G|.  With characters at level e, each character value
-    and twisted constant is one integer dot product mod N = lcm(e, phases).
+    Phases are first made constant by :func:`normalize_scalars` (`parent`
+    stays the given construction), so H is the symmetry of t alone.  Each
+    character chi of H yields a construction on G/H with the same index
+    functions and constants twisted by chi through the canonical section;
+    their dimensions sum to |G|.  All summands share t on G/H: its words
+    conditions are checked once, and one walk finds its symmetry, which
+    holds every summand's, trivial, so the summands are irreducible.  With
+    characters at level e, each character value and twisted constant is one
+    integer dot product mod N = lcm(e, phases), on which the scalar
+    conditions are checked.
     """
     G, P = gc.group, gc.presentation
-    sym = full_symmetry_subgroup(gc)
+    N0, alpha = _numerators(gc.alpha)
+    if any(len(set(row)) > 1 for row in alpha):
+        N0, alpha = _numerators(normalize_scalars(gc).alpha)
+    sym = _translation_symmetry(G, gc.t)
     kernel2 = hermite_normal_form(list(G.kernel) + sym)
     G2 = FiniteAbelianGroup.from_kernel(kernel2)
     e, characters = _quotient_characters(G.kernel, kernel2)
-    N, alpha = _numerators(gc.alpha, e)
+    N = lcm(N0, e)
+    const = [row[0] * (N // N0) for row in alpha]
     characters = [[x * (N // e) for x in chi] for chi in characters]
 
+    t2 = tuple(tuple(row[G.index(c)] for c in G2.elements) for row in gc.t)
+    witness = _words_witness(P, G2, t2)
+    if witness is not None:
+        raise InvalidConstruction(f"commutation condition fails: {witness}", witness)
+    kept = _translation_symmetry(G2, t2)
+    if len(kept) != 1:
+        raise InvalidConstruction(f"t keeps the nontrivial symmetry {kept} on the "
+                                  "quotient; the parent symmetry was incomplete")
     # The coefficients over kernel2 of each h and of each section correction
     # do not depend on chi: solve for them once, then one dot product per chi.
     sym_coeffs = [_kernel_coeffs(kernel2, h) for h in sym]
-    t2 = [[row[G.index(c)] for c in G2.elements] for row in gc.t]
-    steps = []  # (alpha at the lifted step into c, coefficients of its correction)
-    for i in range(P.k):
+    steps = []  # coefficients of the step's correction (c - g_i, reduced) + e_i - c
+    for i, sub in enumerate(G2._sub):
         eps = tuple(int(j == i) for j in range(P.k))
-        srow = []
-        for c in G2.elements:
-            cm = G2.reduce(tuple(x - y for x, y in zip(c, eps)))
-            step = tuple(x + y for x, y in zip(cm, eps))
-            corr = tuple(a - b for a, b in zip(step, c))
-            srow.append((alpha[i][G.index(step)], _kernel_coeffs(kernel2, corr)))
-        steps.append(srow)
+        steps.append([_kernel_coeffs(kernel2, tuple(x + y - z for x, y, z in
+                                                    zip(G2.elements[s], eps, c)))
+                      for s, c in zip(sub, G2.elements)])
     value = cache(lambda r: Fraction(r, N))  # one Fraction per residue mod N
     summands, chi_rows = [], []
     for chi in characters:
         chi_rows.append(tuple(value(sum(map(mul, coeffs, chi)) % N) for coeffs in sym_coeffs))
-        alpha2 = [[value((a + sum(map(mul, coeffs, chi))) % N) for a, coeffs in srow]
-                  for srow in steps]
-        summands.append(group_construction(P, G2, t2, alpha2))
+        a2 = [[(a + sum(map(mul, coeffs, chi))) % N for coeffs in srow]
+              for a, srow in zip(const, steps)]
+        witness = _scalars_witness(G2, N, a2)
+        if witness is not None:
+            raise InvalidConstruction(f"commutation condition fails: {witness}", witness)
+        summands.append(GroupConstruction(P, G2, t2, tuple(tuple(map(value, row)) for row in a2)))
     report = DecompositionReport(parent=gc, symmetry=tuple(sym),
                                  character_table=tuple(chi_rows),
                                  summands=tuple(summands))
     assert sum(report.dimensions) == G.order, "dimension count mismatch"
-    for s in report.summands:
-        sub = full_symmetry_subgroup(s)
-        if len(sub) != 1:
-            raise InvalidConstruction(
-                f"summand kept a nontrivial symmetry {sub}; parent symmetry "
-                "was not the full translation group")
     return report
 
 
@@ -651,13 +681,12 @@ def to_atomic_graph(gc: GroupConstruction) -> dict:
     G = gc.group
     vertices = [",".join(map(str, g)) for g in G.elements]
     edges = []
-    for n, g in enumerate(G.elements):
+    for n, name in enumerate(vertices):
         for i in range(1, G.k + 1):
-            src = G.elements[G.sub_generator(n, i)]
             a = gc.alpha[i - 1][n]
             edges.append({
-                "src": ",".join(map(str, src)),
-                "dst": ",".join(map(str, g)),
+                "src": vertices[G.sub_generator(n, i)],
+                "dst": name,
                 "color": i,
                 "index": gc.t[i - 1][n],
                 "phase": f"{a.numerator}/{a.denominator}",

@@ -1,6 +1,8 @@
 import dataclasses
+import functools
 import itertools
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -24,9 +26,9 @@ from polygraph.groupcons import (
     validate_group_construction,
     words_commute,
 )
-from polygraph.groupcons import _kernel_coeffs
+from polygraph.groupcons import GroupConstruction, _kernel_coeffs, _quotient_characters
 from polygraph.groupcons import _slots, _squares
-from polygraph.intlinalg import hermite_normal_form, smith_normal_form
+from polygraph.intlinalg import hermite_normal_form, reduce_mod, smith_normal_form
 from polygraph.kgraph import WordError, degree, extract_prefix, normal_form
 from polygraph.phases import phase
 
@@ -74,12 +76,12 @@ def _path_phase(gc, vec):
         steps = vec[i]
         for _ in range(abs(steps)):
             if steps > 0:
-                cur2 = G.add(cur, eps)
+                cur2 = G.reduce(tuple(x + y for x, y in zip(cur, eps)))
                 total += gc.alpha[i][G.index(cur2)]
                 cur = cur2
             else:
                 total -= gc.alpha[i][G.index(cur)]
-                cur = G.add(cur, tuple(-x for x in eps))
+                cur = G.reduce(tuple(x - y for x, y in zip(cur, eps)))
     return total % 1
 
 
@@ -88,7 +90,7 @@ class TestFiniteAbelianGroup:
         G = FiniteAbelianGroup.cyclic_product([2, 3])
         assert G.order == 6
         assert G.reduce((5, -2)) == (1, 1)
-        assert G.add((1, 2), (1, 2)) == (0, 1)
+        assert G.reduce((1 + 1, 2 + 2)) == (0, 1)
 
     def test_generator_orders_in_a_quotient(self):
         # Z^2 / <(2,1), (0,3)>: g_2 has order 3, g_1 has order 6
@@ -116,7 +118,27 @@ class TestFiniteAbelianGroup:
         for color in (1, 2):
             step = tuple(int(j == color - 1) for j in range(2))
             for n, g in enumerate(G.elements):
-                assert G.add(G.elements[G.sub_generator(n, color)], step) == g
+                src = G.elements[G.sub_generator(n, color)]
+                assert G.reduce(tuple(x + y for x, y in zip(src, step))) == g
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_tables_match_reduce_mod_on_skew_kernels(self, k):
+        # upper triangular kernels with off-diagonal entries: stepping back
+        # from g_i = 0 wraps into other coordinates too
+        rng = random.Random(k)
+        skew = 0
+        for _ in range(40):
+            rows = [tuple(0 if j < i else rng.randint(1, 4) if j == i else rng.randint(-6, 6)
+                          for j in range(k)) for i in range(k)]
+            G = FiniteAbelianGroup.from_kernel(rows)
+            skew += any(G.kernel[i][j] for i in range(k) for j in range(i + 1, k))
+            for i in range(k):
+                expected = [G._index[reduce_mod(G.kernel, g[:i] + (g[i] - 1,) + g[i + 1:])[1]]
+                            for g in G.elements]
+                assert list(G._sub[i]) == expected, (G.kernel, i)
+                eps = tuple(int(j == i) for j in range(k))
+                assert G.generator_order(i + 1) == _element_order(G, eps)
+        assert skew >= 20
 
 
 class TestValidation:
@@ -405,16 +427,112 @@ class TestNormalizeScalars:
 
 
 def _scanned_symmetry(gc):
-    """The direct O(|G|^2) symmetry scan: translate every element by every
-    h and compare all t^i and alpha^i."""
+    """The direct symmetry scan: translate every element by every h and
+    compare all t^i and alpha^i, stopping at the first value that moves."""
     G = gc.group
     rows = gc.t + gc.alpha
-    out = []
-    for h in G.elements:
-        shifted = [G.index(tuple(x + y for x, y in zip(g, h))) for g in G.elements]
-        if all(row[shifted[n]] == row[n] for row in rows for n in range(G.order)):
-            out.append(h)
-    return out
+
+    def moves(h):
+        for n, g in enumerate(G.elements):
+            m = G.index(tuple(x + y for x, y in zip(g, h)))
+            if any(row[m] != row[n] for row in rows):
+                return True
+        return False
+
+    return [h for h in G.elements if not moves(h)]
+
+
+def _element_order(G, h):
+    n, cur = 1, G.reduce(h)
+    while any(cur):
+        n, cur = n + 1, G.reduce(tuple(x + y for x, y in zip(cur, h)))
+    return n
+
+
+def _word(color, text):
+    return tuple((color, int(ch)) for ch in text)
+
+
+def _sixths_gauged_gc27():
+    """The 27-dim construction with its phases moved by the coboundary of a
+    potential over sixths: not constant, and unitarily equivalent to it."""
+    gc = gc27()
+    G = gc.group
+    rng = random.Random(0)
+    f = [Fraction(rng.randrange(6), 6) for _ in range(G.order)]
+    return group_construction(FCC, G, gc.t, [
+        [(gc.alpha[i][n] + f[n] - f[G.sub_generator(n, i + 1)]) % 1 for n in range(G.order)]
+        for i in range(3)])
+
+
+@functools.cache
+def _symmetry_cases():
+    """Constructions whose symmetry and decomposition the tests check: the
+    27-dim construction with zero, cube-root and non-constant phases, one
+    cycle family per (group order, summand count) class up to order 144,
+    and the 1764-dim long-word construction."""
+    seeds = {
+        FLIP: [("1", "1"), ("1", "11"), ("1", "111"), ("1", "2"), ("1", "1111"),
+               ("11", "111"), ("12", "1212"), ("11", "1111"), ("112", "112"),
+               ("111", "111"), ("1", "212"), ("111", "1111"), ("11", "12"),
+               ("1212", "1212"), ("1111", "1111"), ("1", "12"), ("111", "112"),
+               ("121", "212"), ("1", "112"), ("1111", "1112"), ("11", "1112"),
+               ("11", "2112"), ("1", "1112")],
+        FWD: [("2", "2"), ("2", "22"), ("2", "222"), ("2", "2222"), ("22", "222"),
+              ("22", "2222"), ("1", "1"), ("222", "222"), ("222", "2222"),
+              ("2222", "2222"), ("11", "11"), ("1", "1211"), ("1", "111"),
+              ("1", "11"), ("1111", "1111"), ("1111", "2122"), ("1121", "2112")],
+    }
+    base = gc27()
+    G = base.group
+    rng = random.Random(5)
+    d = [Fraction(rng.randint(0, 2), 3) for _ in range(G.order)]
+    scrambled = group_construction(FCC, G, base.t, [
+        [(base.alpha[i][n] + d[n] - d[G.sub_generator(n, i + 1)]) % 1
+         for n in range(G.order)]
+        for i in range(3)])
+    parents = [base, gc27(alphas=[phase(1, 3)] * 3), scrambled, _sixths_gauged_gc27()]
+    for P, pairs in seeds.items():
+        for a, b in pairs:
+            family, _ = cycle_construction(P, [_word(1, a), _word(2, b)])
+            parents.append(from_commuting_words(P, family))
+    family, _ = cycle_construction(FWD, [_word(1, "1222"), _word(2, "1")])
+    parents.append(from_commuting_words(FWD, family))
+    return tuple(parents)
+
+
+def _per_character_decompose(gc):
+    """The decomposition as it was computed one character at a time: the
+    full symmetry, then group_construction per character, then
+    full_symmetry_subgroup per summand, which must be trivial."""
+    G, P = gc.group, gc.presentation
+    sym = full_symmetry_subgroup(gc)
+    kernel2 = hermite_normal_form(list(G.kernel) + sym)
+    G2 = FiniteAbelianGroup.from_kernel(kernel2)
+    e, characters = _quotient_characters(G.kernel, kernel2)
+    N, alpha = groupcons._numerators(gc.alpha, e)
+    characters = [[x * (N // e) for x in chi] for chi in characters]
+    sym_coeffs = [_kernel_coeffs(kernel2, h) for h in sym]
+    t2 = [[row[G.index(c)] for c in G2.elements] for row in gc.t]
+    steps = []
+    for i in range(P.k):
+        eps = tuple(int(j == i) for j in range(P.k))
+        srow = []
+        for c in G2.elements:
+            cm = G2.reduce(tuple(x - y for x, y in zip(c, eps)))
+            step = tuple(x + y for x, y in zip(cm, eps))
+            corr = tuple(a - b for a, b in zip(step, c))
+            srow.append((alpha[i][G.index(step)], _kernel_coeffs(kernel2, corr)))
+        steps.append(srow)
+    table, summands = [], []
+    for chi in characters:
+        table.append(tuple(Fraction(sum(map(operator.mul, coeffs, chi)) % N, N)
+                           for coeffs in sym_coeffs))
+        alpha2 = [[Fraction((a + sum(map(operator.mul, coeffs, chi))) % N, N)
+                   for a, coeffs in srow] for srow in steps]
+        summands.append(group_construction(P, G2, t2, alpha2))
+    assert all(len(full_symmetry_subgroup(s)) == 1 for s in summands)
+    return tuple(sym), tuple(table), tuple(summands)
 
 
 class TestSymmetryAndDecomposition:
@@ -432,43 +550,84 @@ class TestSymmetryAndDecomposition:
         assert [h for h in sym if h[1] == 0] == [(0, 0)]
 
     def test_label_filter_matches_the_quadratic_scan(self):
-        def word(color, text):
-            return tuple((color, int(ch)) for ch in text)
-
-        # one seed pair per (group order, summand count) class up to order 144
-        seeds = {
-            FLIP: [("1", "1"), ("1", "11"), ("1", "111"), ("1", "2"), ("1", "1111"),
-                   ("11", "111"), ("12", "1212"), ("11", "1111"), ("112", "112"),
-                   ("111", "111"), ("1", "212"), ("111", "1111"), ("11", "12"),
-                   ("1212", "1212"), ("1111", "1111"), ("1", "12"), ("111", "112"),
-                   ("121", "212"), ("1", "112"), ("1111", "1112"), ("11", "1112"),
-                   ("11", "2112"), ("1", "1112")],
-            FWD: [("2", "2"), ("2", "22"), ("2", "222"), ("2", "2222"), ("22", "222"),
-                  ("22", "2222"), ("1", "1"), ("222", "222"), ("222", "2222"),
-                  ("2222", "2222"), ("11", "11"), ("1", "1211"), ("1", "111"),
-                  ("1", "11"), ("1111", "1111"), ("1111", "2122"), ("1121", "2112")],
-        }
-        base = gc27()
-        G = base.group
-        rng = random.Random(5)
-        d = [Fraction(rng.randint(0, 2), 3) for _ in range(G.order)]
-        scrambled = group_construction(FCC, G, base.t, [
-            [(base.alpha[i][n] + d[n] - d[G.sub_generator(n, i + 1)]) % 1
-             for n in range(G.order)]
-            for i in range(3)])
-        parents = [base, gc27(alphas=[phase(1, 3)] * 3), scrambled]
-        for P, pairs in seeds.items():
-            for a, b in pairs:
-                family, _ = cycle_construction(P, [word(1, a), word(2, b)])
-                parents.append(from_commuting_words(P, family))
-        assert max(gc.dimension for gc in parents) == 144
-        skew_kernels = 0
+        parents = _symmetry_cases()
+        assert sorted(gc.dimension for gc in parents)[-2:] == [144, 1764]
+        skew_kernels = non_cyclic = 0
         for gc in parents:
-            assert full_symmetry_subgroup(gc) == _scanned_symmetry(gc)
-            for s in decompose(normalize_scalars(gc)).summands:
+            sym = full_symmetry_subgroup(gc)
+            assert sym == _scanned_symmetry(gc)
+            # a symmetry no one member generates takes the coset marking
+            # more than one walk
+            non_cyclic += len(sym) > max(_element_order(gc.group, h) for h in sym)
+            for s in decompose(gc).summands:
                 assert full_symmetry_subgroup(s) == _scanned_symmetry(s)
                 skew_kernels += any(s.group.kernel[0][1:])
+        assert non_cyclic > 0
         assert skew_kernels > 0
+
+    def test_decompose_matches_the_per_character_path(self):
+        for gc in _symmetry_cases():
+            rep = decompose(gc)
+            assert rep.parent is gc
+            assert (rep.symmetry, rep.character_table, rep.summands) \
+                == _per_character_decompose(normalize_scalars(gc))
+
+    def test_non_constant_phases_are_normalized_first(self):
+        # the coboundary hides the symmetry of t: the phases alone have none
+        gc = _sixths_gauged_gc27()
+        assert any(len(set(row)) > 1 for row in gc.alpha)
+        assert len(full_symmetry_subgroup(gc)) == 1
+        rep = decompose(gc)
+        assert rep.parent is gc and rep.dimensions == [3] * 9
+        normalized = decompose(normalize_scalars(gc))
+        assert (rep.symmetry, rep.character_table, rep.summands) \
+            == (normalized.symmetry, normalized.character_table, normalized.summands)
+
+    def test_an_incomplete_symmetry_is_caught_by_the_quotient_walk(self, monkeypatch):
+        # were the parent walk to miss members, t would keep a symmetry on
+        # the quotient, and the one walk over it must say so
+        walk = groupcons._translation_symmetry
+        calls = []
+
+        def first_walk_misses(G, rows):
+            calls.append(G.order)
+            found = walk(G, rows)
+            return found[:1] if len(calls) == 1 else found
+
+        monkeypatch.setattr(groupcons, "_translation_symmetry", first_walk_misses)
+        with pytest.raises(InvalidConstruction, match="nontrivial symmetry"):
+            decompose(gc27())
+        assert calls == [27, 27]
+
+    def test_words_are_checked_on_the_quotient(self):
+        gc = gc27()
+        t = [list(row) for row in gc.t]
+        t[0][0] = 3 - t[0][0]
+        broken = GroupConstruction(FCC, gc.group, tuple(map(tuple, t)), gc.alpha)
+        with pytest.raises(InvalidConstruction) as info:
+            decompose(broken)
+        assert info.value.witness[0] == "words"
+
+    def test_summand_conditions_are_checked_once_per_quotient(self, monkeypatch):
+        # the words conditions once on the shared t, the scalar ones once
+        # per character on exactly the phases that summand gets
+        gc = gc27(alphas=[phase(1, 3)] * 3)
+        checked = {"words": [], "scalars": []}
+        for half in checked:
+            check = getattr(groupcons, f"_{half}_witness")
+
+            def recorded(*args, check=check, half=half):
+                checked[half].append(args)
+                return check(*args)
+
+            monkeypatch.setattr(groupcons, f"_{half}_witness", recorded)
+        rep = decompose(gc)
+        assert [(G, t) for _, G, t in checked["words"]] == [(rep.summands[0].group,
+                                                              rep.summands[0].t)]
+        assert len(checked["scalars"]) == len(rep.summands) == 9
+        for (G, den, a), s in zip(checked["scalars"], rep.summands):
+            assert G == s.group
+            assert tuple(tuple(Fraction(x, den) for x in row) for row in a) == s.alpha
 
     def test_27dim_decomposition(self):
         rep = decompose(gc27())
@@ -532,7 +691,8 @@ class TestExtendToGroup:
         gc = gc27()
         G = gc.group
         H = full_symmetry_subgroup(gc)
-        domain = sorted({G.add(g, h) for g in G.elements if g[0] == 0 for h in H})
+        domain = sorted({G.reduce(tuple(x + y for x, y in zip(g, h)))
+                         for g in G.elements if g[0] == 0 for h in H})
         part = _restriction(gc, domain)
         out = extend_to_group(FCC, part, symmetry=H)
         out_sym = set(full_symmetry_subgroup(out))
