@@ -4,6 +4,11 @@ through :func:`limit` and raises :class:`BudgetExceeded` past it."""
 from __future__ import annotations
 
 import os
+from typing import Iterable
+
+# A count up to this is exact in a BudgetExceeded message; a larger one is
+# a lower bound, so that checking and printing it stay cheap.
+EXACT_COUNT = 10 ** 18
 
 
 class BudgetExceeded(RuntimeError):
@@ -30,3 +35,16 @@ def limit(default: int) -> int:
         return int(text)
     except ValueError:  # more digits than int(str) accepts
         raise InvalidBudget(f"POLYGRAPH_BUDGET has {len(text.strip())} digits, too many") from None
+
+
+def capped_product(factors: Iterable[int], cap: int) -> int:
+    """The product of positive factors when it is at most cap, else its
+    first partial product past cap, with each factor counted as at most
+    cap + 1: a lower bound above cap, below (cap + 1)^2, reached in a few
+    multiplications however many or large the factors are."""
+    total = 1
+    for x in factors:
+        total *= min(x, cap + 1)
+        if total > cap:
+            return total
+    return total

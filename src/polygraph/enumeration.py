@@ -36,7 +36,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .budget import BudgetExceeded, limit
+from .budget import EXACT_COUNT, BudgetExceeded, capped_product, limit
 from .kgraph import (
     Code,
     Presentation,
@@ -47,25 +47,12 @@ from .kgraph import (
 )
 
 
-# A count up to this is exact in a BudgetExceeded message; a larger one is
-# a lower bound, so that checking and printing it stay cheap.
-_EXACT_COUNT = 10 ** 18
-
-
 def _factorial_product(ns: Iterable[int], cap: int) -> int:
-    """The product of n! over ns when it is at most cap, else its first
-    partial product past cap: a lower bound, reached in a few
-    multiplications however large the n are."""
-    total = 1
-    for n in ns:
-        for x in range(2, n + 1):
-            total *= x
-            if total > cap:
-                return total
-    return total
+    """The product of n! over ns, as far as :func:`capped_product` takes it."""
+    return capped_product((x for n in ns for x in range(2, n + 1)), cap)
 
 
-def count_candidate_tables(m: Sequence[int], cap: int = _EXACT_COUNT) -> int:
+def count_candidate_tables(m: Sequence[int], cap: int = EXACT_COUNT) -> int:
     """The number of table combinations for multiplicities m, the product
     of (m_i m_j)! over the color pairs: exact up to cap, and past cap a
     lower bound above it."""
@@ -85,7 +72,7 @@ def enumerate_presentations(m: Sequence[int], budget: int | None = None
     if not m or min(m) < 1:
         raise ValueError(f"multiplicities {list(m)} must be at least 1")
     budget = limit(10_000_000) if budget is None else budget
-    needed = count_candidate_tables(m, max(budget, _EXACT_COUNT))
+    needed = count_candidate_tables(m, max(budget, EXACT_COUNT))
     if needed > budget:
         raise BudgetExceeded("tables", budget, needed)
     for codes in _candidates(m):
@@ -217,7 +204,7 @@ def _compiled_group(m_src: tuple[int, ...], m_dst: tuple[int, ...]
     over the colors) is above the "relabelings" limit, 100,000; a group
     already built is reused without a second check."""
     budget = limit(100_000)
-    order = _factorial_product([*Counter(m_src).values(), *m_src], max(budget, _EXACT_COUNT))
+    order = _factorial_product([*Counter(m_src).values(), *m_src], max(budget, EXACT_COUNT))
     if order > budget:
         raise BudgetExceeded("relabelings", budget, order)
     return tuple((rel, _plan(m_src, rel)) for rel in relabeling_group(m_src, m_dst))

@@ -23,10 +23,11 @@ simplicity verdict).
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
 from typing import Iterable
 
-from .budget import BudgetExceeded, limit
+from .budget import EXACT_COUNT, BudgetExceeded, capped_product, limit
 from .intlinalg import hermite_normal_form, meets_positive_orthant, solve_integer
 from .kgraph import (
     Degree,
@@ -39,7 +40,6 @@ from .kgraph import (
     normal_form,
     words_of_degree,
 )
-from .phases import PHASE_ONE
 from .staralg import StarSum, adjoint, identity_sum, monomial, multiply, star_equal
 
 
@@ -88,13 +88,6 @@ def pi_split(P: Presentation, pi: Iterable[int]) -> tuple[Degree, Degree]:
     return plus, minus
 
 
-def _word_count(P: Presentation, d: Degree) -> int:
-    out = 1
-    for mi, di in zip(P.m, d):
-        out *= mi ** di
-    return out
-
-
 @functools.lru_cache(maxsize=1)
 def _mover(P: Presentation):
     """move(r, x) = (y, r') with r x = y r', y of x's color; memoised.  The
@@ -124,8 +117,10 @@ def find_gamma(P: Presentation, pi: Iterable[int]) -> PeriodicityCertificate | N
     e one at a time: e f = y_1 ... y_n r_n with y_1 ... y_n in normal form
     (f is), so by unique factorization (dagger) holds iff y_1 ... y_n =
     gamma(e) and r_n = gamma^{-1}(f).  None is definitive for this pi:
-    (dagger) at f_0 forces the probe's gamma whenever one exists.  An |E|
-    past the "certificate words" budget (1M) raises before any word is built.
+    (dagger) at f_0 forces the probe's gamma whenever one exists, and so
+    is None when |E| != |F|, that is when pi is not in L_m.  An |E| past
+    the "certificate words" budget (1M) raises before any word is built;
+    |E| is counted as :func:`capped_product` does.
     """
     pi = tuple(pi)
     plus, minus = pi_split(P, pi)
@@ -136,10 +131,12 @@ def find_gamma(P: Presentation, pi: Iterable[int]) -> PeriodicityCertificate | N
         return cert
     if not any(x > 0 for x in pi) or not any(x < 0 for x in pi):
         raise ValueError(f"pi {pi} must have entries of both signs (or be zero)")
-    words = _word_count(P, plus)
-    if words != _word_count(P, minus):
-        return None
+    if any(sum(map(operator.mul, vp, pi)) for vp in _prime_exponents(P.m)):
+        return None  # pi is not in L_m: |E| != |F|
     cap = limit(1_000_000)
+    top = max(cap, EXACT_COUNT)
+    # an m_i^d_i past top is counted as m_i^bits(top), itself past top
+    words = capped_product(map(pow, P.m, [min(d, top.bit_length()) for d in plus]), top)
     if words > cap:
         raise BudgetExceeded("certificate words", cap, words)
     f0 = next(words_of_degree(P, minus))
@@ -245,23 +242,35 @@ def _prime_valuations(n: int) -> dict[int, int]:
     return out
 
 
+@functools.lru_cache(maxsize=None)
+def _prime_exponents(m: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """(v_p(m_1), ..., v_p(m_k)) for each prime p dividing some m_i, in
+    increasing order of p: pi is in L_m = {pi : prod m_i^pi_i = 1}, that
+    is |E| = |F|, iff each of these is orthogonal to pi."""
+    vals = [_prime_valuations(mi) for mi in m]
+    return tuple(tuple(v.get(p, 0) for v in vals) for p in sorted(set().union(*vals)))
+
+
 def _period_candidates(m: tuple[int, ...], bound: int) -> list[tuple[int, ...]]:
     """The mixed-sign points of L_m = {pi : prod m_i^pi_i = 1} with
     |pi_i| <= bound, by increasing L1 norm (ties lexicographic).  The HNF
     rows (0 | b) of the rows (v(m_i) | e_i), v the prime valuations, are
     an echelon basis of L_m; each b fixes the coordinate at its pivot, so
-    the walk keeps the coefficients that hold it within the bound.
+    the walk keeps the coefficients that hold it within the bound.  At
+    most 2 bound // b_pivot + 1 of them per point, so the product of these
+    over the rows bounds the point count; past the "period candidates"
+    budget (100,000) it raises before any point is built.
     """
-    k, vals = len(m), [_prime_valuations(mi) for mi in m]
-    primes = sorted(set().union(*vals))
-    rows = [tuple(v.get(p, 0) for p in primes) + tuple(int(i == j) for j in range(k))
-            for i, v in enumerate(vals)]
+    k, exps = len(m), _prime_exponents(m)
+    rows = [tuple(vp[i] for vp in exps) + tuple(int(i == j) for j in range(k)) for i in range(k)]
+    basis = [(row[len(exps):], next(c for c in range(k) if row[len(exps) + c]))
+             for row in hermite_normal_form(rows) if not any(row[:len(exps)])]
+    cap = limit(100_000)
+    count = capped_product((2 * bound // b[col] + 1 for b, col in basis), max(cap, EXACT_COUNT))
+    if count > cap:
+        raise BudgetExceeded("period candidates", cap, count)
     points = [(0,) * k]
-    for row in hermite_normal_form(rows):
-        if any(row[:len(primes)]):
-            continue
-        b = row[len(primes):]
-        col = next(c for c in range(k) if b[c])
+    for b, col in basis:
         points = [tuple(x + c * y for x, y in zip(pt, b)) for pt in points
                   for c in range(-((bound + pt[col]) // b[col]), (bound - pt[col]) // b[col] + 1)]
     inside = [pi for pi in points if min(pi) < 0 < max(pi) and max(map(abs, pi)) <= bound]
@@ -312,7 +321,7 @@ def central_element(P: Presentation, cert: PeriodicityCertificate) -> StarSum:
     """W = sum over e in E of gamma(e) e*; every monomial has grading -pi.
     The pairs (gamma(e), e) are the keys as they stand: normal forms, as
     find_gamma builds them."""
-    return StarSum.of({(ge, e): PHASE_ONE for e, ge in cert.gamma})
+    return StarSum.of({(ge, e): 1 for e, ge in cert.gamma})
 
 
 def verify_central(P: Presentation, cert: PeriodicityCertificate) -> bool:

@@ -5,14 +5,15 @@ isometries, each color family defect free) is spanned by monomials u v*
 with u, v words.  This module implements enough of its arithmetic to
 verify identities at the level of relations: products via the
 complementary-degree expansion of v* x, formal adjoints, and exact
-equality.
+equality.  The relations carry no scalars, so every coefficient is an
+integer.
 
 Equality needs care because of the defect-free relation
 u v* = sum_{deg a = d} (u a)(v a)*: two merged sums with different keys
 can be equal (e.g. the full family sum_f f f* over a fixed degree equals
 the empty monomial).  star_equal therefore expands both sums until every
 u-part has the same degree (monomials with fixed u-degree and fixed
-grading are linearly independent) and compares coefficients exactly.
+grading are linearly independent) and compares the integer coefficients.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from .kgraph import (
     normal_form,
     words_of_degree,
 )
-from .phases import PHASE_ONE, Phase, PhaseInt
 
 Key = tuple[Word, Word]
 
@@ -41,17 +41,16 @@ Key = tuple[Word, Word]
 class StarSum:
     """A canonically merged finite sum  sum  c_(u,v) * u v*.
 
-    terms maps (u, v) pairs of normal-form words to nonzero exact
+    terms maps (u, v) pairs of normal-form words to nonzero integer
     coefficients.  The empty sum is zero; {((), ()): 1} is the identity.
     StarSum.of keeps keys as given; multiply and star_equal need normal forms.
     """
 
-    terms: tuple[tuple[Key, PhaseInt], ...]
+    terms: tuple[tuple[Key, int], ...]
 
     @staticmethod
-    def of(mapping: dict[Key, PhaseInt]) -> "StarSum":
-        items = tuple(sorted((k, c) for k, c in mapping.items() if not c.is_zero()))
-        return StarSum(items)
+    def of(mapping: dict[Key, int]) -> "StarSum":
+        return StarSum(tuple(sorted((k, c) for k, c in mapping.items() if c)))
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -59,7 +58,7 @@ class StarSum:
     def __add__(self, other: "StarSum") -> "StarSum":
         out = dict(self.terms)
         for key, c in other.terms:
-            out[key] = out[key] + c if key in out else c
+            out[key] = out.get(key, 0) + c
         return StarSum.of(out)
 
     def __len__(self) -> int:
@@ -67,25 +66,19 @@ class StarSum:
 
 
 def identity_sum() -> StarSum:
-    return StarSum.of({((), ()): PHASE_ONE})
+    return StarSum.of({((), ()): 1})
 
 
-def monomial(P: Presentation, u: Word, v: Word, coefficient: Phase | PhaseInt = None
-             ) -> StarSum:
-    """The single monomial coefficient * u v* (words normalized)."""
+def monomial(P: Presentation, u: Word, v: Word) -> StarSum:
+    """The single monomial u v* (words normalized)."""
     check_word(P, u)
     check_word(P, v)
-    if coefficient is None:
-        coefficient = PHASE_ONE
-    elif not isinstance(coefficient, PhaseInt):
-        coefficient = PhaseInt.from_phase(coefficient)
-    key = (normal_form(P, u), normal_form(P, v))
-    return StarSum.of({key: coefficient})
+    return StarSum.of({(normal_form(P, u), normal_form(P, v)): 1})
 
 
 def adjoint(A: StarSum) -> StarSum:
-    """The formal adjoint: swap u and v, conjugate coefficients."""
-    return StarSum.of({(v, u): c.conj() for (u, v), c in A.terms})
+    """The formal adjoint: swap u and v; integer coefficients are real."""
+    return StarSum.of({(v, u): c for (u, v), c in A.terms})
 
 
 @lru_cache(maxsize=65536)
@@ -105,7 +98,7 @@ def _reduce_adjoint_cached(P: Presentation, v: Word, x: Word) -> tuple[tuple[Wor
 def multiply(P: Presentation, A: StarSum, B: StarSum) -> StarSum:
     """Bilinear product: (u v*)(x y*) = sum u a (y b)* over v a = x b;
     x is matched against normal forms, so B's keys must be normal forms."""
-    out: dict[Key, PhaseInt] = {}
+    out: dict[Key, int] = {}
     for (u, v), c1 in A.terms:
         for (x, y), c2 in B.terms:
             pairs = _reduce_adjoint_cached(P, v, x)
@@ -114,20 +107,20 @@ def multiply(P: Presentation, A: StarSum, B: StarSum) -> StarSum:
             c = c1 * c2
             for a, b in pairs:
                 key = (normal_form(P, u + a), normal_form(P, y + b))
-                out[key] = out[key] + c if key in out else c
+                out[key] = out.get(key, 0) + c
     return StarSum.of(out)
 
 
-def _expanded(P: Presentation, A: StarSum, target: Degree) -> dict[Key, PhaseInt]:
+def _expanded(P: Presentation, A: StarSum, target: Degree) -> dict[Key, int]:
     # Rewrite every monomial so its u-part has degree exactly `target`,
     # using u v* = sum_{deg a = target - deg u} (u a)(v a)*.
-    out: dict[Key, PhaseInt] = {}
+    out: dict[Key, int] = {}
     for (u, v), c in A.terms:
         da = deg_sub(target, degree(P, u))
         for a in words_of_degree(P, da):
             key = (normal_form(P, u + a), normal_form(P, v + a))
-            out[key] = out[key] + c if key in out else c
-    return {k: c for k, c in out.items() if not c.is_zero()}
+            out[key] = out.get(key, 0) + c
+    return {k: c for k, c in out.items() if c}
 
 
 def star_equal(P: Presentation, A: StarSum, B: StarSum) -> bool:
@@ -138,10 +131,7 @@ def star_equal(P: Presentation, A: StarSum, B: StarSum) -> bool:
     target = P.zero()
     for d in degs:
         target = deg_join(target, d)
-    ea, eb = _expanded(P, A, target), _expanded(P, B, target)
-    if set(ea) != set(eb):
-        return False
-    return all(ea[k].value_eq(eb[k]) for k in ea)
+    return _expanded(P, A, target) == _expanded(P, B, target)
 
 
 def render_word(w: Word) -> str:
@@ -149,12 +139,14 @@ def render_word(w: Word) -> str:
 
 
 def render(A: StarSum) -> str:
-    """Text form: sum of +-(p/q)*u*v^* terms, words as color:index chains."""
+    """Text form: a sum of coeff*u*v^* terms, words as color:index chains.
+    The coefficients 1 and -1 are written as the phases p/q of
+    exp(2 pi i p/q), +(0/1) and +(1/2); any other c as [+c*(0/1)] or
+    [-|c|*(0/1)]."""
     if A.is_zero():
         return "0"
     parts = []
     for (u, v), c in A.terms:
-        p = c.single_phase()
-        coeff = f"+({p.numerator}/{p.denominator})" if p is not None else f"[{c}]"
+        coeff = {1: "+(0/1)", -1: "+(1/2)"}.get(c, f"[{c:+d}*(0/1)]")
         parts.append(f"{coeff}*{render_word(u)}*{render_word(v)}^*")
     return " ".join(parts)

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from polygraph import catalog
-from polygraph.budget import BudgetExceeded, InvalidBudget, limit
+from polygraph.budget import EXACT_COUNT, BudgetExceeded, InvalidBudget, capped_product, limit
 from polygraph.cli import main
 from polygraph.enumeration import (
     _compiled_group,
@@ -24,7 +24,7 @@ from polygraph.groupcons import (
     extend_to_group,
     from_commuting_words,
 )
-from polygraph.periodicity import check_tail_condition, find_gamma
+from polygraph.periodicity import check_tail_condition, find_gamma, symmetry_lattice
 from polygraph.tails import splice_separating_tail
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -91,10 +91,33 @@ class TestNamedBudgets:
         assert _raised(monkeypatch, "3", lambda: find_gamma(catalog.flip_2graph(), (2, -2))) \
             == ("certificate words", 3, 4)
 
+    def test_period_candidates(self, monkeypatch):
+        # bound 2 on the flip graph: L_m = Z (1, -1), so 2 * 2 + 1 = 5 points
+        P = catalog.flip_2graph()
+        assert _raised(monkeypatch, "4", lambda: symmetry_lattice(P, bound=2)) \
+            == ("period candidates", 4, 5)
+        monkeypatch.setenv("POLYGRAPH_BUDGET", "5")
+        assert symmetry_lattice(P, bound=2).basis == ((1, -1),)
+
     def test_splice_rounds(self, monkeypatch):
         P = catalog.square_2graph()
         assert _raised(monkeypatch, "0", lambda: splice_separating_tail(P, bound=1)) \
             == ("splice rounds", 0, 1)
+
+
+class TestCappedProduct:
+    def test_exact_up_to_the_cap(self):
+        assert capped_product([2] * 40, EXACT_COUNT) == 2 ** 40
+        assert capped_product([], 0) == 1
+        assert capped_product([10, 10], 100) == 100
+
+    def test_first_partial_product_past_the_cap(self):
+        assert capped_product([10] * 5, 999) == 1000
+        assert capped_product(iter(lambda: 2, 0), 10) == 16  # an endless stream stops
+
+    def test_huge_factors_count_as_cap_plus_one(self):
+        assert capped_product([10 ** 5000], 100) == 101
+        assert capped_product([3, 10 ** 5000], 100) == 303
 
 
 class TestLimit:

@@ -107,6 +107,7 @@ class TestExitCodes:
         ("10", ["classify", "--m", "2,2"], "tables"),
         ("3", ["periodicity", "--presentation", "flip", "--pi", "2,-2"], "certificate words"),
         ("10", ["classify", "--m", "1,1,1,1"], "relabelings"),
+        ("4", ["symmetry", "--presentation", "flip", "--bound", "2"], "period candidates"),
     ])
     def test_named_budget_exit_3(self, budget, argv, name, monkeypatch, capsys):
         monkeypatch.setenv("POLYGRAPH_BUDGET", budget)
@@ -142,6 +143,31 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"budget/bound exceeded: {message}\n"
+
+    @pytest.mark.parametrize("argv, message", [
+        # |E| = 2^2000 or 2^20000 is never built: the count stops past 10^18
+        (["periodicity", "--presentation", "flip", "--pi", "2000,-2000"],
+         "certificate words: 1000000000000000001 exceeds the limit 1000000"),
+        (["periodicity", "--presentation", "flip", "--pi", "20000,-20000"],
+         "certificate words: 1000000000000000001 exceeds the limit 1000000"),
+        # the 2 * 10^20 - 1 candidates of the box are never built: the
+        # count stops past 10^18
+        (["symmetry", "--presentation", "flip", "--bound", "99999999999999999999"],
+         "period candidates: 1000000000000000001 exceeds the limit 100000"),
+        # 2 * bound + 1 would pass int -> str's 4,300 digits
+        (["symmetry", "--presentation", "flip", "--bound", "9" * 4300],
+         "period candidates: 1000000000000000001 exceeds the limit 100000"),
+    ])
+    def test_long_pi_and_huge_bound_are_one_line_exit_3(self, argv, message, monkeypatch,
+                                                       capsys):
+        monkeypatch.delenv("POLYGRAPH_BUDGET", raising=False)
+        t0 = time.perf_counter()
+        assert main(argv) == 3
+        assert time.perf_counter() - t0 < 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"budget/bound exceeded: {message}\n"
+        assert "Traceback" not in captured.err
 
     @pytest.mark.parametrize("budget, argv, named", [
         ("abc", ["classify", "--m", "2,2"], "POLYGRAPH_BUDGET"),

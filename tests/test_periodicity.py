@@ -20,6 +20,7 @@ from polygraph.kgraph import (
 from polygraph.periodicity import (
     PeriodicityCertificate,
     _period_candidates,
+    _prime_exponents,
     central_element,
     check_tail_condition,
     find_gamma,
@@ -181,6 +182,27 @@ class TestFindGamma:
         assert stages["dagger"] + stages["certified"] == 288
         assert stages["dagger"] == 100
         assert stages["probe"] == 1200
+
+    def test_unequal_word_counts_are_none_without_counting(self, monkeypatch):
+        # |E| != |F| is read off prime valuations: definitive None at any
+        # length, before the "certificate words" budget (here 0) is read
+        P23 = next(enumerate_presentations((2, 3)))
+        P24 = next(enumerate_presentations((2, 4)))
+        monkeypatch.setenv("POLYGRAPH_BUDGET", "0")
+        for P, pi in [(P23, (20000, -20000)), (P23, (1, -1)), (P24, (20001, -10000)),
+                      (P24, (1, -1))]:
+            assert find_gamma(P, pi) is None, (P.m, pi)
+
+    @pytest.mark.parametrize("m", [(2, 3), (2, 4), (4, 2, 8), (6, 2, 3), (1, 2), (1, 1, 3),
+                                   (9, 3, 27)])
+    def test_prime_exponents_decide_equal_word_counts(self, m):
+        for plus, minus in itertools.product(itertools.product(range(4), repeat=len(m)),
+                                             repeat=2):
+            exact = math.prod(mi ** d for mi, d in zip(m, plus)) \
+                == math.prod(mi ** d for mi, d in zip(m, minus))
+            pi = [a - b for a, b in zip(plus, minus)]
+            in_lattice = not any(sum(v * x for v, x in zip(vp, pi)) for vp in _prime_exponents(m))
+            assert in_lattice == exact, (plus, minus)
 
     def test_dagger_holds_exhaustively(self):
         for P, pi in [(FLIP, (1, -1)), (SQUARE, (2, -2)), (PRODUCT, (1, 1, -1))]:

@@ -1,6 +1,5 @@
 import itertools
 import random
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -8,7 +7,6 @@ from hypothesis import strategies as st
 
 from polygraph import catalog
 from polygraph.kgraph import deg_sub, degree, extract_prefix, normal_form, words_of_degree
-from polygraph.phases import PHASE_ONE, PhaseInt, cyclotomic_polynomial, phase
 from polygraph.staralg import (
     StarSum,
     _reduce_adjoint_cached,
@@ -24,41 +22,19 @@ FLIP = catalog.flip_2graph()
 FCC = catalog.flip_cycle_cycle_3graph()
 
 
-class TestPhases:
-    def test_cyclotomic_polynomials(self):
-        assert cyclotomic_polynomial(1) == (-1, 1)
-        assert cyclotomic_polynomial(2) == (1, 1)
-        assert cyclotomic_polynomial(3) == (1, 1, 1)
-        assert cyclotomic_polynomial(4) == (1, 0, 1)
-        assert cyclotomic_polynomial(6) == (1, -1, 1)
-        assert cyclotomic_polynomial(12) == (1, 0, -1, 0, 1)
-
-    def test_sum_of_all_roots_vanishes(self):
-        for n in (2, 3, 4, 5, 6, 12):
-            total = PhaseInt.of({Fraction(j, n): 1 for j in range(n)})
-            assert total.is_zero()
-
-    def test_value_equality_across_levels(self):
-        # exp(2 pi i / 2) = -1 = zeta_3 + zeta_3^2
-        a = PhaseInt.from_phase(phase(1, 2))
-        b = PhaseInt.of({Fraction(1, 3): 1, Fraction(2, 3): 1})
-        assert a.value_eq(b)
-        assert not a.value_eq(PHASE_ONE)
-
-    def test_arithmetic(self):
-        w = PhaseInt.from_phase(phase(1, 3))
-        assert (w * w * w).value_eq(PHASE_ONE)
-        assert (w + (-w)).is_zero()
-        assert w.conj().value_eq(PhaseInt.from_phase(phase(2, 3)))
-
-    def test_single_phase_detection(self):
-        assert PhaseInt.from_phase(phase(1, 4)).single_phase() == Fraction(1, 4)
-        two = PhaseInt.of({Fraction(0): 2})
-        assert two.single_phase() is None
+def star(P, u, v, coeff=1):
+    """coeff * u v* (words normalized)."""
+    return scaled(coeff, monomial(P, u, v))
 
 
-def star(P, u, v, coeff=None):
-    return monomial(P, u, v, coeff)
+def scaled(c, A):
+    """The sum c * A, for an integer c."""
+    return StarSum.of({key: c * a for key, a in A.terms})
+
+
+def coefficient(rng):
+    """A random nonzero integer coefficient, of either sign."""
+    return rng.choice((-3, -2, -1, 1, 2, 3))
 
 
 def adjoint_product(P, v, x):
@@ -82,7 +58,7 @@ class TestReduceAdjointProduct:
             if s != t:
                 assert got.is_zero()
             else:
-                expected = StarSum.of({(((2, b),), ((1, b),)): PHASE_ONE for b in (1, 2)})
+                expected = StarSum.of({(((2, b),), ((1, b),)): 1 for b in (1, 2)})
                 assert got.terms == expected.terms
 
     def test_adjoint_symmetry(self):
@@ -104,7 +80,7 @@ def _reference_multiply(P, A, B):
             c = c1 * c2
             for a, b in _reduce_adjoint_cached(P, v, x):
                 key = (normal_form(P, u + a), normal_form(P, y + b))
-                out[key] = out[key] + c if key in out else c
+                out[key] = out.get(key, 0) + c
     return StarSum.of(out)
 
 
@@ -120,8 +96,7 @@ class TestMultiply:
         for P in (FLIP, FCC):
             words = _normal_words(P, (1,) * P.k)
             for _ in range(40):
-                A, B = (StarSum.of({(rng.choice(words), rng.choice(words)):
-                                    PhaseInt.from_phase(phase(rng.randrange(6), 6))
+                A, B = (StarSum.of({(rng.choice(words), rng.choice(words)): coefficient(rng)
                                     for _ in range(rng.randint(1, 4))}) for _ in range(2))
                 for left, right in ((A, B), (A, adjoint(A)), (adjoint(B), B)):
                     assert multiply(P, left, right).terms == \
@@ -144,11 +119,11 @@ class TestMultiply:
             assert star_equal(FLIP, prod, identity_sum())
 
     def test_coefficients_multiply(self):
-        a = star(FLIP, (), ((1, 1),), phase(1, 3))
-        b = star(FLIP, ((1, 1),), (), phase(1, 4))
-        prod = multiply(FLIP, a, b)  # (1/3)(1/4) e_1* e_1 = (7/12) identity
-        assert star_equal(FLIP, prod,
-                          monomial(FLIP, (), (), phase(7, 12)))
+        a = star(FLIP, (), ((1, 1),), 3)
+        b = star(FLIP, ((1, 1),), (), -4)
+        prod = multiply(FLIP, a, b)  # 3 (-4) e_1* e_1 = -12 identity
+        assert star_equal(FLIP, prod, scaled(-12, identity_sum()))
+        assert not star_equal(FLIP, prod, scaled(12, identity_sum()))
 
     def run_assoc(self, P, rng):
         letters = list(P.letters())
@@ -158,8 +133,7 @@ class TestMultiply:
             for _ in range(rng.randint(1, 2)):
                 u = tuple(rng.choice(letters) for _ in range(rng.randint(0, 2)))
                 v = tuple(rng.choice(letters) for _ in range(rng.randint(0, 2)))
-                c = phase(rng.randint(0, 5), 6)
-                total = total + monomial(P, u, v, c)
+                total = total + star(P, u, v, coefficient(rng))
             return total
 
         a, b, c = rand_sum(), rand_sum(), rand_sum()
@@ -195,8 +169,22 @@ class TestMultiply:
 
 class TestEquality:
     def test_defect_free_family_equals_identity(self):
-        fam = StarSum.of({(((2, s),), ((2, s),)): PHASE_ONE for s in (1, 2)})
+        fam = StarSum.of({(((2, s),), ((2, s),)): 1 for s in (1, 2)})
         assert star_equal(FLIP, fam, identity_sum())
+
+    def test_defect_free_families_with_integer_coefficients(self):
+        # c times a full family is c times the identity, for any c; one
+        # word's coefficient moved breaks it
+        rng = random.Random(14)
+        for P in (FLIP, FCC):
+            for color in range(1, P.k + 1):
+                c = coefficient(rng)
+                fam = StarSum.of({((g,), (g,)): c for g in P.letters(color)})
+                assert star_equal(P, fam, scaled(c, identity_sum()))
+                assert star_equal(P, fam, identity_sum()) == (c == 1)
+                g = next(iter(P.letters(color)))
+                moved = fam + star(P, (g,), (g,), coefficient(rng))
+                assert not star_equal(P, moved, scaled(c, identity_sum()))
 
     def test_partial_family_not_identity(self):
         part = star(FLIP, ((2, 1),), ((2, 1),))
@@ -215,10 +203,21 @@ class TestEquality:
         assert star_equal(FCC, m, expanded)
 
     def test_render(self):
-        m = star(FLIP, ((1, 2), (2, 1)), (), phase(1, 2))
+        m = star(FLIP, ((1, 2), (2, 1)), (), -1)
         assert render(m) == "+(1/2)*1:2.2:1*1^*"
         assert render(StarSum(())) == "0"
         assert render(identity_sum()) == "+(0/1)*1*1^*"
+
+    @pytest.mark.parametrize("c, text", [
+        (1, "+(0/1)*1:1*2:2^*"),
+        (-1, "+(1/2)*1:1*2:2^*"),
+        (2, "[+2*(0/1)]*1:1*2:2^*"),
+        (-3, "[-3*(0/1)]*1:1*2:2^*"),
+    ])
+    def test_render_golden(self, c, text):
+        # the text of the earlier root-of-unity coefficients: 1 and -1 as
+        # the phases 0 and 1/2, other integers in brackets
+        assert render(star(FLIP, ((1, 1),), ((2, 2),), c)) == text
 
 
 class WindowOracle:
@@ -254,17 +253,11 @@ class WindowOracle:
             if head != b:
                 continue
             out = normal_form(self.P, a + rest)
-            image[out] = image[out] + coeff if out in image else coeff
-        return {k: c for k, c in image.items() if not c.is_zero()}
+            image[out] = image.get(out, 0) + coeff
+        return {k: c for k, c in image.items() if c}
 
     def equal(self, A, B):
-        for label in self.labels:
-            ia, ib = self.apply(A, label), self.apply(B, label)
-            if set(ia) != set(ib):
-                return False
-            if not all(ia[k].value_eq(ib[k]) for k in ia):
-                return False
-        return True
+        return all(self.apply(A, label) == self.apply(B, label) for label in self.labels)
 
 
 def test_star_equal_matches_the_window_oracle():
@@ -278,7 +271,7 @@ def test_star_equal_matches_the_window_oracle():
             for _ in range(rng.randint(1, 3)):
                 u = tuple(rng.choice(letters) for _ in range(rng.randint(0, 2)))
                 v = tuple(rng.choice(letters) for _ in range(rng.randint(0, 2)))
-                total = total + monomial(P, u, v, phase(rng.randint(0, 3), 4))
+                total = total + star(P, u, v, coefficient(rng))
             return total
 
         pairs = []
@@ -287,8 +280,12 @@ def test_star_equal_matches_the_window_oracle():
             pairs.append((a, b))
             pairs.append((a, a + StarSum(())))
         # known-equal pair with different keys: full family vs identity
-        fam = StarSum.of({(((1, s),), ((1, s),)): PHASE_ONE for s in (1, 2)})
+        fam = StarSum.of({(((1, s),), ((1, s),)): 1 for s in (1, 2)})
         pairs.append((fam, identity_sum()))
+        # and with a coefficient, and a sum that cancels to zero
+        pairs.append((scaled(-2, fam), scaled(-2, identity_sum())))
+        a = rand_sum()
+        pairs.append((a + scaled(-1, a), StarSum(())))
         agree = 0
         for a, b in pairs:
             assert star_equal(P, a, b) == oracle.equal(a, b)
@@ -308,8 +305,8 @@ def test_adjoint_is_an_involution_and_antihomomorphism(data):
         for _ in range(n):
             u = tuple(data.draw(st.lists(st.sampled_from(letters), max_size=2)))
             v = tuple(data.draw(st.lists(st.sampled_from(letters), max_size=2)))
-            c = phase(data.draw(st.integers(0, 5)), 6)
-            total = total + monomial(P, u, v, c)
+            c = data.draw(st.integers(-3, 3).filter(bool))
+            total = total + star(P, u, v, c)
         return total
 
     a, b = draw_sum(), draw_sum()
