@@ -4,11 +4,14 @@ through :func:`limit` and raises :class:`BudgetExceeded` past it."""
 from __future__ import annotations
 
 import os
+from decimal import ROUND_DOWN, Context
 from typing import Iterable
 
 # A count up to this is exact in a BudgetExceeded message; a larger one is
 # a lower bound, so that checking and printing it stay cheap.
 EXACT_COUNT = 10 ** 18
+# Past 40 digits, two significant digits rounded down: str() fails past 4,300.
+_TWO_DIGITS = Context(prec=2, rounding=ROUND_DOWN)
 
 
 class BudgetExceeded(RuntimeError):
@@ -16,7 +19,8 @@ class BudgetExceeded(RuntimeError):
 
     def __init__(self, name: str, limit: int, consumed: int):
         self.name, self.limit, self.consumed = name, limit, consumed
-        super().__init__(f"{name}: {consumed} exceeds the limit {limit}")
+        shown = [n if n < 10 ** 40 else _TWO_DIGITS.plus(n) for n in (consumed, limit)]
+        super().__init__(f"{name}: {shown[0]} exceeds the limit {shown[1]}")
 
 
 class InvalidBudget(ValueError):

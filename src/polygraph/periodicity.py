@@ -17,7 +17,9 @@ Each certified pi yields a central element W = sum gamma(e) e* in the
 relation algebra; the certified pi's under a bound, searched on the lattice
 where |E| = |F|, generate the symmetry lattice, reported in Hermite normal
 form with the structural consequences (torus rank, tensor factorization,
-simplicity verdict).
+simplicity verdict).  Periods form a group, so the search certifies one
+candidate per coset of the hits so far: a rejected pi rules out its coset
+and that of -pi, exactly.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .budget import EXACT_COUNT, BudgetExceeded, capped_product, limit
-from .intlinalg import hermite_normal_form, meets_positive_orthant, solve_integer
+from .intlinalg import hermite_normal_form, meets_positive_orthant, reduce_mod, solve_integer
 from .kgraph import (
     Degree,
     Letter,
@@ -44,9 +46,9 @@ from .staralg import StarSum, adjoint, identity_sum, monomial, multiply, star_eq
 
 
 class LatticeInconsistency(RuntimeError):
-    """An HNF basis vector of the collected lattice failed re-verification,
-    or the lattice met the nonnegative orthant: the bounded search clipped
-    a generator or produced inconsistent certificates."""
+    """A rejected candidate fell in the collected lattice, an HNF basis
+    vector of it failed re-verification, or it met the nonnegative orthant:
+    the bounded search clipped a generator or produced inconsistent verdicts."""
 
 
 @dataclass(frozen=True)
@@ -282,26 +284,40 @@ def symmetry_lattice(P: Presentation, bound: int = 4) -> SymmetryLattice:
     hits into a lattice (HNF), and re-verify each basis vector.
 
     A period has |E| = |F|, so the candidates are the points of L_m in
-    the box (none for m = (2, 3)).  Periods form a subgroup of Z^k, so the
-    search accepts by closure: candidates are visited by increasing L1
-    norm (ties lexicographic), one inside the lattice spanned by the hits
-    so far is accepted without a certificate, and only the rest go to
-    `is_periodic`.  `hits` holds every mixed-sign lattice point of the box.
+    the box (none for m = (2, 3)), visited by increasing L1 norm (ties
+    lexicographic).  Periods form a subgroup of Z^k, so with M the lattice
+    of the hits so far, one `reduce_mod` remainder per candidate decides
+    by closure: zero is a hit; the class of a rejected vector r (kept with
+    -r, reclassed as M grows) is skipped, since a period r + x with x in M
+    would make r = (r + x) - x one.  Only the rest go to `is_periodic`, one
+    per open coset; `hits` holds every mixed-sign lattice point of the box.
 
-    Raises LatticeInconsistency if a basis vector fails re-verification
-    (the bound clipped a generator) or the lattice meets the nonnegative
+    Raises LatticeInconsistency if a rejected vector falls in M (the
+    verdicts broke the group law), a basis vector fails re-verification
+    (the bound clipped a generator), or the lattice meets the nonnegative
     orthant (impossible for true symmetry lattices; indicates bad data).
     """
     if bound < 1:
         raise ValueError("bound must be >= 1")
     hits = []
     basis: tuple[tuple[int, ...], ...] = ()  # HNF of the hits so far
+    refuted: dict[tuple[int, ...], tuple[int, ...]] = {}  # class mod basis -> a rejected vector
+    zero = (0,) * P.k
     for pi in _period_candidates(P.m, bound):
-        if solve_integer(basis, pi) is not None:
+        r = reduce_mod(basis, pi)[1]
+        if r == zero:
             hits.append(pi)
-        elif is_periodic(P, pi) is not None:
+        elif r in refuted:
+            continue
+        elif is_periodic(P, pi) is None:
+            refuted.update((reduce_mod(basis, v)[1], v) for v in (pi, tuple(-x for x in pi)))
+        else:
             hits.append(pi)
             basis = hermite_normal_form(basis + (pi,))
+            refuted = {reduce_mod(basis, v)[1]: v for v in refuted.values()}
+            if zero in refuted:
+                raise LatticeInconsistency(f"rejected candidate {refuted[zero]} lies in the "
+                                           f"lattice {basis} of certified periods")
     certs = []
     for v in basis:
         cert = is_periodic(P, v)

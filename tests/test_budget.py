@@ -120,6 +120,26 @@ class TestCappedProduct:
         assert capped_product([3, 10 ** 5000], 100) == 303
 
 
+class TestHugeCounts:
+    # past 40 digits a count is shown with two significant digits: a count
+    # reaches (limit + 1)^2, and str() refuses an int of over 4,300 digits
+    def test_message_rounds_down_past_40_digits(self):
+        assert str(BudgetExceeded("tables", 10 ** 4300 - 1, 10 ** 8600)) \
+            == "tables: 1.0E+8600 exceeds the limit 9.9E+4299"
+        assert str(BudgetExceeded("tables", 7, 10 ** 40 - 1)) == f"tables: {'9' * 40} exceeds the limit 7"
+
+    @pytest.mark.parametrize("argv, name", [
+        (["periodicity", "--presentation", "flip", "--pi", "20000,-20000"], "certificate words"),
+        (["symmetry", "--presentation", "flip-cycles", "--bound", "9" * 4300], "period candidates"),
+    ])
+    def test_4300_digit_budget_exits_3_with_one_line(self, monkeypatch, capsys, argv, name):
+        monkeypatch.setenv("POLYGRAPH_BUDGET", "9" * 4300)
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"budget/bound exceeded: {name}: 1.0E+4300 exceeds the limit 9.9E+4299\n"
+
+
 class TestLimit:
     def test_default_when_unset(self, monkeypatch):
         monkeypatch.delenv("POLYGRAPH_BUDGET", raising=False)

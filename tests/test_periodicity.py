@@ -8,7 +8,7 @@ import pytest
 
 from polygraph import catalog, periodicity, product_relation_tables
 from polygraph.enumeration import enumerate_presentations, isomorphism_classes
-from polygraph.intlinalg import hermite_normal_form, meets_positive_orthant
+from polygraph.intlinalg import hermite_normal_form, meets_positive_orthant, reduce_mod
 from polygraph.kgraph import (
     deg_sub,
     degree,
@@ -18,6 +18,7 @@ from polygraph.kgraph import (
     words_of_degree,
 )
 from polygraph.periodicity import (
+    LatticeInconsistency,
     PeriodicityCertificate,
     _period_candidates,
     _prime_exponents,
@@ -379,6 +380,7 @@ class TestSymmetryLattice:
         cases = [(P, bound) for P in CATALOG for bound in (2, 3)]
         cases += [(cls.representative, 2)
                   for m in ((2, 2), (2, 2, 2)) for cls in _classes(m)]
+        cases += [(cls.representative, bound) for cls in _classes((2, 2)) for bound in (4, 5)]
         rank_two = 0
         for P, bound in cases:
             lat = symmetry_lattice(P, bound=bound)
@@ -386,6 +388,61 @@ class TestSymmetryLattice:
                 (P, bound)
             rank_two += lat.rank == 2
         assert rank_two > 0
+
+    @staticmethod
+    def _certified(monkeypatch, P, bound, verdict=None):
+        """The symmetry lattice and the pi's sent to is_periodic, in order;
+        verdict, when given, replaces is_periodic."""
+        calls, decide = [], verdict or periodicity.is_periodic
+        monkeypatch.setattr(periodicity, "is_periodic",
+                            lambda P, pi: calls.append(pi) or decide(P, pi))
+        return symmetry_lattice(P, bound=bound), calls
+
+    @pytest.mark.parametrize("bound", [2, 3, 4, 5])
+    def test_aperiodic_certifies_one_candidate_per_sign_pair(self, monkeypatch, bound):
+        # cycle3-forward has no period: every candidate is rejected, and
+        # the rejection of pi rules out -pi without a second certificate
+        lat, calls = self._certified(monkeypatch, FWD, bound)
+        candidates = _period_candidates(FWD.m, bound)
+        assert lat.basis == lat.hits == ()
+        assert len(calls) == len(candidates) // 2
+        assert set(calls) | {tuple(-x for x in pi) for pi in calls} == set(candidates)
+
+    def test_flip_cycles_call_count_is_frozen(self, monkeypatch):
+        # bound 5: of 90 candidates, 6 reach is_periodic in the search and
+        # the one basis vector once more in its re-verification
+        P = catalog.flip_cycle_cycle_3graph()
+        lat, calls = self._certified(monkeypatch, P, 5)
+        assert len(_period_candidates(P.m, 5)) == 90
+        assert lat.basis == ((1, -1, 0),)
+        assert len(calls) == 7 and calls[-1] == (1, -1, 0)
+
+    def test_no_rejected_coset_is_certified_twice(self, monkeypatch):
+        # each pi sent to is_periodic lies outside the lattice of the
+        # periods certified before it and outside the coset of every +-q
+        # rejected before it
+        for P in (FSS, TWISTED, PRODUCT, catalog.flip_cycle_cycle_3graph()):
+            lat, calls = self._certified(monkeypatch, P, 4)
+            search = calls[:len(calls) - lat.rank]
+            for i, pi in enumerate(search):
+                hits = [q for q in search[:i] if is_periodic(P, q) is not None]
+                basis = hermite_normal_form(hits)
+                assert reduce_mod(basis, pi)[1] != (0,) * P.k, (P, pi)
+                for q in search[:i]:
+                    if q not in hits:
+                        for sign in (1, -1):
+                            diff = tuple(a - sign * b for a, b in zip(pi, q))
+                            assert reduce_mod(basis, diff)[1] != (0,) * P.k, (P, pi, q)
+
+    def test_rejected_vector_in_the_lattice_raises(self, monkeypatch):
+        # a verdict set that is not closed under subtraction: it rejects
+        # (-2, 2, 0, 0) but accepts (-2, 0, 0, 2), (-2, 0, 2, 0) and
+        # (-1, -1, 1, 1), whose lattice holds
+        # (-2, 0, 0, 2) + (-2, 0, 2, 0) - 2 (-1, -1, 1, 1) = (-2, 2, 0, 0)
+        accepted = {(-2, 0, 0, 2), (-2, 0, 2, 0), (-1, -1, 1, 1)}
+        P = catalog.transposition_kgraph(4, 2)
+        with pytest.raises(LatticeInconsistency, match=r"rejected candidate \(2, -2, 0, 0\)"):
+            self._certified(monkeypatch, P, 2, lambda P, pi: pi if pi in accepted else None)
 
     def test_transducer_vs_brute_across_the_222_classes(self):
         # every class representative for m=(2,2,2), every |pi_i| <= 1
