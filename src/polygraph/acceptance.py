@@ -159,8 +159,7 @@ def criterion_4_27dim_representation() -> dict:
     rep = decompose(gc)
     dims = rep.dimensions
     trivial = all(len(full_symmetry_subgroup(s)) == 1 for s in rep.summands)
-    cube_roots = all(a.denominator in (1, 3)
-                     for s in rep.summands for row in s.alpha for a in row)
+    cube_roots = all(s.level in (1, 3) for s in rep.summands)
     ok = (commute and gc.dimension == 27 and len(dims) == 9
           and all(d == 3 for d in dims) and sum(dims) == 27
           and trivial and cube_roots)

@@ -19,8 +19,10 @@ its translation symmetry subgroup is trivial, and in general it splits
 over the characters of that subgroup into irreducible constructions on
 the quotient; other phases are first made constant by a diagonal unitary.
 
-Phases are Fractions in [0, 1); the loops over elements run on integer
-numerators at one common level N, the lcm of the denominators.
+A construction stores its phases as integer numerators over one level N
+in lowest terms: the integer a stands for a / N.  Phases enter as
+Fractions or ints, any representative mod 1, and leave as Fractions in
+[0, 1) only through `alpha`; every check and walk reads the integers.
 """
 
 from __future__ import annotations
@@ -28,8 +30,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache
-from math import lcm, prod
+from functools import cache, cached_property
+from math import gcd, lcm, prod
 from operator import mul
 from typing import Callable
 
@@ -51,7 +53,6 @@ from .kgraph import (
     normal_form,
     words_equal,
 )
-from .phases import Phase, phase
 from .tails import sigma_data, tail
 
 
@@ -146,33 +147,35 @@ class FiniteAbelianGroup:
 class GroupConstruction:
     """A validated group construction (see module docstring).
 
-    t[i-1] and alpha[i-1] are tuples over element index; construct via
+    t[i-1] and phases[i-1] are tuples over element index, alpha^i_g being
+    phases[i-1][g] / level with gcd(level, *phases) == 1; construct via
     :func:`group_construction`, which validates the commutation data.
     """
 
     presentation: Presentation
     group: FiniteAbelianGroup
     t: tuple[tuple[int, ...], ...]
-    alpha: tuple[tuple[Phase, ...], ...]
+    level: int
+    phases: tuple[tuple[int, ...], ...]
 
     @property
     def dimension(self) -> int:
         return self.group.order
 
-
-def validate_group_construction(P: Presentation, G: FiniteAbelianGroup,
-                                t, alpha) -> tuple | None:
-    """First violation of the commutation conditions (shapes, ranges and
-    words before scalars), or None if valid.
-
-    Witness: ("words" | "scalars", element vector, i, j, lhs, rhs).
-    """
-    return _words_witness(P, G, t) or _scalars_witness(G, *_numerators(alpha))
+    @cached_property
+    def alpha(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The phases as Fractions in [0, 1), one Fraction per distinct value."""
+        value = {a: Fraction(a, self.level) for a in set(itertools.chain(*self.phases))}
+        return tuple(tuple(map(value.__getitem__, row)) for row in self.phases)
 
 
 def _words_witness(P: Presentation, G: FiniteAbelianGroup, t) -> tuple | None:
+    """First violation of the index conditions, or None: ("shape" | "range" |
+    "words", element vector, i, j, lhs, rhs), k rows of |G| entries first."""
     if G.k != P.k:
         return ("shape", None, 0, 0, G.k, P.k)
+    if len(t) != P.k:
+        return ("shape", None, 0, 0, len(t), P.k)
     for i in range(1, P.k + 1):
         if len(t[i - 1]) != G.order:
             return ("shape", None, i, 0, len(t[i - 1]), G.order)
@@ -189,8 +192,10 @@ def _words_witness(P: Presentation, G: FiniteAbelianGroup, t) -> tuple | None:
 
 
 def _scalars_witness(G: FiniteAbelianGroup, den: int, a: list) -> tuple | None:
-    """The scalar half of :func:`validate_group_construction`, on the phases
-    a / den given as integer numerators."""
+    """The scalar half on the phases a / den, given as integer numerators: a
+    "shape" witness, a "scalars" one with Fraction sides, or None."""
+    if len(a) != G.k:
+        return ("shape", None, 0, 0, len(a), G.k)
     for i, row in enumerate(a, start=1):
         if len(row) != G.order:
             return ("shape", None, i, 0, len(row), G.order)
@@ -203,21 +208,37 @@ def _scalars_witness(G: FiniteAbelianGroup, den: int, a: list) -> tuple | None:
     return None
 
 
-def _numerators(rows, level: int = 1) -> tuple[int, list[list[int]]]:
-    """The phase rows as integer numerators over one common level N, the
-    lcm of `level` and of every denominator: the integer a stands for a / N."""
-    N = lcm(level, *{a.denominator for row in rows for a in row})
-    return N, [[a.numerator * (N // a.denominator) for a in row] for row in rows]
+def _numerators(rows) -> tuple[int, list[list[int]]]:
+    """Phase rows of Fractions or ints as integer numerators in [0, N) over
+    N, the lcm of the denominators: a stands for a / N, and as each input
+    is in lowest terms, so is the result."""
+    N = lcm(*{a.denominator for row in rows for a in row})
+    return N, [[a.numerator * (N // a.denominator) % N for a in row] for row in rows]
+
+
+def _raise_on(witness: tuple | None) -> None:
+    if witness is not None:
+        raise InvalidConstruction(f"commutation condition fails: {witness}", witness)
 
 
 def group_construction(P: Presentation, G: FiniteAbelianGroup, t, alpha
                        ) -> GroupConstruction:
+    """The construction with index rows t and phase rows alpha (Fractions or
+    ints), after checking the words conditions, then the scalar ones."""
     t = tuple(tuple(row) for row in t)
-    alpha = tuple(tuple(phase(a) for a in row) for row in alpha)
-    witness = validate_group_construction(P, G, t, alpha)
-    if witness is not None:
-        raise InvalidConstruction(f"commutation condition fails: {witness}", witness)
-    return GroupConstruction(P, G, t, alpha)
+    level, phases = _numerators(alpha)
+    _raise_on(_words_witness(P, G, t) or _scalars_witness(G, level, phases))
+    return GroupConstruction(P, G, t, level, tuple(map(tuple, phases)))
+
+
+def _constant_construction(P: Presentation, G: FiniteAbelianGroup, t, constants
+                           ) -> GroupConstruction:
+    """The construction with phase constants[i] on every color-(i+1) edge.
+    Constant phases close every scalar square, so only the words are checked."""
+    t = tuple(tuple(row) for row in t)
+    _raise_on(_words_witness(P, G, t))
+    level, (c,) = _numerators([constants])
+    return GroupConstruction(P, G, t, level, tuple((a,) * G.order for a in c))
 
 
 def words_commute(P: Presentation, words: list[Word]) -> bool:
@@ -233,9 +254,10 @@ def words_commute(P: Presentation, words: list[Word]) -> bool:
 
 
 def from_commuting_words(P: Presentation, words: list[Word],
-                         alphas: list[Phase] | None = None) -> GroupConstruction:
+                         alphas: list | None = None) -> GroupConstruction:
     """The unique group construction on C_{n_1} x ... x C_{n_k} whose base
-    point is fixed by the given commuting words (with constant scalars).
+    point is fixed by the given commuting words, with the constant phase
+    alphas[i - 1] (a Fraction or int; default 0) on color i.
 
     t^i_g is coordinate i of the window data sigma(n) of the tail
     x = (w_1 ... w_k)^infinity at the box point n <= 0 congruent to g,
@@ -246,17 +268,18 @@ def from_commuting_words(P: Presentation, words: list[Word],
     """
     if len(words) != P.k or any(not w for w in words):
         raise ValueError("need one nonempty word per color")
+    if alphas is not None and len(alphas) != P.k:
+        raise ValueError(f"need one phase per color, got {len(alphas)}")
     for w in words:
         check_word(P, w)
-    if not words_commute(P, words):
-        raise NotCommuting(f"words {words} do not pairwise commute")
     lengths = [len(w) for w in words]
     G = FiniteAbelianGroup.cyclic_product(lengths)
+    if not words_commute(P, words):
+        raise NotCommuting(f"words {words} do not pairwise commute")
     data = sigma_data(tail(P, (), tuple(itertools.chain(*words))),
                       tuple(n - 1 for n in lengths))
     t = zip(*(data[tuple(-(-x % n) for x, n in zip(g, lengths))] for g in G.elements))
-    alpha = [[phase(alphas[i] if alphas else 0)] * G.order for i in range(P.k)]
-    return group_construction(P, G, t, alpha)
+    return _constant_construction(P, G, t, alphas or [0] * P.k)
 
 
 def cycle_construction(P: Presentation, seeds: list[Word]
@@ -327,7 +350,7 @@ def cycle_construction(P: Presentation, seeds: list[Word]
 def full_symmetry_subgroup(gc: GroupConstruction) -> list[Vec]:
     """All h in G with every t^i and alpha^i invariant under translation
     by h, in element order: a subgroup, as the conditions compose."""
-    return _translation_symmetry(gc.group, [*gc.t, *_numerators(gc.alpha)[1]])
+    return _translation_symmetry(gc.group, gc.t + gc.phases)
 
 
 def _translation_symmetry(G: FiniteAbelianGroup, rows) -> list[Vec]:
@@ -383,11 +406,11 @@ def normalize_scalars(gc: GroupConstruction) -> GroupConstruction:
     are preserved because they only see c.
     """
     G = gc.group
-    if all(len(set(row)) == 1 for row in gc.alpha):
+    if all(len(set(row)) == 1 for row in gc.phases):
         return gc
     c, _ = _phase_potential(G, {i * G.order + n: a for i, row in enumerate(gc.alpha)
                                 for n, a in enumerate(row)})
-    return group_construction(gc.presentation, G, gc.t, [[ci] * G.order for ci in c])
+    return _constant_construction(gc.presentation, G, gc.t, c)
 
 
 @dataclass(frozen=True)
@@ -396,7 +419,7 @@ class DecompositionReport:
 
     parent: GroupConstruction
     symmetry: tuple[Vec, ...]  # elements of the full symmetry subgroup
-    character_table: tuple[tuple[Phase, ...], ...]  # chi values on `symmetry`
+    character_table: tuple[tuple[Fraction, ...], ...]  # chi values on `symmetry`
     summands: tuple[GroupConstruction, ...]
 
     @property
@@ -419,21 +442,17 @@ def decompose(gc: GroupConstruction) -> DecompositionReport:
     conditions are checked.
     """
     G, P = gc.group, gc.presentation
-    N0, alpha = _numerators(gc.alpha)
-    if any(len(set(row)) > 1 for row in alpha):
-        N0, alpha = _numerators(normalize_scalars(gc).alpha)
+    constant = normalize_scalars(gc)
     sym = _translation_symmetry(G, gc.t)
     kernel2 = hermite_normal_form(list(G.kernel) + sym)
     G2 = FiniteAbelianGroup.from_kernel(kernel2)
     e, characters = _quotient_characters(G.kernel, kernel2)
-    N = lcm(N0, e)
-    const = [row[0] * (N // N0) for row in alpha]
+    N = lcm(constant.level, e)
+    const = [row[0] * (N // constant.level) for row in constant.phases]
     characters = [[x * (N // e) for x in chi] for chi in characters]
 
     t2 = tuple(tuple(row[G.index(c)] for c in G2.elements) for row in gc.t)
-    witness = _words_witness(P, G2, t2)
-    if witness is not None:
-        raise InvalidConstruction(f"commutation condition fails: {witness}", witness)
+    _raise_on(_words_witness(P, G2, t2))
     kept = _translation_symmetry(G2, t2)
     if len(kept) != 1:
         raise InvalidConstruction(f"t keeps the nontrivial symmetry {kept} on the "
@@ -453,10 +472,10 @@ def decompose(gc: GroupConstruction) -> DecompositionReport:
         chi_rows.append(tuple(value(sum(map(mul, coeffs, chi)) % N) for coeffs in sym_coeffs))
         a2 = [[(a + sum(map(mul, coeffs, chi))) % N for coeffs in srow]
               for a, srow in zip(const, steps)]
-        witness = _scalars_witness(G2, N, a2)
-        if witness is not None:
-            raise InvalidConstruction(f"commutation condition fails: {witness}", witness)
-        summands.append(GroupConstruction(P, G2, t2, tuple(tuple(map(value, row)) for row in a2)))
+        _raise_on(_scalars_witness(G2, N, a2))
+        d = gcd(N, *itertools.chain(*a2))
+        summands.append(GroupConstruction(P, G2, t2, N // d,
+                                          tuple(tuple(a // d for a in row) for row in a2)))
     report = DecompositionReport(parent=gc, symmetry=tuple(sym),
                                  character_table=tuple(chi_rows),
                                  summands=tuple(summands))
@@ -513,7 +532,7 @@ def extend_to_group(P: Presentation, partial: PartialConstruction,
         Q = FiniteAbelianGroup.from_kernel(
             hermite_normal_form(list(G.kernel) + [G.reduce(h) for h in symmetry]))
     t = _solve_indices(P, Q, _slots(Q, partial.t, int))
-    alpha = _solve_phases(Q, _slots(Q, partial.alpha, phase))
+    alpha = _solve_phases(Q, _slots(Q, partial.alpha, lambda a: Fraction(a) % 1))
     lift = [Q.index(g) for g in G.elements]
     return group_construction(P, G, [[row[n] for n in lift] for row in t],
                               [[row[n] for n in lift] for row in alpha])
@@ -608,7 +627,7 @@ def _solve_indices(P: Presentation, G: FiniteAbelianGroup, given: dict
     return [val[i * N:(i + 1) * N] for i in range(G.k)]
 
 
-def _solve_phases(G: FiniteAbelianGroup, given: dict) -> list[list[Phase]]:
+def _solve_phases(G: FiniteAbelianGroup, given: dict) -> list[list[Fraction]]:
     """Complete the phase slots from the given {slot: phase}.
 
     The squares are blind to adding a constant per color, so each color's
@@ -617,7 +636,7 @@ def _solve_phases(G: FiniteAbelianGroup, given: dict) -> list[list[Phase]]:
     gives c = 0 and f = 0, so constant input stays constant.
     """
     N = G.order
-    base = [next((given[s] for s in sorted(given) if s // N == i), phase(0)) for i in range(G.k)]
+    base = [next((given[s] for s in sorted(given) if s // N == i), 0) for i in range(G.k)]
     c, potential = _phase_potential(G, {s: v - base[s // N] for s, v in given.items()})
     f = [potential(n) for n in range(N)]
     return [[(base[i] + c[i] + f[n] - f[G._sub[i][n]]) % 1 for n in range(N)]
@@ -625,7 +644,7 @@ def _solve_phases(G: FiniteAbelianGroup, given: dict) -> list[list[Phase]]:
 
 
 def _phase_potential(G: FiniteAbelianGroup, given: dict
-                     ) -> tuple[list[Phase], Callable[[int], Phase]]:
+                     ) -> tuple[list[Fraction], Callable[[int], Fraction]]:
     """Constants c and a potential f with alpha^i_g = c_i + f(g) - f(g - g_i)
     (mod 1) on every given {slot: phase}, slots numbered as in :func:`_slots`;
     f is a function of the element index, evaluated only where it is called.
@@ -678,18 +697,18 @@ def _phase_potential(G: FiniteAbelianGroup, given: dict
 def to_atomic_graph(gc: GroupConstruction) -> dict:
     """The labelled graph of the construction: vertices are group
     elements, one color-i edge into each vertex g from g - g_i."""
-    G = gc.group
+    G, N = gc.group, gc.level
     vertices = [",".join(map(str, g)) for g in G.elements]
     edges = []
     for n, name in enumerate(vertices):
         for i in range(1, G.k + 1):
-            a = gc.alpha[i - 1][n]
+            a = gc.phases[i - 1][n]
             edges.append({
                 "src": vertices[G.sub_generator(n, i)],
                 "dst": name,
                 "color": i,
                 "index": gc.t[i - 1][n],
-                "phase": f"{a.numerator}/{a.denominator}",
+                "phase": f"{a // gcd(a, N)}/{N // gcd(a, N)}",
             })
     return {"vertices": vertices, "edges": edges}
 

@@ -144,6 +144,20 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err == f"budget/bound exceeded: {message}\n"
 
+    def test_huge_word_group_is_exit_3_before_the_commutation_check(self, monkeypatch,
+                                                                  capsys):
+        # the group C_20000 x C_20000 is refused before the words' quadratic
+        # commutation check runs
+        monkeypatch.delenv("POLYGRAPH_BUDGET", raising=False)
+        ones = "1" * 20_000
+        t0 = time.perf_counter()
+        assert main(["rep", "build", "--presentation", "flip", "--words", f"{ones},{ones}"]) == 3
+        assert time.perf_counter() - t0 < 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("budget/bound exceeded: group order: "
+                                "400000000 exceeds the limit 1000000\n")
+
     @pytest.mark.parametrize("argv, message", [
         # |E| = 2^2000 or 2^20000 is never built: the count stops past 10^18
         (["periodicity", "--presentation", "flip", "--pi", "2000,-2000"],

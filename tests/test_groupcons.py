@@ -23,14 +23,12 @@ from polygraph.groupcons import (
     normalize_scalars,
     to_atomic_graph,
     to_dot,
-    validate_group_construction,
     words_commute,
 )
 from polygraph.groupcons import GroupConstruction, _kernel_coeffs, _quotient_characters
 from polygraph.groupcons import _slots, _squares
 from polygraph.intlinalg import hermite_normal_form, reduce_mod, smith_normal_form
 from polygraph.kgraph import WordError, degree, extract_prefix, normal_form
-from polygraph.phases import phase
 
 FCC = catalog.flip_cycle_cycle_3graph()
 FWD = catalog.cycle3_forward_2graph()
@@ -83,6 +81,57 @@ def _path_phase(gc, vec):
                 total -= gc.alpha[i][G.index(cur)]
                 cur = G.reduce(tuple(x - y for x, y in zip(cur, eps)))
     return total % 1
+
+
+def validate_group_construction(P, G, t, alpha):
+    """First violation of the commutation conditions, or None, in Fraction
+    arithmetic: the oracle for the witness of :func:`group_construction`.
+
+    The index rows come first (their count and lengths, the index ranges,
+    then every words square), then the phase rows (count, lengths, then
+    every scalar square, its two sides Fractions mod 1).  Witness: (kind,
+    element vector, i, j, lhs, rhs).
+    """
+    if G.k != P.k:
+        return ("shape", None, 0, 0, G.k, P.k)
+    squares = [(n, g, i, j, G.sub_generator(n, i), G.sub_generator(n, j))
+               for n, g in enumerate(G.elements)
+               for i, j in itertools.combinations(range(1, P.k + 1), 2)]
+    for rows in (t, alpha):
+        if len(rows) != P.k:
+            return ("shape", None, 0, 0, len(rows), P.k)
+        for i, row in enumerate(rows, start=1):
+            if len(row) != G.order:
+                return ("shape", None, i, 0, len(row), G.order)
+            if rows is t and (bad := [v for v in row if not 1 <= v <= P.m[i - 1]]):
+                return ("range", None, i, 0, bad[0], P.m[i - 1])
+        for n, g, i, j, n_i, n_j in squares:
+            if rows is t:
+                lhs, rhs = (t[i - 1][n], t[j - 1][n_i]), (t[i - 1][n_j], t[j - 1][n])
+                if P.theta_apply(i, j, *lhs) != rhs:
+                    return ("words", g, i, j, lhs, rhs)
+            else:
+                lhs = (Fraction(alpha[i - 1][n]) + alpha[j - 1][n_i]) % 1
+                rhs = (Fraction(alpha[j - 1][n]) + alpha[i - 1][n_j]) % 1
+                if lhs != rhs:
+                    return ("scalars", g, i, j, lhs, rhs)
+    return None
+
+
+def _witness(P, G, t, alpha):
+    """The witness group_construction raises for the data, or None."""
+    try:
+        group_construction(P, G, t, alpha)
+    except InvalidConstruction as err:
+        return err.witness
+    return None
+
+
+def _agreed_witness(P, G, t, alpha):
+    """The oracle's witness, asserted equal to group_construction's."""
+    witness = validate_group_construction(P, G, t, alpha)
+    assert _witness(P, G, t, alpha) == witness
+    return witness
 
 
 class TestFiniteAbelianGroup:
@@ -142,10 +191,26 @@ class TestFiniteAbelianGroup:
 
 
 class TestValidation:
+    def test_wrong_row_counts_give_a_shape_witness(self):
+        base = gc27()
+        G, rank2 = base.group, FiniteAbelianGroup.cyclic_product([3, 9])
+        for G, t, alpha, rows in ((G, base.t[:2], base.alpha, 2), (G, base.t, base.alpha[:1], 1),
+                                  (G, base.t + base.t[:1], base.alpha, 4),
+                                  (rank2, base.t, base.alpha, 2)):
+            with pytest.raises(InvalidConstruction) as info:
+                group_construction(FCC, G, t, alpha)
+            assert info.value.witness == ("shape", None, 0, 0, rows, 3)
+            assert validate_group_construction(FCC, G, t, alpha) == info.value.witness
+
+    def test_one_phase_per_color(self):
+        for alphas in ([Fraction(1, 3)], [0] * 4):
+            with pytest.raises(ValueError, match="need one phase per color"):
+                gc27(alphas)
+
     def test_constant_construction_on_transposition_graph(self):
         G = FiniteAbelianGroup.cyclic_product([2, 2, 2])
         t = [[1] * 8] * 3
-        alpha = [[phase(0)] * 8] * 3
+        alpha = [[Fraction(0)] * 8] * 3
         gc = group_construction(T3, G, t, alpha)
         assert gc.dimension == 8
 
@@ -153,14 +218,14 @@ class TestValidation:
         base = gc27()
         t = [list(row) for row in base.t]
         t[0][5] = 3 - t[0][5]
-        witness = validate_group_construction(FCC, base.group, t, base.alpha)
+        witness = _agreed_witness(FCC, base.group, t, base.alpha)
         assert witness is not None and witness[0] == "words"
 
     def test_scalar_condition_is_checked(self):
         base = gc27()
         alpha = [list(row) for row in base.alpha]
-        alpha[0][5] = phase(1, 2)
-        witness = validate_group_construction(FCC, base.group, base.t, alpha)
+        alpha[0][5] = Fraction(1, 2)
+        witness = _agreed_witness(FCC, base.group, base.t, alpha)
         assert witness is not None and witness[0] == "scalars"
 
 
@@ -226,7 +291,7 @@ class TestFromCommutingWords:
             from_commuting_words(FLIP, [((1, 5),), ((2, 1),)])
 
     def test_constant_alphas_stored(self):
-        gc = gc27(alphas=[phase(1, 3)] * 3)
+        gc = gc27(alphas=[Fraction(1, 3)] * 3)
         assert all(a == Fraction(1, 3) for row in gc.alpha for a in row)
 
 
@@ -393,7 +458,7 @@ class TestCycleConstruction:
 
 class TestNormalizeScalars:
     def test_constant_input_returned_unchanged(self):
-        gc = gc27(alphas=[phase(1, 3), phase(1, 3), phase(2, 3)])
+        gc = gc27(alphas=[Fraction(1, 3), Fraction(1, 3), Fraction(2, 3)])
         assert normalize_scalars(gc) is gc
 
     def test_scramble_and_recover(self):
@@ -413,7 +478,7 @@ class TestNormalizeScalars:
 
     def test_loop_phases_survive_on_every_closed_loop(self):
         # beyond the kernel basis: all small closed loops keep their phase
-        gc = gc27(alphas=[phase(1, 3)] * 3)
+        gc = gc27(alphas=[Fraction(1, 3)] * 3)
         G = gc.group
         rng = random.Random(6)
         d = [Fraction(rng.randint(0, 2), 3) for _ in range(G.order)]
@@ -491,7 +556,7 @@ def _symmetry_cases():
         [(base.alpha[i][n] + d[n] - d[G.sub_generator(n, i + 1)]) % 1
          for n in range(G.order)]
         for i in range(3)])
-    parents = [base, gc27(alphas=[phase(1, 3)] * 3), scrambled, _sixths_gauged_gc27()]
+    parents = [base, gc27(alphas=[Fraction(1, 3)] * 3), scrambled, _sixths_gauged_gc27()]
     for P, pairs in seeds.items():
         for a, b in pairs:
             family, _ = cycle_construction(P, [_word(1, a), _word(2, b)])
@@ -510,7 +575,8 @@ def _per_character_decompose(gc):
     kernel2 = hermite_normal_form(list(G.kernel) + sym)
     G2 = FiniteAbelianGroup.from_kernel(kernel2)
     e, characters = _quotient_characters(G.kernel, kernel2)
-    N, alpha = groupcons._numerators(gc.alpha, e)
+    N = math.lcm(gc.level, e)
+    alpha = [[a * (N // gc.level) for a in row] for row in gc.phases]
     characters = [[x * (N // e) for x in chi] for chi in characters]
     sym_coeffs = [_kernel_coeffs(kernel2, h) for h in sym]
     t2 = [[row[G.index(c)] for c in G2.elements] for row in gc.t]
@@ -538,7 +604,7 @@ def _per_character_decompose(gc):
 class TestSymmetryAndDecomposition:
     def test_full_symmetry_of_constant_construction(self):
         G = FiniteAbelianGroup.cyclic_product([2, 2, 2])
-        gc = group_construction(T3, G, [[1] * 8] * 3, [[phase(0)] * 8] * 3)
+        gc = group_construction(T3, G, [[1] * 8] * 3, [[Fraction(0)] * 8] * 3)
         assert len(full_symmetry_subgroup(gc)) == 8
 
     def test_injective_axis_blocks_symmetry(self):
@@ -603,7 +669,7 @@ class TestSymmetryAndDecomposition:
         gc = gc27()
         t = [list(row) for row in gc.t]
         t[0][0] = 3 - t[0][0]
-        broken = GroupConstruction(FCC, gc.group, tuple(map(tuple, t)), gc.alpha)
+        broken = GroupConstruction(FCC, gc.group, tuple(map(tuple, t)), gc.level, gc.phases)
         with pytest.raises(InvalidConstruction) as info:
             decompose(broken)
         assert info.value.witness[0] == "words"
@@ -611,7 +677,7 @@ class TestSymmetryAndDecomposition:
     def test_summand_conditions_are_checked_once_per_quotient(self, monkeypatch):
         # the words conditions once on the shared t, the scalar ones once
         # per character on exactly the phases that summand gets
-        gc = gc27(alphas=[phase(1, 3)] * 3)
+        gc = gc27(alphas=[Fraction(1, 3)] * 3)
         checked = {"words": [], "scalars": []}
         for half in checked:
             check = getattr(groupcons, f"_{half}_witness")
@@ -657,7 +723,7 @@ class TestSymmetryAndDecomposition:
         assert rep.summands[0].alpha == irreducible.alpha
 
     def test_summand_loop_phases_refine_the_parent(self):
-        gc = gc27(alphas=[phase(1, 3)] * 3)
+        gc = gc27(alphas=[Fraction(1, 3)] * 3)
         rep = decompose(gc)
         # along the full kernel of the parent (C_3 axes), each summand's
         # loop phase matches the parent root of unity times the character
@@ -831,10 +897,10 @@ class TestExtensionSolver:
         # flip labels are constant along the antidiagonals x + y; the seeds
         # sit on different ones, so only the symmetry (2, 0) ties them
         G = FiniteAbelianGroup.cyclic_product([4, 4])
-        part = PartialConstruction(G, {(1, (0, 0)): 2}, {(2, (1, 0)): phase(1, 3)})
+        part = PartialConstruction(G, {(1, (0, 0)): 2}, {(2, (1, 0)): Fraction(1, 3)})
         out = extend_to_group(FLIP, part, symmetry=[(2, 0)])
         assert (2, 0) in full_symmetry_subgroup(out)
-        assert _t_at(out, 1, (0, 0)) == 2 and _alpha_at(out, 2, (1, 0)) == phase(1, 3)
+        assert _t_at(out, 1, (0, 0)) == 2 and _alpha_at(out, 2, (1, 0)) == Fraction(1, 3)
         clash = PartialConstruction(G, {(1, (0, 0)): 2, (1, (2, 0)): 1}, {})
         assert _t_at(extend_to_group(FLIP, clash), 1, (2, 0)) == 1
         with pytest.raises(InvalidConstruction):
@@ -848,9 +914,9 @@ class TestExtensionSolver:
 
     @staticmethod
     def _gauged_gc27(rng):
-        gc = gc27(alphas=[phase(rng.randrange(6), 6) for _ in range(3)])
+        gc = gc27(alphas=[Fraction(rng.randrange(6), 6) for _ in range(3)])
         G = gc.group
-        d = [phase(rng.randrange(12), 12) for _ in range(G.order)]
+        d = [Fraction(rng.randrange(12), 12) for _ in range(G.order)]
         alpha = [[(gc.alpha[i][n] + d[n] - d[G.sub_generator(n, i + 1)]) % 1
                   for n in range(G.order)] for i in range(3)]
         return group_construction(FCC, G, gc.t, alpha)
@@ -866,14 +932,14 @@ class TestExtensionSolver:
                 G, {key: _t_at(gc, *key) for key in keys},
                 {key: _alpha_at(gc, *key) for key in keys[:rng.randint(1, len(keys))]})
             out = extend_to_group(FCC, part)
-            assert validate_group_construction(FCC, G, out.t, out.alpha) is None
+            assert _agreed_witness(FCC, G, out.t, out.alpha) is None
             for key, v in part.t.items():
                 assert _t_at(out, *key) == v
             for key, a in part.alpha.items():
                 assert _alpha_at(out, *key) == a
 
     def test_constant_phases_stay_constant(self):
-        gc = gc27(alphas=[phase(1, 3), phase(1, 2), phase(0)])
+        gc = gc27(alphas=[Fraction(1, 3), Fraction(1, 2), Fraction(0)])
         out = extend_to_group(FCC, _restriction(gc, [(1, 2, 0)]))
         assert out.alpha == gc.alpha
 
@@ -890,7 +956,7 @@ class TestExtensionSolver:
             keys = set(square) | set(rng.sample(
                 [(c, h) for c in (1, 2, 3) for h in G.elements], rng.randint(0, 40)))
             alpha = {key: _alpha_at(gc, *key) for key in keys}
-            alpha[square[rng.randrange(4)]] += phase(1, 5)
+            alpha[square[rng.randrange(4)]] += Fraction(1, 5)
             with pytest.raises(InvalidConstruction):
                 extend_to_group(FCC, PartialConstruction(G, {}, alpha))
 
@@ -898,14 +964,14 @@ class TestExtensionSolver:
         # every square holding the altered phase also holds an open one, so
         # no given square is broken; the open phases cannot meet all squares
         G = self.GROUPS["C3xC3"]
-        d = [phase(n * n, 9) for n in range(9)]
+        d = [Fraction(n * n, 9) for n in range(9)]
         gc = group_construction(FLIP, G, [[1] * 9] * 2,
                                 [[d[n] - d[G.sub_generator(n, i)] for n in range(9)]
                                  for i in (1, 2)])
         opened = {(1, (1, 1)), (1, (2, 1))}
         alpha = {(i, g): _alpha_at(gc, i, g) for i in (1, 2) for g in G.elements
                  if (i, g) not in opened}
-        alpha[(2, (1, 1))] += phase(1, 3)
+        alpha[(2, (1, 1))] += Fraction(1, 3)
         with pytest.raises(InvalidConstruction):
             extend_to_group(FLIP, PartialConstruction(G, {}, alpha))
         del alpha[(2, (1, 1))]
@@ -923,7 +989,7 @@ def _smith_solve_phases(G, given):
     completion exists.
     """
     N = G.order
-    base = [next((given[s] for s in sorted(given) if s // N == i), phase(0)) for i in range(G.k)]
+    base = [next((given[s] for s in sorted(given) if s // N == i), Fraction(0)) for i in range(G.k)]
     x = {s: (v - base[s // N]) % 1 for s, v in given.items()}
     col = {s: n for n, s in enumerate(s for s in range(G.k * N) if s not in given)}
     rows, rhs = [], []
@@ -973,8 +1039,8 @@ class TestPhaseSolver:
                  "flip C4xC4": FiniteAbelianGroup.cyclic_product([4, 4]),
                  "flip Z2/<(2,1),(0,3)>": FiniteAbelianGroup.from_kernel([(2, 1), (0, 3)]),
                  }[case]
-            c = [phase(rng.randrange(12), 12) for _ in range(2)]
-            d = [phase(rng.randrange(12), 12) for _ in range(G.order)]
+            c = [Fraction(rng.randrange(12), 12) for _ in range(2)]
+            d = [Fraction(rng.randrange(12), 12) for _ in range(G.order)]
             gc = group_construction(FLIP, G, [[1] * G.order] * 2, [
                 [(c[i] + d[n] - d[G.sub_generator(n, i + 1)]) % 1 for n in range(G.order)]
                 for i in range(2)])
@@ -992,9 +1058,9 @@ class TestPhaseSolver:
                               rng.randint(1, G.k * G.order))
             alpha = {key: _alpha_at(gc, *key) for key in keys}
             if draw % 2:
-                alpha[rng.choice(keys)] += rng.choice((phase(1, 2), phase(1, 3), phase(1, 5)))
-            reference = _smith_solve_phases(G, _slots(G, alpha, phase))
-            solvable = validate_group_construction(P, G, gc.t, reference) is None
+                alpha[rng.choice(keys)] += rng.choice((Fraction(1, 2), Fraction(1, 3), Fraction(1, 5)))
+            reference = _smith_solve_phases(G, _slots(G, alpha, lambda a: Fraction(a) % 1))
+            solvable = _agreed_witness(P, G, gc.t, reference) is None
             t = {(i, g): _t_at(gc, i, g) for i in range(1, G.k + 1) for g in G.elements}
             try:
                 out = extend_to_group(P, PartialConstruction(G, t, alpha))
@@ -1020,8 +1086,8 @@ class TestPhaseSolver:
         # every slot given, all zero but one moved by 1/3: the squares at
         # that slot close with phase 1/3, so no potential exists
         G = FiniteAbelianGroup.cyclic_product([6, 6])
-        alpha = {(i, g): phase(0) for i in (1, 2) for g in G.elements}
-        alpha[(2, (3, 4))] = phase(1, 3)
+        alpha = {(i, g): Fraction(0) for i in (1, 2) for g in G.elements}
+        alpha[(2, (3, 4))] = Fraction(1, 3)
         with pytest.raises(InvalidConstruction,
                            match="no phase labelling extends the given data"):
             extend_to_group(FLIP, PartialConstruction(G, {}, alpha))
@@ -1072,25 +1138,6 @@ def _fraction_decompose(gc):
     return tuple(sym), tuple(table), tuple(summands)
 
 
-def _fraction_witness(P, G, t, alpha):
-    """Reference first violation of the commutation conditions, the
-    phases compared as Fractions mod 1."""
-    for gi, gvec in enumerate(G.elements):
-        for i in range(1, P.k + 1):
-            for j in range(i + 1, P.k + 1):
-                g_min_i = G.sub_generator(gi, i)
-                g_min_j = G.sub_generator(gi, j)
-                lhs = (t[i - 1][gi], t[j - 1][g_min_i])
-                rhs = (t[i - 1][g_min_j], t[j - 1][gi])
-                if P.theta_apply(i, j, *lhs) != rhs:
-                    return ("words", gvec, i, j, lhs, rhs)
-                a_lhs = (alpha[i - 1][gi] + alpha[j - 1][g_min_i]) % 1
-                a_rhs = (alpha[j - 1][gi] + alpha[i - 1][g_min_j]) % 1
-                if a_lhs != a_rhs:
-                    return ("scalars", gvec, i, j, a_lhs, a_rhs)
-    return None
-
-
 def _gauged(gc, denominator, rng):
     """gc with its phases moved by the coboundary of a random potential."""
     G = gc.group
@@ -1101,8 +1148,8 @@ def _gauged(gc, denominator, rng):
 
 
 class TestIntegerPhases:
-    """decompose, validate_group_construction and phase work on integer
-    numerators; each is checked against the Fraction arithmetic it replaced."""
+    """Constructions store integer phases over one level; group_construction,
+    normalize_scalars and decompose are checked against Fraction arithmetic."""
 
     @staticmethod
     def _assert_decomposes_like_fractions(gc):
@@ -1112,14 +1159,14 @@ class TestIntegerPhases:
         assert rep.character_table == table
         assert rep.summands == summands
 
-    @pytest.mark.parametrize("alphas", [None, [phase(1, 3)] * 3,
-                                        [phase(1, 3), phase(1, 2), phase(0)]])
+    @pytest.mark.parametrize("alphas", [None, [Fraction(1, 3)] * 3,
+                                        [Fraction(1, 3), Fraction(1, 2), Fraction(0)]])
     def test_27dim_decomposition_matches_fractions(self, alphas):
         self._assert_decomposes_like_fractions(gc27(alphas))
 
     def test_normalized_decomposition_matches_fractions(self):
         rng = random.Random(8)
-        gc = _gauged(gc27([phase(1, 3), phase(1, 2), phase(0)]), 12, rng)
+        gc = _gauged(gc27([Fraction(1, 3), Fraction(1, 2), Fraction(0)]), 12, rng)
         assert any(len(set(row)) > 1 for row in gc.alpha)
         self._assert_decomposes_like_fractions(normalize_scalars(gc))
 
@@ -1134,7 +1181,7 @@ class TestIntegerPhases:
                 family, _ = cycle_construction(P, seeds)
                 if len(family[0]) * len(family[1]) > 144:
                     continue
-                alphas = [phase(rng.randrange(6), rng.choice((1, 2, 3, 4, 6))) for _ in (1, 2)]
+                alphas = [Fraction(rng.randrange(6), rng.choice((1, 2, 3, 4, 6))) for _ in (1, 2)]
                 gc = from_commuting_words(P, family, alphas)
                 self._assert_decomposes_like_fractions(gc)
                 orders.add(gc.dimension)
@@ -1144,35 +1191,93 @@ class TestIntegerPhases:
         assert max(orders) == 144 and len(orders) >= 10
         assert len(levels) >= 4
 
-    @pytest.mark.parametrize("denominator, move", [(3, phase(1, 5)), (7, phase(1, 2))])
+    @pytest.mark.parametrize("denominator, move", [(3, Fraction(1, 5)), (7, Fraction(1, 2))])
     def test_scalar_witness_matches_fractions(self, denominator, move):
         rng = random.Random(denominator)
         if denominator == 3:
-            base = gc27([phase(1, 3), phase(2, 3), phase(0)])
+            base = gc27([Fraction(1, 3), Fraction(2, 3), Fraction(0)])
         else:
             G = FiniteAbelianGroup.cyclic_product([7, 7])
             base = group_construction(FLIP, G, [[1] * G.order] * 2,
-                                      [[phase(2, 7)] * G.order, [phase(5, 7)] * G.order])
+                                      [[Fraction(2, 7)] * G.order, [Fraction(5, 7)] * G.order])
         for _ in range(10):
             gc = _gauged(base, denominator, rng)
             G = gc.group
             alpha = [list(row) for row in gc.alpha]
             i, n = rng.randrange(G.k), rng.randrange(G.order)
-            alpha[i][n] = phase(alpha[i][n] + move)
-            witness = validate_group_construction(gc.presentation, G, gc.t, alpha)
+            alpha[i][n] = (alpha[i][n] + move) % 1
+            witness = _agreed_witness(gc.presentation, G, gc.t, alpha)
             assert witness is not None and witness[0] == "scalars"
-            assert witness == _fraction_witness(gc.presentation, G, gc.t, alpha)
             assert all(type(x) is Fraction for x in witness[4:])
-            assert validate_group_construction(gc.presentation, G, gc.t, gc.alpha) is None
+            assert _agreed_witness(gc.presentation, G, gc.t, gc.alpha) is None
 
-    def test_phase_reduces_like_fraction_mod_one(self):
-        for p in (5, -7, Fraction(-5, 6), Fraction(7, 3), Fraction(1), Fraction(-1, 2)):
-            out = phase(p)
-            assert type(out) is Fraction and out == Fraction(p) % 1 and 0 <= out < 1
-        for p, q in ((5, 3), (-1, 4), (6, 3), (2, -6)):
-            assert phase(p, q) == Fraction(p, q) % 1
-        for p in (Fraction(0), Fraction(2, 7), Fraction(11, 12)):
-            assert phase(p) is p
+    def test_random_phases_reduce_like_fractions_mod_one(self):
+        # every denominator 1 to 12, values below 0 and past 1, and ints
+        rng = random.Random(10)
+        seen = set()
+        for base in (gc27(), from_commuting_words(FLIP, [_word(1, "1111"), _word(2, "111")])):
+            G = base.group
+            for q in list(range(1, 13)) * 2:
+                c = [Fraction(rng.randint(-3 * q, 3 * q), q) for _ in range(G.k)]
+                d = [Fraction(rng.randint(-3 * q, 3 * q), q) for _ in range(G.order)]
+                alpha = [[c[i] + d[n] - d[G.sub_generator(n, i + 1)] + rng.randint(-2, 2)
+                          for n in range(G.order)] for i in range(G.k)]
+                alpha = [[int(a) if a.denominator == 1 and rng.random() < 0.5 else a
+                          for a in row] for row in alpha]
+                gc = group_construction(base.presentation, G, base.t, alpha)
+                assert gc.alpha == tuple(tuple(Fraction(a) % 1 for a in row) for row in alpha)
+                assert gc.level == math.lcm(*(a.denominator for row in gc.alpha for a in row))
+                assert math.gcd(gc.level, *itertools.chain(*gc.phases)) == 1
+                assert all(0 <= a < gc.level for row in gc.phases for a in row)
+                seen.update((type(a), a < 0, a > 1) for row in alpha for a in row)
+        assert {(int, True, False), (int, False, True), (Fraction, True, False),
+                (Fraction, False, True)} <= seen
+
+    def test_phases_equal_mod_one_give_equal_constructions(self):
+        thirds = (Fraction(1, 3), Fraction(4, 3), Fraction(-2, 3))
+        G = gc27().group
+        built = [gc27([p] * 3) for p in thirds]
+        built += [group_construction(FCC, G, built[0].t, [[p] * G.order] * 3) for p in thirds]
+        assert (built[0].level, built[0].phases) == (3, ((1,) * 27,) * 3)
+        assert all(gc == built[0] and hash(gc) == hash(built[0]) for gc in built)
+        zeros = [gc27([p] * 3) for p in (0, 2, -1, Fraction(5), Fraction(-3, 1))]
+        assert all(gc == gc27() and hash(gc) == hash(gc27()) for gc in zeros)
+        assert (gc27().level, gc27().phases) == (1, ((0,) * 27,) * 3)
+
+    def test_summand_phases_are_in_lowest_terms(self):
+        for gc in _symmetry_cases():
+            for s in decompose(gc).summands:
+                assert math.gcd(s.level, *itertools.chain(*s.phases)) == 1
+                assert s.alpha == tuple(tuple(Fraction(a, s.level) for a in row)
+                                        for row in s.phases)
+        # the trivial character of the 27-dim construction has phase 0
+        assert decompose(gc27()).summands[0].level == 1
+
+    def test_oracle_agrees_on_scrambled_and_moved_data(self):
+        # the scrambled and random-phase constructions, intact, with one
+        # index or one phase moved, and with a row or an entry cut off
+        rng = random.Random(13)
+        cases = list(_symmetry_cases()[:4]) + [
+            TestPhaseSolver._scrambled(case, rng) for case in TestPhaseSolver.CASES
+            for _ in range(3)]
+        kinds = set()
+        for gc in cases:
+            P, G = gc.presentation, gc.group
+            t, alpha = [list(row) for row in gc.t], [list(row) for row in gc.alpha]
+            kinds.add(_agreed_witness(P, G, t, alpha))
+            for _ in range(4):
+                i, n = rng.randrange(G.k), rng.randrange(G.order)
+                moved = [list(row) for row in t]
+                moved[i][n] = rng.randint(1, P.m[i])
+                kinds.add((_agreed_witness(P, G, moved, alpha) or ("valid",))[0])
+                moved = [list(row) for row in alpha]
+                moved[i][n] += rng.choice((Fraction(1, 2), Fraction(1, 5), Fraction(7, 3), 1))
+                kinds.add((_agreed_witness(P, G, t, moved) or ("valid",))[0])
+            for rows in (t[:-1], [t[0][:-1]] + t[1:], t + t[:1]):
+                kinds.add(_agreed_witness(P, G, rows, alpha)[0])
+            for rows in (alpha[:-1], alpha + alpha[:1], [alpha[0][:-1]] + alpha[1:]):
+                kinds.add(_agreed_witness(P, G, t, rows)[0])
+        assert {None, "valid", "words", "scalars", "shape"} <= kinds
 
 
 class TestAtomicGraph:

@@ -9,8 +9,11 @@ names kept for callers outside the repository.  References from tests do
 not count: a helper only tests reach belongs in the tests.  The unused set
 is grown to a fixed point, so a helper called only by a dead helper is
 dead too.  A reference is a name, an attribute, an imported name, or a
-part of a dotted string such as the bench tracer's "kgraph.normal_form".
-Methods are the non-dunder functions in the body of a top-level class.  A
+part of a dotted `module.name` string such as the bench tracer's
+"kgraph.normal_form"; a bare string such as "index" is no reference.
+Methods are the non-dunder functions in the body of a top-level class;
+`self.m` inside class C refers to C.m alone, any other `x.m` to every
+method m.  A
 name bound by `from ... import` must be loaded in its file, apart from
 `__future__` features and the re-exports of an `__init__.py`.
 """
@@ -47,17 +50,21 @@ def _definitions(tree):
 
 
 def _references(tree):
-    """(name, line) of every name a file refers to."""
+    """(name, line) of every name a file refers to; `self.m` inside a
+    top-level class C is the name "C.m"."""
+    owner = {sub: node.name for node in tree.body if isinstance(node, ast.ClassDef)
+             for sub in ast.walk(node) if isinstance(sub, ast.Attribute)
+             and isinstance(sub.value, ast.Name) and sub.value.id == "self"}
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             yield node.id, node.lineno
         elif isinstance(node, ast.Attribute):
-            yield node.attr, node.lineno
+            yield f"{owner[node]}.{node.attr}" if node in owner else node.attr, node.lineno
         elif isinstance(node, ast.ImportFrom):
             for alias in node.names:
                 yield alias.name, node.lineno
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            if re.fullmatch(r"[A-Za-z_][\w.]*", node.value):
+            if re.fullmatch(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)+", node.value):
                 for part in node.value.split("."):
                     yield part, node.lineno
 
@@ -80,7 +87,8 @@ def unused_definitions(sources: dict, product: dict) -> list[str]:
     dead: list = []
     while new := [d for d in defs if d not in dead and all(
             _inside(where, line, d) or any(_inside(where, line, x) for x in dead)
-            for where, line in uses.get(d[1].rpartition(".")[2], []))]:
+            for where, line in uses.get(d[1].rpartition(".")[2], []) + (
+                uses.get(d[1], []) if "." in d[1] else []))]:
         dead += new
     return sorted(f"{Path(path).stem}.{name}" for path, name, _, _ in dead)
 
@@ -100,6 +108,20 @@ def test_a_helper_called_only_by_a_dead_helper_is_dead():
     assert unused_definitions(sources, {**sources, **cli}) == ["lib.dead", "lib.helper"]
     cli["src/cli.py"] += "print(helper())\n"
     assert unused_definitions(sources, {**sources, **cli}) == ["lib.dead"]
+
+
+def test_only_dotted_strings_and_own_self_calls_are_references():
+    lib = ("class A:\n    def run(self):\n        return self.size()\n\n"
+           "    def size(self):\n        return 1\n\n\n"
+           "class B:\n    def size(self):\n        return 2\n\n\n"
+           "def helper():\n    return 3\n")
+    sources = {"src/lib.py": lib}
+    cli = {"src/cli.py": "from .lib import A, B\n\nprint(A().run(), B, 'helper')\n"}
+    assert unused_definitions(sources, {**sources, **cli}) == ["lib.B.size", "lib.helper"]
+    cli["src/cli.py"] += "print('lib.helper')\n"
+    assert unused_definitions(sources, {**sources, **cli}) == ["lib.B.size"]
+    cli["src/cli.py"] += "print(A().size)\n"
+    assert unused_definitions(sources, {**sources, **cli}) == []
 
 
 def test_every_imported_name_is_loaded():
