@@ -204,20 +204,21 @@ def criterion_5_central_elements() -> dict:
     return _record(5, "central elements", ok, **details)
 
 
-def _confluence_suite(P: Presentation, rng: random.Random, words: int,
-                      strategies: int, max_len: int = 10) -> bool:
+def _confluence_suite(P: Presentation, rng: random.Random) -> bool:
+    """1,000 random words of at most 10 letters, each sorted along 5
+    random swap orders, all reach normal_form."""
     letters = list(P.letters())
-    for _ in range(words):
-        w = tuple(rng.choice(letters) for _ in range(rng.randint(0, max_len)))
+    for _ in range(1000):
+        w = tuple(rng.choice(letters) for _ in range(rng.randint(0, 10)))
         expected = normal_form(P, w)
-        for s in range(strategies):
+        for _ in range(5):
             srng = random.Random(rng.randrange(2 ** 32))
             if random_sort(P, w, srng) != expected:
                 return False
     return True
 
 
-def criterion_6_property_suites(confluence_words: int = 1000) -> dict:
+def criterion_6_property_suites() -> dict:
     """Randomized suites: confluence, prefix recomposition, transducer vs
     brute force on the full m=(2,2) sweep, construction order
     independence, and the long-word cycle construction."""
@@ -232,7 +233,7 @@ def criterion_6_property_suites(confluence_words: int = 1000) -> dict:
         ("flip+squares", catalog.flip_square_square_3graph()),
     ]
     # (a) confluence
-    conf = all(_confluence_suite(P, rng, confluence_words, 5) for _, P in graphs)
+    conf = all(_confluence_suite(P, rng) for _, P in graphs)
     details["confluence"] = conf
     # (b) prefix recomposition
     recomp = True
@@ -297,11 +298,11 @@ def factorized_indices(P: Presentation, words: list[Word], color_order: tuple[in
     return tuple(map(tuple, t))
 
 
-def _transducer_vs_brute_sweep(box: int = 6) -> dict:
+def _transducer_vs_brute_sweep() -> dict:
     """For every m=(2,2) presentation and every mixed-sign pi with
     |pi_i| <= 2 that admits a gamma, force-run the transducer and compare
     with prefix equality of e.w vs gamma(e).w over all w of degree
-    (box, box)."""
+    (6, 6)."""
     candidates = [pi for pi in itertools.product((-2, -1, 1, 2), repeat=2)
                   if pi[0] * pi[1] < 0]
     checked = 0
@@ -312,7 +313,7 @@ def _transducer_vs_brute_sweep(box: int = 6) -> dict:
             if cert is None or cert.tail_check is not None:
                 continue
             verdict_t = check_tail_condition(P, cert, force_transducer=True).passed
-            verdict_b = _brute_tail_check(P, cert, (box, box))
+            verdict_b = _brute_tail_check(P, cert, (6, 6))
             if verdict_t != verdict_b:
                 return {"agreed": False, "at": (list(P.m), pi)}
             auto = all(x != 0 for x in pi)

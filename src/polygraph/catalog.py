@@ -90,16 +90,12 @@ def flip_square_square_3graph() -> Presentation:
     })
 
 
-def default_product_bijection(l: int, m: int):
-    """The index pairing (i, j) -> (i-1)*m + j of {1..l} x {1..m} with {1..l*m}."""
-    return lambda i, j: (i - 1) * m + j
-
-
-def product_periodic_3graph(l: int = 2, m: int = 2, gamma=None) -> Presentation:
+def product_periodic_3graph(l: int = 2, m: int = 2) -> Presentation:
     """3-graph on multiplicities (l, m, l*m) built to be (1,1,-1)-periodic.
 
-    Colors 1 and 2 commute letterwise (theta_12 = id); gamma is a bijection
-    {1..l} x {1..m} -> {1..l*m} and the remaining tables are
+    Colors 1 and 2 commute letterwise (theta_12 = id); with the pairing
+    gamma(i, j) = (i-1)*m + j of {1..l} x {1..m} with {1..l*m}, the
+    remaining tables are
 
         e_i g_{gamma(i',j')} = g_{gamma(i,j')} e_{i'}
         f_j g_{gamma(i',j')} = g_{gamma(i',j)} f_{j'}
@@ -107,27 +103,25 @@ def product_periodic_3graph(l: int = 2, m: int = 2, gamma=None) -> Presentation:
     so a color-3 letter absorbs the (color-1, color-2) index pair one slot
     at a time.  The symmetry lattice is Z(1,1,-1).
     """
-    if gamma is None:
-        gamma = default_product_bijection(l, m)
-    n = l * m
     theta13 = {}
     theta23 = {}
     for i, j in itertools.product(range(1, l + 1), range(1, m + 1)):
         for i2, j2 in itertools.product(range(1, l + 1), range(1, m + 1)):
-            theta13[(i, gamma(i2, j2))] = (i2, gamma(i, j2))
-            theta23[(j, gamma(i2, j2))] = (j2, gamma(i2, j))
-    return validate_presentation(3, (l, m, n), {
+            theta13[(i, (i2 - 1) * m + j2)] = (i2, (i - 1) * m + j2)
+            theta23[(j, (i2 - 1) * m + j2)] = (j2, (i2 - 1) * m + j)
+    return validate_presentation(3, (l, m, l * m), {
         (1, 2): identity_table(l, m),
         (1, 3): theta13,
         (2, 3): theta23,
     })
 
 
-def twisted_periodic_3graph(m: int = 2, gamma=None) -> Presentation:
+def twisted_periodic_3graph(m: int = 2) -> Presentation:
     """3-graph on multiplicities (m, m, m^2) with colors 1, 2 transposed.
 
-    theta_12 is the transposition e_i f_j = f_i e_j; with gamma a bijection
-    {1..m}^2 -> {1..m^2} the color-3 tables are
+    theta_12 is the transposition e_i f_j = f_i e_j; with the pairing
+    gamma(i, j) = (i-1)*m + j of {1..m}^2 with {1..m^2} the color-3 tables
+    are
 
         e_i g_{gamma(j,k)} = g_{gamma(i,j)} e_k
         f_i g_{gamma(j,k)} = g_{gamma(i,j)} f_k
@@ -135,14 +129,11 @@ def twisted_periodic_3graph(m: int = 2, gamma=None) -> Presentation:
     (a color-3 letter acts as a two-slot shift register).  The symmetry
     lattice is Z(1,-1,0) + Z(1,1,-1).
     """
-    if gamma is None:
-        gamma = default_product_bijection(m, m)
-    n = m * m
     table = {}
     for i in range(1, m + 1):
         for j, kk in itertools.product(range(1, m + 1), range(1, m + 1)):
-            table[(i, gamma(j, kk))] = (kk, gamma(i, j))
-    return validate_presentation(3, (m, m, n), {
+            table[(i, (j - 1) * m + kk)] = (kk, (i - 1) * m + j)
+    return validate_presentation(3, (m, m, m * m), {
         (1, 2): flip_table(m, m),
         (1, 3): dict(table),
         (2, 3): dict(table),

@@ -9,8 +9,8 @@ output; human-readable progress goes to stderr.  Exit codes:
     2  mathematical rejection, with a witness in the JSON output
     3  budget or bound exhausted
 
-Named budgets bound the searches: "tables" of enumeration (10M, or
---budget), "relabelings" of classification (100,000), "group order"
+Named budgets bound the searches: "tables" of enumeration (10M),
+"relabelings" of classification (100,000), "group order"
 (1M), extension "branch nodes" (1M), "cycle steps" (100,000), "splice
 rounds" of the tail splice (4 (2 bound + 1)^k), period "certificate
 words" (1M) and symmetry "period candidates" (100,000).
@@ -181,9 +181,7 @@ def cmd_enumerate(args) -> int:
     m = _parse_vector(args.m)
     if min(m) < 1:
         raise FormatError(f"--m entries must be >= 1, got {list(m)}")
-    if args.budget is not None and args.budget < 0:
-        raise FormatError(f"--budget must be >= 0, got {args.budget}")
-    presentations = list(enumerate_presentations(m, budget=args.budget))
+    presentations = list(enumerate_presentations(m))
     classes = isomorphism_classes(presentations) if args.classify else None
     _say(f"{len(presentations)} valid presentations for m={list(m)}")
     if classes is not None:
@@ -350,13 +348,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enumerate", help="enumerate presentations for given multiplicities")
     p.add_argument("--m", required=True, help="multiplicities, e.g. 2,2,2")
     p.add_argument("--classify", action="store_true", help="group into isomorphism classes")
-    p.add_argument("--budget", type=int, default=None)
     p.add_argument("--out")
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("classify", help="enumerate and classify up to isomorphism")
     p.add_argument("--m", required=True)
-    p.add_argument("--budget", type=int, default=None)
     p.add_argument("--out")
     p.set_defaults(func=cmd_classify)
 

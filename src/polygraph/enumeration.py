@@ -41,7 +41,7 @@ from .kgraph import (
     Code,
     Presentation,
     _color_triples,
-    _lift_table,
+    _lift,
     color_pairs,
     presentation_from_codes,
 )
@@ -59,19 +59,18 @@ def count_candidate_tables(m: Sequence[int], cap: int = EXACT_COUNT) -> int:
     return _factorial_product([m[i - 1] * m[j - 1] for i, j in color_pairs(len(m))], cap)
 
 
-def enumerate_presentations(m: Sequence[int], budget: int | None = None
-                            ) -> Iterator[Presentation]:
+def enumerate_presentations(m: Sequence[int]) -> Iterator[Presentation]:
     """Yield every valid presentation with multiplicities m exactly once,
     in lexicographic order of the flattened tables.
 
     Raises ValueError unless every entry of m is at least 1, and
-    BudgetExceeded when the raw table count is above `budget` (by
-    default the "tables" limit, 10M).
+    BudgetExceeded when the raw table count is above the "tables" limit,
+    10M.
     """
     m = tuple(m)
     if not m or min(m) < 1:
         raise ValueError(f"multiplicities {list(m)} must be at least 1")
-    budget = limit(10_000_000) if budget is None else budget
+    budget = limit(10_000_000)
     needed = count_candidate_tables(m, max(budget, EXACT_COUNT))
     if needed > budget:
         raise BudgetExceeded("tables", budget, needed)
@@ -89,10 +88,10 @@ def _candidates(m: tuple[int, ...]) -> Iterator[tuple[Code, ...]]:
     with A = t_ij t_il and B = t_il t_ij composed once from the chosen
     lifted tables, a lifted jl table T passes when A T = T B, which is
     _cubic_failure's left == right, so a failed triple cuts off the rest of
-    its branch.  The lifted tables are built once per call, outside
-    _lift's cache.  For k <= 2 no triple is due and the walk is the plain
-    product.  enumerate_presentations still validates every survivor in
-    full, cubic check included, with presentation_from_codes.
+    its branch.  The lifted tables come from _lift's cache, once per call.
+    For k <= 2 no triple is due and the walk is the plain product.
+    enumerate_presentations still validates every survivor in full, cubic
+    check included, with presentation_from_codes.
     """
     pairs = color_pairs(len(m))
     tables = [list(itertools.permutations(range(m[i - 1] * m[j - 1]))) for i, j in pairs]
@@ -101,7 +100,7 @@ def _candidates(m: tuple[int, ...]) -> Iterator[tuple[Code, ...]]:
     due: list[list] = [[] for _ in pairs]
     for (i, j, l), ij, il, jl in _color_triples(len(m)):
         shape = m[i - 1], m[j - 1], m[l - 1]
-        lifts = [[_lift_table(factor, *shape, code) for code in tables[n]]
+        lifts = [[_lift(factor, *shape, code) for code in tables[n]]
                  for factor, n in (("ij", ij), ("il", il), ("jl", jl))]
         due[jl].append((ij, il, *lifts))
     chosen: list[int] = []  # the table picked for each pair so far, by position

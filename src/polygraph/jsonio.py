@@ -32,10 +32,18 @@ def presentation_to_obj(P: Presentation) -> dict:
     return {"k": P.k, "m": list(P.m), "theta": theta}
 
 
+def _integer(x: Any) -> int:
+    """x when it is a JSON integer; any other value, true and false
+    included, is a TypeError."""
+    if type(x) is not int:
+        raise TypeError(f"expected an integer, got {x!r:.40}")
+    return x
+
+
 def presentation_from_obj(obj: Any) -> Presentation:
     try:
-        k = int(obj["k"])
-        m = tuple(int(x) for x in obj["m"])
+        k = _integer(obj["k"])
+        m = tuple(_integer(x) for x in obj["m"])
         raw = obj["theta"]
         theta: Theta = {}
         for key, entries in raw.items():
@@ -43,7 +51,7 @@ def presentation_from_obj(obj: Any) -> Presentation:
             pair = (int(i_s), int(j_s))
             table = {}
             for (st, st2) in entries:
-                table[(int(st[0]), int(st[1]))] = (int(st2[0]), int(st2[1]))
+                table[(_integer(st[0]), _integer(st[1]))] = (_integer(st2[0]), _integer(st2[1]))
             theta[pair] = table
     except (KeyError, TypeError, ValueError, AttributeError) as err:
         raise FormatError(f"malformed presentation object: {err}") from err
@@ -70,9 +78,9 @@ def word_to_obj(w: Word) -> list:
 
 def word_from_obj(obj: Any) -> Word:
     try:
-        return tuple((int(c), int(s)) for c, s in obj)
+        return tuple((_integer(c), _integer(s)) for c, s in obj)
     except (TypeError, ValueError) as err:
-        raise FormatError(f"malformed word {obj!r}") from err
+        raise FormatError(f"malformed word {obj!r:.40}") from err
 
 
 def tail_to_obj(t: Tail) -> dict:

@@ -115,10 +115,9 @@ class Presentation:
         (_, t2), (_, s2) = (self._swap or self.swaps())[((i, s), (j, t))]
         return (s2, t2)
 
-    def letters(self, color: int | None = None) -> Iterator[Letter]:
-        """All generators, or all generators of one color."""
-        colors = range(1, self.k + 1) if color is None else (color,)
-        for c in colors:
+    def letters(self) -> Iterator[Letter]:
+        """All generators, color by color."""
+        for c in range(1, self.k + 1):
             for s in range(1, self.m[c - 1] + 1):
                 yield (c, s)
 
@@ -172,24 +171,19 @@ def _color_triples(k: int) -> tuple[tuple[tuple[int, int, int], int, int, int], 
                  for i, j, l in itertools.combinations(range(1, k + 1), 3))
 
 
-def _lift_table(factor: str, m_i: int, m_j: int, m_l: int, code: Code) -> list[int]:
-    """The table of the color pair `factor` ("ij", "il" or "jl") of colors
-    i < j < l, acting on index triples numbered x m_j m_l + y m_l + z."""
-    mjl = m_j * m_l
-    if factor == "ij":
-        return [c * m_l + z for c in code for z in range(m_l)]
-    if factor == "jl":
-        return [x + c for x in range(0, m_i * mjl, mjl) for c in code]
-    spread = [c // m_l * mjl + c % m_l for c in code]
-    return [spread[row + z] + y for row in range(0, len(spread), m_l)
-            for y in range(0, mjl, m_l) for z in range(m_l)]
-
-
 @functools.lru_cache(maxsize=4096)
 def _lift(factor: str, m_i: int, m_j: int, m_l: int, code: Code) -> Code:
-    """_lift_table as a tuple, cached: the validator lifts the same few
-    codes again and again."""
-    return tuple(_lift_table(factor, m_i, m_j, m_l, code))
+    """The table of the color pair `factor` ("ij", "il" or "jl") of colors
+    i < j < l, acting on index triples numbered x m_j m_l + y m_l + z;
+    cached, as the validator lifts the same few codes again and again."""
+    mjl = m_j * m_l
+    if factor == "ij":
+        return tuple([c * m_l + z for c in code for z in range(m_l)])
+    if factor == "jl":
+        return tuple([x + c for x in range(0, m_i * mjl, mjl) for c in code])
+    spread = [c // m_l * mjl + c % m_l for c in code]
+    return tuple([spread[row + z] + y for row in range(0, len(spread), m_l)
+                  for y in range(0, mjl, m_l) for z in range(m_l)])
 
 
 def _cubic_failure(k: int, m: tuple[int, ...], codes: tuple[Code, ...]):

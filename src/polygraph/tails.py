@@ -279,9 +279,12 @@ def splice_separating_tail(P: Presentation, bound: int = 2, depth: int = 2,
     cannot be eventually p-periodic.  The period is finally padded so its
     degree exceeds the bound (the period degree itself is always a
     symmetry of an eventually periodic tail, and must leave the box).
-    Raises BudgetExceeded when candidates survive the "splice rounds"
-    limit, 4 (2 bound + 1)^k by default.
+    Raises ValueError unless bound and depth are at least 1, and
+    BudgetExceeded when candidates survive the "splice rounds" limit,
+    4 (2 bound + 1)^k by default.
     """
+    if bound < 1 or depth < 1:
+        raise ValueError("bound and depth must be >= 1")
     pad = tuple((i, 1) for i in range(1, P.k + 1))
     # start above the search box: the period degree of an eventually
     # periodic tail is always one of its symmetries, so keep it outside

@@ -44,10 +44,6 @@ class TestNamedBudgets:
         assert _raised(monkeypatch, "10", lambda: list(enumerate_presentations((2, 2)))) \
             == ("tables", 10, 24)
 
-    def test_tables_override_beats_the_variable(self, monkeypatch):
-        monkeypatch.setenv("POLYGRAPH_BUDGET", "10")
-        assert len(list(enumerate_presentations((2, 2), budget=24))) == 24
-
     @pytest.mark.parametrize("search", [canonical_form, lambda P: are_isomorphic(P, P),
                                         lambda P: isomorphism_classes([P])])
     def test_relabelings(self, monkeypatch, search):

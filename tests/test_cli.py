@@ -94,8 +94,36 @@ class TestExitCodes:
                 assert captured.err.startswith("input error: cannot read presentation from ")
                 assert captured.err.count("\n") == 1
 
-    def test_budget_exit_3(self, files, capsys):
-        assert main(["enumerate", "--m", "2,2,2", "--budget", "10"]) == 3
+    @pytest.mark.parametrize("field, value, shown", [
+        ("k", 2.7, "2.7"), ("k", True, "True"), ("k", "2", "'2'"), ("m", "22", "'2'"),
+        ("m", [2, 2.0], "2.0"), ("index", 1.9, "1.9"), ("index", False, "False"),
+    ])
+    def test_non_integer_presentation_is_exit_1(self, field, value, shown, tmp_path, capsys):
+        obj = presentation_to_obj(catalog.flip_2graph())
+        if field == "index":
+            obj["theta"]["1,2"][0][1][0] = value  # the image of cell (1, 1)
+        else:
+            obj[field] = value
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(obj))
+        assert main(["validate", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("input error: malformed presentation object: "
+                                f"expected an integer, got {shown}\n")
+
+    def test_long_malformed_tail_is_one_short_line(self, tmp_path, capsys):
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps({"period": [[1, 1]] * 10_000 + [[2, True]]}))
+        assert main(["tail", "sigma", "--presentation", "flip", "--tail", str(path),
+                     "--box", "1,1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "input error: malformed word [[1, 1], [1, 1], [1, 1], [1, 1], [1, 1],\n"
+
+    def test_budget_exit_3(self, files, monkeypatch, capsys):
+        monkeypatch.setenv("POLYGRAPH_BUDGET", "10")
+        assert main(["enumerate", "--m", "2,2,2"]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "budget/bound exceeded: tables: 13824 exceeds the limit 10\n"
@@ -187,7 +215,8 @@ class TestExitCodes:
         ("abc", ["classify", "--m", "2,2"], "POLYGRAPH_BUDGET"),
         ("-1", ["classify", "--m", "2,2"], "POLYGRAPH_BUDGET"),
         ("abc", ["symmetry", "--presentation", "flip", "--bound", "1"], "POLYGRAPH_BUDGET"),
-        (None, ["enumerate", "--m", "2,2", "--budget", "-5"], "--budget"),
+        # POLYGRAPH_BUDGET is the one way to set a limit: --budget is unknown
+        (None, ["enumerate", "--m", "2,2", "--budget", "10"], "--budget"),
     ])
     def test_bad_budget_is_exit_1(self, budget, argv, named, monkeypatch, capsys):
         if budget is not None:
@@ -240,11 +269,15 @@ class TestExitCodes:
         ["rep", "build", "--words", "1,1", "--alphas", "1-3,0/1"],
         ["periodicity", "--pi", "1,1"],
         ["periodicity", "--pi", "1,-1,0"],
+        ["tail", "sigma", "--tail", "LETTERTRUE", "--box", "1,1"],
+        ["tail", "sigma", "--tail", "LETTER1.5", "--box", "1,1"],
     ])
     def test_bad_arguments_are_exit_1(self, argv, tmp_path, capsys):
         files = {"TAIL": {"preperiod": [], "period": [[1, 1], [2, 1]]},
                  "LETTER5": {"period": [[1, 5], [2, 1]]},
-                 "COLOR3": {"preperiod": [[3, 1]], "period": [[1, 1], [2, 1]]}}
+                 "COLOR3": {"preperiod": [[3, 1]], "period": [[1, 1], [2, 1]]},
+                 "LETTERTRUE": {"period": [[1, True], [2, 1]]},
+                 "LETTER1.5": {"period": [[1, 1.5], [2, 1]]}}
         for name, obj in files.items():
             (tmp_path / f"{name}.json").write_text(json.dumps(obj))
         _write_unreadable(tmp_path)
@@ -380,9 +413,8 @@ BOUND = _slot(["1", "2"], ["0", "-1", "x"], "--bound")[1:]
 ARGV_VOCABULARY = {
     ("validate",): [_slot(["GOOD"], ["BAD", "TRUNC", "missing.json"])],
     ("enumerate",): [_slot(["1", "2", "1,2", "2,2", "2,1,2"], ["0", "2,-1", "x", ""], "--m"),
-                     _slot(["--classify"]), _slot(["10"], ["x"], "--budget")],
-    ("classify",): [_slot(["2", "2,2", "1,2,2", "2,2,2"], ["2,0", "a,b"], "--m"),
-                    _slot(["10"], flag="--budget")],
+                     _slot(["--classify"])],
+    ("classify",): [_slot(["2", "2,2", "1,2,2", "2,2,2"], ["2,0", "a,b"], "--m")],
     ("periodicity",): [PRESENTATIONS,
                        _slot(["1,-1", "1,1", "1,-1,0"], ["0,0", "x"], "--pi")],
     ("symmetry",): [PRESENTATIONS, BOUND],

@@ -49,10 +49,11 @@ class TestEnumerate:
             validate_presentation(p.k, p.m, {pair: p.table(*pair)
                                              for pair in [(1, 2)]})
 
-    def test_budget_guard(self):
+    def test_budget_guard(self, monkeypatch):
         assert count_candidate_tables((2, 2, 2)) == 24 ** 3
+        monkeypatch.setenv("POLYGRAPH_BUDGET", "100")
         with pytest.raises(BudgetExceeded):
-            list(enumerate_presentations((2, 2, 2), budget=100))
+            list(enumerate_presentations((2, 2, 2)))
 
     @pytest.mark.parametrize("m", [(2, 2, 2), (1, 3, 2), (40, 40), (3,) * 6], ids=str)
     def test_table_count_stops_past_its_cap(self, m):

@@ -12,10 +12,18 @@ dead too.  A reference is a name, an attribute, an imported name, or a
 part of a dotted `module.name` string such as the bench tracer's
 "kgraph.normal_form"; a bare string such as "index" is no reference.
 Methods are the non-dunder functions in the body of a top-level class;
-`self.m` inside class C refers to C.m alone, any other `x.m` to every
-method m.  A
-name bound by `from ... import` must be loaded in its file, apart from
-`__future__` features and the re-exports of an `__init__.py`.
+`self.m` inside class C, and `C.m` for a class C defined in src/, refer
+to C.m alone, any other `x.m` to every method m.  A name bound by
+`from ... import` must be loaded in its file, apart from `__future__`
+features and the re-exports of an `__init__.py`.
+
+Every option has a product caller too: each parameter with a default, of
+a top-level function or of a method (`__init__` included) of a top-level
+class in src/polygraph, is passed by some call in product code outside
+that definition, by keyword, by position, or by `*` or `**`.  A call is
+matched to a definition by the name rules above, and a call to a class
+is a call to its `__init__`.  The parameters of the names that
+`polygraph/__init__.py` imports are public API and exempt.
 """
 
 import ast
@@ -26,6 +34,8 @@ ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted(ROOT.glob("src/polygraph/*.py"))
 PRODUCT = sorted(p for d in ("src", "bench", "scripts") for p in (ROOT / d).rglob("*.py"))
 FILES = sorted(PRODUCT + list((ROOT / "tests").rglob("*.py")))
+PUBLIC = {alias.name for node in ast.parse((ROOT / "src/polygraph/__init__.py").read_text()).body
+          if isinstance(node, ast.ImportFrom) for alias in node.names}
 
 
 def _is_dunder(name):
@@ -49,17 +59,36 @@ def _definitions(tree):
                     yield target.id, node.lineno, node.end_lineno
 
 
-def _references(tree):
-    """(name, line) of every name a file refers to; `self.m` inside a
-    top-level class C is the name "C.m"."""
-    owner = {sub: node.name for node in tree.body if isinstance(node, ast.ClassDef)
-             for sub in ast.walk(node) if isinstance(sub, ast.Attribute)
-             and isinstance(sub.value, ast.Name) and sub.value.id == "self"}
+def _owners(tree) -> dict:
+    """Each `self.m` attribute inside a top-level class, with the class name."""
+    return {sub: node.name for node in tree.body if isinstance(node, ast.ClassDef)
+            for sub in ast.walk(node) if isinstance(sub, ast.Attribute)
+            and isinstance(sub.value, ast.Name) and sub.value.id == "self"}
+
+
+def _classes(sources: dict) -> set:
+    return {node.name for text in sources.values() for node in ast.parse(text).body
+            if isinstance(node, ast.ClassDef)}
+
+
+def _name(node, owner: dict, classes: set) -> str:
+    """The name a Name or Attribute node refers to: "C.m" for `self.m`
+    inside class C and for `C.m` or `x.C.m` with C in `classes`, else the
+    bare name or attribute."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if node in owner:
+        return f"{owner[node]}.{node.attr}"
+    base = getattr(node.value, "id", None) or getattr(node.value, "attr", None)
+    return f"{base}.{node.attr}" if base in classes else node.attr
+
+
+def _references(tree, classes: set):
+    """(name, line) of every name a file refers to, named by _name."""
+    owner = _owners(tree)
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
-            yield node.id, node.lineno
-        elif isinstance(node, ast.Attribute):
-            yield f"{owner[node]}.{node.attr}" if node in owner else node.attr, node.lineno
+        if isinstance(node, (ast.Name, ast.Attribute)):
+            yield _name(node, owner, classes), node.lineno
         elif isinstance(node, ast.ImportFrom):
             for alias in node.names:
                 yield alias.name, node.lineno
@@ -79,8 +108,9 @@ def unused_definitions(sources: dict, product: dict) -> list[str]:
     `product` reaches; both map a path to its text, and every source is
     also product code."""
     uses: dict = {}
+    classes = _classes(sources)
     for path, text in product.items():
-        for name, line in _references(ast.parse(text)):
+        for name, line in _references(ast.parse(text), classes):
             uses.setdefault(name, []).append((path, line))
     defs = [(path, name, first, last) for path, text in sources.items()
             for name, first, last in _definitions(ast.parse(text))]
@@ -91,6 +121,56 @@ def unused_definitions(sources: dict, product: dict) -> list[str]:
                 uses.get(d[1], []) if "." in d[1] else []))]:
         dead += new
     return sorted(f"{Path(path).stem}.{name}" for path, name, _, _ in dead)
+
+
+def _functions(tree):
+    """(name, node, bound) of each top-level function and of each method of
+    a top-level class: a method is "C.m" and an `__init__` is "C", the name
+    a call to it uses; `bound` when a call fills the first parameter
+    implicitly (self or cls)."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node.name, node, False
+        for item in node.body if isinstance(node, ast.ClassDef) else ():
+            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = node.name if item.name == "__init__" else f"{node.name}.{item.name}"
+                static = any(getattr(d, "id", None) == "staticmethod" for d in item.decorator_list)
+                yield name, item, not static
+
+
+def unpassed_options(sources: dict, product: dict, public=frozenset()) -> list[str]:
+    """The "module.name(parameter)" of each parameter with a default, of a
+    function in `sources`, that no call in `product` outside the function
+    passes; the functions named in `public`, and the `__init__` of the
+    classes named there, are skipped."""
+    classes = _classes(sources)
+    calls: dict = {}
+    for path, text in product.items():
+        tree = ast.parse(text)
+        owner = _owners(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
+                calls.setdefault(_name(node.func, owner, classes), []).append((path, node))
+    out = []
+    for path, text in sources.items():
+        for name, fn, bound in _functions(ast.parse(text)):
+            if name in public:
+                continue
+            params = [a.arg for a in fn.args.posonlyargs + fn.args.args]
+            options = params[len(params) - len(fn.args.defaults):] + [
+                a.arg for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults) if d is not None]
+            passed = set()
+            for where, call in calls.get(name, []) + (
+                    calls.get(name.rpartition(".")[2], []) if "." in name else []):
+                if where == path and fn.lineno <= call.lineno <= fn.end_lineno:
+                    continue
+                if (any(isinstance(a, ast.Starred) for a in call.args)
+                        or any(k.arg is None for k in call.keywords)):
+                    passed.update(options)
+                passed.update(params[bound:bound + len(call.args)])
+                passed.update(k.arg for k in call.keywords)
+            out += [f"{Path(path).stem}.{name}({p})" for p in options if p not in passed]
+    return sorted(out)
 
 
 def test_every_top_level_name_is_referenced():
@@ -120,8 +200,34 @@ def test_only_dotted_strings_and_own_self_calls_are_references():
     assert unused_definitions(sources, {**sources, **cli}) == ["lib.B.size", "lib.helper"]
     cli["src/cli.py"] += "print('lib.helper')\n"
     assert unused_definitions(sources, {**sources, **cli}) == ["lib.B.size"]
+    cli["src/cli.py"] += "print(A.size)\n"
+    assert unused_definitions(sources, {**sources, **cli}) == ["lib.B.size"]
     cli["src/cli.py"] += "print(A().size)\n"
     assert unused_definitions(sources, {**sources, **cli}) == []
+
+
+def test_every_option_is_passed_by_product_code():
+    sources = {p: p.read_text() for p in SOURCES}
+    product = {p: p.read_text() for p in PRODUCT}
+    unpassed = unpassed_options(sources, product, PUBLIC)
+    assert not unpassed, f"options that no product code passes: {unpassed}"
+    # the public API's one option that no product code passes
+    assert unpassed_options(sources, product) == ["groupcons.extend_to_group(symmetry)"]
+
+
+def test_an_option_is_passed_by_keyword_position_or_star():
+    lib = ("def f(x, y=1, *, z=2):\n    return f(x, 0, z=0)\n\n\n"
+           "class A:\n    def __init__(self, n=0):\n        self.n = n\n\n"
+           "    def g(self, w=3):\n        return w\n")
+    sources = {"src/lib.py": lib}
+    cli = {"src/cli.py": "from .lib import A, f\n\nprint(f(1), A().g())\n"}
+    product = {**sources, **cli}
+    assert unpassed_options(sources, product) == ["lib.A(n)", "lib.A.g(w)", "lib.f(y)", "lib.f(z)"]
+    assert unpassed_options(sources, product, {"A", "f"}) == ["lib.A.g(w)"]
+    cli["src/cli.py"] += "print(f(1, 2), A(5).g(w=4))\n"
+    assert unpassed_options(sources, {**sources, **cli}) == ["lib.f(z)"]
+    cli["src/cli.py"] += "print(f(**{'x': 1}))\n"
+    assert unpassed_options(sources, {**sources, **cli}) == []
 
 
 def test_every_imported_name_is_loaded():

@@ -179,11 +179,11 @@ class TestEquality:
         for P in (FLIP, FCC):
             for color in range(1, P.k + 1):
                 c = coefficient(rng)
-                fam = StarSum.of({((g,), (g,)): c for g in P.letters(color)})
+                family = [g for g in P.letters() if g[0] == color]
+                fam = StarSum.of({((g,), (g,)): c for g in family})
                 assert star_equal(P, fam, scaled(c, identity_sum()))
                 assert star_equal(P, fam, identity_sum()) == (c == 1)
-                g = next(iter(P.letters(color)))
-                moved = fam + star(P, (g,), (g,), coefficient(rng))
+                moved = fam + star(P, (family[0],), (family[0],), coefficient(rng))
                 assert not star_equal(P, moved, scaled(c, identity_sum()))
 
     def test_partial_family_not_identity(self):
@@ -197,7 +197,7 @@ class TestEquality:
         # u v* expanded one level stays equal
         m = star(FCC, ((1, 1),), ((3, 2),))
         expanded = StarSum(())
-        for g in FCC.letters(2):
+        for g in [g for g in FCC.letters() if g[0] == 2]:
             expanded = expanded + multiply(
                 FCC, m, star(FCC, (g,), (g,)))
         assert star_equal(FCC, m, expanded)

@@ -212,6 +212,11 @@ class TestTailSymmetry:
         sym = tail_symmetry_group(t, bound=2)
         assert sym.basis == ()
 
+    @pytest.mark.parametrize("bound, depth", [(0, 2), (-1, 2), (2, 0)])
+    def test_splice_needs_a_positive_bound_and_depth(self, bound, depth):
+        with pytest.raises(ValueError, match="bound and depth must be >= 1"):
+            splice_separating_tail(FLIP, bound=bound, depth=depth)
+
     def test_tail_symmetry_contains_graph_symmetry(self):
         # H_theta is the intersection over all tails, so any tail's group
         # contains it; check on the flip graph whose lattice is Z(1,-1)
