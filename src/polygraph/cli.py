@@ -22,10 +22,9 @@ the limit <limit>".
 from __future__ import annotations
 
 import argparse
-import hashlib
 import sys
 
-from . import __version__, acceptance, catalog
+from . import __version__, catalog
 from .budget import BudgetExceeded, InvalidBudget, limit
 from .enumeration import enumerate_presentations, isomorphism_classes
 from .groupcons import (
@@ -79,6 +78,7 @@ def _say(msg: str) -> None:
 
 
 def _hash_file(path: str) -> str:
+    import hashlib  # deferred: it maps libcrypto (about 3.6 MB) into any process that imports it
     h = hashlib.sha256()
     with open(path, "rb") as fh:
         h.update(fh.read())
@@ -309,6 +309,7 @@ def cmd_rep(args) -> int:
 
 
 def cmd_paper_suite(args) -> int:
+    from . import acceptance  # deferred: only this command needs it, so others skip compiling it
     records = []
     for fn in acceptance.ALL_CRITERIA:
         rec = fn()

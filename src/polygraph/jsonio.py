@@ -49,22 +49,32 @@ def presentation_from_obj(obj: Any) -> Presentation:
         for key, entries in raw.items():
             i_s, j_s = key.split(",")
             pair = (int(i_s), int(j_s))
-            table = {}
-            for (st, st2) in entries:
-                table[(_integer(st[0]), _integer(st[1]))] = (_integer(st2[0]), _integer(st2[1]))
+            if key != f"{pair[0]},{pair[1]}":
+                raise ValueError(f"theta key {key!r:.40} is not written 'i,j'")
+            table = {(_integer(st[0]), _integer(st[1])): (_integer(st2[0]), _integer(st2[1]))
+                     for st, st2 in entries}
+            if len(table) != len(entries):
+                raise ValueError(f"theta key {key!r} lists a cell twice")
             theta[pair] = table
     except (KeyError, TypeError, ValueError, AttributeError) as err:
         raise FormatError(f"malformed presentation object: {err}") from err
     return validate_presentation(k, m, theta)
 
 
+def _unique_keys(pairs: list[tuple[str, Any]]) -> dict:
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        raise ValueError(f"key {max(obj, key=[k for k, _ in pairs].count)!r:.40} repeats in one object")
+    return obj
+
+
 def read_json(path: str, what: str) -> Any:
     """The JSON value in the file at `path`; FormatError names `what` when
-    the file cannot be opened, is not UTF-8, is not JSON, or nests too deep."""
+    the file cannot be opened, is not UTF-8 JSON, repeats a key, or nests too deep."""
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as err:
+            return json.load(fh, object_pairs_hook=_unique_keys)
+    except (OSError, ValueError, RecursionError) as err:  # ValueError: bad UTF-8, JSON or key
         raise FormatError(f"cannot read {what} from {path}: {err}") from err
 
 

@@ -145,7 +145,7 @@ def find_gamma(P: Presentation, pi: Iterable[int]) -> PeriodicityCertificate | N
     gamma: dict[Word, Word] = {}
     suffix0 = None
     for e in words_of_degree(P, plus):
-        head, tail = extract_prefix(P, normal_form(P, e + f0), minus)
+        head, tail = extract_prefix(P, e + f0, minus)
         if suffix0 is None:
             suffix0 = tail
         elif tail != suffix0:

@@ -88,8 +88,7 @@ def _reduce_adjoint_cached(P: Presentation, v: Word, x: Word) -> tuple[tuple[Wor
     da = deg_sub(join, dv)
     out = []
     for a in words_of_degree(P, da):
-        w = normal_form(P, v + a)
-        px, b = extract_prefix(P, w, dx)
+        px, b = extract_prefix(P, v + a, dx)
         if px == x:
             out.append((a, b))
     return tuple(out)

@@ -1,13 +1,17 @@
 import contextlib
+import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 import time
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from polygraph import catalog
+from polygraph import acceptance, catalog
 from polygraph.cli import main
 from polygraph.jsonio import (
     group_construction_to_obj,
@@ -111,6 +115,27 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err == ("input error: malformed presentation object: "
                                 f"expected an integer, got {shown}\n")
+
+    FLIP_CELLS = '[[1, 1], [1, 1]], [[1, 2], [2, 1]], [[2, 1], [1, 2]], [[2, 2], [2, 2]]'
+
+    @pytest.mark.parametrize("theta, error", [
+        # a one-cell table, then the flip table under a key int() also reads as 1,2
+        ('{"1,2": [[[1, 1], [1, 1]]], "0_1, 2": [%s]}' % FLIP_CELLS,
+         "malformed presentation object: theta key '0_1, 2' is not written 'i,j'"),
+        # cell (1, 1) mapped to (2, 2), then the four flip cells
+        ('{"1,2": [[[1, 1], [2, 2]], %s]}' % FLIP_CELLS,
+         "malformed presentation object: theta key '1,2' lists a cell twice"),
+        # the same key twice, which a plain json.load would merge
+        ('{"1,2": [[[1, 1], [2, 2]]], "1,2": [%s]}' % FLIP_CELLS,
+         "cannot read presentation from {path}: key '1,2' repeats in one object"),
+    ], ids=["key", "cell", "repeated-key"])
+    def test_ambiguous_theta_is_one_input_error_line(self, theta, error, tmp_path, capsys):
+        path = tmp_path / "p.json"
+        path.write_text('{"k": 2, "m": [2, 2], "theta": %s}' % theta)
+        assert main(["validate", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"input error: {error.format(path=path)}\n"
 
     def test_long_malformed_tail_is_one_short_line(self, tmp_path, capsys):
         path = tmp_path / "t.json"
@@ -377,6 +402,13 @@ class TestCommands:
         out = json.loads(capsys.readouterr().out)
         assert out["result"]["symmetry_rank"] == 0
 
+    def test_paper_suite_reports_its_criteria(self, monkeypatch, capsys):
+        monkeypatch.setattr(acceptance, "ALL_CRITERIA", [acceptance.criterion_7_report_footer])
+        assert main(["paper-suite"]) == 0
+        captured = capsys.readouterr()
+        assert '"all_passed": true' in captured.out
+        assert captured.err == "criterion 7 (non-computed facts are declared): PASS\n"
+
     def test_determinism_byte_identical(self, files, tmp_path, capsys):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         for target in (a, b):
@@ -391,7 +423,8 @@ class TestCommands:
         man = out["manifest"]
         assert man["command"] == "validate"
         assert files["good"] in man["input_hashes"]
-        assert len(man["input_hashes"][files["good"]]) == 64
+        with open(files["good"], "rb") as fh:
+            assert man["input_hashes"][files["good"]] == hashlib.sha256(fh.read()).hexdigest()
         assert man["tool"] == "polygraph" and man["version"]
 
 
@@ -473,3 +506,16 @@ class TestArgvContract:
         assert "Traceback" not in err.getvalue(), argv
         if code in (0, 2) and argv[:2] != ["rep", "export-dot"]:
             json.loads(out.getvalue())
+
+
+def test_cli_import_leaves_hashing_and_the_paper_suite_unloaded():
+    # hashlib maps OpenSSL's libcrypto and acceptance holds every paper
+    # criterion, so each would cost every process that imports the CLI;
+    # only a command that hashes an input file, or paper-suite, needs one
+    src = os.path.dirname(os.path.dirname(acceptance.__file__))
+    code = ("import sys, polygraph.cli; "
+            "print(sorted({'hashlib', 'polygraph.acceptance'} & set(sys.modules)))")
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert proc.stdout == "[]\n"

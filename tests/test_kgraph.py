@@ -398,6 +398,9 @@ class TestExtractPrefixAgainstReference:
                 for n in (d, P.zero(), tuple(rng.randint(0, x) for x in d)):
                     u, v = extract_prefix(P, w, n)
                     assert (u, v) == _reference_extract_prefix(P, w, n)
+                    # the factorization of an unsorted word is that of its
+                    # normal form, so callers pass concatenations unsorted
+                    assert (u, v) == extract_prefix(P, normal_form(P, w), n)
                     # confluence: any sorting order reaches the same words
                     srng = random.Random(length)
                     assert random_sort(P, u, srng) == u and degree(P, u) == n
