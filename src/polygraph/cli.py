@@ -12,8 +12,9 @@ output; human-readable progress goes to stderr.  Exit codes:
 Named budgets bound the searches: "tables" of enumeration (10M),
 "relabelings" of classification (100,000), "group order"
 (1M), extension "branch nodes" (1M), "cycle steps" (100,000), "splice
-rounds" of the tail splice (4 (2 bound + 1)^k), period "certificate
-words" (1M) and symmetry "period candidates" (100,000).
+rounds" of the tail splice (4 (2 bound + 1)^k), window points of a "tail
+box" (1M), period "certificate words" (1M) and symmetry "period
+candidates" (100,000).
 POLYGRAPH_BUDGET, a nonnegative integer, replaces all of them; running
 past one exits 3 with "budget/bound exceeded: <name>: <count> exceeds
 the limit <limit>".

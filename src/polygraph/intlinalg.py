@@ -2,19 +2,25 @@
 
 Row-style Hermite normal form (canonical bases for sublattices of Z^k),
 one reduction walk modulo such a basis (canonical coset representatives,
-membership and exact solving all read it), Smith normal form with
-transform tracking (character enumeration of finite quotients), and a
-Fourier-Motzkin check that a sublattice meets the nonnegative orthant
-only in 0.  Everything is plain int/Fraction arithmetic on k x k
-matrices with k tiny.
+membership, exact solving and the closure walk of every lattice search
+all read it), Smith normal form with transform tracking (character
+enumeration of finite quotients), and a Fourier-Motzkin check that a
+sublattice meets the nonnegative orthant only in 0.  Everything is plain
+int arithmetic on k x k matrices with k tiny.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+from typing import Callable, Iterable
 
 Vec = tuple[int, ...]
 Mat = tuple[Vec, ...]
+
+
+class LatticeInconsistency(RuntimeError):
+    """A rejected candidate fell in the collected lattice, an HNF basis
+    vector of it failed re-verification, or it met the nonnegative orthant:
+    the bounded search clipped a generator or produced inconsistent verdicts."""
 
 
 def hermite_normal_form(rows: list[Vec] | Mat) -> Mat:
@@ -80,6 +86,35 @@ def reduce_mod(hnf: Mat, v: Vec) -> tuple[Vec, Vec]:
             for c in range(pcol, len(r)):
                 r[c] -= q * row[c]
     return tuple(x), tuple(r)
+
+
+def lattice_closure(candidates: Iterable[Vec], test: Callable[[Vec], bool]
+                    ) -> tuple[Mat, list[Vec]]:
+    """(HNF basis, hits in candidate order) of the candidates in the
+    subgroup of Z^k that `test` decides.  With M the lattice of the hits
+    so far, one `reduce_mod` remainder per candidate decides by closure:
+    zero is a hit; the class of a rejected r (kept with -r, reclassed as
+    M grows) is skipped, since r + x in the group with x in M would put r
+    there.  Only the rest are tested, one per open coset.  Raises
+    LatticeInconsistency if a rejected vector falls in M."""
+    hits: list[Vec] = []
+    basis: Mat = ()
+    refuted: dict[Vec, Vec] = {}  # class mod basis -> a rejected vector
+    for v in candidates:
+        r = reduce_mod(basis, v)[1]
+        if r in refuted:
+            continue
+        if any(r):
+            if not test(v):
+                refuted.update((reduce_mod(basis, u)[1], u) for u in (v, tuple(-x for x in v)))
+                continue
+            basis = hermite_normal_form(basis + (v,))
+            refuted = {reduce_mod(basis, u)[1]: u for u in refuted.values()}
+            if (zero := (0,) * len(v)) in refuted:
+                raise LatticeInconsistency(f"rejected candidate {refuted[zero]} lies in the "
+                                           f"lattice {basis} of the accepted ones")
+        hits.append(v)
+    return basis, hits
 
 
 def smith_normal_form(mat: Mat) -> tuple[Mat, Mat, Mat]:
@@ -178,48 +213,22 @@ def meets_positive_orthant(hnf: Mat, dim: int) -> bool:
     """Whether the lattice contains a nonzero vector with all coords >= 0.
 
     A rational lattice meets the closed orthant nontrivially iff its
-    rational span does, so this is the LP feasibility of
-    {x = c * B, x >= 0, sum x = 1}, decided exactly by Fourier-Motzkin.
+    rational span does, that is iff some x = c * B has x >= 0 and
+    sum x >= 1 (scale any nonzero x >= 0): an LP feasibility in c,
+    decided exactly by Fourier-Motzkin.
     """
-    if not hnf:
-        return False
-    nb = len(hnf)
-    # variables c_1..c_nb; constraints: sum_j c_j B[j][i] >= 0 for each i,
-    # and sum_i sum_j c_j B[j][i] = 1.
-    ineqs: list[list[Fraction]] = []  # a_0 + a_1 c_1 + ... >= 0
-    for i in range(dim):
-        ineqs.append([Fraction(0)] + [Fraction(hnf[j][i]) for j in range(nb)])
-    total = [Fraction(-1)] + [Fraction(sum(hnf[j])) for j in range(nb)]
-    # equality total == 0: substitute using a variable with nonzero coef
-    piv = next((t for t in range(1, nb + 1) if total[t] != 0), None)
-    if piv is None:
-        return False  # sum of coords identically 0 on the lattice; x >= 0 & sum=1 infeasible
-    ineqs = [_substitute(row, total, piv) for row in ineqs]
-    nvars = nb  # variable `piv` eliminated (coefficient slots kept, just zeroed)
-    return _fm_feasible(ineqs, nvars)
+    # rows (a_0, a_1, ...) read a_0 + a_1 c_1 + ... >= 0: x_i >= 0, sum x >= 1
+    ineqs = [[0] + [row[i] for row in hnf] for i in range(dim)]
+    ineqs.append([-1] + [sum(row) for row in hnf])
+    return _fm_feasible(ineqs, len(hnf))
 
 
-def _substitute(row: list[Fraction], eq: list[Fraction], piv: int) -> list[Fraction]:
-    # eliminate variable piv using the equality eq (== 0)
-    out = list(row)
-    if row[piv] != 0:
-        factor = row[piv] / eq[piv]
-        out = [r - factor * e for r, e in zip(row, eq)]
-    return out
-
-
-def _fm_feasible(ineqs: list[list[Fraction]], nvars: int) -> bool:
-    """Feasibility of {a_0 + sum a_i x_i >= 0} by Fourier-Motzkin."""
-    rows = [list(r) for r in ineqs]
+def _fm_feasible(rows: list[list[int]], nvars: int) -> bool:
+    """Feasibility of {a_0 + sum a_i x_i >= 0} by Fourier-Motzkin; each
+    step adds positive integer multiples of two rows, so ints stay exact."""
     for var in range(1, nvars + 1):
         pos = [r for r in rows if r[var] > 0]
         neg = [r for r in rows if r[var] < 0]
-        zero = [r for r in rows if r[var] == 0]
-        new = list(zero)
-        for rp in pos:
-            for rn in neg:
-                combo = [rp[i] * (-rn[var]) + rn[i] * rp[var] for i in range(len(rp))]
-                combo[var] = Fraction(0)
-                new.append(combo)
-        rows = new
+        rows = [r for r in rows if r[var] == 0] + [
+            [p * -rn[var] + n * rp[var] for p, n in zip(rp, rn)] for rp in pos for rn in neg]
     return all(r[0] >= 0 for r in rows)

@@ -18,8 +18,8 @@ relation algebra; the certified pi's under a bound, searched on the lattice
 where |E| = |F|, generate the symmetry lattice, reported in Hermite normal
 form with the structural consequences (torus rank, tensor factorization,
 simplicity verdict).  Periods form a group, so the search certifies one
-candidate per coset of the hits so far: a rejected pi rules out its coset
-and that of -pi, exactly.
+candidate per coset of the hits so far (`lattice_closure`): a rejected pi
+rules out its coset and that of -pi, exactly.
 """
 
 from __future__ import annotations
@@ -30,7 +30,8 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .budget import EXACT_COUNT, BudgetExceeded, capped_product, limit
-from .intlinalg import hermite_normal_form, meets_positive_orthant, reduce_mod, solve_integer
+from .intlinalg import (LatticeInconsistency, hermite_normal_form, lattice_closure,
+                        meets_positive_orthant, solve_integer)
 from .kgraph import (
     Degree,
     Letter,
@@ -43,12 +44,6 @@ from .kgraph import (
     words_of_degree,
 )
 from .staralg import StarSum, adjoint, identity_sum, monomial, multiply, star_equal
-
-
-class LatticeInconsistency(RuntimeError):
-    """A rejected candidate fell in the collected lattice, an HNF basis
-    vector of it failed re-verification, or it met the nonnegative orthant:
-    the bounded search clipped a generator or produced inconsistent verdicts."""
 
 
 @dataclass(frozen=True)
@@ -285,39 +280,19 @@ def symmetry_lattice(P: Presentation, bound: int = 4) -> SymmetryLattice:
 
     A period has |E| = |F|, so the candidates are the points of L_m in
     the box (none for m = (2, 3)), visited by increasing L1 norm (ties
-    lexicographic).  Periods form a subgroup of Z^k, so with M the lattice
-    of the hits so far, one `reduce_mod` remainder per candidate decides
-    by closure: zero is a hit; the class of a rejected vector r (kept with
-    -r, reclassed as M grows) is skipped, since a period r + x with x in M
-    would make r = (r + x) - x one.  Only the rest go to `is_periodic`, one
-    per open coset; `hits` holds every mixed-sign lattice point of the box.
+    lexicographic).  Periods form a subgroup of Z^k, so `lattice_closure`
+    sends one candidate per open coset to `is_periodic`; `hits` holds
+    every mixed-sign lattice point of the box.
 
-    Raises LatticeInconsistency if a rejected vector falls in M (the
-    verdicts broke the group law), a basis vector fails re-verification
+    Raises LatticeInconsistency if a rejected vector falls in the lattice
+    (the verdicts broke the group law), a basis vector fails re-verification
     (the bound clipped a generator), or the lattice meets the nonnegative
     orthant (impossible for true symmetry lattices; indicates bad data).
     """
     if bound < 1:
         raise ValueError("bound must be >= 1")
-    hits = []
-    basis: tuple[tuple[int, ...], ...] = ()  # HNF of the hits so far
-    refuted: dict[tuple[int, ...], tuple[int, ...]] = {}  # class mod basis -> a rejected vector
-    zero = (0,) * P.k
-    for pi in _period_candidates(P.m, bound):
-        r = reduce_mod(basis, pi)[1]
-        if r == zero:
-            hits.append(pi)
-        elif r in refuted:
-            continue
-        elif is_periodic(P, pi) is None:
-            refuted.update((reduce_mod(basis, v)[1], v) for v in (pi, tuple(-x for x in pi)))
-        else:
-            hits.append(pi)
-            basis = hermite_normal_form(basis + (pi,))
-            refuted = {reduce_mod(basis, v)[1]: v for v in refuted.values()}
-            if zero in refuted:
-                raise LatticeInconsistency(f"rejected candidate {refuted[zero]} lies in the "
-                                           f"lattice {basis} of certified periods")
+    basis, hits = lattice_closure(_period_candidates(P.m, bound),
+                                  lambda pi: is_periodic(P, pi) is not None)
     certs = []
     for v in basis:
         cert = is_periodic(P, v)

@@ -10,8 +10,9 @@ i is the last color-i letter of the unique prefix of degree -n + e_i.
 Shift-tail equivalence (window data of one tail matching a translate of
 the other's, below some threshold) is decided on a finite box sized from
 the periods, the preperiods and the shift; the depth parameter scales the
-box.  The symmetry search collects all small shifts under which a tail is
-equivalent to itself and returns the lattice they generate.
+box, and the "tail box" budget bounds its points.  The self-shifts of a
+tail form a subgroup of Z^k, decided exactly, so the symmetry search
+finds every small one by `lattice_closure`, testing one per open coset.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ import itertools
 from dataclasses import dataclass, field
 from math import lcm
 
-from .budget import BudgetExceeded, limit
-from .intlinalg import hermite_normal_form
+from .budget import EXACT_COUNT, BudgetExceeded, capped_product, limit
+from .intlinalg import lattice_closure
 from .kgraph import (
     Degree,
     Presentation,
@@ -110,12 +111,14 @@ def sigma_data(t: Tail, box: Degree) -> SigmaData:
     tail, that is, of the color-i edge leaving the point -n in the grid
     filled by the prefix of degree box + (1,...,1); unique factorization
     makes this well defined and independent of how far the tail is
-    unrolled.
+    unrolled.  Past the "tail box" budget (1M points) it raises before
+    the tail is unrolled.
     """
     P = t.presentation
     box = tuple(box)
     if len(box) != P.k or any(b < 0 for b in box):
         raise ValueError(f"box {box} must have {P.k} nonnegative entries")
+    _charge_box(box)
     top = deg_add(box, (1,) * P.k)
     prefix, _ = extract_prefix(P, t.unroll(top), top)
     edges, strides = _edge_grid(P, prefix, top)
@@ -124,6 +127,14 @@ def sigma_data(t: Tail, box: Degree) -> SigmaData:
         p = -sum(x * s for x, s in zip(n, strides))
         values.append((n, tuple(e[p] for e in edges)))
     return SigmaData(box=box, values=tuple(values))
+
+
+def _charge_box(box: Degree) -> None:
+    """Charge the prod(box_c + 1) points of sigma_data on box to "tail box"."""
+    cap = limit(1_000_000)
+    points = capped_product((b + 1 for b in box), max(cap, EXACT_COUNT))
+    if points > cap:
+        raise BudgetExceeded("tail box", cap, points)
 
 
 def _edge_grid(P: Presentation, word: Word, top: Degree
@@ -222,22 +233,14 @@ def _compare(s1: SigmaData, s2: SigmaData, p: Degree, threshold: Degree, bottom:
     return EquivalenceTranscript(p, True, threshold, bottom)
 
 
-def _self_shifts(t: Tail, shifts: list[Degree], depth: int) -> list[EquivalenceTranscript]:
-    """shift_tail_equivalent(t, t, p, depth) for each p in shifts, read off
-    one SigmaData whose box covers the region of every shift: the region
-    of p reaches -(preperiod + max(p, 0) + depth * period) and its
+def _self_test(t: Tail, bound: int, depth: int):
+    """p -> shift_tail_equivalent(t, t, p, depth).equivalent for |p_i| <= bound,
+    read off one SigmaData whose box covers the region of every such p: the
+    region of p reaches -(preperiod + max(p, 0) + depth * period) and its
     translate by p reaches -(preperiod + max(-p, 0) + depth * period)."""
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
-    reach = [max((abs(p[c]) for p in shifts), default=0) for c in range(t.presentation.k)]
-    box = tuple(a + r + depth * b
-                for a, r, b in zip(t.preperiod_degree, reach, t.period_degree))
-    data = sigma_data(t, box)
-    return [_compare(data, data, p, *_window(t, t, p, depth)) for p in shifts]
-
-
-def _nonzero_shifts(k: int, bound: int) -> list[Degree]:
-    return [p for p in itertools.product(range(-bound, bound + 1), repeat=k) if any(p)]
+    data = sigma_data(t, tuple(a + bound + depth * b
+                               for a, b in zip(t.preperiod_degree, t.period_degree)))
+    return lambda p: _compare(data, data, p, *_window(t, t, p, depth)).equivalent
 
 
 @dataclass(frozen=True)
@@ -255,16 +258,23 @@ class TailSymmetry:
 
 
 def tail_symmetry_group(t: Tail, bound: int = 2, depth: int = 2) -> TailSymmetry:
-    """All shifts p with |p_i| <= bound under which t is self-equivalent,
-    closed into a lattice (Hermite basis).  A lower bound for the full
-    symmetry group: generators outside the search box are not found."""
+    """Every shift p with |p_i| <= bound under which t is self-equivalent,
+    in lexicographic order, and the lattice they span (Hermite basis).
+    Self-shifts form a group and their verdicts are exact (see
+    shift_tail_equivalent), so `lattice_closure`, walking the shifts by L1
+    norm, finds them all testing one per open coset.  A lower bound for the
+    full symmetry group: generators outside the search box are not found."""
     if bound < 1 or depth < 1:
         raise ValueError("bound and depth must be >= 1")
-    hits = [transcript for transcript in
-            _self_shifts(t, _nonzero_shifts(t.presentation.k, bound), depth)
-            if transcript.equivalent]
-    basis = hermite_normal_form([h.shift for h in hits])
-    return TailSymmetry(basis=basis, bound=bound, depth=depth, generators=tuple(hits))
+    # each box coordinate is at least bound + 1: the box's budget, charged
+    # first, also bounds the (2 bound + 1)^k shifts
+    test = _self_test(t, bound, depth)
+    shifts = sorted((p for p in itertools.product(range(-bound, bound + 1), repeat=t.presentation.k)
+                     if any(p)), key=lambda p: (sum(map(abs, p)), p))
+    basis, hits = lattice_closure(shifts, test)
+    generators = tuple(EquivalenceTranscript(p, True, *_window(t, t, p, depth))
+                       for p in sorted(hits))
+    return TailSymmetry(basis=basis, bound=bound, depth=depth, generators=generators)
 
 
 def splice_separating_tail(P: Presentation, bound: int = 2, depth: int = 2,
@@ -280,34 +290,32 @@ def splice_separating_tail(P: Presentation, bound: int = 2, depth: int = 2,
     degree exceeds the bound (the period degree itself is always a
     symmetry of an eventually periodic tail, and must leave the box).
     Raises ValueError unless bound and depth are at least 1, and
-    BudgetExceeded when candidates survive the "splice rounds" limit,
-    4 (2 bound + 1)^k by default.
+    BudgetExceeded when the first round's box passes "tail box", checked
+    before any word is built, or when candidates survive the "splice
+    rounds" limit, 4 (2 bound + 1)^k by default.
     """
     if bound < 1 or depth < 1:
         raise ValueError("bound and depth must be >= 1")
+    _charge_box((bound + depth * (bound + 1),) * P.k)
     pad = tuple((i, 1) for i in range(1, P.k + 1))
     # start above the search box: the period degree of an eventually
     # periodic tail is always one of its symmetries, so keep it outside
     period = normal_form(P, pad * (bound + 1))
 
-    shifts = _nonzero_shifts(P.k, bound)
     rounds = limit(4 * (2 * bound + 1) ** P.k)
     for done in itertools.count():
-        alive = [transcript.shift for transcript in _self_shifts(Tail(P, (), period), shifts, depth)
-                 if transcript.equivalent]
+        alive = tail_symmetry_group(Tail(P, (), period), bound, depth).generators
         if not alive:
             break
         if done == rounds:
             raise BudgetExceeded("splice rounds", rounds, done + 1)
-        p = alive[0]
-        fixed = False
+        p = alive[0].shift
         for block in _blocks_by_degree(P, max_block_degree):
             candidate = normal_form(P, period + block)
-            if not _self_shifts(Tail(P, (), candidate), [p], depth)[0].equivalent:
+            if not _self_test(Tail(P, (), candidate), bound, depth)(p):
                 period = candidate
-                fixed = True
                 break
-        if not fixed:
+        else:
             break  # no splice block of this size defeats p; give up on it
     return Tail(P, (), period)
 

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from polygraph import catalog
+from polygraph import catalog, tails
 from polygraph.budget import EXACT_COUNT, BudgetExceeded, InvalidBudget, capped_product, limit
 from polygraph.cli import main
 from polygraph.enumeration import (
@@ -25,7 +25,13 @@ from polygraph.groupcons import (
     from_commuting_words,
 )
 from polygraph.periodicity import check_tail_condition, find_gamma, symmetry_lattice
-from polygraph.tails import splice_separating_tail
+from polygraph.tails import (
+    shift_tail_equivalent,
+    sigma_data,
+    splice_separating_tail,
+    tail,
+    tail_symmetry_group,
+)
 
 ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted((ROOT / "src" / "polygraph").glob("*.py"))
@@ -96,9 +102,35 @@ class TestNamedBudgets:
         assert symmetry_lattice(P, bound=2).basis == ((1, -1),)
 
     def test_splice_rounds(self, monkeypatch):
-        P = catalog.square_2graph()
-        assert _raised(monkeypatch, "0", lambda: splice_separating_tail(P, bound=1)) \
-            == ("splice rounds", 0, 1)
+        # under one POLYGRAPH_BUDGET the first splice box (36 points at
+        # bound 1) trips "tail box" before a round is counted, so only the
+        # rounds limit, 4 (2 bound + 1)^k = 36 by default, is set to 0
+        monkeypatch.setattr(tails, "limit", lambda default: 0 if default == 36 else default)
+        with pytest.raises(BudgetExceeded) as info:
+            splice_separating_tail(catalog.square_2graph(), bound=1)
+        assert (info.value.name, info.value.limit, info.value.consumed) == ("splice rounds", 0, 1)
+
+    @pytest.mark.parametrize("search", [
+        # box (5, 5) has 6 * 6 = 36 window points
+        lambda t: sigma_data(t, (5, 5)),
+        # depth 5 and period degree (1, 1): the region reaches 5 below 0
+        lambda t: shift_tail_equivalent(t, t, (0, 0), depth=5),
+        # preperiod 0 + bound 3 + depth 2 * period 1
+        lambda t: tail_symmetry_group(t, bound=3, depth=2),
+    ], ids=["sigma", "equivalent", "symmetry"])
+    def test_tail_box(self, monkeypatch, search):
+        t = tail(catalog.flip_2graph(), (), ((1, 1), (2, 1)))
+        assert _raised(monkeypatch, "35", lambda: search(t)) == ("tail box", 35, 36)
+        monkeypatch.setenv("POLYGRAPH_BUDGET", "36")
+        search(t)
+
+    def test_tail_box_is_charged_before_the_splice_pad(self, monkeypatch):
+        # the first splice box, bound 1 + depth 2 * (bound + 1) = 5 per
+        # color, has 36 points; its pad is never built
+        P = catalog.flip_2graph()
+        monkeypatch.setattr(tails, "normal_form", None)
+        assert _raised(monkeypatch, "35", lambda: splice_separating_tail(P, bound=1)) \
+            == ("tail box", 35, 36)
 
 
 class TestCappedProduct:
@@ -197,13 +229,28 @@ class TestOneBudgetPath:
     def test_documented_names_are_the_raised_names(self):
         # the README budget table and the cli module docstring list
         # exactly the names that src/ passes to BudgetExceeded
-        raised = set()
-        for path in SOURCES:
-            for node in ast.walk(ast.parse(path.read_text())):
-                if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "BudgetExceeded":
-                    assert isinstance(node.args[0], ast.Constant), (path.name, node.lineno)
-                    raised.add(node.args[0].value)
+        raised = _raised_names()
         readme = re.findall(r"^\| `([^`]+)` \|", (ROOT / "README.md").read_text(), re.M)
         cli_doc = ast.get_docstring(ast.parse((ROOT / "src" / "polygraph" / "cli.py").read_text()))
         cli = [" ".join(name.split()) for name in re.findall(r'"([a-z][a-z\s]*)"', cli_doc)]
         assert sorted(readme) == sorted(cli) == sorted(raised)
+
+    def test_every_raised_name_has_a_named_budget_test(self):
+        # each name that src/ passes to BudgetExceeded is a string in
+        # TestNamedBudgets, where a test raises it
+        tree = ast.parse(Path(__file__).read_text())
+        named = next(node for node in tree.body
+                     if isinstance(node, ast.ClassDef) and node.name == "TestNamedBudgets")
+        strings = {node.value for node in ast.walk(named)
+                   if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+        assert _raised_names() - strings == set()
+
+
+def _raised_names() -> set:
+    raised = set()
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "BudgetExceeded":
+                assert isinstance(node.args[0], ast.Constant), (path.name, node.lineno)
+                raised.add(node.args[0].value)
+    return raised

@@ -156,7 +156,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("budget, argv, name", [
         ("10", ["rep", "build", "--presentation", "flip-cycles", "--words", "112,112,112"],
          "group order"),
-        ("0", ["tail", "splice", "--presentation", "square", "--bound", "1"], "splice rounds"),
+        ("0", ["tail", "splice", "--presentation", "square", "--bound", "1"], "tail box"),
         ("10", ["classify", "--m", "2,2"], "tables"),
         ("3", ["periodicity", "--presentation", "flip", "--pi", "2,-2"], "certificate words"),
         ("10", ["classify", "--m", "1,1,1,1"], "relabelings"),
@@ -235,6 +235,30 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err == f"budget/bound exceeded: {message}\n"
         assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("argv, points", [
+        # flip, the period (1, 1) tail: symmetry box 5000 + 2 per color,
+        # splice box bound + 2 (bound + 1), equivalent box the depth; no
+        # grid, shift list or splice pad is built
+        (["tail", "symmetry", "--tail", "TAIL", "--bound", "5000"], 5003 ** 2),
+        (["tail", "splice", "--bound", "5000"], 15003 ** 2),
+        (["tail", "equivalent", "--tail", "TAIL", "--other", "TAIL", "--shift", "0,0",
+          "--depth", "100000000"], 100000001 ** 2),
+        (["tail", "sigma", "--tail", "TAIL", "--box", "3000,3000"], 3001 ** 2),
+        (["tail", "splice", "--bound", "100000000"], 300000003 ** 2),
+    ])
+    def test_huge_tail_box_is_one_line_exit_3(self, argv, points, monkeypatch, tmp_path, capsys):
+        monkeypatch.delenv("POLYGRAPH_BUDGET", raising=False)
+        path = tmp_path / "tail.json"
+        path.write_text(json.dumps({"preperiod": [], "period": [[1, 1], [2, 1]]}))
+        argv = argv[:2] + ["--presentation", "flip"] + [str(path) if a == "TAIL" else a
+                                                        for a in argv[2:]]
+        t0 = time.perf_counter()
+        assert main(argv) == 3
+        assert time.perf_counter() - t0 < 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"budget/bound exceeded: tail box: {points} exceeds the limit 1000000\n"
 
     @pytest.mark.parametrize("budget, argv, named", [
         ("abc", ["classify", "--m", "2,2"], "POLYGRAPH_BUDGET"),

@@ -8,6 +8,7 @@ invariant factors, a test-only oracle.  Every case is seeded.
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 from sympy import ZZ, Matrix
@@ -229,7 +230,38 @@ class TestMeetsPositiveOrthant:
                 assert meets_positive_orthant(hnf, k), hnf
         assert witnessed  # the search does find witnesses
 
+    @pytest.mark.parametrize("seed", range(1511, 1514))
+    def test_matches_the_substitution_reference(self, seed):
+        rng = random.Random(seed)
+        verdicts = []
+        for _ in range(200):
+            k = rng.randint(2, 4)
+            hnf = hermite_normal_form(_random_rows(rng, k, rng.randint(0, k), 3))
+            verdicts.append(meets_positive_orthant(hnf, k))
+            assert verdicts[-1] == _reference_meets_positive_orthant(hnf, k), hnf
+        assert set(verdicts) == {True, False}
+
     def test_known_lattices(self):
         assert not meets_positive_orthant((), 3)
         assert not meets_positive_orthant(((1, -1, 0), (0, 2, -2)), 3)
         assert meets_positive_orthant(((1, 0, -1), (0, 1, 0)), 3)
+
+
+def _reference_meets_positive_orthant(hnf, dim):
+    """Fourier-Motzkin on {x = c * B, x >= 0, sum x = 1} over Fractions,
+    the equality eliminated first by substituting for one variable."""
+    if not hnf:
+        return False
+    nb = len(hnf)
+    ineqs = [[Fraction(0)] + [Fraction(hnf[j][i]) for j in range(nb)] for i in range(dim)]
+    total = [Fraction(-1)] + [Fraction(sum(row)) for row in hnf]
+    piv = next((t for t in range(1, nb + 1) if total[t] != 0), None)
+    if piv is None:
+        return False
+    ineqs = [[r - row[piv] / total[piv] * e for r, e in zip(row, total)] for row in ineqs]
+    for var in range(1, nb + 1):
+        pos = [r for r in ineqs if r[var] > 0]
+        neg = [r for r in ineqs if r[var] < 0]
+        ineqs = [r for r in ineqs if r[var] == 0] + [
+            [a * -rn[var] + b * rp[var] for a, b in zip(rp, rn)] for rp in pos for rn in neg]
+    return all(r[0] >= 0 for r in ineqs)

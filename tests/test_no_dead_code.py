@@ -2,7 +2,7 @@
 has a product caller, and every imported name is used where it is imported.
 
 A definition counts as used when product code refers to it: a file under
-src/, bench/ or scripts/, outside the definition itself and outside every
+src/ or bench/, outside the definition itself and outside every
 definition already found unused.  `polygraph/__init__.py` imports the
 public API, so a name it imports is used; that file is the one list of
 names kept for callers outside the repository.  References from tests do
@@ -32,7 +32,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted(ROOT.glob("src/polygraph/*.py"))
-PRODUCT = sorted(p for d in ("src", "bench", "scripts") for p in (ROOT / d).rglob("*.py"))
+PRODUCT = sorted(p for d in ("src", "bench") for p in (ROOT / d).rglob("*.py"))
 FILES = sorted(PRODUCT + list((ROOT / "tests").rglob("*.py")))
 PUBLIC = {alias.name for node in ast.parse((ROOT / "src/polygraph/__init__.py").read_text()).body
           if isinstance(node, ast.ImportFrom) for alias in node.names}

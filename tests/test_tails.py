@@ -5,12 +5,13 @@ import pytest
 
 from polygraph import catalog
 from polygraph import tails
-from polygraph.intlinalg import solve_integer
+from polygraph.intlinalg import hermite_normal_form, solve_integer
 from polygraph.kgraph import deg_add, extract_prefix, normal_form
 from polygraph.periodicity import symmetry_lattice
 from polygraph.tails import (
     InvalidTail,
     SigmaData,
+    _compare,
     shift_tail_equivalent,
     sigma_data,
     splice_separating_tail,
@@ -230,26 +231,33 @@ class TestTailSymmetry:
 
 
 class TestSelfShiftsFromOneGrid:
-    TWO_GRAPHS = {
+    GRAPHS = {
         "flip": FLIP,
         "square": catalog.square_2graph(),
         "cycle3-forward": FWD,
         "cycle3-reverse": catalog.cycle3_reverse_2graph(),
+        "flip-cycle-cycle": catalog.flip_cycle_cycle_3graph(),
+        "flip-square-square": catalog.flip_square_square_3graph(),
     }
 
-    @pytest.mark.parametrize("name", sorted(TWO_GRAPHS))
+    @pytest.mark.parametrize("name", sorted(GRAPHS))
     def test_transcripts_match_per_shift_checks(self, name):
-        P = self.TWO_GRAPHS[name]
+        # the oracle compares every shift of the box on its own, in
+        # lexicographic order; the closure tests one shift per open coset
+        P = self.GRAPHS[name]
         rng = random.Random(f"self-shifts-{name}")
+        runs = [(1, 1), (2, 2), (3, 1), (2, 3)] if P.k == 2 else [(1, 1), (2, 2), (1, 3)]
         verdicts = set()
-        for bound, depth in [(1, 1), (2, 2), (3, 1), (2, 3)]:
+        for bound, depth in runs:
             t = _random_tail(P, rng)
-            shifts = tails._nonzero_shifts(P.k, bound)
-            transcripts = tails._self_shifts(t, shifts, depth)
-            assert transcripts == [shift_tail_equivalent(t, t, p, depth) for p in shifts]
+            transcripts = [shift_tail_equivalent(t, t, p, depth)
+                           for p in itertools.product(range(-bound, bound + 1), repeat=P.k)
+                           if any(p)]
             verdicts.update(tr.equivalent for tr in transcripts)
+            hits = tuple(tr for tr in transcripts if tr.equivalent)
             sym = tail_symmetry_group(t, bound=bound, depth=depth)
-            assert sym.generators == tuple(tr for tr in transcripts if tr.equivalent)
+            assert sym.generators == hits
+            assert sym.basis == hermite_normal_form([tr.shift for tr in hits])
         if name != "flip":
             assert verdicts == {True, False}
 
@@ -266,3 +274,17 @@ class TestSelfShiftsFromOneGrid:
         # preperiod degree (0, 1), period degree (2, 1): preperiod + bound
         # + depth * period
         assert calls == [(0 + 3 + 2 * 2, 1 + 3 + 2 * 1)]
+
+    def test_compare_count_is_frozen(self, monkeypatch):
+        # this flip tail's window value is a function of the total degree
+        # mod 4 (TestShiftEquivalence): of the 48 shifts at bound 3, the
+        # closure compares 7, five rejections and the two hits (-1, 1) and
+        # (-3, -1) that span the lattice, and accepts the other 10 hits
+        calls = []
+        monkeypatch.setattr(tails, "_compare",
+                            lambda *args: calls.append(args[2]) or _compare(*args))
+        t = tail(FLIP, (), ((1, 1), (1, 2), (2, 1), (2, 1)))
+        sym = tail_symmetry_group(t, bound=3, depth=2)
+        assert sym.basis == ((1, 3), (0, 4))
+        assert len(sym.generators) == 12
+        assert calls == [(-1, 0), (0, -1), (-2, 0), (-1, -1), (-1, 1), (-3, 0), (-3, -1)]
