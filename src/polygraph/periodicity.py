@@ -318,10 +318,11 @@ def central_element(P: Presentation, cert: PeriodicityCertificate) -> StarSum:
 def verify_central(P: Presentation, cert: PeriodicityCertificate) -> bool:
     """W commutes with every generator and W W* = W* W = identity."""
     W = central_element(P, cert)
+    W_star = adjoint(W)
     ident = identity_sum()
-    if not star_equal(P, multiply(P, W, adjoint(W)), ident):
+    if not star_equal(P, multiply(P, W, W_star), ident):
         return False
-    if not star_equal(P, multiply(P, adjoint(W), W), ident):
+    if not star_equal(P, multiply(P, W_star, W), ident):
         return False
     for g in P.letters():
         mg = monomial(P, (g,), ())

@@ -3,10 +3,16 @@
 The involutive algebra generated by a k-graph presentation (letters as
 isometries, each color family defect free) is spanned by monomials u v*
 with u, v words.  This module implements enough of its arithmetic to
-verify identities at the level of relations: products via the
-complementary-degree expansion of v* x, formal adjoints, and exact
-equality.  The relations carry no scalars, so every coefficient is an
-integer.
+verify identities at the level of relations: products, formal adjoints,
+and exact equality.  The relations carry no scalars, so every coefficient
+is an integer.
+
+A product reduces v* x by the complementary-degree expansion: v* x is the
+sum of a b* over v a = x b, with deg a = join(deg v, deg x) - deg v.  The
+expansion sees x only through its degree d, so one cached factor table per
+(v, d) maps each normal-form prefix x to its pairs (a, b), and multiply
+looks the x's of its right factor up in that table.  An x that is not a
+normal form matches no key, so a right factor must hold normal forms.
 
 Equality needs care because of the defect-free relation
 u v* = sum_{deg a = d} (u a)(v a)*: two merged sums with different keys
@@ -20,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from types import MappingProxyType
 
 from .kgraph import (
     Degree,
@@ -82,31 +89,39 @@ def adjoint(A: StarSum) -> StarSum:
 
 
 @lru_cache(maxsize=65536)
-def _reduce_adjoint_cached(P: Presentation, v: Word, x: Word) -> tuple[tuple[Word, Word], ...]:
-    dv, dx = degree(P, v), degree(P, x)
-    join = deg_join(dv, dx)
-    da = deg_sub(join, dv)
-    out = []
-    for a in words_of_degree(P, da):
-        px, b = extract_prefix(P, v + a, dx)
-        if px == x:
-            out.append((a, b))
-    return tuple(out)
+def _reduce_adjoint_cached(P: Presentation, v: Word, d: Degree
+                           ) -> MappingProxyType[Word, tuple[tuple[Word, Word], ...]]:
+    """v* x for every x of degree d at once: the read-only table
+    {x: ((a, b), ...)} of v a = x b, with a running in order over the words
+    of degree join(deg v, d) - deg v; an x absent from it has v* x = 0."""
+    table: dict[Word, list[tuple[Word, Word]]] = {}
+    for a in words_of_degree(P, deg_sub(deg_join(degree(P, v), d), degree(P, v))):
+        px, b = extract_prefix(P, v + a, d)
+        table.setdefault(px, []).append((a, b))
+    return MappingProxyType({px: tuple(pairs) for px, pairs in table.items()})
 
 
 def multiply(P: Presentation, A: StarSum, B: StarSum) -> StarSum:
-    """Bilinear product: (u v*)(x y*) = sum u a (y b)* over v a = x b;
-    x is matched against normal forms, so B's keys must be normal forms."""
+    """Bilinear product: (u v*)(x y*) = sum u a (y b)* over v a = x b.
+
+    B's terms are grouped by the degree of x, then by x; each term of A
+    looks its factor table per degree up among those x's.  The table's
+    keys are prefixes in normal form, so B's keys must be normal forms."""
+    by_degree: dict[Degree, dict[Word, list[tuple[Word, int]]]] = {}
+    for (x, y), c2 in B.terms:
+        by_degree.setdefault(degree(P, x), {}).setdefault(x, []).append((y, c2))
     out: dict[Key, int] = {}
     for (u, v), c1 in A.terms:
-        for (x, y), c2 in B.terms:
-            pairs = _reduce_adjoint_cached(P, v, x)
-            if not pairs:
-                continue
-            c = c1 * c2
-            for a, b in pairs:
-                key = (normal_form(P, u + a), normal_form(P, y + b))
-                out[key] = out.get(key, 0) + c
+        for d, xs in by_degree.items():
+            for px, pairs in _reduce_adjoint_cached(P, v, d).items():
+                ys = xs.get(px)
+                if ys is None:
+                    continue
+                for a, b in pairs:
+                    ua = normal_form(P, u + a)
+                    for y, c2 in ys:
+                        key = (ua, normal_form(P, y + b))
+                        out[key] = out.get(key, 0) + c1 * c2
     return StarSum.of(out)
 
 

@@ -29,6 +29,7 @@ from .kgraph import (
     Word,
     check_word,
     deg_add,
+    deg_join,
     degree,
     extract_prefix,
     normal_form,
@@ -201,7 +202,8 @@ def shift_tail_equivalent(t1: Tail, t2: Tail, p: Degree, depth: int = 2
     when the two tails share a period vector (in particular whenever
     t1 is t2) agreement on one full period slab propagates downward and
     the verdict is exact; for incommensurable periods it is a finite-box
-    decision, refined by raising depth.
+    decision, refined by raising depth.  Equal tails read both sides off
+    one grid, on the join of the two boxes.
     """
     P = t1.presentation
     if t2.presentation != P:
@@ -211,8 +213,12 @@ def shift_tail_equivalent(t1: Tail, t2: Tail, p: Degree, depth: int = 2
     if depth < 1:
         raise ValueError("depth must be >= 1")
     threshold, bottom = _window(t1, t2, p, depth)
-    s1 = sigma_data(t1, tuple(-b for b in bottom))
-    s2 = sigma_data(t2, tuple(-(b + q) for b, q in zip(bottom, p)))
+    box1 = tuple(-b for b in bottom)
+    box2 = tuple(-(b + q) for b, q in zip(bottom, p))
+    if t1 == t2:
+        s1 = s2 = sigma_data(t1, deg_join(box1, box2))
+    else:
+        s1, s2 = sigma_data(t1, box1), sigma_data(t2, box2)
     return _compare(s1, s2, p, threshold, bottom)
 
 

@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polygraph import catalog
-from polygraph.kgraph import deg_sub, degree, extract_prefix, normal_form, words_of_degree
+from polygraph import catalog, staralg
+from polygraph.kgraph import deg_join, deg_sub, degree, extract_prefix, normal_form, words_of_degree
+from polygraph.periodicity import central_element, is_periodic, symmetry_lattice
 from polygraph.staralg import (
     StarSum,
-    _reduce_adjoint_cached,
     adjoint,
     identity_sum,
     monomial,
@@ -42,6 +42,21 @@ def adjoint_product(P, v, x):
     return multiply(P, monomial(P, (), v), monomial(P, x, ()))
 
 
+def test_reduce_cache_info_stays_readable():
+    # bench/run.py reads staralg._reduce_adjoint_cached.cache_info() in its
+    # traced mode, and this suite does not run bench/test_smoke.py
+    info = staralg._reduce_adjoint_cached.cache_info()
+    assert info.maxsize == 65536
+
+
+def test_cached_tables_are_read_only():
+    # every caller of the cache shares one table per (v, x-degree)
+    table = staralg._reduce_adjoint_cached(FLIP, ((1, 1),), (1, 1))
+    assert table is staralg._reduce_adjoint_cached(FLIP, ((1, 1),), (1, 1))
+    with pytest.raises(TypeError):
+        table[()] = ()
+
+
 class TestReduceAdjointProduct:
     def test_equal_words_give_identity(self):
         v = ((1, 1), (2, 2))
@@ -72,16 +87,31 @@ class TestReduceAdjointProduct:
             assert lhs.terms == rhs.terms
 
 
+def _reference_reduce(P, v, x):
+    """v* x for one pair: the (a, b) with v a = x b, found by factoring v a
+    for every word a of the complementary degree and keeping prefix x."""
+    dv, dx = degree(P, v), degree(P, x)
+    out = []
+    for a in words_of_degree(P, deg_sub(deg_join(dv, dx), dv)):
+        px, b = extract_prefix(P, v + a, dx)
+        if px == x:
+            out.append((a, b))
+    return out
+
+
 def _reference_multiply(P, A, B):
-    """multiply with c1 c2 computed for every pair of monomials."""
+    """multiply with one reduction per pair of monomials (u v*, x y*)."""
     out = {}
     for (u, v), c1 in A.terms:
         for (x, y), c2 in B.terms:
-            c = c1 * c2
-            for a, b in _reduce_adjoint_cached(P, v, x):
+            for a, b in _reference_reduce(P, v, x):
                 key = (normal_form(P, u + a), normal_form(P, y + b))
-                out[key] = out.get(key, 0) + c
+                out[key] = out.get(key, 0) + c1 * c2
     return StarSum.of(out)
+
+
+def assert_matches_reference(P, A, B):
+    assert multiply(P, A, B).terms == _reference_multiply(P, A, B).terms
 
 
 def _normal_words(P, top):
@@ -99,8 +129,53 @@ class TestMultiply:
                 A, B = (StarSum.of({(rng.choice(words), rng.choice(words)): coefficient(rng)
                                     for _ in range(rng.randint(1, 4))}) for _ in range(2))
                 for left, right in ((A, B), (A, adjoint(A)), (adjoint(B), B)):
-                    assert multiply(P, left, right).terms == \
-                        _reference_multiply(P, left, right).terms
+                    assert_matches_reference(P, left, right)
+
+    def test_repeated_x_with_different_y(self):
+        # B's terms sharing one x each keep their own y and coefficient
+        rng = random.Random(23)
+        for P in (FLIP, FCC):
+            words = _normal_words(P, (1,) * P.k)
+            for x in words:
+                B = StarSum.of({(x, y): coefficient(rng) for y in rng.sample(words, 3)})
+                A = StarSum.of({(rng.choice(words), v): coefficient(rng)
+                                for v in rng.sample(words, 3)})
+                assert_matches_reference(P, A, B)
+                assert_matches_reference(P, adjoint(B), B)
+
+    def test_mixed_x_degrees(self):
+        # one table per x-degree: every degree of B's x's in one product
+        rng = random.Random(24)
+        for P in (FLIP, FCC):
+            words = _normal_words(P, (2,) * P.k)
+            for _ in range(20):
+                B = StarSum.of({(x, rng.choice(words)): coefficient(rng)
+                                for x in rng.sample(words, 6)})
+                A = StarSum.of({(rng.choice(words), rng.choice(words)): coefficient(rng)
+                                for _ in range(3)})
+                assert len({degree(P, x) for (x, _), _ in B.terms}) > 1
+                assert_matches_reference(P, A, B)
+
+    @pytest.mark.parametrize("P", [FLIP, catalog.square_2graph(),
+                                   catalog.flip_square_square_3graph(),
+                                   catalog.twisted_periodic_3graph()],
+                             ids=["flip", "square", "flip-squares", "twisted-periodic"])
+    def test_central_unitary_products(self, P):
+        # W W*, W* W, W g, g W and W_h W_g for the certified periods h, g
+        # of the bound-2 lattice and their sums
+        certs = list(symmetry_lattice(P, bound=2).certificates)
+        certs += [c for c in (is_periodic(P, tuple(a + b for a, b in zip(h.pi, g.pi)))
+                              for h, g in itertools.combinations_with_replacement(certs, 2))
+                  if c is not None]
+        for cert in certs:
+            W = central_element(P, cert)
+            assert_matches_reference(P, W, adjoint(W))
+            assert_matches_reference(P, adjoint(W), W)
+            for g in P.letters():
+                assert_matches_reference(P, W, monomial(P, (g,), ()))
+                assert_matches_reference(P, monomial(P, (g,), ()), W)
+        for h, g in itertools.product(certs, repeat=2):
+            assert_matches_reference(P, central_element(P, h), central_element(P, g))
 
     def test_zero_annihilates(self):
         m = star(FLIP, ((1, 1),), ((2, 2),))

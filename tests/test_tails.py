@@ -185,6 +185,39 @@ class TestShiftEquivalence:
         with pytest.raises(ValueError):
             shift_tail_equivalent(t1, t2, (0, 0))
 
+    def test_one_sigma_grid_for_equal_tails(self, monkeypatch):
+        # equal tails read both sides of the comparison off one grid on the
+        # join of the two boxes; for p >= 0 that join is the first box
+        calls = []
+        monkeypatch.setattr(tails, "sigma_data",
+                            lambda t, box: calls.append(box) or sigma_data(t, box))
+        t1 = tail(FWD, ((2, 1),), ((1, 1), (1, 2), (2, 1)))
+        t2 = tail(FWD, ((2, 1),), ((1, 1), (1, 2), (2, 1)))
+        other = tail(FWD, (), ((1, 1), (1, 2), (2, 1)))
+        for a, b, p, grids in [(t1, t1, (2, 1), 1), (t1, t2, (1, -1), 1),
+                               (t1, other, (2, 1), 2), (other, t1, (0, 0), 2)]:
+            calls.clear()
+            shift_tail_equivalent(a, b, p)
+            assert len(calls) == grids
+        _, bottom = tails._window(t1, t1, (2, 1), 2)
+        calls.clear()
+        shift_tail_equivalent(t1, t1, (2, 1))
+        assert calls == [tuple(-b for b in bottom)]
+
+    @pytest.mark.parametrize("P", [FLIP, FWD, T3], ids=["flip", "cycle3-forward", "k3"])
+    def test_one_grid_matches_the_two_grid_path(self, P):
+        # the oracle builds a grid per side, on each side's own box
+        rng = random.Random(f"one-grid-{P.m}")
+        for _ in range(12):
+            t = _random_tail(P, rng)
+            p = tuple(rng.randint(-3, 3) for _ in range(P.k))
+            depth = rng.randint(1, 2)
+            threshold, bottom = tails._window(t, t, p, depth)
+            s1 = sigma_data(t, tuple(-b for b in bottom))
+            s2 = sigma_data(t, tuple(-(b + q) for b, q in zip(bottom, p)))
+            assert shift_tail_equivalent(t, t, p, depth) == \
+                _compare(s1, s2, p, threshold, bottom)
+
 
 class TestTailSymmetry:
     def test_constant_tail_full_lattice(self):
