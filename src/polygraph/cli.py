@@ -370,13 +370,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bound", type=int, default=3)
     p.add_argument("--depth", type=int, default=2)
     p.add_argument("--other", help="second tail file for `equivalent`")
-    p.add_argument("--shift", default=None, help="shift vector for `equivalent`")
+    p.add_argument("--shift", default=None,
+                   help="shift vector for `equivalent`, e.g. 1,-1; write --shift=-1,1 "
+                        "when the first entry is negative")
     p.add_argument("--out")
     p.set_defaults(func=cmd_tail)
 
     p = sub.add_parser("periodicity", help="decide pi-periodicity with a certificate")
     p.add_argument("--presentation", required=True)
-    p.add_argument("--pi", required=True, help="period vector, e.g. 1,1,-1")
+    p.add_argument("--pi", required=True,
+                   help="period vector, e.g. 1,1,-1; write --pi=-1,1 when the first "
+                        "entry is negative")
     p.add_argument("--out")
     p.set_defaults(func=cmd_periodicity)
 

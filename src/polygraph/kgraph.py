@@ -359,22 +359,6 @@ def extract_prefix(P: Presentation, w: Word, n: Degree) -> tuple[Word, Word]:
     raise NotAPrefix(f"{n} is not componentwise between 0 and {degree(P, w)}")
 
 
-def random_sort(P: Presentation, w: Word, rng) -> Word:
-    """Sort w by color using randomly chosen admissible adjacent swaps.
-
-    On a valid presentation this agrees with normal_form whatever the
-    random choices (confluence); used as a test oracle.
-    """
-    swap = P.swaps()
-    out = list(w)
-    while True:
-        sites = [q for q in range(len(out) - 1) if out[q][0] > out[q + 1][0]]
-        if not sites:
-            return tuple(out)
-        q = rng.choice(sites)
-        out[q], out[q + 1] = swap[(out[q], out[q + 1])]
-
-
 def words_of_degree(P: Presentation, n: Degree) -> Iterator[Word]:
     """All normal-form words of the given degree, in lexicographic order."""
     index_ranges: list[list[Letter]] = []

@@ -45,12 +45,6 @@ def test_criterion_5_central_elements():
     _run(acceptance.criterion_5_central_elements)
 
 
-def test_criterion_6_property_suites():
-    rec = _run(acceptance.criterion_6_property_suites)
-    assert rec["details"]["transducer_vs_brute"]["agreed"] is True
-    assert rec["details"]["long_word_irreducible_dim"] >= 6
-
-
 def test_criterion_7_report_footer():
     rec = _run(acceptance.criterion_7_report_footer)
     assert len(rec["details"]["footer"]) == 4

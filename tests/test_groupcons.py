@@ -9,7 +9,6 @@ from fractions import Fraction
 import pytest
 
 from polygraph import PartialConstruction, catalog, extend_to_group, groupcons
-from polygraph.acceptance import factorized_indices
 from polygraph.budget import BudgetExceeded, limit
 from polygraph.groupcons import (
     FiniteAbelianGroup,
@@ -28,7 +27,7 @@ from polygraph.groupcons import (
 from polygraph.groupcons import GroupConstruction, _kernel_coeffs, _quotient_characters
 from polygraph.groupcons import _slots, _squares
 from polygraph.intlinalg import hermite_normal_form, reduce_mod, smith_normal_form
-from polygraph.kgraph import WordError, degree, extract_prefix, normal_form
+from polygraph.kgraph import WordError, deg_sub, degree, extract_prefix, normal_form
 
 FCC = catalog.flip_cycle_cycle_3graph()
 FWD = catalog.cycle3_forward_2graph()
@@ -300,10 +299,31 @@ def _seeds(rng, P, longest):
             for i in range(1, P.k + 1)]
 
 
+def factorized_indices(P, words, color_order):
+    """t of from_commuting_words(P, words) by factorization: for each color
+    i and base point b off the i-axis, factor the other colors' words (in
+    `color_order`), then word i, as A . B . C with deg C = b and B of pure
+    color i; B's letters, read right to left, fill t^i along b + Z g_i."""
+    lengths = [len(w) for w in words]
+    G = FiniteAbelianGroup.cyclic_product(lengths)
+    t = [[0] * G.order for _ in lengths]
+    for i, n_i in enumerate(lengths):
+        big = tuple(itertools.chain(*[words[c - 1] for c in color_order if c != i + 1], words[i]))
+        loop_deg = tuple(n_i if j == i else 0 for j in range(P.k))
+        for b in G.elements:
+            if not b[i]:
+                head, _ = extract_prefix(P, big, deg_sub(degree(P, big), b))
+                loop = extract_prefix(P, head, deg_sub(degree(P, head), loop_deg))[1]
+                for s in range(1, n_i + 1):  # t^i at b + s g_i is loop[n_i - s]
+                    t[i][G.index(b[:i] + (s % n_i,) + b[i + 1:])] = loop[n_i - s][1]
+    return tuple(map(tuple, t))
+
+
 class TestGridFoldMatchesFactorization:
     """from_commuting_words folds the periodic tail's window grid; the
-    per-base-point factorization in acceptance.py is its reference (the
-    27-dim words in every order are in TestFromCommutingWords)."""
+    per-base-point factorization `factorized_indices` above is its
+    reference (the 27-dim words in every order are in
+    TestFromCommutingWords)."""
 
     @pytest.mark.parametrize("name", list(CATALOG)[:7])
     def test_seeded_cycle_families(self, name):
@@ -439,15 +459,15 @@ class TestCycleConstruction:
         assert len(lens) >= 1
 
     def test_outputs_always_commute_randomized(self):
-        rng = random.Random(99)
-        for P in (FWD, catalog.square_2graph(), FCC):
-            for _ in range(10):
-                seeds = []
-                for i in range(1, P.k + 1):
-                    seeds.append(tuple((i, rng.randint(1, P.m[i - 1]))
-                                       for _ in range(rng.randint(1, 2))))
-                fam, _ = cycle_construction(P, seeds)
-                assert words_commute(P, fam)
+        # (seed, graphs, seeds per graph, longest seed word)
+        for seed, graphs, count, longest in ((99, (FWD, catalog.square_2graph(), FCC), 10, 2),
+                                             (20240823, (FWD,), 25, 3)):
+            rng = random.Random(seed)
+            for P in graphs:
+                for _ in range(count):
+                    seeds = _seeds(rng, P, longest)
+                    fam, _ = cycle_construction(P, seeds)
+                    assert words_commute(P, fam), (seed, seeds)
 
     def test_long_word_dimension_bound(self):
         fam, _ = cycle_construction(FWD, [tuple((1, int(c)) for c in "1222"), ((2, 1),)])

@@ -20,7 +20,6 @@ from polygraph.kgraph import (
     extract_prefix,
     normal_form,
     presentation_from_codes,
-    random_sort,
     validate_presentation,
     words_equal,
     words_of_degree,
@@ -37,6 +36,22 @@ GRAPHS = [FLIP, catalog.square_2graph(), catalog.cycle3_forward_2graph(),
 def random_word(P, rng, max_len=10):
     letters = list(P.letters())
     return tuple(rng.choice(letters) for _ in range(rng.randint(0, max_len)))
+
+
+def random_sort(P, w, rng):
+    """Sort w by color using randomly chosen admissible adjacent swaps.
+
+    On a valid presentation this agrees with normal_form whatever the
+    random choices (confluence).
+    """
+    swap = P.swaps()
+    out = list(w)
+    while True:
+        sites = [q for q in range(len(out) - 1) if out[q][0] > out[q + 1][0]]
+        if not sites:
+            return tuple(out)
+        q = rng.choice(sites)
+        out[q], out[q + 1] = swap[(out[q], out[q + 1])]
 
 
 class TestValidation:
@@ -235,13 +250,16 @@ class TestNormalForm:
                 assert lhs == rhs
 
     def test_confluence_under_random_strategies(self):
-        rng = random.Random(3)
-        for P in GRAPHS:
-            for _ in range(200):
-                w = random_word(P, rng)
-                expected = normal_form(P, w)
-                for seed in range(3):
-                    assert random_sort(P, w, random.Random(seed)) == expected
+        # (seed, words per graph, random sorting orders per word)
+        for seed, count, orders in ((3, 200, 3), (20240823, 1000, 5)):
+            rng = random.Random(seed)
+            for P in GRAPHS:
+                for _ in range(count):
+                    w = random_word(P, rng)
+                    expected = normal_form(P, w)
+                    for _ in range(orders):
+                        srng = random.Random(rng.randrange(2 ** 32))
+                        assert random_sort(P, w, srng) == expected, (seed, w)
 
     def test_invalid_theta_breaks_confluence(self):
         # with the rejected triple's raw tables, two sorting strategies
@@ -308,15 +326,17 @@ class TestExtractPrefix:
         assert v == ((1, 2),)
 
     def test_recomposition(self):
-        rng = random.Random(5)
-        for P in GRAPHS:
-            for _ in range(200):
-                w = random_word(P, rng)
-                d = degree(P, w)
-                n = tuple(rng.randint(0, x) for x in d)
-                u, v = extract_prefix(P, w, n)
-                assert degree(P, u) == n
-                assert words_equal(P, u + v, w)
+        # (seed, words per graph, longest word)
+        for seed, count, max_len in ((5, 200, 10), (20240823, 300, 8)):
+            rng = random.Random(seed)
+            for P in GRAPHS:
+                for _ in range(count):
+                    w = random_word(P, rng, max_len)
+                    d = degree(P, w)
+                    n = tuple(rng.randint(0, x) for x in d)
+                    u, v = extract_prefix(P, w, n)
+                    assert degree(P, u) == n, (seed, w, n)
+                    assert words_equal(P, u + v, w), (seed, w, n)
 
     def test_not_a_prefix(self):
         with pytest.raises(NotAPrefix):

@@ -445,39 +445,32 @@ class TestSymmetryLattice:
             self._certified(monkeypatch, P, 2, lambda P, pi: pi if pi in accepted else None)
 
     def test_transducer_vs_brute_across_the_222_classes(self):
-        # every class representative for m=(2,2,2), every |pi_i| <= 1
-        # candidate with a bijection: the transducer and the word-prefix
-        # oracle must agree.  Some bijections pass (dagger) but fail the
-        # tail condition; the counts are frozen as regression constants.
-        classes = _classes((2, 2, 2))
-        candidates = [pi for pi in itertools.product((-1, 0, 1), repeat=3)
-                      if any(x > 0 for x in pi) and any(x < 0 for x in pi)]
-        box = (3, 3, 3)
-        certified = tail_failing = 0
-        for cls in classes:
-            P = cls.representative
-            for pi in candidates:
-                cert = find_gamma(P, pi)
-                if cert is None or cert.tail_check is not None:
-                    continue
-                certified += 1
-                verdict = check_tail_condition(P, cert, force_transducer=True).passed
-                gmap = cert.gamma_map()
-                brute = True
-                for e in cert.E:
-                    for w in words_of_degree(P, box):
-                        lhs, _ = extract_prefix(P, normal_form(P, e + w), box)
-                        rhs, _ = extract_prefix(P, normal_form(P, gmap[e] + w), box)
-                        if lhs != rhs:
-                            brute = False
-                            break
-                    if not brute:
-                        break
-                assert verdict == brute, (cls.representative, pi)
-                if not verdict:
-                    tail_failing += 1
-        assert certified == 36
-        assert tail_failing == 8
+        # every candidate with a bijection, on every m=(2,2,2) class
+        # representative for |pi_i| <= 1 and on every m=(2,2) presentation
+        # for |pi_i| <= 2: the transducer and the word-prefix oracle in the
+        # box must agree, and a pi of full support (automatic) must pass.
+        # Some bijections pass (dagger) but fail the tail condition; the
+        # counts are frozen as regression constants.
+        runs = [([c.representative for c in _classes((2, 2, 2))], 1, (3, 3, 3), 36, 8),
+                (list(enumerate_presentations((2, 2))), 2, (6, 6), 12, 0)]
+        for presentations, bound, box, expected_certified, expected_failing in runs:
+            certified = tail_failing = 0
+            for P in presentations:
+                for pi in _mixed_sign(len(box), bound):
+                    cert = find_gamma(P, pi)
+                    if cert is None or cert.tail_check is not None:
+                        continue
+                    certified += 1
+                    verdict = check_tail_condition(P, cert, force_transducer=True).passed
+                    gmap = cert.gamma_map()
+                    brute = all(
+                        extract_prefix(P, normal_form(P, e + w), box)[0]
+                        == extract_prefix(P, normal_form(P, gmap[e] + w), box)[0]
+                        for e in cert.E for w in words_of_degree(P, box))
+                    assert verdict == brute, (P, pi)
+                    assert verdict or 0 in pi, (P, pi)
+                    tail_failing += not verdict
+            assert (certified, tail_failing) == (expected_certified, expected_failing), box
 
     def test_hits_are_exactly_the_boxed_lattice_points(self):
         # certified periods within the search box = mixed-sign lattice
