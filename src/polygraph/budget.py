@@ -1,11 +1,14 @@
 """The one budget mechanism: each bounded search reads its limit once
-through :func:`limit` and raises :class:`BudgetExceeded` past it."""
+through :func:`limit` and raises :class:`BudgetExceeded` past it; a search
+whose size is a product of known factors charges it through :func:`budget`."""
 
 from __future__ import annotations
 
 import os
 from decimal import ROUND_DOWN, Context
 from typing import Iterable
+
+from .errors import Exhausted, InputError
 
 # A count up to this is exact in a BudgetExceeded message; a larger one is
 # a lower bound, so that checking and printing it stay cheap.
@@ -14,7 +17,7 @@ EXACT_COUNT = 10 ** 18
 _TWO_DIGITS = Context(prec=2, rounding=ROUND_DOWN)
 
 
-class BudgetExceeded(RuntimeError):
+class BudgetExceeded(Exhausted, RuntimeError):
     """A bounded search counted `consumed` against the limit of budget `name`."""
 
     def __init__(self, name: str, limit: int, consumed: int):
@@ -23,7 +26,7 @@ class BudgetExceeded(RuntimeError):
         super().__init__(f"{name}: {shown[0]} exceeds the limit {shown[1]}")
 
 
-class InvalidBudget(ValueError):
+class InvalidBudget(InputError, ValueError):
     """POLYGRAPH_BUDGET is set to something other than a nonnegative integer."""
 
 
@@ -52,3 +55,13 @@ def capped_product(factors: Iterable[int], cap: int) -> int:
         if total > cap:
             return total
     return total
+
+
+def budget(name: str, default: int, factors: Iterable[int]) -> None:
+    """Raise BudgetExceeded when the product of positive factors, counted
+    by :func:`capped_product` up to max(limit, EXACT_COUNT), is above the
+    limit of budget `name`: POLYGRAPH_BUDGET when set, else `default`."""
+    cap = limit(default)
+    count = capped_product(factors, max(cap, EXACT_COUNT))
+    if count > cap:
+        raise BudgetExceeded(name, cap, count)

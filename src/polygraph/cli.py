@@ -5,9 +5,12 @@ manifest so identical inputs and parameters reproduce byte-identical
 output; human-readable progress goes to stderr.  Exit codes:
 
     0  success
-    1  input error (unreadable or malformed files, bad flags)
-    2  mathematical rejection, with a witness in the JSON output
-    3  budget or bound exhausted
+    1  input error (unreadable or malformed files, bad flags): errors.InputError
+    2  mathematical rejection, with a witness in the JSON output: errors.Rejected
+    3  budget or bound exhausted: errors.Exhausted
+
+main maps each exception family, and OSError (exit 1), to its code and
+names no layer, so each command imports only the layers it uses.
 
 Named budgets bound the searches: "tables" of enumeration (10M),
 "relabelings" of classification (100,000), "group order"
@@ -26,16 +29,8 @@ import argparse
 import sys
 
 from . import __version__, catalog
-from .budget import BudgetExceeded, InvalidBudget, limit
-from .enumeration import enumerate_presentations, isomorphism_classes
-from .groupcons import (
-    InvalidConstruction,
-    NotCommuting,
-    decompose,
-    from_commuting_words,
-    full_symmetry_subgroup,
-    to_dot,
-)
+from .budget import limit
+from .errors import Exhausted, InputError, Rejected
 from .jsonio import (
     FormatError,
     certificate_to_obj,
@@ -44,21 +39,13 @@ from .jsonio import (
     lattice_to_obj,
     load_presentation,
     phase_from_str,
+    presentation_error_to_obj,
     presentation_to_obj,
     read_json,
     tail_from_obj,
     tail_to_obj,
+    words_from_str,
 )
-from .kgraph import PresentationError, CubicViolation, InvalidPermutation, check_word
-from .periodicity import (
-    LatticeInconsistency,
-    central_element,
-    is_periodic,
-    structure_report,
-    symmetry_lattice,
-)
-from .staralg import render
-from .tails import InvalidTail, shift_tail_equivalent, sigma_data, splice_separating_tail, tail_symmetry_group
 
 EXIT_OK, EXIT_INPUT, EXIT_REJECTED, EXIT_BUDGET = 0, 1, 2, 3
 
@@ -134,21 +121,6 @@ def _parse_degree(P, text: str | None, flag: str) -> tuple[int, ...]:
     return v
 
 
-def _parse_words(P, text: str):
-    parts = text.split(",")
-    if len(parts) != P.k:
-        raise FormatError(f"need {P.k} comma-separated words, got {len(parts)}")
-    words = []
-    for i, part in enumerate(parts, start=1):
-        if not part:
-            raise FormatError(f"empty index word for color {i}")
-        try:
-            words.append(check_word(P, tuple((i, int(ch)) for ch in part)))
-        except ValueError as err:  # a non-digit letter, or WordError
-            raise FormatError(f"bad index word {part!r} for color {i}: {err}") from err
-    return words
-
-
 def _parse_alphas(P, text: str | None):
     if text is None:
         return None
@@ -161,24 +133,16 @@ def _parse_alphas(P, text: str | None):
 def cmd_validate(args) -> int:
     try:
         P = load_presentation(args.path)
-    except InvalidPermutation as err:
-        _emit(args, [args.path], "rejected",
-              {"valid": False, "error": "invalid permutation", "pair": list(err.pair)})
-        return EXIT_REJECTED
-    except CubicViolation as err:
-        _emit(args, [args.path], "rejected",
-              {"valid": False, "error": "cubic violation",
-               "colors": list(err.triple), "witness": list(err.witness),
-               "left": list(err.left), "right": list(err.right)})
-        return EXIT_REJECTED
-    except PresentationError as err:
-        _emit(args, [args.path], "rejected", {"valid": False, "error": str(err)})
+    except Rejected as err:  # a PresentationError, the one rejection of a file read
+        _emit(args, [args.path], "rejected", presentation_error_to_obj(err))
         return EXIT_REJECTED
     _emit(args, [args.path], "valid", {"valid": True, "k": P.k, "m": list(P.m)})
     return EXIT_OK
 
 
 def cmd_enumerate(args) -> int:
+    from .enumeration import (  # deferred: only enumerate and classify load the census
+        enumerate_presentations, isomorphism_classes)
     m = _parse_vector(args.m)
     if min(m) < 1:
         raise FormatError(f"--m entries must be >= 1, got {list(m)}")
@@ -204,6 +168,8 @@ def cmd_classify(args) -> int:
 
 
 def cmd_tail(args) -> int:
+    from .tails import (  # deferred: only tail loads the tails layer
+        shift_tail_equivalent, sigma_data, splice_separating_tail, tail_symmetry_group)
     if args.bound < 1 or args.depth < 1:
         raise FormatError(f"--bound and --depth must be >= 1, got {args.bound}, {args.depth}")
     P, inputs = _load(args)
@@ -248,6 +214,8 @@ def cmd_tail(args) -> int:
 
 
 def cmd_periodicity(args) -> int:
+    from .periodicity import central_element, is_periodic  # deferred: only periodicity and symmetry load periods
+    from .staralg import render  # deferred: only periodicity renders a central element
     P, inputs = _load(args)
     pi = _parse_degree(P, args.pi, "--pi")
     if any(pi) and not min(pi) < 0 < max(pi):
@@ -265,6 +233,8 @@ def cmd_periodicity(args) -> int:
 
 
 def cmd_symmetry(args) -> int:
+    from .periodicity import (  # deferred: only periodicity and symmetry load periods
+        structure_report, symmetry_lattice)
     if args.bound < 1:
         raise FormatError(f"--bound must be >= 1, got {args.bound}")
     P, inputs = _load(args)
@@ -276,8 +246,10 @@ def cmd_symmetry(args) -> int:
 
 
 def cmd_rep(args) -> int:
+    from .groupcons import (  # deferred: only rep loads group constructions and tails
+        decompose, from_commuting_words, full_symmetry_subgroup, to_dot)
     P, inputs = _load(args)
-    words = _parse_words(P, args.words)
+    words = words_from_str(P, args.words)
     alphas = _parse_alphas(P, args.alphas)
     gc = from_commuting_words(P, words, alphas=alphas)
     if args.rep_command == "build":
@@ -322,7 +294,7 @@ def cmd_paper_suite(args) -> int:
     return EXIT_OK if result["all_passed"] else EXIT_REJECTED
 
 
-class UsageError(Exception):
+class UsageError(InputError):
     """A command line that argparse rejects."""
 
 
@@ -408,22 +380,22 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
-    except UsageError as err:
-        _say(f"input error: {err}")
-        return EXIT_INPUT
-    try:
         limit(0)  # a malformed POLYGRAPH_BUDGET is an input error for every command
-        return args.func(args)
-    except (FormatError, InvalidBudget, OSError) as err:
+        try:
+            return args.func(args)
+        except Rejected as err:
+            # written before the verdict is said, so that an unwritable
+            # --out is one input error line like any other
+            text = dump_json({"rejected": str(err)}, getattr(args, "out", None))
+            _say(f"rejected: {err}")
+            sys.stdout.write(text)
+            return EXIT_REJECTED
+    except (InputError, OSError) as err:
         _say(f"input error: {err}")
         return EXIT_INPUT
-    except (BudgetExceeded, LatticeInconsistency) as err:
+    except Exhausted as err:
         _say(f"budget/bound exceeded: {err}")
         return EXIT_BUDGET
-    except (PresentationError, InvalidConstruction, NotCommuting, InvalidTail) as err:
-        _say(f"rejected: {err}")
-        sys.stdout.write(dump_json({"rejected": str(err)}, getattr(args, "out", None)))
-        return EXIT_REJECTED
 
 
 if __name__ == "__main__":

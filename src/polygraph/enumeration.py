@@ -36,7 +36,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .budget import EXACT_COUNT, BudgetExceeded, capped_product, limit
+from .budget import budget
 from .kgraph import (
     Code,
     Presentation,
@@ -47,16 +47,9 @@ from .kgraph import (
 )
 
 
-def _factorial_product(ns: Iterable[int], cap: int) -> int:
-    """The product of n! over ns, as far as :func:`capped_product` takes it."""
-    return capped_product((x for n in ns for x in range(2, n + 1)), cap)
-
-
-def count_candidate_tables(m: Sequence[int], cap: int = EXACT_COUNT) -> int:
-    """The number of table combinations for multiplicities m, the product
-    of (m_i m_j)! over the color pairs: exact up to cap, and past cap a
-    lower bound above it."""
-    return _factorial_product([m[i - 1] * m[j - 1] for i, j in color_pairs(len(m))], cap)
+def _factorial_factors(ns: Iterable[int]) -> Iterator[int]:
+    """The factors 2..n of n! for each n in ns: their product is that of n! over ns."""
+    return (x for n in ns for x in range(2, n + 1))
 
 
 def enumerate_presentations(m: Sequence[int]) -> Iterator[Presentation]:
@@ -64,16 +57,14 @@ def enumerate_presentations(m: Sequence[int]) -> Iterator[Presentation]:
     in lexicographic order of the flattened tables.
 
     Raises ValueError unless every entry of m is at least 1, and
-    BudgetExceeded when the raw table count is above the "tables" limit,
-    10M.
+    BudgetExceeded when the raw table count, the product of (m_i m_j)!
+    over the color pairs, is above the "tables" limit, 10M.
     """
     m = tuple(m)
     if not m or min(m) < 1:
         raise ValueError(f"multiplicities {list(m)} must be at least 1")
-    budget = limit(10_000_000)
-    needed = count_candidate_tables(m, max(budget, EXACT_COUNT))
-    if needed > budget:
-        raise BudgetExceeded("tables", budget, needed)
+    budget("tables", 10_000_000,
+           _factorial_factors(m[i - 1] * m[j - 1] for i, j in color_pairs(len(m))))
     for codes in _candidates(m):
         yield presentation_from_codes(len(m), m, codes)
 
@@ -202,10 +193,7 @@ def _compiled_group(m_src: tuple[int, ...], m_dst: tuple[int, ...]
     product of c! over the c colors sharing each multiplicity and of m_i!
     over the colors) is above the "relabelings" limit, 100,000; a group
     already built is reused without a second check."""
-    budget = limit(100_000)
-    order = _factorial_product([*Counter(m_src).values(), *m_src], max(budget, EXACT_COUNT))
-    if order > budget:
-        raise BudgetExceeded("relabelings", budget, order)
+    budget("relabelings", 100_000, _factorial_factors([*Counter(m_src).values(), *m_src]))
     return tuple((rel, _plan(m_src, rel)) for rel in relabeling_group(m_src, m_dst))
 
 

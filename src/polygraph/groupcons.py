@@ -36,6 +36,7 @@ from operator import mul
 from typing import Callable
 
 from .budget import BudgetExceeded, limit
+from .errors import Rejected
 from .intlinalg import (
     Mat,
     Vec,
@@ -56,7 +57,7 @@ from .kgraph import (
 from .tails import sigma_data, tail
 
 
-class InvalidConstruction(ValueError):
+class InvalidConstruction(Rejected, ValueError):
     """Group construction data violating the commutation conditions."""
 
     def __init__(self, message: str, witness=None):
@@ -64,7 +65,7 @@ class InvalidConstruction(ValueError):
         super().__init__(message)
 
 
-class NotCommuting(ValueError):
+class NotCommuting(Rejected, ValueError):
     """The given per-color words do not pairwise commute."""
 
 

@@ -13,11 +13,13 @@ from __future__ import annotations
 
 from typing import Callable, Iterable
 
+from .errors import Exhausted
+
 Vec = tuple[int, ...]
 Mat = tuple[Vec, ...]
 
 
-class LatticeInconsistency(RuntimeError):
+class LatticeInconsistency(Exhausted, RuntimeError):
     """A rejected candidate fell in the collected lattice, an HNF basis
     vector of it failed re-verification, or it met the nonnegative orthant:
     the bounded search clipped a generator or produced inconsistent verdicts."""

@@ -14,15 +14,19 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
-from .groupcons import GroupConstruction
-from .kgraph import Presentation, Theta, Word, WordError, color_pairs, validate_presentation
-from .periodicity import PeriodicityCertificate, SymmetryLattice, TailCheck
-from .tails import Tail, tail
+from .errors import InputError
+from .kgraph import (CubicViolation, InvalidPermutation, Presentation, PresentationError, Theta,
+                     Word, WordError, check_word, color_pairs, validate_presentation)
+
+if TYPE_CHECKING:  # annotations only: a command loads the layers it uses
+    from .groupcons import GroupConstruction
+    from .periodicity import PeriodicityCertificate, SymmetryLattice, TailCheck
+    from .tails import Tail
 
 
-class FormatError(ValueError):
+class FormatError(InputError, ValueError):
     """Malformed input file (not a mathematical rejection)."""
 
 
@@ -82,6 +86,17 @@ def load_presentation(path: str) -> Presentation:
     return presentation_from_obj(read_json(path, "presentation"))
 
 
+def presentation_error_to_obj(err: PresentationError) -> dict:
+    """The verdict on a rejected presentation, with its witness."""
+    if isinstance(err, InvalidPermutation):
+        return {"valid": False, "error": "invalid permutation", "pair": list(err.pair)}
+    if isinstance(err, CubicViolation):
+        return {"valid": False, "error": "cubic violation",
+                "colors": list(err.triple), "witness": list(err.witness),
+                "left": list(err.left), "right": list(err.right)}
+    return {"valid": False, "error": str(err)}
+
+
 def word_to_obj(w: Word) -> list:
     return [[c, s] for c, s in w]
 
@@ -93,11 +108,28 @@ def word_from_obj(obj: Any) -> Word:
         raise FormatError(f"malformed word {obj!r:.40}") from err
 
 
+def words_from_str(P: Presentation, text: str) -> list[Word]:
+    """One word per color from comma-separated index digits, e.g. "112,21"."""
+    parts = text.split(",")
+    if len(parts) != P.k:
+        raise FormatError(f"need {P.k} comma-separated words, got {len(parts)}")
+    words = []
+    for i, part in enumerate(parts, start=1):
+        if not part:
+            raise FormatError(f"empty index word for color {i}")
+        try:
+            words.append(check_word(P, tuple((i, int(ch)) for ch in part)))
+        except ValueError as err:  # a non-digit letter, or WordError
+            raise FormatError(f"bad index word {part!r} for color {i}: {err}") from err
+    return words
+
+
 def tail_to_obj(t: Tail) -> dict:
     return {"preperiod": word_to_obj(t.preperiod), "period": word_to_obj(t.period)}
 
 
 def tail_from_obj(P: Presentation, obj: Any) -> Tail:
+    from .tails import tail  # deferred: only the tail commands read a tail
     try:
         return tail(P, word_from_obj(obj.get("preperiod", [])), word_from_obj(obj["period"]))
     except (KeyError, AttributeError, WordError) as err:

@@ -24,12 +24,14 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
+from .errors import InputError, Rejected
+
 Letter = tuple[int, int]
 Word = tuple[Letter, ...]
 Degree = tuple[int, ...]
 
 
-class PresentationError(ValueError):
+class PresentationError(Rejected, ValueError):
     """Rejected input data for a presentation."""
 
 
@@ -54,11 +56,11 @@ class CubicViolation(PresentationError):
         )
 
 
-class NotAPrefix(ValueError):
+class NotAPrefix(InputError, ValueError):
     """Requested prefix degree is not componentwise below the word degree."""
 
 
-class WordError(ValueError):
+class WordError(InputError, ValueError):
     """A word does not belong to the given presentation."""
 
 

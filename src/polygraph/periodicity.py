@@ -29,7 +29,7 @@ import operator
 from dataclasses import dataclass
 from typing import Iterable
 
-from .budget import EXACT_COUNT, BudgetExceeded, capped_product, limit
+from .budget import EXACT_COUNT, BudgetExceeded, budget, capped_product, limit
 from .intlinalg import (LatticeInconsistency, hermite_normal_form, lattice_closure,
                         meets_positive_orthant, solve_integer)
 from .kgraph import (
@@ -262,10 +262,7 @@ def _period_candidates(m: tuple[int, ...], bound: int) -> list[tuple[int, ...]]:
     rows = [tuple(vp[i] for vp in exps) + tuple(int(i == j) for j in range(k)) for i in range(k)]
     basis = [(row[len(exps):], next(c for c in range(k) if row[len(exps) + c]))
              for row in hermite_normal_form(rows) if not any(row[:len(exps)])]
-    cap = limit(100_000)
-    count = capped_product((2 * bound // b[col] + 1 for b, col in basis), max(cap, EXACT_COUNT))
-    if count > cap:
-        raise BudgetExceeded("period candidates", cap, count)
+    budget("period candidates", 100_000, (2 * bound // b[col] + 1 for b, col in basis))
     points = [(0,) * k]
     for b, col in basis:
         points = [tuple(x + c * y for x, y in zip(pt, b)) for pt in points

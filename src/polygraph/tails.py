@@ -21,7 +21,8 @@ import itertools
 from dataclasses import dataclass, field
 from math import lcm
 
-from .budget import EXACT_COUNT, BudgetExceeded, capped_product, limit
+from .budget import BudgetExceeded, budget, limit
+from .errors import Rejected
 from .intlinalg import lattice_closure
 from .kgraph import (
     Degree,
@@ -37,7 +38,7 @@ from .kgraph import (
 )
 
 
-class InvalidTail(ValueError):
+class InvalidTail(Rejected, ValueError):
     """Rejected tail data (empty period or missing colors)."""
 
 
@@ -132,10 +133,7 @@ def sigma_data(t: Tail, box: Degree) -> SigmaData:
 
 def _charge_box(box: Degree) -> None:
     """Charge the prod(box_c + 1) points of sigma_data on box to "tail box"."""
-    cap = limit(1_000_000)
-    points = capped_product((b + 1 for b in box), max(cap, EXACT_COUNT))
-    if points > cap:
-        raise BudgetExceeded("tail box", cap, points)
+    budget("tail box", 1_000_000, (b + 1 for b in box))
 
 
 def _edge_grid(P: Presentation, word: Word, top: Degree

@@ -1,8 +1,10 @@
 import contextlib
 import hashlib
+import importlib
 import io
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 import time
@@ -11,7 +13,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from polygraph import acceptance, catalog
+import polygraph
+from polygraph import acceptance, catalog, cli, errors
 from polygraph.cli import main
 from polygraph.jsonio import (
     group_construction_to_obj,
@@ -21,7 +24,10 @@ from polygraph.jsonio import (
     tail_from_obj,
     tail_to_obj,
 )
-from polygraph.groupcons import FiniteAbelianGroup, from_commuting_words, group_construction
+from polygraph.groupcons import (FiniteAbelianGroup, NotCommuting, from_commuting_words,
+                                 group_construction)
+from polygraph.intlinalg import LatticeInconsistency
+from polygraph.kgraph import WordError
 from polygraph.tails import tail
 
 
@@ -285,6 +291,21 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err == "input error: POLYGRAPH_BUDGET has 5000 digits, too many\n"
 
+    @pytest.mark.parametrize("argv, period", [
+        (["rep", "build", "--presentation", "flip", "--words", "12,21"], None),  # NotCommuting
+        (["tail", "sigma", "--presentation", "flip", "--tail", "TAIL"], [[1, 1]]),  # InvalidTail
+    ], ids=["not-commuting", "invalid-tail"])
+    def test_rejection_with_unwritable_out_is_one_input_error_line(self, argv, period, tmp_path,
+                                                                   capsys):
+        tail_path = tmp_path / "tail.json"
+        tail_path.write_text(json.dumps({"period": period}))
+        out = tmp_path / "missing" / "x.json"
+        argv = [str(tail_path) if a == "TAIL" else a for a in argv] + ["--out", str(out)]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"input error: [Errno 2] No such file or directory: {str(out)!r}\n"
+
     def test_aperiodic_pi_exit_2(self, capsys):
         assert main(["periodicity", "--presentation", "cycle3-forward",
                      "--pi", "1,-1"]) == 2
@@ -543,14 +564,68 @@ class TestArgvContract:
             json.loads(out.getvalue())
 
 
-def test_cli_import_leaves_hashing_and_the_paper_suite_unloaded():
+def _exception_classes():
+    """Every exception class defined in a module of src/polygraph, the
+    three families excepted."""
+    for info in pkgutil.iter_modules(polygraph.__path__):
+        module = importlib.import_module(f"polygraph.{info.name}")
+        for obj in vars(module).values():
+            if (isinstance(obj, type) and issubclass(obj, BaseException)
+                    and obj.__module__ == module.__name__ and module is not errors):
+                yield obj
+
+
+class TestExceptionFamilies:
+    def test_each_exception_is_in_exactly_one_family(self):
+        members = {}
+        for cls in _exception_classes():
+            families = [f for f in (errors.InputError, errors.Rejected, errors.Exhausted)
+                        if issubclass(cls, f)]
+            assert len(families) == 1, (cls, families)
+            members.setdefault(families[0].__name__, set()).add(cls.__name__)
+        assert members == {
+            "InputError": {"FormatError", "InvalidBudget", "UsageError", "WordError", "NotAPrefix"},
+            "Rejected": {"PresentationError", "InvalidPermutation", "CubicViolation",
+                         "InvalidConstruction", "NotCommuting", "InvalidTail"},
+            "Exhausted": {"BudgetExceeded", "LatticeInconsistency"},
+        }
+
+    @pytest.mark.parametrize("error, code, prefix", [
+        (WordError("letter (3, 1) outside presentation ranges"), 1, "input error: "),
+        (NotCommuting("words do not pairwise commute"), 2, "rejected: "),
+        (LatticeInconsistency("a rejected candidate lies in the lattice"), 3,
+         "budget/bound exceeded: "),
+    ], ids=["input", "rejected", "exhausted"])
+    def test_main_maps_a_family_to_its_exit_code(self, error, code, prefix, monkeypatch, capsys):
+        def raise_it(args):
+            raise error
+        monkeypatch.setattr(cli, "cmd_symmetry", raise_it)
+        assert main(["symmetry", "--presentation", "flip", "--bound", "1"]) == code
+        captured = capsys.readouterr()
+        assert captured.err == f"{prefix}{error}\n"
+        assert captured.out == ("" if code != 2 else json.dumps({"rejected": str(error)}, indent=1)
+                                + "\n")
+
+
+@pytest.mark.parametrize("argv, unloaded", [
     # hashlib maps OpenSSL's libcrypto and acceptance holds every paper
-    # criterion, so each would cost every process that imports the CLI;
-    # only a command that hashes an input file, or paper-suite, needs one
+    # criterion; only a command that hashes an input file, or paper-suite,
+    # needs one
+    ([], ["hashlib", "polygraph.acceptance", "polygraph.enumeration", "polygraph.groupcons",
+          "polygraph.periodicity", "polygraph.tails"]),
+    (["symmetry", "--presentation", "flip", "--bound", "2"],
+     ["polygraph.enumeration", "polygraph.groupcons", "polygraph.tails"]),
+    (["classify", "--m", "2,2"],
+     ["polygraph.groupcons", "polygraph.periodicity", "polygraph.staralg", "polygraph.tails"]),
+], ids=["import", "symmetry", "classify"])
+def test_a_cli_process_loads_only_its_layers(argv, unloaded):
+    # a fresh interpreter imports the CLI and, given argv, runs one command
     src = os.path.dirname(os.path.dirname(acceptance.__file__))
-    code = ("import sys, polygraph.cli; "
-            "print(sorted({'hashlib', 'polygraph.acceptance'} & set(sys.modules)))")
+    code = ("import contextlib, io, sys, polygraph.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = polygraph.cli.main(sys.argv[1:]) if sys.argv[1:] else 0\n"
+            f"print(code, sorted(set({unloaded!r}) & set(sys.modules)))\n")
     env = {**os.environ, "PYTHONPATH": src}
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+    proc = subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True,
                           text=True, check=True)
-    assert proc.stdout == "[]\n"
+    assert proc.stdout == "0 []\n"

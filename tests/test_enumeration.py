@@ -7,14 +7,14 @@ import pytest
 
 from polygraph import catalog
 from polygraph import enumeration as en
-from polygraph.budget import BudgetExceeded
+from polygraph.budget import EXACT_COUNT, BudgetExceeded, capped_product
 from polygraph.enumeration import (
     IsoClass,
     Relabeling,
     apply_relabeling,
     are_isomorphic,
+    _factorial_factors,
     canonical_form,
-    count_candidate_tables,
     enumerate_presentations,
     isomorphism_classes,
     relabeling_group,
@@ -31,6 +31,13 @@ from polygraph.kgraph import (
 # raw itertools sweep with an inline cubic check
 VALID_222 = 752
 CLASSES_222 = 74
+
+
+def _table_count(m, cap=EXACT_COUNT):
+    """The "tables" count of enumerate_presentations for multiplicities m,
+    exact up to cap: the product of (m_i m_j)! over the color pairs."""
+    pairs = color_pairs(len(m))
+    return capped_product(_factorial_factors(m[i - 1] * m[j - 1] for i, j in pairs), cap)
 
 
 class TestEnumerate:
@@ -50,7 +57,7 @@ class TestEnumerate:
                                              for pair in [(1, 2)]})
 
     def test_budget_guard(self, monkeypatch):
-        assert count_candidate_tables((2, 2, 2)) == 24 ** 3
+        assert _table_count((2, 2, 2)) == 24 ** 3
         monkeypatch.setenv("POLYGRAPH_BUDGET", "100")
         with pytest.raises(BudgetExceeded):
             list(enumerate_presentations((2, 2, 2)))
@@ -59,7 +66,7 @@ class TestEnumerate:
     def test_table_count_stops_past_its_cap(self, m):
         exact = math.prod(math.factorial(m[i - 1] * m[j - 1]) for i, j in color_pairs(len(m)))
         for cap in (0, 10, 10 ** 4, exact - 1, exact, 10 ** 18):
-            count = count_candidate_tables(m, cap)
+            count = _table_count(m, cap)
             assert count == exact if exact <= cap else cap < count <= exact
 
     def test_budget_env_override(self, monkeypatch):

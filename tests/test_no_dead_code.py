@@ -3,14 +3,18 @@ has a product caller, and every imported name is used where it is imported.
 
 A definition counts as used when product code refers to it: a file under
 src/ or bench/, outside the definition itself and outside every
-definition already found unused.  `polygraph/__init__.py` imports the
-public API, so a name it imports is used; that file is the one list of
-names kept for callers outside the repository.  References from tests do
-not count: a helper only tests reach belongs in the tests.  The unused set
+definition already found unused.  `polygraph/__init__.py` serves the
+public API, so a name it serves is used: one it imports, or a key of the
+literal name -> module table that its PEP 562 `__getattr__` reads.  That
+file is the one list of names kept for callers outside the repository.
+References from tests do not count: a helper only tests reach belongs in
+the tests.  The unused set
 is grown to a fixed point, so a helper called only by a dead helper is
 dead too.  A reference is a name, an attribute, an imported name, or a
 part of a dotted `module.name` string such as the bench tracer's
 "kgraph.normal_form"; a bare string such as "index" is no reference.
+Dunder functions, such as a module's `__getattr__`, are called by the
+interpreter and are no definitions.
 Methods are the non-dunder functions in the body of a top-level class;
 `self.m` inside class C, and `C.m` for a class C defined in src/, refer
 to C.m alone, any other `x.m` to every method m.  A name bound by
@@ -23,7 +27,7 @@ class in src/polygraph, is passed by some call in product code outside
 that definition, by keyword, by position, or by `*` or `**`.  A call is
 matched to a definition by the name rules above, and a call to a class
 is a call to its `__init__`.  The parameters of the names that
-`polygraph/__init__.py` imports are public API and exempt.
+`polygraph/__init__.py` serves are public API and exempt.
 """
 
 import ast
@@ -34,8 +38,26 @@ ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted(ROOT.glob("src/polygraph/*.py"))
 PRODUCT = sorted(p for d in ("src", "bench") for p in (ROOT / d).rglob("*.py"))
 FILES = sorted(PRODUCT + list((ROOT / "tests").rglob("*.py")))
-PUBLIC = {alias.name for node in ast.parse((ROOT / "src/polygraph/__init__.py").read_text()).body
-          if isinstance(node, ast.ImportFrom) for alias in node.names}
+
+
+def public_names(text: str) -> set:
+    """The names an `__init__.py` serves: those it imports, and the string
+    keys of each dict literal bound to a name that its `__getattr__` reads."""
+    tree = ast.parse(text)
+    hook = [node for node in tree.body
+            if isinstance(node, ast.FunctionDef) and node.name == "__getattr__"]
+    read = {node.id for fn in hook for node in ast.walk(fn) if isinstance(node, ast.Name)}
+    names = set()
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+        elif (isinstance(node, ast.Assign) and isinstance(node.value, ast.Dict)
+              and any(getattr(target, "id", None) in read for target in node.targets)):
+            names.update(key.value for key in node.value.keys)
+    return names
+
+
+PUBLIC = public_names((ROOT / "src/polygraph/__init__.py").read_text())
 
 
 def _is_dunder(name):
@@ -47,6 +69,8 @@ def _definitions(tree):
     each non-dunder method of a top-level class."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            if _is_dunder(node.name):
+                continue
             yield node.name, node.lineno, node.end_lineno
             for item in node.body if isinstance(node, ast.ClassDef) else ():
                 if (isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
@@ -103,11 +127,11 @@ def _inside(where, line, definition):
     return where == path and first <= line <= last
 
 
-def unused_definitions(sources: dict, product: dict) -> list[str]:
+def unused_definitions(sources: dict, product: dict, public=frozenset()) -> list[str]:
     """The "module.name" of each definition in `sources` that no code in
-    `product` reaches; both map a path to its text, and every source is
-    also product code."""
-    uses: dict = {}
+    `product` reaches and that `public` does not name; both map a path to
+    its text, and every source is also product code."""
+    uses: dict = {name: [("<public>", 0)] for name in public}
     classes = _classes(sources)
     for path, text in product.items():
         for name, line in _references(ast.parse(text), classes):
@@ -175,7 +199,7 @@ def unpassed_options(sources: dict, product: dict, public=frozenset()) -> list[s
 
 def test_every_top_level_name_is_referenced():
     unused = unused_definitions({p: p.read_text() for p in SOURCES},
-                                {p: p.read_text() for p in PRODUCT})
+                                {p: p.read_text() for p in PRODUCT}, PUBLIC)
     assert not unused, f"defined but never reached by product code: {unused}"
 
 
@@ -204,6 +228,21 @@ def test_only_dotted_strings_and_own_self_calls_are_references():
     assert unused_definitions(sources, {**sources, **cli}) == ["lib.B.size"]
     cli["src/cli.py"] += "print(A().size)\n"
     assert unused_definitions(sources, {**sources, **cli}) == []
+
+
+def test_the_getattr_table_serves_public_names():
+    init = ('from .lib import live\n\n'
+            '_LAYER_OF = {"lazy": "lib"}\n_OTHER = {"other": "lib"}\n\n\n'
+            'def __getattr__(name):\n    return _LAYER_OF[name]\n')
+    assert public_names(init) == {"live", "lazy"}
+    lib = "def live():\n    return 1\n\n\ndef lazy(x=0):\n    return x\n\n\ndef other():\n    return 2\n"
+    sources = {"src/lib.py": lib, "src/__init__.py": init}
+    # the hook is no definition; the table it reads is used, the other dict is not
+    assert unused_definitions(sources, sources) == ["__init__._OTHER", "lib.lazy", "lib.other"]
+    assert unused_definitions(sources, sources, public_names(init)) == [
+        "__init__._OTHER", "lib.other"]
+    assert unpassed_options(sources, sources) == ["lib.lazy(x)"]
+    assert unpassed_options(sources, sources, public_names(init)) == []
 
 
 def test_every_option_is_passed_by_product_code():
