@@ -1,12 +1,13 @@
-"""The one budget mechanism: each bounded search reads its limit once
-through :func:`limit` and raises :class:`BudgetExceeded` past it; a search
-whose size is a product of known factors charges it through :func:`budget`."""
+"""The one budget mechanism: a search whose size is a product of known
+factors charges it through :func:`budget`, and a search that counts its
+steps takes them from :func:`steps`.  Each reads its limit once through
+:func:`limit` and raises :class:`BudgetExceeded` past it."""
 
 from __future__ import annotations
 
 import os
 from decimal import ROUND_DOWN, Context
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .errors import Exhausted, InputError
 
@@ -65,3 +66,11 @@ def budget(name: str, default: int, factors: Iterable[int]) -> None:
     count = capped_product(factors, max(cap, EXACT_COUNT))
     if count > cap:
         raise BudgetExceeded(name, cap, count)
+
+
+def steps(name: str, default: int) -> Iterator[int]:
+    """The steps 1, 2, ... up to the limit of budget `name`, read once:
+    asking for one more raises BudgetExceeded."""
+    cap = limit(default)
+    yield from range(1, cap + 1)
+    raise BudgetExceeded(name, cap, cap + 1)

@@ -80,7 +80,9 @@ def _candidates(m: tuple[int, ...]) -> Iterator[tuple[Code, ...]]:
     lifted tables, a lifted jl table T passes when A T = T B, which is
     _cubic_failure's left == right, so a failed triple cuts off the rest of
     its branch.  The lifted tables come from _lift's cache, once per call.
-    For k <= 2 no triple is due and the walk is the plain product.
+    For k <= 2 no triple is due and the walk is the plain product.  The
+    walk keeps each chosen pair's untaken survivors on an explicit stack,
+    so the pair count is not bounded by the recursion limit.
     enumerate_presentations still validates every survivor in full, cubic
     check included, with presentation_from_codes.
     """
@@ -94,13 +96,13 @@ def _candidates(m: tuple[int, ...]) -> Iterator[tuple[Code, ...]]:
         lifts = [[_lift(factor, *shape, code) for code in tables[n]]
                  for factor, n in (("ij", ij), ("il", il), ("jl", jl))]
         due[jl].append((ij, il, *lifts))
+    if not pairs:  # k = 1: one presentation, with no tables
+        yield ()
+        return
     chosen: list[int] = []  # the table picked for each pair so far, by position
-
-    def walk() -> Iterator[tuple[Code, ...]]:
+    stack: list[Iterator[int]] = []  # per pair but the last, its untaken survivors
+    while True:
         depth = len(chosen)
-        if depth == len(pairs):
-            yield tuple([tables[n][c] for n, c in enumerate(chosen)])
-            return
         survivors: Sequence[int] = range(len(tables[depth]))
         for ij, il, lifts_ij, lifts_il, lifts_jl in due[depth]:
             t_ij, t_il = lifts_ij[chosen[ij]], lifts_il[chosen[il]]
@@ -112,17 +114,18 @@ def _candidates(m: tuple[int, ...]) -> Iterator[tuple[Code, ...]]:
                 if A[T[0]] == T[b0] and [A[x] for x in T] == [T[x] for x in B]:
                     kept.append(c)
             survivors = kept
-        if depth + 1 == len(pairs):
+        if depth + 1 < len(pairs):
+            stack.append(iter(survivors))
+        else:
             head = tuple([tables[n][c] for n, c in enumerate(chosen)])
             for c in survivors:
                 yield (*head, tables[depth][c])
+        # back up to the deepest pair with a survivor left, and take it
+        while stack and (c := next(stack[-1], None)) is None:
+            stack.pop()
+        if not stack:
             return
-        for c in survivors:
-            chosen.append(c)
-            yield from walk()
-            chosen.pop()
-
-    yield from walk()
+        chosen[len(stack) - 1:] = [c]
 
 
 @dataclass(frozen=True)

@@ -35,7 +35,7 @@ from math import gcd, lcm, prod
 from operator import mul
 from typing import Callable
 
-from .budget import BudgetExceeded, limit
+from .budget import budget, steps
 from .errors import Rejected
 from .intlinalg import (
     Mat,
@@ -105,10 +105,7 @@ class FiniteAbelianGroup:
         if not hnf or len(hnf) != len(hnf[0]):
             raise ValueError(f"kernel {kernel_rows} is not full rank; quotient is infinite")
         # a square echelon basis has its pivots on the diagonal
-        order = prod(hnf[i][i] for i in range(len(hnf)))
-        budget = limit(1_000_000)
-        if order > budget:
-            raise BudgetExceeded("group order", budget, order)
+        budget("group order", 1_000_000, (hnf[i][i] for i in range(len(hnf))))
         return FiniteAbelianGroup(len(hnf), hnf)
 
     @staticmethod
@@ -308,7 +305,6 @@ def cycle_construction(P: Presentation, seeds: list[Word]
     if P.k == 1:
         return list(seeds), []
 
-    cap = limit(100_000)
     lengths: list[int] = []
     family: list[Word] = []
     c0, d0 = seeds[0], normal_form(P, tuple(itertools.chain(*seeds[1:])))
@@ -316,7 +312,7 @@ def cycle_construction(P: Presentation, seeds: list[Word]
         avec = avec0 = tuple(family)
         c_cur, d_cur = c0, d0
         parts_c, parts_d = [], []
-        for _ in range(cap):
+        for _ in steps("cycle steps", 100_000):
             parts_c.append(c_cur)
             parts_d.append(d_cur)
             d_new, c_new = extract_prefix(P, normal_form(P, c_cur + d_cur), degree(P, d_cur))
@@ -330,8 +326,6 @@ def cycle_construction(P: Presentation, seeds: list[Word]
             avec, c_cur, d_cur = tuple(a_new), c_new, d_new
             if (avec, c_cur, d_cur) == (avec0, c0, d0):
                 break
-        else:
-            raise BudgetExceeded("cycle steps", cap, cap + 1)
         lengths.append(len(parts_c))
         family.append(tuple(itertools.chain(*reversed(parts_c))))
         rem = normal_form(P, tuple(itertools.chain(*parts_d)))
@@ -606,7 +600,7 @@ def _solve_indices(P: Presentation, G: FiniteAbelianGroup, given: dict
             for i in sorted(range(1, G.k + 1), key=G.generator_order)
             for c in range(G.generator_order(i))]
     order = list(dict.fromkeys(axes + list(range(len(m)))))
-    budget, nodes = limit(1_000_000), 0
+    nodes = steps("branch nodes", 1_000_000)
     stack: list[list[int]] = []  # [slot, next value, trail length before it]
     while (s := next((s for s in order if not val[s]), None)) is not None:
         stack.append([s, 1, len(trail)])
@@ -617,9 +611,7 @@ def _solve_indices(P: Presentation, G: FiniteAbelianGroup, given: dict
             if v > m[s]:
                 stack.pop()
                 continue
-            nodes += 1
-            if nodes > budget:
-                raise BudgetExceeded("branch nodes", budget, nodes)
+            next(nodes)
             stack[-1][1] = v + 1
             if assign([(s, v)]):
                 break

@@ -29,7 +29,7 @@ import operator
 from dataclasses import dataclass
 from typing import Iterable
 
-from .budget import EXACT_COUNT, BudgetExceeded, budget, capped_product, limit
+from .budget import budget
 from .intlinalg import (LatticeInconsistency, hermite_normal_form, lattice_closure,
                         meets_positive_orthant, solve_integer)
 from .kgraph import (
@@ -117,7 +117,7 @@ def find_gamma(P: Presentation, pi: Iterable[int]) -> PeriodicityCertificate | N
     (dagger) at f_0 forces the probe's gamma whenever one exists, and so
     is None when |E| != |F|, that is when pi is not in L_m.  An |E| past
     the "certificate words" budget (1M) raises before any word is built;
-    |E| is counted as :func:`capped_product` does.
+    |E| is charged to :func:`budget` as one factor m_i per letter of color i.
     """
     pi = tuple(pi)
     plus, minus = pi_split(P, pi)
@@ -130,12 +130,8 @@ def find_gamma(P: Presentation, pi: Iterable[int]) -> PeriodicityCertificate | N
         raise ValueError(f"pi {pi} must have entries of both signs (or be zero)")
     if any(sum(map(operator.mul, vp, pi)) for vp in _prime_exponents(P.m)):
         return None  # pi is not in L_m: |E| != |F|
-    cap = limit(1_000_000)
-    top = max(cap, EXACT_COUNT)
-    # an m_i^d_i past top is counted as m_i^bits(top), itself past top
-    words = capped_product(map(pow, P.m, [min(d, top.bit_length()) for d in plus]), top)
-    if words > cap:
-        raise BudgetExceeded("certificate words", cap, words)
+    budget("certificate words", 1_000_000,
+           (m for m, d in zip(P.m, plus) if m > 1 for _ in range(d)))
     f0 = next(words_of_degree(P, minus))
     gamma: dict[Word, Word] = {}
     suffix0 = None

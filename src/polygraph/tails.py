@@ -21,7 +21,7 @@ import itertools
 from dataclasses import dataclass, field
 from math import lcm
 
-from .budget import BudgetExceeded, budget, limit
+from .budget import budget, steps
 from .errors import Rejected
 from .intlinalg import lattice_closure
 from .kgraph import (
@@ -294,30 +294,28 @@ def splice_separating_tail(P: Presentation, bound: int = 2, depth: int = 2,
     degree exceeds the bound (the period degree itself is always a
     symmetry of an eventually periodic tail, and must leave the box).
     Raises ValueError unless bound and depth are at least 1, and
-    BudgetExceeded when the first round's box passes "tail box", checked
-    before any word is built, or when candidates survive the "splice
-    rounds" limit, 4 (2 bound + 1)^k by default.
+    BudgetExceeded before a symmetry search past the "splice rounds"
+    limit (one round per search, 4 (2 bound + 1)^k by default) or when
+    the first round's box passes "tail box", both checked before any
+    word is built.
     """
     if bound < 1 or depth < 1:
         raise ValueError("bound and depth must be >= 1")
+    rounds = steps("splice rounds", 4 * (2 * bound + 1) ** P.k)
+    next(rounds)
     _charge_box((bound + depth * (bound + 1),) * P.k)
     pad = tuple((i, 1) for i in range(1, P.k + 1))
     # start above the search box: the period degree of an eventually
     # periodic tail is always one of its symmetries, so keep it outside
     period = normal_form(P, pad * (bound + 1))
 
-    rounds = limit(4 * (2 * bound + 1) ** P.k)
-    for done in itertools.count():
-        alive = tail_symmetry_group(Tail(P, (), period), bound, depth).generators
-        if not alive:
-            break
-        if done == rounds:
-            raise BudgetExceeded("splice rounds", rounds, done + 1)
+    while alive := tail_symmetry_group(Tail(P, (), period), bound, depth).generators:
         p = alive[0].shift
         for block in _blocks_by_degree(P, max_block_degree):
             candidate = normal_form(P, period + block)
             if not _self_test(Tail(P, (), candidate), bound, depth)(p):
                 period = candidate
+                next(rounds)
                 break
         else:
             break  # no splice block of this size defeats p; give up on it

@@ -64,6 +64,10 @@ class TestNamedBudgets:
     def test_group_order(self, monkeypatch):
         assert _raised(monkeypatch, "8", lambda: FiniteAbelianGroup.cyclic_product([3, 3])) \
             == ("group order", 8, 9)
+        # a factor past 10^18 is counted as 10^18 + 1, as in every product budget
+        assert _raised(monkeypatch, "1000000",
+                       lambda: FiniteAbelianGroup.cyclic_product([10 ** 19, 2])) \
+            == ("group order", 10 ** 6, 10 ** 18 + 1)
 
     def test_branch_nodes(self, monkeypatch):
         P = catalog.flip_cycle_cycle_3graph()
@@ -102,13 +106,11 @@ class TestNamedBudgets:
         assert symmetry_lattice(P, bound=2).basis == ((1, -1),)
 
     def test_splice_rounds(self, monkeypatch):
-        # under one POLYGRAPH_BUDGET the first splice box (36 points at
-        # bound 1) trips "tail box" before a round is counted, so only the
-        # rounds limit, 4 (2 bound + 1)^k = 36 by default, is set to 0
-        monkeypatch.setattr(tails, "limit", lambda default: 0 if default == 36 else default)
-        with pytest.raises(BudgetExceeded) as info:
-            splice_separating_tail(catalog.square_2graph(), bound=1)
-        assert (info.value.name, info.value.limit, info.value.consumed) == ("splice rounds", 0, 1)
+        # the first round, one per symmetry search, is charged before the
+        # first splice box (36 points at bound 1) reaches "tail box"
+        assert _raised(monkeypatch, "0",
+                       lambda: splice_separating_tail(catalog.square_2graph(), bound=1)) \
+            == ("splice rounds", 0, 1)
 
     @pytest.mark.parametrize("search", [
         # box (5, 5) has 6 * 6 = 36 window points
@@ -156,16 +158,21 @@ class TestHugeCounts:
             == "tables: 1.0E+8600 exceeds the limit 9.9E+4299"
         assert str(BudgetExceeded("tables", 7, 10 ** 40 - 1)) == f"tables: {'9' * 40} exceeds the limit 7"
 
-    @pytest.mark.parametrize("argv, name", [
-        (["periodicity", "--presentation", "flip", "--pi", "20000,-20000"], "certificate words"),
-        (["symmetry", "--presentation", "flip-cycles", "--bound", "9" * 4300], "period candidates"),
+    @pytest.mark.parametrize("argv, name, count", [
+        # 2^14285, the first power of two past the limit 10^4300 - 1
+        (["periodicity", "--presentation", "flip", "--pi", "20000,-20000"], "certificate words",
+         "1.6E+4300"),
+        (["symmetry", "--presentation", "flip-cycles", "--bound", "9" * 4300], "period candidates",
+         "1.0E+4300"),
     ])
-    def test_4300_digit_budget_exits_3_with_one_line(self, monkeypatch, capsys, argv, name):
+    def test_4300_digit_budget_exits_3_with_one_line(self, monkeypatch, capsys, argv, name,
+                                                     count):
         monkeypatch.setenv("POLYGRAPH_BUDGET", "9" * 4300)
         assert main(argv) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == f"budget/bound exceeded: {name}: 1.0E+4300 exceeds the limit 9.9E+4299\n"
+        assert captured.err == (f"budget/bound exceeded: {name}: {count} exceeds the limit "
+                                "9.9E+4299\n")
 
 
 class TestLimit:
@@ -226,6 +233,22 @@ class TestOneBudgetPath:
                    and ("Budget" in node.name or "Exceeded" in node.name or "Cap" in node.name)]
         assert classes == [("budget.py", "BudgetExceeded"), ("budget.py", "InvalidBudget")]
 
+    def test_only_budget_py_charges(self):
+        # a search is charged by budget() or steps(); only cli's limit(0),
+        # which checks POLYGRAPH_BUDGET up front, reads a limit elsewhere
+        def calls(tree, names):
+            return [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+                    and (getattr(node.func, "id", None) or getattr(node.func, "attr", None))
+                    in names]
+
+        outside = [(path.name, ast.unparse(node)) for path in SOURCES if path.name != "budget.py"
+                   for node in calls(ast.parse(path.read_text()), ("BudgetExceeded", "limit"))]
+        assert outside == [("cli.py", "limit(0)")]
+        tree = ast.parse((ROOT / "src" / "polygraph" / "budget.py").read_text())
+        chargers = [node.name for node in tree.body if isinstance(node, ast.FunctionDef)
+                    and calls(node, ("BudgetExceeded",))]
+        assert chargers == ["budget", "steps"]
+
     def test_documented_names_are_the_raised_names(self):
         # the README budget table and the cli module docstring list
         # exactly the names that src/ passes to BudgetExceeded
@@ -237,26 +260,32 @@ class TestOneBudgetPath:
 
     def test_every_raised_name_has_a_named_budget_test(self):
         # each name that src/ passes to BudgetExceeded is a string in
-        # TestNamedBudgets, where a test raises it
+        # TestNamedBudgets, where a test raises it through POLYGRAPH_BUDGET
+        # alone: no test there patches a limit
         tree = ast.parse(Path(__file__).read_text())
         named = next(node for node in tree.body
                      if isinstance(node, ast.ClassDef) and node.name == "TestNamedBudgets")
         strings = {node.value for node in ast.walk(named)
                    if isinstance(node, ast.Constant) and isinstance(node.value, str)}
         assert _raised_names() - strings == set()
+        patched = {arg.value.rsplit(".", 1)[-1] for node in ast.walk(named)
+                   if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "setattr"
+                   for arg in node.args[:2]
+                   if isinstance(arg, ast.Constant) and isinstance(arg.value, str)}
+        assert "limit" not in patched
 
 
 def _raised_names() -> set:
     """The literal name passed to each BudgetExceeded(...) call, and to each
-    budget(...) call, which raises BudgetExceeded with it."""
+    budget(...) or steps(...) call, which raises BudgetExceeded with it."""
     raised = set()
     for path in SOURCES:
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Call) and getattr(node.func, "id", None) in (
-                    "BudgetExceeded", "budget"):
+                    "BudgetExceeded", "budget", "steps"):
                 first = node.args[0]
                 if path.name == "budget.py" and getattr(first, "id", None) == "name":
-                    continue  # budget() passing on its own argument
+                    continue  # budget() or steps() passing on its own argument
                 assert isinstance(first, ast.Constant), (path.name, node.lineno)
                 raised.add(first.value)
     return raised

@@ -21,7 +21,9 @@ from polygraph.enumeration import (
 )
 from polygraph.kgraph import (
     PresentationError,
+    _color_triples,
     _cubic_failure,
+    _lift,
     color_pairs,
     presentation_from_codes,
     validate_presentation,
@@ -357,6 +359,39 @@ def _reference_candidates(m):
             yield codes
 
 
+def _recursive_candidates(m):
+    """The recursive walk the iterative one replaced: one call per color
+    pair, so past about 45 colors it passes the recursion limit."""
+    pairs = color_pairs(len(m))
+    tables = [list(itertools.permutations(range(m[i - 1] * m[j - 1]))) for i, j in pairs]
+    due = [[] for _ in pairs]
+    for (i, j, l), ij, il, jl in _color_triples(len(m)):
+        shape = m[i - 1], m[j - 1], m[l - 1]
+        lifts = [[_lift(factor, *shape, code) for code in tables[n]]
+                 for factor, n in (("ij", ij), ("il", il), ("jl", jl))]
+        due[jl].append((ij, il, *lifts))
+    chosen = []
+
+    def walk():
+        depth = len(chosen)
+        if depth == len(pairs):
+            yield tuple([tables[n][c] for n, c in enumerate(chosen)])
+            return
+        survivors = range(len(tables[depth]))
+        for ij, il, lifts_ij, lifts_il, lifts_jl in due[depth]:
+            t_ij, t_il = lifts_ij[chosen[ij]], lifts_il[chosen[il]]
+            A = [t_ij[x] for x in t_il]
+            B = [t_il[x] for x in t_ij]
+            survivors = [c for c in survivors
+                         if [A[x] for x in lifts_jl[c]] == [lifts_jl[c][x] for x in B]]
+        for c in survivors:
+            chosen.append(c)
+            yield from walk()
+            chosen.pop()
+
+    yield from walk()
+
+
 class TestCandidateWalk:
     # in (1, 1, 2, 2) and (1, 2, 2, 2) two triples, 134 and 234, are due at
     # the last pair 34; every pair of (1, 2, 2, 2) has several tables
@@ -364,3 +399,11 @@ class TestCandidateWalk:
                                    (1, 1, 2, 2), (1, 1, 1, 2), (1, 2, 2, 2)], ids=str)
     def test_walk_matches_the_product_filter(self, m):
         assert list(en._candidates(m)) == list(_reference_candidates(m))
+
+    @pytest.mark.parametrize("m", [(2, 2), (2, 3), (2, 2, 2)], ids=str)
+    def test_iterative_walk_matches_the_recursive_one(self, m):
+        assert list(en._candidates(m)) == list(_recursive_candidates(m))
+
+    def test_walk_passes_the_recursion_limit(self):
+        # 46 colors of multiplicity 1: 1,035 pairs, one table each
+        assert list(en._candidates((1,) * 46)) == [((0,),) * 1035]
