@@ -30,21 +30,14 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cached_property
 from math import gcd, lcm, prod
 from operator import mul
 from typing import Callable
 
 from .budget import budget, steps
 from .errors import Rejected
-from .intlinalg import (
-    Mat,
-    Vec,
-    hermite_normal_form,
-    reduce_mod,
-    smith_normal_form,
-    solve_integer,
-)
+from .intlinalg import Mat, Vec, hermite_normal_form, reduce_mod, solve_integer
 from .kgraph import (
     Presentation,
     Word,
@@ -412,9 +405,7 @@ def normalize_scalars(gc: GroupConstruction) -> GroupConstruction:
 class DecompositionReport:
     """Splitting of a construction over the characters of its symmetry."""
 
-    parent: GroupConstruction
     symmetry: tuple[Vec, ...]  # elements of the full symmetry subgroup
-    character_table: tuple[tuple[Fraction, ...], ...]  # chi values on `symmetry`
     summands: tuple[GroupConstruction, ...]
 
     @property
@@ -425,14 +416,14 @@ class DecompositionReport:
 def decompose(gc: GroupConstruction) -> DecompositionReport:
     """Split over the dual of the full symmetry subgroup H.
 
-    Phases are first made constant by :func:`normalize_scalars` (`parent`
-    stays the given construction), so H is the symmetry of t alone.  Each
-    character chi of H yields a construction on G/H with the same index
-    functions and constants twisted by chi through the canonical section;
-    their dimensions sum to |G|.  All summands share t on G/H: its words
-    conditions are checked once, and one walk finds its symmetry, which
-    holds every summand's, trivial, so the summands are irreducible.  With
-    characters at level e, each character value and twisted constant is one
+    Phases are first made constant by :func:`normalize_scalars`, so H is
+    the symmetry of t alone.  Each character chi of H, in the order of
+    :func:`_quotient_characters`, yields a construction on G/H with the
+    same index functions and constants twisted by chi through the
+    canonical section; their dimensions sum to |G|.  All summands share t
+    on G/H: its words conditions are checked once, and one walk finds its
+    symmetry, which holds every summand's, trivial, so the summands are
+    irreducible.  With characters at level e, each twisted constant is one
     integer dot product mod N = lcm(e, phases), on which the scalar
     conditions are checked.
     """
@@ -452,40 +443,49 @@ def decompose(gc: GroupConstruction) -> DecompositionReport:
     if len(kept) != 1:
         raise InvalidConstruction(f"t keeps the nontrivial symmetry {kept} on the "
                                   "quotient; the parent symmetry was incomplete")
-    # The coefficients over kernel2 of each h and of each section correction
-    # do not depend on chi: solve for them once, then one dot product per chi.
-    sym_coeffs = [_kernel_coeffs(kernel2, h) for h in sym]
+    # The coefficients over kernel2 of each section correction do not
+    # depend on chi: solve for them once, then one dot product per chi.
     steps = []  # coefficients of the step's correction (c - g_i, reduced) + e_i - c
     for i, sub in enumerate(G2._sub):
         eps = tuple(int(j == i) for j in range(P.k))
         steps.append([_kernel_coeffs(kernel2, tuple(x + y - z for x, y, z in
                                                     zip(G2.elements[s], eps, c)))
                       for s, c in zip(sub, G2.elements)])
-    value = cache(lambda r: Fraction(r, N))  # one Fraction per residue mod N
-    summands, chi_rows = [], []
+    summands = []
     for chi in characters:
-        chi_rows.append(tuple(value(sum(map(mul, coeffs, chi)) % N) for coeffs in sym_coeffs))
         a2 = [[(a + sum(map(mul, coeffs, chi))) % N for coeffs in srow]
               for a, srow in zip(const, steps)]
         _raise_on(_scalars_witness(G2, N, a2))
         d = gcd(N, *itertools.chain(*a2))
         summands.append(GroupConstruction(P, G2, t2, N // d,
                                           tuple(tuple(a // d for a in row) for row in a2)))
-    report = DecompositionReport(parent=gc, symmetry=tuple(sym),
-                                 character_table=tuple(chi_rows),
-                                 summands=tuple(summands))
+    report = DecompositionReport(symmetry=tuple(sym), summands=tuple(summands))
     assert sum(report.dimensions) == G.order, "dimension count mismatch"
     return report
 
 
 def _quotient_characters(kernel: Mat, kernel2: Mat) -> tuple[int, list[Vec]]:
     """Characters chi = x / e of kernel2/kernel (values on the kernel2 rows,
-    kernel . chi = 0 mod 1) as integer vectors x, e the lcm of the Smith divisors."""
-    _, D, V = smith_normal_form(tuple(_kernel_coeffs(kernel2, row) for row in kernel))
-    d = [D[i][i] for i in range(len(D))]
-    e = lcm(*d)
-    return e, [tuple(sum(map(mul, row, z)) % e for row in V)
-               for z in itertools.product(*(range(0, e, e // di) for di in d))]
+    kernel . chi = 0 mod 1) as integer vectors x, e = |kernel2/kernel|.
+
+    With the kernel rows written in kernel2 coordinates, their Hermite form
+    H is upper triangular with diagonal d, and chi is a character iff
+    H chi = j is integral.  Back-substitution from the last row, as in
+    :func:`_phase_potential`, gives x_i = (j_i e - sum_{l>i} H_il x_l) / d_i
+    mod e, an exact division: e and each x_l are multiples of every d_i
+    with i < l.  Walking j_i over range(d_i), lexicographically, meets each
+    character once, the trivial one first.
+    """
+    H = hermite_normal_form([_kernel_coeffs(kernel2, row) for row in kernel])
+    d = [H[i][i] for i in range(len(H))]
+    e = prod(d)
+    characters = []
+    for j in itertools.product(*map(range, d)):
+        x = [0] * len(d)
+        for i in reversed(range(len(d))):
+            x[i] = (j[i] * e - sum(map(mul, H[i][i + 1:], x[i + 1:]))) // d[i] % e
+        characters.append(tuple(x))
+    return e, characters
 
 
 def _kernel_coeffs(kernel2: Mat, h: Vec) -> Vec:

@@ -1,12 +1,13 @@
 """Exact integer linear algebra for small lattices.
 
-Row-style Hermite normal form (canonical bases for sublattices of Z^k),
-one reduction walk modulo such a basis (canonical coset representatives,
+Row-style Hermite normal form, the one lattice normal form of the
+package: canonical bases for sublattices of Z^k, whose echelon rows also
+give the characters of finite quotients by back-substitution.  One
+reduction walk modulo such a basis (canonical coset representatives,
 membership, exact solving and the closure walk of every lattice search
-all read it), Smith normal form with transform tracking (character
-enumeration of finite quotients), and a Fourier-Motzkin check that a
-sublattice meets the nonnegative orthant only in 0.  Everything is plain
-int arithmetic on k x k matrices with k tiny.
+all read it), and a Fourier-Motzkin check that a sublattice meets the
+nonnegative orthant only in 0.  Everything is plain int arithmetic on
+k x k matrices with k tiny.
 """
 
 from __future__ import annotations
@@ -117,92 +118,6 @@ def lattice_closure(candidates: Iterable[Vec], test: Callable[[Vec], bool]
                                            f"lattice {basis} of the accepted ones")
         hits.append(v)
     return basis, hits
-
-
-def smith_normal_form(mat: Mat) -> tuple[Mat, Mat, Mat]:
-    """Smith normal form with transforms: returns (U, D, V), U*mat*V = D.
-
-    U and V are unimodular; D is diagonal (rectangular allowed) with
-    d_1 | d_2 | ... >= 0.  Standard elimination; fine for tiny matrices.
-    """
-    a = [list(r) for r in mat]
-    nrows = len(a)
-    ncols = len(a[0]) if nrows else 0
-    u = [[int(i == j) for j in range(nrows)] for i in range(nrows)]
-    v = [[int(i == j) for j in range(ncols)] for i in range(ncols)]
-
-    def row_op(i1, i2, q):  # row i2 -= q * row i1
-        for c in range(ncols):
-            a[i2][c] -= q * a[i1][c]
-        for c in range(nrows):
-            u[i2][c] -= q * u[i1][c]
-
-    def col_op(j1, j2, q):  # col j2 -= q * col j1
-        for r in range(nrows):
-            a[r][j2] -= q * a[r][j1]
-        for r in range(ncols):
-            v[r][j2] -= q * v[r][j1]
-
-    def swap_rows(i1, i2):
-        a[i1], a[i2] = a[i2], a[i1]
-        u[i1], u[i2] = u[i2], u[i1]
-
-    def swap_cols(j1, j2):
-        for r in range(nrows):
-            a[r][j1], a[r][j2] = a[r][j2], a[r][j1]
-        for r in range(ncols):
-            v[r][j1], v[r][j2] = v[r][j2], v[r][j1]
-
-    t = 0
-    while t < min(nrows, ncols):
-        # find a nonzero pivot in the submatrix
-        pr = pc = None
-        best = None
-        for i in range(t, nrows):
-            for j in range(t, ncols):
-                if a[i][j] != 0 and (best is None or abs(a[i][j]) < best):
-                    best, pr, pc = abs(a[i][j]), i, j
-        if pr is None:
-            break
-        swap_rows(t, pr)
-        swap_cols(t, pc)
-        while True:
-            dirty = False
-            for i in range(t + 1, nrows):
-                if a[i][t]:
-                    q = a[i][t] // a[t][t]
-                    row_op(t, i, q)
-                    if a[i][t]:
-                        swap_rows(t, i)
-                        dirty = True
-            for j in range(t + 1, ncols):
-                if a[t][j]:
-                    q = a[t][j] // a[t][t]
-                    col_op(t, j, q)
-                    if a[t][j]:
-                        swap_cols(t, j)
-                        dirty = True
-            if not dirty:
-                # pivot must divide the whole remaining submatrix, else fold
-                # an offending row in and keep reducing
-                offender = None
-                for i in range(t + 1, nrows):
-                    for j in range(t + 1, ncols):
-                        if a[i][j] % a[t][t] != 0:
-                            offender = i
-                            break
-                    if offender is not None:
-                        break
-                if offender is None:
-                    break
-                row_op(offender, t, -1)  # row t += row offender
-        if a[t][t] < 0:
-            for c in range(ncols):
-                a[t][c] = -a[t][c]
-            for c in range(nrows):
-                u[t][c] = -u[t][c]
-        t += 1
-    return (tuple(map(tuple, u)), tuple(map(tuple, a)), tuple(map(tuple, v)))
 
 
 def solve_integer(hnfA: Mat, b: Vec) -> Vec | None:

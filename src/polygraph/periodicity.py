@@ -175,6 +175,24 @@ def check_tail_condition(P: Presentation, cert: PeriodicityCertificate,
     r' tau.  Conversely, every move then agrees on its letter and lands
     on a start pair, so e tau and gamma(e) tau agree letter by letter.
     The transducer never leaves its start pairs: states_visited is |E|.
+
+    Unless forced, only the letters of colors c with pi_c = 0 are fed:
+    (dagger) settles the others, and full support is the case of none.
+    Forced, every letter is fed, which decides the condition for any
+    bijection gamma.  The proof: (dagger) gives its mirror f e2 =
+    gamma^{-1}(f) gamma(e2), as f e2 = e f' (deg e = pi_+) = gamma(e)
+    gamma^{-1}(f') and unique factorization gives gamma(e) = f and
+    gamma^{-1}(f') = e2.  Let c be in supp(pi_+), e = a e' with a of
+    color c, and k any word of degree pi_+ - e_c, so g k is in E.  Then
+    e g = a (e' g): g1 = a and r' = e' g.  The mirror gives gamma(e) g k
+    = e gamma(g k) = a e' gamma(g k), so g2 = a = g1 (the color-c
+    prefixes) and, cancelling a, s' k = e' gamma(g k).  For f in F,
+    (dagger) on g k makes r' k f = e' gamma(g k) gamma^{-1}(f) = s' k
+    gamma^{-1}(f), whose degree-pi_- prefix s' is gamma(r') by (dagger)
+    on r' and the degree-pi_- prefix of k f.  For c in supp(pi_-), apply
+    this to (F, E, gamma^{-1}): its (dagger) is the mirror, and its move
+    test is the same.  Unforced, the pass makes |E| sum_{pi_c = 0} m_c
+    moves.
     """
     pi = cert.pi
     if not force_transducer and all(x != 0 for x in pi):
@@ -182,8 +200,9 @@ def check_tail_condition(P: Presentation, cert: PeriodicityCertificate,
     gamma = cert.gamma_map()
     states = len(cert.E)
     move = _mover(P)
+    fed = [g for g in P.letters() if force_transducer or not pi[g[0] - 1]]
     for e, ge in cert.gamma:
-        for g in P.letters():
+        for g in fed:
             g1, r = move(e, g)
             g2, s = move(ge, g)
             if g1 != g2 or gamma.get(r) != s:
@@ -208,7 +227,6 @@ def is_periodic(P: Presentation, pi: Iterable[int]) -> PeriodicityCertificate | 
 class SymmetryLattice:
     """The lattice of certified periods found under a bound, in HNF."""
 
-    presentation: Presentation
     bound: int
     basis: tuple[tuple[int, ...], ...]
     certificates: tuple[PeriodicityCertificate, ...]  # one per basis vector
@@ -297,7 +315,7 @@ def symmetry_lattice(P: Presentation, bound: int = 4) -> SymmetryLattice:
     if meets_positive_orthant(basis, P.k):
         raise LatticeInconsistency(
             f"lattice {basis} meets the nonnegative orthant")
-    return SymmetryLattice(presentation=P, bound=bound, basis=basis,
+    return SymmetryLattice(bound=bound, basis=basis,
                            certificates=tuple(certs), hits=tuple(sorted(hits)))
 
 

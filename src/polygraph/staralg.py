@@ -62,15 +62,6 @@ class StarSum:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def __add__(self, other: "StarSum") -> "StarSum":
-        out = dict(self.terms)
-        for key, c in other.terms:
-            out[key] = out.get(key, 0) + c
-        return StarSum.of(out)
-
-    def __len__(self) -> int:
-        return len(self.terms)
-
 
 def identity_sum() -> StarSum:
     return StarSum.of({((), ()): 1})

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import functools
 import itertools
@@ -7,6 +8,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from sympy import ZZ, Matrix
+from sympy.matrices.normalforms import invariant_factors, smith_normal_decomp
 
 from polygraph import PartialConstruction, catalog, extend_to_group, groupcons
 from polygraph.budget import BudgetExceeded, limit
@@ -26,7 +29,7 @@ from polygraph.groupcons import (
 )
 from polygraph.groupcons import GroupConstruction, _kernel_coeffs, _quotient_characters
 from polygraph.groupcons import _slots, _squares
-from polygraph.intlinalg import hermite_normal_form, reduce_mod, smith_normal_form
+from polygraph.intlinalg import hermite_normal_form, reduce_mod
 from polygraph.kgraph import WordError, deg_sub, degree, extract_prefix, normal_form
 
 FCC = catalog.flip_cycle_cycle_3graph()
@@ -598,7 +601,6 @@ def _per_character_decompose(gc):
     N = math.lcm(gc.level, e)
     alpha = [[a * (N // gc.level) for a in row] for row in gc.phases]
     characters = [[x * (N // e) for x in chi] for chi in characters]
-    sym_coeffs = [_kernel_coeffs(kernel2, h) for h in sym]
     t2 = [[row[G.index(c)] for c in G2.elements] for row in gc.t]
     steps = []
     for i in range(P.k):
@@ -610,15 +612,13 @@ def _per_character_decompose(gc):
             corr = tuple(a - b for a, b in zip(step, c))
             srow.append((alpha[i][G.index(step)], _kernel_coeffs(kernel2, corr)))
         steps.append(srow)
-    table, summands = [], []
+    summands = []
     for chi in characters:
-        table.append(tuple(Fraction(sum(map(operator.mul, coeffs, chi)) % N, N)
-                           for coeffs in sym_coeffs))
         alpha2 = [[Fraction((a + sum(map(operator.mul, coeffs, chi))) % N, N)
                    for a, coeffs in srow] for srow in steps]
         summands.append(group_construction(P, G2, t2, alpha2))
     assert all(len(full_symmetry_subgroup(s)) == 1 for s in summands)
-    return tuple(sym), tuple(table), tuple(summands)
+    return tuple(sym), tuple(summands)
 
 
 class TestSymmetryAndDecomposition:
@@ -654,9 +654,7 @@ class TestSymmetryAndDecomposition:
     def test_decompose_matches_the_per_character_path(self):
         for gc in _symmetry_cases():
             rep = decompose(gc)
-            assert rep.parent is gc
-            assert (rep.symmetry, rep.character_table, rep.summands) \
-                == _per_character_decompose(normalize_scalars(gc))
+            assert (rep.symmetry, rep.summands) == _per_character_decompose(normalize_scalars(gc))
 
     def test_non_constant_phases_are_normalized_first(self):
         # the coboundary hides the symmetry of t: the phases alone have none
@@ -664,10 +662,8 @@ class TestSymmetryAndDecomposition:
         assert any(len(set(row)) > 1 for row in gc.alpha)
         assert len(full_symmetry_subgroup(gc)) == 1
         rep = decompose(gc)
-        assert rep.parent is gc and rep.dimensions == [3] * 9
-        normalized = decompose(normalize_scalars(gc))
-        assert (rep.symmetry, rep.character_table, rep.summands) \
-            == (normalized.symmetry, normalized.character_table, normalized.summands)
+        assert rep.dimensions == [3] * 9
+        assert rep == decompose(normalize_scalars(gc))
 
     def test_an_incomplete_symmetry_is_caught_by_the_quotient_walk(self, monkeypatch):
         # were the parent walk to miss members, t would keep a symmetry on
@@ -725,13 +721,12 @@ class TestSymmetryAndDecomposition:
             for row in s.alpha:
                 assert all(a.denominator in (1, 3) for a in row)
 
-    def test_character_table_shape(self):
-        rep = decompose(gc27())
-        assert len(rep.character_table) == 9
-        assert all(len(row) == len(rep.symmetry) for row in rep.character_table)
-        # characters are distinct and the trivial one is present
-        assert len(set(rep.character_table)) == 9
-        assert tuple([Fraction(0)] * 9) in rep.character_table
+    def test_27dim_summands_are_distinct(self):
+        # nine characters give nine different constructions, the trivial
+        # character's (all constants 0) first
+        summands = decompose(gc27()).summands
+        assert len(set(summands)) == 9
+        assert summands[0].phases == ((0,) * 3,) * 3
 
     def test_trivial_symmetry_single_summand(self):
         parent = from_commuting_words(FLIP, [((1, 1), (1, 2)), ((2, 1), (2, 2))])
@@ -999,6 +994,115 @@ class TestExtensionSolver:
         assert out.alpha == gc.alpha
 
 
+def _smith_normal_form(mat):
+    """Smith normal form with transforms: returns (U, D, V), U*mat*V = D.
+
+    U and V are unimodular; D is diagonal (rectangular allowed) with
+    d_1 | d_2 | ... >= 0.  Standard elimination, kept for the phase
+    reference below: its systems reach 81 rows, where sympy's Smith form
+    takes seconds.
+    """
+    a = [list(r) for r in mat]
+    nrows = len(a)
+    ncols = len(a[0]) if nrows else 0
+    u = [[int(i == j) for j in range(nrows)] for i in range(nrows)]
+    v = [[int(i == j) for j in range(ncols)] for i in range(ncols)]
+
+    def row_op(i1, i2, q):  # row i2 -= q * row i1
+        for c in range(ncols):
+            a[i2][c] -= q * a[i1][c]
+        for c in range(nrows):
+            u[i2][c] -= q * u[i1][c]
+
+    def col_op(j1, j2, q):  # col j2 -= q * col j1
+        for r in range(nrows):
+            a[r][j2] -= q * a[r][j1]
+        for r in range(ncols):
+            v[r][j2] -= q * v[r][j1]
+
+    def swap_rows(i1, i2):
+        a[i1], a[i2] = a[i2], a[i1]
+        u[i1], u[i2] = u[i2], u[i1]
+
+    def swap_cols(j1, j2):
+        for r in range(nrows):
+            a[r][j1], a[r][j2] = a[r][j2], a[r][j1]
+        for r in range(ncols):
+            v[r][j1], v[r][j2] = v[r][j2], v[r][j1]
+
+    t = 0
+    while t < min(nrows, ncols):
+        # find a nonzero pivot in the submatrix
+        pr = pc = None
+        best = None
+        for i in range(t, nrows):
+            for j in range(t, ncols):
+                if a[i][j] != 0 and (best is None or abs(a[i][j]) < best):
+                    best, pr, pc = abs(a[i][j]), i, j
+        if pr is None:
+            break
+        swap_rows(t, pr)
+        swap_cols(t, pc)
+        while True:
+            dirty = False
+            for i in range(t + 1, nrows):
+                if a[i][t]:
+                    q = a[i][t] // a[t][t]
+                    row_op(t, i, q)
+                    if a[i][t]:
+                        swap_rows(t, i)
+                        dirty = True
+            for j in range(t + 1, ncols):
+                if a[t][j]:
+                    q = a[t][j] // a[t][t]
+                    col_op(t, j, q)
+                    if a[t][j]:
+                        swap_cols(t, j)
+                        dirty = True
+            if not dirty:
+                # pivot must divide the whole remaining submatrix, else fold
+                # an offending row in and keep reducing
+                offender = None
+                for i in range(t + 1, nrows):
+                    for j in range(t + 1, ncols):
+                        if a[i][j] % a[t][t] != 0:
+                            offender = i
+                            break
+                    if offender is not None:
+                        break
+                if offender is None:
+                    break
+                row_op(offender, t, -1)  # row t += row offender
+        if a[t][t] < 0:
+            for c in range(ncols):
+                a[t][c] = -a[t][c]
+            for c in range(nrows):
+                u[t][c] = -u[t][c]
+        t += 1
+    return (tuple(map(tuple, u)), tuple(map(tuple, a)), tuple(map(tuple, v)))
+
+
+class TestSmithNormalForm:
+    @staticmethod
+    def _mul(a, b):
+        return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in zip(*b))
+                     for row in a)
+
+    def test_transforms_and_diagonal(self):
+        rng = random.Random(1506)
+        for _ in range(150):
+            k = rng.randint(1, 3)
+            rows = [tuple(rng.randint(-12, 12) for _ in range(k)) for _ in range(rng.randint(1, 4))]
+            if len(rows) >= 2 and rng.random() < 0.3:  # rank-deficient
+                rows[-1] = tuple(2 * x - y for x, y in zip(rows[0], rows[1]))
+            U, D, V = _smith_normal_form(tuple(rows))
+            assert self._mul(self._mul(U, rows), V) == D
+            assert abs(Matrix(U).det()) == 1 and abs(Matrix(V).det()) == 1
+            assert all(D[i][j] == 0 for i in range(len(D)) for j in range(k) if i != j)
+            assert [D[i][i] for i in range(min(len(D), k))] \
+                == [abs(d) for d in invariant_factors(Matrix(rows), domain=ZZ)]
+
+
 def _smith_solve_phases(G, given):
     """Reference phase completion by one Smith-form system over all squares.
 
@@ -1025,7 +1129,7 @@ def _smith_solve_phases(G, given):
             rhs.append(r)
     y = [Fraction(0)] * len(col)
     if rows:
-        U, D, V = smith_normal_form(rows)
+        U, D, V = _smith_normal_form(rows)
         for t in range(min(len(rows), len(y))):
             if D[t][t]:
                 y[t] = sum((c * r for c, r in zip(U[t], rhs)), Fraction(0)) / D[t][t]
@@ -1114,30 +1218,25 @@ class TestPhaseSolver:
 
 
 def _fraction_characters(kernel, kernel2):
-    """Reference characters of kernel2/kernel as Fraction vectors, one
-    Fraction sum per coordinate."""
-    U, D, V = smith_normal_form(tuple(_kernel_coeffs(kernel2, row) for row in kernel))
-    k = len(kernel)
-    out = []
-    for z in itertools.product(*[range(D[i][i]) for i in range(k)]):
-        zfrac = [Fraction(z[i], D[i][i]) for i in range(k)]
-        out.append(tuple(sum((Fraction(V[r][c]) * zfrac[c] for c in range(k)), Fraction(0)) % 1
-                         for r in range(k)))
-    return out
-
-
-def _fraction_character_value(coeffs, chi):
-    return sum((c * x for c, x in zip(coeffs, chi)), Fraction(0)) % 1
+    """Reference characters of kernel2/kernel as Fraction vectors, from
+    sympy alone: with C the kernel rows in kernel2 coordinates and
+    S C T = D its Smith form, the characters are T (z_i / d_i)."""
+    coeffs = Matrix(kernel) * Matrix(kernel2).inv()
+    D, _, T = smith_normal_decomp(coeffs, domain=ZZ)
+    d = [int(D[i, i]) for i in range(len(kernel))]
+    return [tuple(sum((Fraction(int(T[r, c]) * z[c], d[c]) for c in range(len(d))),
+                      Fraction(0)) % 1 for r in range(len(d)))
+            for z in itertools.product(*map(range, d))]
 
 
 def _fraction_decompose(gc):
-    """Reference (symmetry, character table, summands) of :func:`decompose`
-    in Fraction arithmetic, the symmetry by the quadratic scan."""
+    """Reference (symmetry, summands) of :func:`decompose` in Fraction
+    arithmetic, the symmetry by the quadratic scan; the summands come in
+    the reference's own character order."""
     G, P = gc.group, gc.presentation
     sym = _scanned_symmetry(gc)
     kernel2 = hermite_normal_form(list(G.kernel) + sym)
     G2 = FiniteAbelianGroup.from_kernel(kernel2)
-    sym_coeffs = [_kernel_coeffs(kernel2, h) for h in sym]
     t2 = [[row[G.index(c)] for c in G2.elements] for row in gc.t]
     steps = []
     for i in range(P.k):
@@ -1149,13 +1248,35 @@ def _fraction_decompose(gc):
             corr = tuple(a - b for a, b in zip(step, c))
             srow.append((gc.alpha[i][G.index(step)], _kernel_coeffs(kernel2, corr)))
         steps.append(srow)
-    table, summands = [], []
+    summands = []
     for chi in _fraction_characters(G.kernel, kernel2):
-        table.append(tuple(_fraction_character_value(coeffs, chi) for coeffs in sym_coeffs))
-        alpha2 = [[(a + _fraction_character_value(coeffs, chi)) % 1 for a, coeffs in srow]
-                  for srow in steps]
+        alpha2 = [[(a + sum((c * x for c, x in zip(coeffs, chi)), Fraction(0))) % 1
+                   for a, coeffs in srow] for srow in steps]
         summands.append(group_construction(P, G2, t2, alpha2))
-    return tuple(sym), tuple(table), tuple(summands)
+    return tuple(sym), tuple(summands)
+
+
+class TestQuotientCharacters:
+    def test_hermite_characters_match_sympy(self):
+        # random full-rank kernels K of index 2 to 240 in Z^k, k = 1 to 4,
+        # and superlattices K + <1 or 2 random vectors>
+        rng = random.Random(1507)
+        pairs = nontrivial = 0
+        while pairs < 1000:
+            k = rng.randint(1, 4)
+            kernel = hermite_normal_form([tuple(rng.randint(-5, 5) for _ in range(k))
+                                          for _ in range(k + 1)])
+            if len(kernel) != k or not 1 < math.prod(kernel[i][i] for i in range(k)) <= 240:
+                continue
+            kernel2 = hermite_normal_form(list(kernel) + [
+                tuple(rng.randint(-4, 4) for _ in range(k)) for _ in range(rng.randint(1, 2))])
+            e, characters = _quotient_characters(kernel, kernel2)
+            found = [tuple(Fraction(x, e) for x in chi) for chi in characters]
+            assert len(set(found)) == len(found)
+            assert sorted(found) == sorted(_fraction_characters(kernel, kernel2)), (kernel, kernel2)
+            pairs += 1
+            nontrivial += len(found) > 1
+        assert nontrivial > 700
 
 
 def _gauged(gc, denominator, rng):
@@ -1174,10 +1295,9 @@ class TestIntegerPhases:
     @staticmethod
     def _assert_decomposes_like_fractions(gc):
         rep = decompose(gc)
-        symmetry, table, summands = _fraction_decompose(gc)
+        symmetry, summands = _fraction_decompose(gc)
         assert rep.symmetry == symmetry
-        assert rep.character_table == table
-        assert rep.summands == summands
+        assert collections.Counter(rep.summands) == collections.Counter(summands)
 
     @pytest.mark.parametrize("alphas", [None, [Fraction(1, 3)] * 3,
                                         [Fraction(1, 3), Fraction(1, 2), Fraction(0)]])

@@ -18,7 +18,6 @@ from polygraph.intlinalg import (
     hermite_normal_form,
     meets_positive_orthant,
     reduce_mod,
-    smith_normal_form,
     solve_integer,
 )
 
@@ -192,25 +191,6 @@ class TestReduceMod:
         assert reduce_mod((), (3, -1)) == ((), (3, -1))
         assert solve_integer((), (0, 0)) == ()
         assert solve_integer((), (0, 1)) is None
-
-
-class TestSmithNormalForm:
-    @staticmethod
-    def _mul(a, b):
-        return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in zip(*b))
-                     for row in a)
-
-    def test_transforms_and_diagonal(self):
-        for k, rows, _ in _cases(1506, 150, max_k=3, max_rows=4, size=12):
-            if not rows:
-                continue
-            mat = tuple(rows)
-            U, D, V = smith_normal_form(mat)
-            assert self._mul(self._mul(U, mat), V) == D
-            assert abs(Matrix(U).det()) == 1 and abs(Matrix(V).det()) == 1
-            diagonal = [D[i][i] for i in range(min(len(D), k))]
-            assert all(D[i][j] == 0 for i in range(len(D)) for j in range(k) if i != j)
-            assert diagonal == [abs(d) for d in invariant_factors(Matrix(rows), domain=ZZ)]
 
 
 class TestMeetsPositiveOrthant:

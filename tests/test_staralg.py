@@ -1,3 +1,4 @@
+import collections
 import itertools
 import random
 
@@ -30,6 +31,14 @@ def star(P, u, v, coeff=1):
 def scaled(c, A):
     """The sum c * A, for an integer c."""
     return StarSum.of({key: c * a for key, a in A.terms})
+
+
+def summed(*sums):
+    """The sum of the given sums, merged by key."""
+    out = collections.Counter()
+    for A in sums:
+        out.update(dict(A.terms))
+    return StarSum.of(out)
 
 
 def coefficient(rng):
@@ -204,12 +213,12 @@ class TestMultiply:
         letters = list(P.letters())
 
         def rand_sum():
-            total = StarSum(())
+            parts = []
             for _ in range(rng.randint(1, 2)):
                 u = tuple(rng.choice(letters) for _ in range(rng.randint(0, 2)))
                 v = tuple(rng.choice(letters) for _ in range(rng.randint(0, 2)))
-                total = total + star(P, u, v, coefficient(rng))
-            return total
+                parts.append(star(P, u, v, coefficient(rng)))
+            return summed(*parts)
 
         a, b, c = rand_sum(), rand_sum(), rand_sum()
         lhs = multiply(P, multiply(P, a, b), c)
@@ -258,7 +267,7 @@ class TestEquality:
                 fam = StarSum.of({((g,), (g,)): c for g in family})
                 assert star_equal(P, fam, scaled(c, identity_sum()))
                 assert star_equal(P, fam, identity_sum()) == (c == 1)
-                moved = fam + star(P, (family[0],), (family[0],), coefficient(rng))
+                moved = summed(fam, star(P, (family[0],), (family[0],), coefficient(rng)))
                 assert not star_equal(P, moved, scaled(c, identity_sum()))
 
     def test_partial_family_not_identity(self):
@@ -271,10 +280,8 @@ class TestEquality:
     def test_two_level_expansion(self):
         # u v* expanded one level stays equal
         m = star(FCC, ((1, 1),), ((3, 2),))
-        expanded = StarSum(())
-        for g in [g for g in FCC.letters() if g[0] == 2]:
-            expanded = expanded + multiply(
-                FCC, m, star(FCC, (g,), (g,)))
+        expanded = summed(*(multiply(FCC, m, star(FCC, (g,), (g,)))
+                            for g in FCC.letters() if g[0] == 2))
         assert star_equal(FCC, m, expanded)
 
     def test_render(self):
@@ -342,25 +349,25 @@ def test_star_equal_matches_the_window_oracle():
         letters = list(P.letters())
 
         def rand_sum():
-            total = StarSum(())
+            parts = []
             for _ in range(rng.randint(1, 3)):
                 u = tuple(rng.choice(letters) for _ in range(rng.randint(0, 2)))
                 v = tuple(rng.choice(letters) for _ in range(rng.randint(0, 2)))
-                total = total + star(P, u, v, coefficient(rng))
-            return total
+                parts.append(star(P, u, v, coefficient(rng)))
+            return summed(*parts)
 
         pairs = []
         for _ in range(40):
             a, b = rand_sum(), rand_sum()
             pairs.append((a, b))
-            pairs.append((a, a + StarSum(())))
+            pairs.append((a, summed(a, StarSum(()))))
         # known-equal pair with different keys: full family vs identity
         fam = StarSum.of({(((1, s),), ((1, s),)): 1 for s in (1, 2)})
         pairs.append((fam, identity_sum()))
         # and with a coefficient, and a sum that cancels to zero
         pairs.append((scaled(-2, fam), scaled(-2, identity_sum())))
         a = rand_sum()
-        pairs.append((a + scaled(-1, a), StarSum(())))
+        pairs.append((summed(a, scaled(-1, a)), StarSum(())))
         agree = 0
         for a, b in pairs:
             assert star_equal(P, a, b) == oracle.equal(a, b)
@@ -376,13 +383,13 @@ def test_adjoint_is_an_involution_and_antihomomorphism(data):
 
     def draw_sum():
         n = data.draw(st.integers(1, 2))
-        total = StarSum(())
+        parts = []
         for _ in range(n):
             u = tuple(data.draw(st.lists(st.sampled_from(letters), max_size=2)))
             v = tuple(data.draw(st.lists(st.sampled_from(letters), max_size=2)))
             c = data.draw(st.integers(-3, 3).filter(bool))
-            total = total + star(P, u, v, c)
-        return total
+            parts.append(star(P, u, v, c))
+        return summed(*parts)
 
     a, b = draw_sum(), draw_sum()
     assert adjoint(adjoint(a)).terms == a.terms
