@@ -12,7 +12,8 @@ output; human-readable progress goes to stderr.  Exit codes:
 main maps each exception family, and OSError (exit 1), to its code and
 names no layer, so each command imports only the layers it uses.
 
-Named budgets bound the searches: "tables" of enumeration (10M),
+Named budgets bound the searches: "color triples" whose cubic condition
+validation and enumeration check (1M), "tables" of enumeration (10M),
 "relabelings" of classification (100,000), "group order"
 (1M), extension "branch nodes" (1M), "cycle steps" (100,000), "splice
 rounds" of the tail splice (4 (2 bound + 1)^k), window points of a "tail
@@ -246,7 +247,7 @@ def cmd_symmetry(args) -> int:
 
 
 def cmd_rep(args) -> int:
-    from .groupcons import (  # deferred: only rep loads group constructions and tails
+    from .groupcons import (  # deferred: only rep loads group constructions
         decompose, from_commuting_words, full_symmetry_subgroup, to_dot)
     P, inputs = _load(args)
     words = words_from_str(P, args.words)

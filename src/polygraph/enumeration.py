@@ -40,6 +40,7 @@ from .budget import budget
 from .kgraph import (
     Code,
     Presentation,
+    _charge_triples,
     _color_triples,
     _lift,
     color_pairs,
@@ -57,12 +58,14 @@ def enumerate_presentations(m: Sequence[int]) -> Iterator[Presentation]:
     in lexicographic order of the flattened tables.
 
     Raises ValueError unless every entry of m is at least 1, and
-    BudgetExceeded when the raw table count, the product of (m_i m_j)!
+    BudgetExceeded when the C(k, 3) color triples are above the "color
+    triples" limit, 1M, or the raw table count, the product of (m_i m_j)!
     over the color pairs, is above the "tables" limit, 10M.
     """
     m = tuple(m)
     if not m or min(m) < 1:
         raise ValueError(f"multiplicities {list(m)} must be at least 1")
+    _charge_triples(len(m))
     budget("tables", 10_000_000,
            _factorial_factors(m[i - 1] * m[j - 1] for i, j in color_pairs(len(m))))
     for codes in _candidates(m):
@@ -143,12 +146,9 @@ class Relabeling:
         return self.color_perm[i - 1]
 
 
-def relabeling_group(m_src: Sequence[int], m_dst: Sequence[int] | None = None
-                     ) -> Iterator[Relabeling]:
-    """All color permutations carrying multiplicities m_src onto m_dst
-    (m_src itself by default), with all per-color index relabelings."""
-    if m_dst is None:
-        m_dst = m_src
+def relabeling_group(m_src: Sequence[int], m_dst: Sequence[int]) -> Iterator[Relabeling]:
+    """All color permutations carrying multiplicities m_src onto m_dst,
+    with all per-color index relabelings."""
     k = len(m_src)
     for perm in itertools.permutations(range(1, k + 1)):
         if any(m_dst[perm[i] - 1] != m_src[i] for i in range(k)):
@@ -291,7 +291,6 @@ class IsoClass:
 
     representative: Presentation
     size: int
-    relabeling: Relabeling  # witness mapping the first-seen member onto the representative
 
 
 def isomorphism_classes(presentations: Iterable[Presentation]) -> list[IsoClass]:
@@ -305,24 +304,21 @@ def isomorphism_classes(presentations: Iterable[Presentation]) -> list[IsoClass]
     could share codes without being isomorphic.
     """
     m = None
-    # canonical codes -> [size, witness of the first-seen member]
-    classes: dict[tuple[Code, ...], list] = {}
-    # the codes of every orbit image seen so far -> its class's entry
-    orbits: dict[tuple[Code, ...], list] = {}
+    # canonical codes -> class size
+    sizes: Counter = Counter()
+    # the codes of every orbit image seen so far -> its canonical codes
+    orbits: dict[tuple[Code, ...], tuple[Code, ...]] = {}
     for P in presentations:
         if m is None:
             m = P.m
         elif P.m != m:
             raise ValueError(f"isomorphism_classes needs one multiplicity vector, "
                              f"got {list(m)} and {list(P.m)}")
-        entry = orbits.get(P.codes)
-        if entry is None:
-            images = list(_images(P, _compiled_group(m, m)))
-            rel, codes = min(images, key=lambda image: image[1])
-            entry = classes[codes] = [0, rel]
-            for _, image in images:
-                orbits[image] = entry
-        entry[0] += 1
-    return [IsoClass(representative=presentation_from_codes(len(m), m, codes), size=size,
-                     relabeling=rel)
-            for codes, (size, rel) in sorted(classes.items())]
+        codes = orbits.get(P.codes)
+        if codes is None:
+            images = [image for _, image in _images(P, _compiled_group(m, m))]
+            codes = min(images)
+            orbits.update(dict.fromkeys(images, codes))
+        sizes[codes] += 1
+    return [IsoClass(representative=presentation_from_codes(len(m), m, codes), size=size)
+            for codes, size in sorted(sizes.items())]

@@ -13,8 +13,9 @@ tables force, for every g and every color pair i < j,
     alpha^i_g + alpha^j_{g-g_i} = alpha^j_g + alpha^i_{g-g_j}   (mod 1).
 
 Such a construction is the restriction-to-window of an atomic
-*-representation, and commuting words give one as the quotient of their
-periodic tail's window data.  With constant phases it is irreducible iff
+*-representation, and commuting words w_1, ..., w_k give one read off
+the edge grid of w_1 ... w_k, which holds one period of the window data
+of their periodic tail.  With constant phases it is irreducible iff
 its translation symmetry subgroup is trivial, and in general it splits
 over the characters of that subgroup into irreducible constructions on
 the quotient; other phases are first made constant by a diagonal unitary.
@@ -43,11 +44,11 @@ from .kgraph import (
     Word,
     check_word,
     degree,
+    edge_grid,
     extract_prefix,
     normal_form,
     words_equal,
 )
-from .tails import sigma_data, tail
 
 
 class InvalidConstruction(Rejected, ValueError):
@@ -250,12 +251,14 @@ def from_commuting_words(P: Presentation, words: list[Word],
     point is fixed by the given commuting words, with the constant phase
     alphas[i - 1] (a Fraction or int; default 0) on color i.
 
-    t^i_g is coordinate i of the window data sigma(n) of the tail
-    x = (w_1 ... w_k)^infinity at the box point n <= 0 congruent to g,
-    n_j = -((-g_j) mod n_j).  The fold is well defined: as w_i commutes
-    with every word, x = w_i x, so the color-i edge leaving -n + n_i e_i in
-    x's grid is the one leaving -n.  Thus sigma is periodic under every
-    n_i e_i, and the box of sides n_i - 1 holds one period of it.
+    t^i_g is the index of the color-i edge leaving the point p with
+    p_j = (-g_j) mod n_j in the edge grid of w = w_1 ... w_k, of degree
+    (n_1, ..., n_k): the window data at -p of the periodic tail
+    x = w^infinity, since x = w x makes w the prefix of x of that degree.
+    The reading is well defined on G: as w_i commutes with every word,
+    x = w_i x, so the color-i edge leaving p + n_i e_i in x's grid is the
+    one leaving p.  Thus x's grid is periodic under every n_i e_i, and the
+    points 0 <= p_j < n_j of w's grid hold one period of it.
     """
     if len(words) != P.k or any(not w for w in words):
         raise ValueError("need one nonempty word per color")
@@ -267,9 +270,9 @@ def from_commuting_words(P: Presentation, words: list[Word],
     G = FiniteAbelianGroup.cyclic_product(lengths)
     if not words_commute(P, words):
         raise NotCommuting(f"words {words} do not pairwise commute")
-    data = sigma_data(tail(P, (), tuple(itertools.chain(*words))),
-                      tuple(n - 1 for n in lengths))
-    t = zip(*(data[tuple(-(-x % n) for x, n in zip(g, lengths))] for g in G.elements))
+    edges, strides = edge_grid(P, normal_form(P, tuple(itertools.chain(*words))), lengths)
+    points = [sum((-x % n) * s for x, n, s in zip(g, lengths, strides)) for g in G.elements]
+    t = ([e[p] for p in points] for e in edges)
     return _constant_construction(P, G, t, alphas or [0] * P.k)
 
 

@@ -21,9 +21,11 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
+from .budget import budget
 from .errors import InputError, Rejected
 
 Letter = tuple[int, int]
@@ -219,21 +221,34 @@ def _check_shape(k: int, m: Iterable[int]) -> tuple[int, ...]:
     return m
 
 
+def _charge_triples(k: int) -> None:
+    """Charge the C(k, 3) color triples of a cubic check to "color triples"."""
+    budget("color triples", 1_000_000, [math.comb(k, 3)])
+
+
 def validate_presentation(k: int, m: Iterable[int], theta: Theta) -> Presentation:
     """Validate raw presentation data and build a Presentation.
 
-    theta maps (i, j) with i < j to {(s, t): (s', t')}.  Tables are encoded
-    in theta's order, so InvalidPermutation names the first bad one; the
-    codes are then checked by presentation_from_codes.
+    theta maps (i, j) with i < j to {(s, t): (s', t')}.  Unless its keys
+    are the k(k-1)/2 color pairs, PresentationError gives their count and
+    the first extra or missing pair, found without listing the pairs.
+    Past the "color triples" limit, 1M, BudgetExceeded comes before any
+    table is encoded.  Tables are encoded in theta's order, so
+    InvalidPermutation names the first bad one; the codes are then checked
+    by presentation_from_codes.
     """
     m = _check_shape(k, m)
-    pairs = color_pairs(k)
-    if theta.keys() != set(pairs):
+    count = k * (k - 1) // 2
+    extra = min((p for p in theta if len(p) != 2 or not 1 <= p[0] < p[1] <= k), default=None)
+    missing = (p for p in itertools.combinations(range(1, k + 1), 2) if p not in theta)
+    if extra is not None or len(theta) != count:
+        first = f"extra pair {extra}" if extra is not None else f"missing pair {next(missing)}"
         raise PresentationError(
-            f"theta must have exactly the pairs {list(pairs)}, got {sorted(theta)}")
+            f"theta must have the {count} color pairs i < j, got {len(theta)}; first {first}")
+    _charge_triples(k)
     code_of = {(i, j): _encode_table(i, j, m[i - 1], m[j - 1], table)
                for (i, j), table in theta.items()}
-    return presentation_from_codes(k, m, [code_of[pair] for pair in pairs])
+    return presentation_from_codes(k, m, [code_of[pair] for pair in color_pairs(k)])
 
 
 def presentation_from_codes(k: int, m: Iterable[int], codes: Iterable[Code]) -> Presentation:
@@ -359,6 +374,49 @@ def extract_prefix(P: Presentation, w: Word, n: Degree) -> tuple[Word, Word]:
         else:
             return tuple(rest[:front]), normal_form(P, tuple(rest[front:]))
     raise NotAPrefix(f"{n} is not componentwise between 0 and {degree(P, w)}")
+
+
+def edge_grid(P: Presentation, word: Word, top: Degree
+              ) -> tuple[list[list[int]], list[int]]:
+    """The edge labels of the normal-form word of degree `top`, off which
+    tails.sigma_data and groupcons.from_commuting_words read their values.
+
+    Points p of the box 0 <= p <= top are flattened to sum(p_c strides_c);
+    edges[c][p] is the index of the color-(c+1) edge from p to p + e_c
+    (left unset where p_c = top_c).  The word traces the staircase
+    0 -> top_1 e_1 -> top_1 e_1 + top_2 e_2 -> ... -> top.  Color j is
+    then added layer by layer: in the layer p_j = r the known color-i
+    edges (i < j) and the staircase's color-j edge at the layer's corner
+    determine the rest, points taken in decreasing order, through one
+    commutation square per (p, i): the path bottom-then-right,
+    (i, edges[i][p]) (j, edges[j][p + e_i]), rewrites to the path
+    left-then-top, (j, edges[j][p]) (i, edges[i][p + e_j]).
+    """
+    k, swap = P.k, P.swaps()
+    strides = [0] * k
+    size = 1
+    for c in reversed(range(k)):
+        strides[c] = size
+        size *= top[c] + 1
+    edges = [[0] * size for _ in range(k)]
+    p = 0
+    for c, s in word:
+        edges[c - 1][p] = s
+        p += strides[c - 1]
+    for j in range(1, k):
+        color_j, edges_j, step_j = j + 1, edges[j], strides[j]
+        squares = [(i + 1, edges[i], strides[i]) for i in range(j)]
+        below = [range(top[c], -1, -1) for c in range(j)]
+        for r in range(top[j]):
+            for q in itertools.product(*below):
+                p = r * step_j + sum(x * s for x, s in zip(q, strides))
+                for (color_i, edges_i, step_i), x, limit in zip(squares, q, top):
+                    if x < limit:
+                        (_, left), (_, up) = swap[((color_i, edges_i[p]),
+                                                   (color_j, edges_j[p + step_i]))]
+                        edges_j[p] = left
+                        edges_i[p + step_j] = up
+    return edges, strides
 
 
 def words_of_degree(P: Presentation, n: Degree) -> Iterator[Word]:

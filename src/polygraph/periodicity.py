@@ -285,7 +285,7 @@ def _period_candidates(m: tuple[int, ...], bound: int) -> list[tuple[int, ...]]:
     return sorted(inside, key=lambda pi: (sum(map(abs, pi)), pi))
 
 
-def symmetry_lattice(P: Presentation, bound: int = 4) -> SymmetryLattice:
+def symmetry_lattice(P: Presentation, bound: int) -> SymmetryLattice:
     """Find every mixed-sign period pi with |pi_i| <= bound, close the
     hits into a lattice (HNF), and re-verify each basis vector.
 

@@ -32,6 +32,7 @@ from .kgraph import (
     deg_add,
     deg_join,
     degree,
+    edge_grid,
     extract_prefix,
     normal_form,
     words_of_degree,
@@ -123,7 +124,7 @@ def sigma_data(t: Tail, box: Degree) -> SigmaData:
     _charge_box(box)
     top = deg_add(box, (1,) * P.k)
     prefix, _ = extract_prefix(P, t.unroll(top), top)
-    edges, strides = _edge_grid(P, prefix, top)
+    edges, strides = edge_grid(P, prefix, top)
     values = []
     for n in itertools.product(*[range(-b, 1) for b in box]):
         p = -sum(x * s for x, s in zip(n, strides))
@@ -134,48 +135,6 @@ def sigma_data(t: Tail, box: Degree) -> SigmaData:
 def _charge_box(box: Degree) -> None:
     """Charge the prod(box_c + 1) points of sigma_data on box to "tail box"."""
     budget("tail box", 1_000_000, (b + 1 for b in box))
-
-
-def _edge_grid(P: Presentation, word: Word, top: Degree
-               ) -> tuple[list[list[int]], list[int]]:
-    """The edge labels of the normal-form word of degree `top`.
-
-    Points p of the box 0 <= p <= top are flattened to sum(p_c strides_c);
-    edges[c][p] is the index of the color-(c+1) edge from p to p + e_c
-    (left unset where p_c = top_c).  The word traces the staircase
-    0 -> top_1 e_1 -> top_1 e_1 + top_2 e_2 -> ... -> top.  Color j is
-    then added layer by layer: in the layer p_j = r the known color-i
-    edges (i < j) and the staircase's color-j edge at the layer's corner
-    determine the rest, points taken in decreasing order, through one
-    commutation square per (p, i): the path bottom-then-right,
-    (i, edges[i][p]) (j, edges[j][p + e_i]), rewrites to the path
-    left-then-top, (j, edges[j][p]) (i, edges[i][p + e_j]).
-    """
-    k, swap = P.k, P.swaps()
-    strides = [0] * k
-    size = 1
-    for c in reversed(range(k)):
-        strides[c] = size
-        size *= top[c] + 1
-    edges = [[0] * size for _ in range(k)]
-    p = 0
-    for c, s in word:
-        edges[c - 1][p] = s
-        p += strides[c - 1]
-    for j in range(1, k):
-        color_j, edges_j, step_j = j + 1, edges[j], strides[j]
-        squares = [(i + 1, edges[i], strides[i]) for i in range(j)]
-        below = [range(top[c], -1, -1) for c in range(j)]
-        for r in range(top[j]):
-            for q in itertools.product(*below):
-                p = r * step_j + sum(x * s for x, s in zip(q, strides))
-                for (color_i, edges_i, step_i), x, limit in zip(squares, q, top):
-                    if x < limit:
-                        (_, left), (_, up) = swap[((color_i, edges_i[p]),
-                                                   (color_j, edges_j[p + step_i]))]
-                        edges_j[p] = left
-                        edges_i[p + step_j] = up
-    return edges, strides
 
 
 @dataclass(frozen=True)
@@ -261,7 +220,7 @@ class TailSymmetry:
         return len(self.basis)
 
 
-def tail_symmetry_group(t: Tail, bound: int = 2, depth: int = 2) -> TailSymmetry:
+def tail_symmetry_group(t: Tail, bound: int, depth: int = 2) -> TailSymmetry:
     """Every shift p with |p_i| <= bound under which t is self-equivalent,
     in lexicographic order, and the lattice they span (Hermite basis).
     Self-shifts form a group and their verdicts are exact (see
@@ -281,7 +240,7 @@ def tail_symmetry_group(t: Tail, bound: int = 2, depth: int = 2) -> TailSymmetry
     return TailSymmetry(basis=basis, bound=bound, depth=depth, generators=generators)
 
 
-def splice_separating_tail(P: Presentation, bound: int = 2, depth: int = 2,
+def splice_separating_tail(P: Presentation, bound: int, depth: int = 2,
                            max_block_degree: int = 3) -> Tail:
     """A tail built to defeat every candidate shift |p_i| <= bound.
 

@@ -2,6 +2,7 @@
 past its named limit, and POLYGRAPH_BUDGET replaces every default."""
 
 import ast
+import itertools
 import re
 from pathlib import Path
 
@@ -24,6 +25,7 @@ from polygraph.groupcons import (
     extend_to_group,
     from_commuting_words,
 )
+from polygraph.kgraph import validate_presentation
 from polygraph.periodicity import check_tail_condition, find_gamma, symmetry_lattice
 from polygraph.tails import (
     shift_tail_equivalent,
@@ -60,6 +62,17 @@ class TestNamedBudgets:
         assert _raised(monkeypatch, "47", lambda: search(P)) == ("relabelings", 47, 48)
         monkeypatch.setenv("POLYGRAPH_BUDGET", "48")
         search(P)
+
+    @pytest.mark.parametrize("search", [
+        lambda: list(enumerate_presentations((1,) * 4)),
+        lambda: validate_presentation(4, (1,) * 4, dict.fromkeys(
+            itertools.combinations(range(1, 5), 2), {(1, 1): (1, 1)})),
+    ], ids=["enumerate", "validate"])
+    def test_color_triples(self, monkeypatch, search):
+        # four colors have C(4, 3) = 4 triples, charged before any is built
+        assert _raised(monkeypatch, "3", search) == ("color triples", 3, 4)
+        monkeypatch.setenv("POLYGRAPH_BUDGET", "4")
+        search()
 
     def test_group_order(self, monkeypatch):
         assert _raised(monkeypatch, "8", lambda: FiniteAbelianGroup.cyclic_product([3, 3])) \

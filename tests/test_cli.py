@@ -538,6 +538,10 @@ def argv_files(tmp_path_factory):
         json.dump({"preperiod": [[1, 2]], "period": [[1, 1], [2, 1]]}, fh)
     with open(paths["BADTAIL"], "w") as fh:
         json.dump({"period": [[1, 5], [2, 1]]}, fh)
+    for name, k in (("WIDE", 3_000), ("WIDER", 20_000)):
+        paths[name] = str(root / f"{name.lower()}.json")
+        with open(paths[name], "w") as fh:
+            json.dump({"k": k, "m": [1] * k, "theta": {}}, fh)
     return paths
 
 
@@ -580,6 +584,24 @@ class TestArgvContract:
         assert "Traceback" not in err.getvalue(), argv
         if code in (0, 2) and argv[:2] != ["rep", "export-dot"]:
             json.loads(out.getvalue())
+
+    # C(300, 3) color triples, and the 4,498,500 and 199,990,000 theta pairs
+    # of 3,000 and 20,000 colors: none may be built
+    @pytest.mark.parametrize("argv, code, message", [
+        (["enumerate", "--m", ",".join(["1"] * 300)], 3,
+         "budget/bound exceeded: color triples: 4455100 exceeds the limit 1000000\n"),
+        (["validate", "WIDE"], 2,
+         '"theta must have the 4498500 color pairs i < j, got 0; first missing pair (1, 2)"'),
+        (["validate", "WIDER"], 2,
+         '"theta must have the 199990000 color pairs i < j, got 0; first missing pair (1, 2)"'),
+    ], ids=["enumerate-300", "validate-3000", "validate-20000"])
+    def test_many_colors_answer_in_a_few_lines(self, argv, code, message, argv_files):
+        argv = [argv_files.get(token, token) for token in argv]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            assert _with_plain_frame_budget(main, argv) == code
+        assert message in out.getvalue() + err.getvalue()
+        assert len(out.getvalue()) < 1_000
 
 
 def _exception_classes():
@@ -635,7 +657,9 @@ class TestExceptionFamilies:
      ["polygraph.enumeration", "polygraph.groupcons", "polygraph.tails"]),
     (["classify", "--m", "2,2"],
      ["polygraph.groupcons", "polygraph.periodicity", "polygraph.staralg", "polygraph.tails"]),
-], ids=["import", "symmetry", "classify"])
+    (["rep", "decompose", "--presentation", "flip-cycles", "--words", "112,112,112"],
+     ["polygraph.enumeration", "polygraph.periodicity", "polygraph.staralg", "polygraph.tails"]),
+], ids=["import", "symmetry", "classify", "rep"])
 def test_a_cli_process_loads_only_its_layers(argv, unloaded):
     # a fresh interpreter imports the CLI and, given argv, runs one command
     src = os.path.dirname(os.path.dirname(acceptance.__file__))

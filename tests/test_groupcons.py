@@ -278,7 +278,7 @@ class TestFromCommutingWords:
     def test_group_order_budget_trips_before_the_grid(self, monkeypatch):
         def no_grid(*args):
             raise AssertionError("the window grid was built")
-        monkeypatch.setattr(groupcons, "sigma_data", no_grid)
+        monkeypatch.setattr(groupcons, "edge_grid", no_grid)
         monkeypatch.setenv("POLYGRAPH_BUDGET", "26")
         with pytest.raises(BudgetExceeded) as info:
             gc27()

@@ -1,5 +1,6 @@
-"""Every top-level function, class, constant and method in src/polygraph
-has a product caller, and every imported name is used where it is imported.
+"""Every top-level function, class, constant, method and dataclass field in
+src/polygraph is reached by product code, and every imported name is used
+where it is imported.
 
 A definition counts as used when product code refers to it: a file under
 src/ or bench/, outside the definition itself and outside every
@@ -15,9 +16,11 @@ part of a dotted `module.name` string such as the bench tracer's
 "kgraph.normal_form"; a bare string such as "index" is no reference.
 Dunder functions, such as a module's `__getattr__`, are called by the
 interpreter and are no definitions.
-Methods are the non-dunder functions in the body of a top-level class;
+Methods are the non-dunder functions in the body of a top-level class,
+and the fields of a top-level dataclass are definitions too, so each must
+be read: a keyword passed to the constructor is no reference.
 `self.m` inside class C, and `C.m` for a class C defined in src/, refer
-to C.m alone, any other `x.m` to every method m.  A name bound by
+to C.m alone, any other `x.m` to every method or field m.  A name bound by
 `from ... import` must be loaded in its file, apart from `__future__`
 features and the re-exports of an `__init__.py`.
 
@@ -26,8 +29,12 @@ a top-level function or of a method (`__init__` included) of a top-level
 class in src/polygraph, is passed by some call in product code outside
 that definition, by keyword, by position, or by `*` or `**`.  A call is
 matched to a definition by the name rules above, and a call to a class
-is a call to its `__init__`.  The parameters of the names that
-`polygraph/__init__.py` serves are public API and exempt.
+is a call to its `__init__`.  And every default is read: some product
+call leaves the parameter out, or product code refers to the function
+other than by calling it (as `cli.CATALOG` holds the catalog builders),
+so a caller may rely on it.  A default that every call overrides is
+dead.  The parameters of the names that `polygraph/__init__.py` serves
+are public API and exempt from both rules.
 """
 
 import ast
@@ -64,9 +71,16 @@ def _is_dunder(name):
     return name.startswith("__") and name.endswith("__")
 
 
+def _is_dataclass(node) -> bool:
+    """Whether a class is decorated with `dataclass`, called or not."""
+    heads = (getattr(d, "func", d) for d in node.decorator_list)
+    return any("dataclass" in (getattr(h, "id", None), getattr(h, "attr", None)) for h in heads)
+
+
 def _definitions(tree):
-    """(name, first line, last line) of each top-level definition and of
-    each non-dunder method of a top-level class."""
+    """(name, first line, last line) of each top-level definition, of each
+    non-dunder method of a top-level class, and of each field of a
+    top-level dataclass."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             if _is_dunder(node.name):
@@ -76,6 +90,9 @@ def _definitions(tree):
                 if (isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
                         and not _is_dunder(item.name)):
                     yield f"{node.name}.{item.name}", item.lineno, item.end_lineno
+                elif (isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+                      and _is_dataclass(node)):
+                    yield f"{node.name}.{item.target.id}", item.lineno, item.end_lineno
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             for target in targets:
@@ -162,20 +179,33 @@ def _functions(tree):
                 yield name, item, not static
 
 
-def unpassed_options(sources: dict, product: dict, public=frozenset()) -> list[str]:
-    """The "module.name(parameter)" of each parameter with a default, of a
-    function in `sources`, that no call in `product` outside the function
-    passes; the functions named in `public`, and the `__init__` of the
-    classes named there, are skipped."""
+def _outside(table: dict, name: str, path, fn) -> list:
+    """The nodes that `table` files under `name`, and for a method "C.m"
+    under "m" too, apart from those inside the function `fn` of `path`."""
+    return [node for where, node in table.get(name, []) + (
+                table.get(name.rpartition(".")[2], []) if "." in name else [])
+            if not (where == path and fn.lineno <= node.lineno <= fn.end_lineno)]
+
+
+def _option_uses(sources: dict, product: dict, public=frozenset()):
+    """("module.name", options, passed, as_value) for each function in
+    `sources` whose name (its class's, for an `__init__`) is not in
+    `public`: its parameters with a default, the set of them that each
+    call in `product` outside the function passes, and whether product
+    code outside it refers to it other than by calling it."""
     classes = _classes(sources)
     calls: dict = {}
+    values: dict = {}
     for path, text in product.items():
         tree = ast.parse(text)
         owner = _owners(tree)
+        called = {id(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
         for node in ast.walk(tree):
             if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
                 calls.setdefault(_name(node.func, owner, classes), []).append((path, node))
-    out = []
+            elif (isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+                  and id(node) not in called):
+                values.setdefault(_name(node, owner, classes), []).append((path, node))
     for path, text in sources.items():
         for name, fn, bound in _functions(ast.parse(text)):
             if name in public:
@@ -183,18 +213,37 @@ def unpassed_options(sources: dict, product: dict, public=frozenset()) -> list[s
             params = [a.arg for a in fn.args.posonlyargs + fn.args.args]
             options = params[len(params) - len(fn.args.defaults):] + [
                 a.arg for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults) if d is not None]
-            passed = set()
-            for where, call in calls.get(name, []) + (
-                    calls.get(name.rpartition(".")[2], []) if "." in name else []):
-                if where == path and fn.lineno <= call.lineno <= fn.end_lineno:
-                    continue
+            passed = []
+            for call in _outside(calls, name, path, fn):
                 if (any(isinstance(a, ast.Starred) for a in call.args)
                         or any(k.arg is None for k in call.keywords)):
-                    passed.update(options)
-                passed.update(params[bound:bound + len(call.args)])
-                passed.update(k.arg for k in call.keywords)
-            out += [f"{Path(path).stem}.{name}({p})" for p in options if p not in passed]
-    return sorted(out)
+                    passed.append(set(options))
+                else:
+                    passed.append(set(params[bound:bound + len(call.args)])
+                                  | {k.arg for k in call.keywords})
+            yield (f"{Path(path).stem}.{name}", options, passed,
+                   bool(_outside(values, name, path, fn)))
+
+
+def unpassed_options(sources: dict, product: dict, public=frozenset()) -> list[str]:
+    """The "module.name(parameter)" of each parameter with a default, of a
+    function in `sources`, that no call in `product` outside the function
+    passes; the functions named in `public`, and the `__init__` of the
+    classes named there, are skipped."""
+    return sorted(f"{name}({p})" for name, options, passed, _ in
+                  _option_uses(sources, product, public)
+                  for p in options if not any(p in s for s in passed))
+
+
+def overridden_defaults(sources: dict, product: dict, public=frozenset()) -> list[str]:
+    """The "module.name(parameter)" of each parameter with a default that
+    every call in `product` outside the function passes, so that the
+    default is never read.  A function that product code passes as a value
+    (a dict entry or a callback, say) relies on its defaults, and the names
+    in `public` are skipped as in unpassed_options."""
+    return sorted(f"{name}({p})" for name, options, passed, as_value in
+                  _option_uses(sources, product, public) if not as_value
+                  for p in options if all(p in s for s in passed))
 
 
 def test_every_top_level_name_is_referenced():
@@ -230,6 +279,19 @@ def test_only_dotted_strings_and_own_self_calls_are_references():
     assert unused_definitions(sources, {**sources, **cli}) == []
 
 
+def test_a_dataclass_field_is_read_by_name():
+    lib = ("from dataclasses import dataclass\n\n\n"
+           "@dataclass(frozen=True)\nclass A:\n    x: int\n    y: int\n\n"
+           "    def total(self):\n        return self.x\n\n\n"
+           "class B:\n    z: int = 0\n")
+    sources = {"src/lib.py": lib}
+    # passing a field to the constructor writes it; only a read counts
+    cli = {"src/cli.py": "from .lib import A, B\n\nprint(A(x=1, y=2).total(), B)\n"}
+    assert unused_definitions(sources, {**sources, **cli}) == ["lib.A.y"]
+    cli["src/cli.py"] += "print(A(1, 2).y)\n"
+    assert unused_definitions(sources, {**sources, **cli}) == []
+
+
 def test_the_getattr_table_serves_public_names():
     init = ('from .lib import live\n\n'
             '_LAYER_OF = {"lazy": "lib"}\n_OTHER = {"other": "lib"}\n\n\n'
@@ -252,6 +314,27 @@ def test_every_option_is_passed_by_product_code():
     assert not unpassed, f"options that no product code passes: {unpassed}"
     # the public API's one option that no product code passes
     assert unpassed_options(sources, product) == ["groupcons.extend_to_group(symmetry)"]
+
+
+def test_every_default_is_read_by_some_product_call():
+    sources = {p: p.read_text() for p in SOURCES}
+    product = {p: p.read_text() for p in PRODUCT}
+    overridden = overridden_defaults(sources, product, PUBLIC)
+    assert not overridden, f"defaults that every product call overrides: {overridden}"
+    # no product code calls the public extend_to_group at all
+    assert overridden_defaults(sources, product) == ["groupcons.extend_to_group(symmetry)"]
+
+
+def test_a_default_is_read_by_a_call_that_omits_it_or_a_value():
+    lib = ("def f(x, y=1):\n    return x + y\n\n\n"
+           "def g(x=0):\n    return x\n\n\n"
+           "def h(x=0):\n    return x\n")
+    sources = {"src/lib.py": lib}
+    cli = {"src/cli.py": "from .lib import f, g, h\n\nprint(f(1, 2), f(1, y=3), g(1), h(2))\n"}
+    assert overridden_defaults(sources, {**sources, **cli}) == ["lib.f(y)", "lib.g(x)", "lib.h(x)"]
+    assert overridden_defaults(sources, {**sources, **cli}, {"g"}) == ["lib.f(y)", "lib.h(x)"]
+    cli["src/cli.py"] += "print(f(1), {'h': h})\n"
+    assert overridden_defaults(sources, {**sources, **cli}, {"g"}) == []
 
 
 def test_an_option_is_passed_by_keyword_position_or_star():
