@@ -77,8 +77,8 @@ def _candidates(m: tuple[int, ...]) -> Iterator[tuple[Code, ...]]:
     lexicographic order, by a depth-first walk over the color pairs.
 
     Each pair's table runs over the permutations of its cell numbers, so
-    the walk visits combinations in itertools.product order.  A color
-    triple i < j < l is checked as soon as its last pair jl is chosen:
+    the walk visits combinations in itertools.product order.  Each color
+    triple i < j < l not of three ones is checked once its last pair jl is chosen:
     with A = t_ij t_il and B = t_il t_ij composed once from the chosen
     lifted tables, a lifted jl table T passes when A T = T B, which is
     _cubic_failure's left == right, so a failed triple cuts off the rest of
@@ -94,7 +94,7 @@ def _candidates(m: tuple[int, ...]) -> Iterator[tuple[Code, ...]]:
     # per pair number, the triples whose last pair it is, as the numbers
     # of their pairs ij and il and the lifts of every ij, il and jl table
     due: list[list] = [[] for _ in pairs]
-    for (i, j, l), ij, il, jl in _color_triples(len(m)):
+    for (i, j, l), ij, il, jl in _color_triples(m):
         shape = m[i - 1], m[j - 1], m[l - 1]
         lifts = [[_lift(factor, *shape, code) for code in tables[n]]
                  for factor, n in (("ij", ij), ("il", il), ("jl", jl))]

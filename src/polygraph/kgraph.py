@@ -19,6 +19,7 @@ plain tuples of letters; all functions return new tuples.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import math
@@ -167,12 +168,17 @@ def _encode_table(i: int, j: int, m_i: int, m_j: int,
     return code
 
 
-@functools.cache
-def _color_triples(k: int) -> tuple[tuple[tuple[int, int, int], int, int, int], ...]:
-    """Each color triple i < j < l with the numbers of its pairs ij, il, jl."""
-    number = {pair: n for n, pair in enumerate(color_pairs(k))}
+@functools.lru_cache(maxsize=16)
+def _color_triples(m: tuple[int, ...]) -> tuple[tuple[tuple[int, int, int], int, int, int], ...]:
+    """Each color triple i < j < l with the numbers of its pairs ij, il, jl,
+    but for those of three ones, whose identity tables pass the cubic
+    condition: after a pair of ones, only the wider colors l are taken."""
+    number = {pair: n for n, pair in enumerate(color_pairs(len(m)))}
+    wide = [c for c, mc in enumerate(m, 1) if mc > 1]
     return tuple(((i, j, l), number[i, j], number[i, l], number[j, l])
-                 for i, j, l in itertools.combinations(range(1, k + 1), 3))
+                 for i, j in number
+                 for l in (range(j + 1, len(m) + 1) if m[i - 1] > 1 or m[j - 1] > 1
+                           else wide[bisect.bisect(wide, j):]))
 
 
 @functools.lru_cache(maxsize=4096)
@@ -190,7 +196,7 @@ def _lift(factor: str, m_i: int, m_j: int, m_l: int, code: Code) -> Code:
                   for y in range(0, mjl, m_l) for z in range(m_l)])
 
 
-def _cubic_failure(k: int, m: tuple[int, ...], codes: tuple[Code, ...]):
+def _cubic_failure(m: tuple[int, ...], codes: tuple[Code, ...]):
     """The first color triple at which the cubic condition fails, as
     ((i, j, l), (m_i, m_j, m_l), left, right), or None.
 
@@ -199,7 +205,7 @@ def _cubic_failure(k: int, m: tuple[int, ...], codes: tuple[Code, ...]):
     factor applied first.  left and right are these composites, composed
     from the lifted tables, on the triples in lexicographic order.
     """
-    for (i, j, l), ij, il, jl in _color_triples(k):
+    for (i, j, l), ij, il, jl in _color_triples(m):
         shape = m[i - 1], m[j - 1], m[l - 1]
         t_ij = _lift("ij", *shape, codes[ij])
         t_il = _lift("il", *shape, codes[il])
@@ -265,7 +271,7 @@ def presentation_from_codes(k: int, m: Iterable[int], codes: Iterable[Code]) -> 
         if sorted(code) != list(range(m[i - 1] * m[j - 1])):
             raise InvalidPermutation(i, j)
     if k >= 3:
-        failure = _cubic_failure(k, m, codes)
+        failure = _cubic_failure(m, codes)
         if failure is not None:
             colors, (_, mj, ml), left, right = failure
             p = next(p for p, (a, b) in enumerate(zip(left, right)) if a != b)

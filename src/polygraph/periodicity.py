@@ -12,7 +12,9 @@ is decided by one pass over the transducer's start pairs (e, gamma(e)).
 
 gamma, when it exists, is forced by a single probe: splitting e f_0 at
 degree pi_- must give a suffix independent of e, and the prefix is
-gamma(e); (dagger) and the tail condition are checked by one-letter moves.
+gamma(e); (dagger) is checked by two walks of one-letter moves with one
+layer of at most |E| states per letter position, not pair by pair, and
+the tail condition by one move per start pair and letter.
 Each certified pi yields a central element W = sum gamma(e) e* in the
 relation algebra; the certified pi's under a bound, searched on the lattice
 where |E| = |F|, generate the symmetry lattice, reported in Hermite normal
@@ -34,7 +36,6 @@ from .intlinalg import (LatticeInconsistency, hermite_normal_form, lattice_closu
                         meets_positive_orthant, solve_integer)
 from .kgraph import (
     Degree,
-    Letter,
     Presentation,
     Word,
     deg_add,
@@ -76,26 +77,25 @@ class PeriodicityCertificate:
         return dict(self.gamma)
 
 
-def pi_split(P: Presentation, pi: Iterable[int]) -> tuple[Degree, Degree]:
-    pi = tuple(pi)
-    if len(pi) != P.k:
-        raise ValueError(f"pi {pi} has wrong length for k={P.k}")
-    plus = tuple(max(x, 0) for x in pi)
-    minus = tuple(max(-x, 0) for x in pi)
-    return plus, minus
-
-
 @functools.lru_cache(maxsize=1)
 def _mover(P: Presentation):
-    """move(r, x) = (y, r') with r x = y r', y of x's color; memoised.  The
-    memo is shared by every call on P (find_gamma, check_tail_condition)
-    and kept, growing, until _mover is called on another presentation."""
-    units = [tuple(int(i == c) for i in range(P.k)) for c in range(P.k)]
+    """move(u, v) = (v', u') with u v = v' u', deg v' = deg v: each letter of
+    v passes left through u, one swap lookup per letter of u (extract_prefix
+    if u has its color, in forced tail checks).  One memo per P, shared by
+    find_gamma and check_tail_condition until _mover is called on another."""
+    swap = P.swaps()
 
     @functools.lru_cache(maxsize=None)
-    def move(r: Word, x: Letter) -> tuple[Letter, Word]:
-        (y,), rest = extract_prefix(P, r + (x,), units[x[0] - 1])
-        return y, rest
+    def move(u: Word, v: Word) -> tuple[Word, Word]:
+        out, head = list(u), []
+        try:
+            for x in v:
+                for q in range(len(out) - 1, -1, -1):
+                    x, out[q] = swap[out[q], x]
+                head.append(x)
+        except KeyError:  # a same-color pair: no swap passes it
+            return extract_prefix(P, u + v, degree(P, v))
+        return tuple(head), tuple(out)
     return move
 
 
@@ -108,56 +108,57 @@ def find_gamma(P: Presentation, pi: Iterable[int]) -> PeriodicityCertificate | N
     construction: split e f_0 at degree pi_-, f_0 the first word of degree
     pi_-, for the words e of degree pi_+ walked lazily; the suffix must be
     constant in e (the probe usually fails at the second e) and the prefix
-    defines gamma(e).  E is gamma's keys; F is built only once the probe
-    passes and gamma is injective.  gamma^{-1} is its inverse, and
-    (dagger) is checked for every pair by moving the letters of f through
-    e one at a time: e f = y_1 ... y_n r_n with y_1 ... y_n in normal form
-    (f is), so by unique factorization (dagger) holds iff y_1 ... y_n =
-    gamma(e) and r_n = gamma^{-1}(f).  None is definitive for this pi:
+    defines gamma(e), injective by cancellation.  With e f = y r (deg y =
+    pi_-), (dagger) is (A) y = gamma(e) and (B) r = gamma^{-1}(f).  (A)
+    moves f's letters left through e, each to emit the next letter of
+    gamma(e) still owed; (B) moves e's, last first, right through f, each
+    to leave the last of gamma^{-1}(f) still owed.  Each walks one layer per
+    letter position, mapping each state to the output it still owes, so a
+    state that several words reach is walked once.  Under (dagger) the state
+    fixes that output: in (A), e p = (emitted) r gives r f' = (owed)
+    gamma^{-1}(p f') for every f', so it is the prefix of r f'.  A state
+    reached owing two outputs is thus a definitive None, a layer has at
+    most |E| states, and each check makes at most |E| sum_c |pi_c| m_c
+    moves.  None is definitive for this pi:
     (dagger) at f_0 forces the probe's gamma whenever one exists, and so
     is None when |E| != |F|, that is when pi is not in L_m.  An |E| past
     the "certificate words" budget (1M) raises before any word is built;
     |E| is charged to :func:`budget` as one factor m_i per letter of color i.
     """
     pi = tuple(pi)
-    plus, minus = pi_split(P, pi)
+    if len(pi) != P.k:
+        raise ValueError(f"pi {pi} has wrong length for k={P.k}")
+    plus, minus = tuple(max(x, 0) for x in pi), tuple(max(-x, 0) for x in pi)
     if all(x == 0 for x in pi):
-        cert = PeriodicityCertificate(
-            pi=pi, E=((),), F=((),), gamma=(((), ()),),
-            tail_check=TailCheck(mode="automatic", passed=True))
-        return cert
+        return PeriodicityCertificate(pi=pi, E=((),), F=((),), gamma=(((), ()),),
+                                      tail_check=TailCheck(mode="automatic", passed=True))
     if not any(x > 0 for x in pi) or not any(x < 0 for x in pi):
         raise ValueError(f"pi {pi} must have entries of both signs (or be zero)")
     if any(sum(map(operator.mul, vp, pi)) for vp in _prime_exponents(P.m)):
         return None  # pi is not in L_m: |E| != |F|
     budget("certificate words", 1_000_000,
            (m for m, d in zip(P.m, plus) if m > 1 for _ in range(d)))
-    f0 = next(words_of_degree(P, minus))
+    f0, move = next(words_of_degree(P, minus)), _mover(P)
+    suffix0 = move(next(words_of_degree(P, plus)), f0)[1]
     gamma: dict[Word, Word] = {}
-    suffix0 = None
     for e in words_of_degree(P, plus):
-        head, tail = extract_prefix(P, e + f0, minus)
-        if suffix0 is None:
-            suffix0 = tail
-        elif tail != suffix0:
+        head, tail = move(e, f0)
+        if tail != suffix0:
             return None
         gamma[e] = head
-    gamma_inv = {f: e for e, f in gamma.items()}
-    if len(gamma_inv) != len(gamma):
-        return None
-    E, F = tuple(gamma), tuple(words_of_degree(P, minus))
-    move = _mover(P)
-    for e in E:
-        ge = gamma[e]
-        for f in F:
-            r = e
-            for x, gx in zip(f, ge):
-                y, r = move(r, x)
-                if y != gx:
-                    return None
-            if r != gamma_inv[f]:
-                return None
-    return PeriodicityCertificate(pi=pi, E=E, F=F, gamma=tuple(gamma.items()))
+    letters = [[((c, s),) for s in range(1, mc + 1)] for c, mc in enumerate(P.m, 1)]
+    for left, layer, d in ((True, gamma, minus),
+                           (False, {g: e[::-1] for e, g in gamma.items()}, plus)):
+        for c in sorted((c for c, n in enumerate(d) for _ in range(n)), reverse=not left):
+            step: dict[Word, Word] = {}
+            for state, owed in layer.items():
+                for x in letters[c]:
+                    (y,), state2 = move(state, x) if left else move(x, state)[::-1]
+                    if y != owed[0] or step.setdefault(state2, owed[1:]) != owed[1:]:
+                        return None
+            layer = step
+    return PeriodicityCertificate(pi=pi, E=tuple(gamma), F=tuple(words_of_degree(P, minus)),
+                                  gamma=tuple(gamma.items()))
 
 
 def check_tail_condition(P: Presentation, cert: PeriodicityCertificate,
@@ -203,8 +204,8 @@ def check_tail_condition(P: Presentation, cert: PeriodicityCertificate,
     fed = [g for g in P.letters() if force_transducer or not pi[g[0] - 1]]
     for e, ge in cert.gamma:
         for g in fed:
-            g1, r = move(e, g)
-            g2, s = move(ge, g)
+            (g1,), r = move(e, (g,))
+            (g2,), s = move(ge, (g,))
             if g1 != g2 or gamma.get(r) != s:
                 return TailCheck(mode="transducer", passed=False,
                                  states_visited=states, violation=((g,), (e, ge)))
@@ -262,7 +263,7 @@ def _prime_exponents(m: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(v.get(p, 0) for v in vals) for p in sorted(set().union(*vals)))
 
 
-def _period_candidates(m: tuple[int, ...], bound: int) -> list[tuple[int, ...]]:
+def _period_candidates(m: tuple[int, ...], bound: int) -> tuple[tuple[int, ...], ...]:
     """The mixed-sign points of L_m = {pi : prod m_i^pi_i = 1} with
     |pi_i| <= bound, by increasing L1 norm (ties lexicographic).  The HNF
     rows (0 | b) of the rows (v(m_i) | e_i), v the prime valuations, are
@@ -270,19 +271,28 @@ def _period_candidates(m: tuple[int, ...], bound: int) -> list[tuple[int, ...]]:
     the walk keeps the coefficients that hold it within the bound.  At
     most 2 bound // b_pivot + 1 of them per point, so the product of these
     over the rows bounds the point count; past the "period candidates"
-    budget (100,000) it raises before any point is built.
+    budget (100,000) it raises before any point is built, on every call,
+    though _candidate_plan keeps 16 (m, bound) bases and point tuples.
     """
+    factors, points = _candidate_plan(m, bound)
+    budget("period candidates", 100_000, factors)
+    return points
+
+
+@functools.lru_cache(maxsize=16)
+def _candidate_plan(m: tuple[int, ...], bound: int):
     k, exps = len(m), _prime_exponents(m)
     rows = [tuple(vp[i] for vp in exps) + tuple(int(i == j) for j in range(k)) for i in range(k)]
     basis = [(row[len(exps):], next(c for c in range(k) if row[len(exps) + c]))
              for row in hermite_normal_form(rows) if not any(row[:len(exps)])]
-    budget("period candidates", 100_000, (2 * bound // b[col] + 1 for b, col in basis))
+    factors = tuple(2 * bound // b[col] + 1 for b, col in basis)
+    budget("period candidates", 100_000, factors)
     points = [(0,) * k]
     for b, col in basis:
         points = [tuple(x + c * y for x, y in zip(pt, b)) for pt in points
                   for c in range(-((bound + pt[col]) // b[col]), (bound - pt[col]) // b[col] + 1)]
     inside = [pi for pi in points if min(pi) < 0 < max(pi) and max(map(abs, pi)) <= bound]
-    return sorted(inside, key=lambda pi: (sum(map(abs, pi)), pi))
+    return factors, tuple(sorted(inside, key=lambda pi: (sum(map(abs, pi)), pi)))
 
 
 def symmetry_lattice(P: Presentation, bound: int) -> SymmetryLattice:

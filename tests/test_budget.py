@@ -118,6 +118,14 @@ class TestNamedBudgets:
         monkeypatch.setenv("POLYGRAPH_BUDGET", "5")
         assert symmetry_lattice(P, bound=2).basis == ((1, -1),)
 
+    def test_period_candidates_charged_with_a_kept_plan(self, monkeypatch):
+        # the candidates of (m, bound) are built once and kept, but every
+        # search is charged, so a limit set afterwards still stops it
+        P = catalog.flip_2graph()
+        assert symmetry_lattice(P, bound=2).basis == ((1, -1),)
+        assert _raised(monkeypatch, "4", lambda: symmetry_lattice(P, bound=2)) \
+            == ("period candidates", 4, 5)
+
     def test_splice_rounds(self, monkeypatch):
         # the first round, one per symmetry search, is charged before the
         # first splice box (36 points at bound 1) reaches "tail box"

@@ -21,7 +21,6 @@ from polygraph.enumeration import (
 )
 from polygraph.kgraph import (
     PresentationError,
-    _color_triples,
     _cubic_failure,
     _lift,
     color_pairs,
@@ -79,6 +78,14 @@ class TestEnumerate:
     def test_222_census(self):
         ps = list(enumerate_presentations((2, 2, 2)))
         assert len(ps) == VALID_222
+
+    @pytest.mark.parametrize("m, count", [((3, 1, 1), 18), ((2, 1, 1), 4), ((1, 3, 1), 18)],
+                             ids=str)
+    def test_a_triple_with_two_ones_still_constrains(self, m, count):
+        # the triples of ones are skipped, not those with one wider color:
+        # for (3, 1, 1), 18 of the 3! 3! 1! = 36 table combinations fail the cubic
+        # condition
+        assert len(list(enumerate_presentations(m))) == count
 
 
 class TestIsomorphism:
@@ -355,17 +362,20 @@ def _reference_candidates(m):
     per_pair = [list(itertools.permutations(range(m[i - 1] * m[j - 1])))
                 for i, j in color_pairs(k)]
     for codes in itertools.product(*per_pair):
-        if k < 3 or _cubic_failure(k, m, codes) is None:
+        if k < 3 or _cubic_failure(m, codes) is None:
             yield codes
 
 
 def _recursive_candidates(m):
     """The recursive walk the iterative one replaced: one call per color
-    pair, so past about 45 colors it passes the recursion limit."""
+    pair, so past about 45 colors it passes the recursion limit.  It checks
+    every color triple, triples of ones included."""
     pairs = color_pairs(len(m))
     tables = [list(itertools.permutations(range(m[i - 1] * m[j - 1]))) for i, j in pairs]
     due = [[] for _ in pairs]
-    for (i, j, l), ij, il, jl in _color_triples(len(m)):
+    number = {pair: n for n, pair in enumerate(pairs)}
+    for i, j, l in itertools.combinations(range(1, len(m) + 1), 3):
+        ij, il, jl = number[i, j], number[i, l], number[j, l]
         shape = m[i - 1], m[j - 1], m[l - 1]
         lifts = [[_lift(factor, *shape, code) for code in tables[n]]
                  for factor, n in (("ij", ij), ("il", il), ("jl", jl))]
@@ -400,7 +410,10 @@ class TestCandidateWalk:
     def test_walk_matches_the_product_filter(self, m):
         assert list(en._candidates(m)) == list(_reference_candidates(m))
 
-    @pytest.mark.parametrize("m", [(2, 2), (2, 3), (2, 2, 2)], ids=str)
+    # the walk skips the triples whose multiplicities are all 1; the
+    # recursive walk checks them too
+    @pytest.mark.parametrize("m", [(2, 2), (2, 3), (2, 2, 2), (3, 1, 1), (1, 1, 2, 1),
+                                   (1, 1, 1, 1, 2)], ids=str)
     def test_iterative_walk_matches_the_recursive_one(self, m):
         assert list(en._candidates(m)) == list(_recursive_candidates(m))
 

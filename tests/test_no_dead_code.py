@@ -20,7 +20,8 @@ Methods are the non-dunder functions in the body of a top-level class,
 and the fields of a top-level dataclass are definitions too, so each must
 be read: a keyword passed to the constructor is no reference.
 `self.m` inside class C, and `C.m` for a class C defined in src/, refer
-to C.m alone, any other `x.m` to every method or field m.  A name bound by
+to C.m alone, any other `x.m` to every method or field m, and a bare name
+m (a parameter or local variable, say) to no method or field.  A name bound by
 `from ... import` must be loaded in its file, apart from `__future__`
 features and the re-exports of an `__init__.py`.
 
@@ -125,18 +126,20 @@ def _name(node, owner: dict, classes: set) -> str:
 
 
 def _references(tree, classes: set):
-    """(name, line) of every name a file refers to, named by _name."""
+    """(name, line, member) of every name a file refers to, named by
+    _name; `member` when it can read a method or field: an attribute or a
+    part of a dotted string, but no bare name or imported name."""
     owner = _owners(tree)
     for node in ast.walk(tree):
         if isinstance(node, (ast.Name, ast.Attribute)):
-            yield _name(node, owner, classes), node.lineno
+            yield _name(node, owner, classes), node.lineno, isinstance(node, ast.Attribute)
         elif isinstance(node, ast.ImportFrom):
             for alias in node.names:
-                yield alias.name, node.lineno
+                yield alias.name, node.lineno, False
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
             if re.fullmatch(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)+", node.value):
                 for part in node.value.split("."):
-                    yield part, node.lineno
+                    yield part, node.lineno, True
 
 
 def _inside(where, line, definition):
@@ -148,18 +151,25 @@ def unused_definitions(sources: dict, product: dict, public=frozenset()) -> list
     """The "module.name" of each definition in `sources` that no code in
     `product` reaches and that `public` does not name; both map a path to
     its text, and every source is also product code."""
-    uses: dict = {name: [("<public>", 0)] for name in public}
+    uses: dict = {name: [("<public>", 0, True)] for name in public}
     classes = _classes(sources)
     for path, text in product.items():
-        for name, line in _references(ast.parse(text), classes):
-            uses.setdefault(name, []).append((path, line))
+        for name, line, member in _references(ast.parse(text), classes):
+            uses.setdefault(name, []).append((path, line, member))
+
+    def reads(name):
+        """The uses of a definition: for a method or field "C.m", those
+        of "C.m" and the member uses of "m"."""
+        if "." not in name:
+            return uses.get(name, [])
+        return uses.get(name, []) + [u for u in uses.get(name.rpartition(".")[2], []) if u[2]]
+
     defs = [(path, name, first, last) for path, text in sources.items()
             for name, first, last in _definitions(ast.parse(text))]
     dead: list = []
     while new := [d for d in defs if d not in dead and all(
             _inside(where, line, d) or any(_inside(where, line, x) for x in dead)
-            for where, line in uses.get(d[1].rpartition(".")[2], []) + (
-                uses.get(d[1], []) if "." in d[1] else []))]:
+            for where, line, _ in reads(d[1]))]:
         dead += new
     return sorted(f"{Path(path).stem}.{name}" for path, name, _, _ in dead)
 
@@ -289,6 +299,23 @@ def test_a_dataclass_field_is_read_by_name():
     cli = {"src/cli.py": "from .lib import A, B\n\nprint(A(x=1, y=2).total(), B)\n"}
     assert unused_definitions(sources, {**sources, **cli}) == ["lib.A.y"]
     cli["src/cli.py"] += "print(A(1, 2).y)\n"
+    assert unused_definitions(sources, {**sources, **cli}) == []
+
+
+def test_a_bare_name_reads_no_field_or_method():
+    # an unread field named like a parameter elsewhere, as a `witness`
+    # field would be next to InvalidConstruction.__init__'s `witness`
+    lib = ("from dataclasses import dataclass\n\n\n"
+           "@dataclass\nclass A:\n    first: int\n    witness: int\n\n"
+           "    def size(self):\n        return self.first\n\n\n"
+           "class Invalid(Exception):\n    def __init__(self, witness, size):\n"
+           "        super().__init__(witness, size)\n")
+    sources = {"src/lib.py": lib}
+    cli = {"src/cli.py": "from .lib import A, Invalid\n\nprint(A(1, 2).first, Invalid(3, 4))\n"}
+    assert unused_definitions(sources, {**sources, **cli}) == ["lib.A.size", "lib.A.witness"]
+    cli["src/cli.py"] += "witness = 5\nprint(witness)\n"
+    assert unused_definitions(sources, {**sources, **cli}) == ["lib.A.size", "lib.A.witness"]
+    cli["src/cli.py"] += "print(A(1, 2).witness, A(1, 2).size())\n"
     assert unused_definitions(sources, {**sources, **cli}) == []
 
 

@@ -14,6 +14,7 @@ from polygraph.kgraph import (
     degree,
     extract_prefix,
     normal_form,
+    presentation_from_codes,
     words_equal,
     words_of_degree,
 )
@@ -89,6 +90,37 @@ def _reference_find_gamma(P, pi):
                 return "dagger", None
     return "certified", PeriodicityCertificate(
         pi=pi, E=E, F=F, gamma=tuple((e, gamma[e]) for e in E))
+
+
+def _pairs_find_gamma(P, pi):
+    """find_gamma as it was before the layered checks (A) and (B): the
+    same probe, then the letters of every f moved through every e one at a
+    time, |E| |F| walks of n moves each.  e f = y_1 ... y_n r_n, so
+    (dagger) holds iff y_1 ... y_n = gamma(e) and r_n = gamma^{-1}(f).
+    Moves are extract_prefix at a unit degree, so the oracle shares no
+    code with find_gamma's move memo."""
+    plus, minus = tuple(max(x, 0) for x in pi), tuple(max(-x, 0) for x in pi)
+    E, F = tuple(words_of_degree(P, plus)), tuple(words_of_degree(P, minus))
+    if len(E) != len(F):
+        return None
+    gamma, suffixes = {}, set()
+    for e in E:
+        gamma[e], tail = extract_prefix(P, e + F[0], minus)
+        suffixes.add(tail)
+    gamma_inv = {f: e for e, f in gamma.items()}
+    if len(suffixes) > 1 or len(gamma_inv) != len(gamma):
+        return None
+    for e in E:
+        for f in F:
+            r = e
+            for x, gx in zip(f, gamma[e]):
+                unit = tuple(int(c == x[0]) for c in range(1, P.k + 1))
+                (y,), r = extract_prefix(P, r + (x,), unit)
+                if y != gx:
+                    return None
+            if r != gamma_inv[f]:
+                return None
+    return PeriodicityCertificate(pi=pi, E=E, F=F, gamma=tuple(gamma.items()))
 
 
 def _swap_first_images(cert):
@@ -183,6 +215,52 @@ class TestFindGamma:
         assert stages["dagger"] + stages["certified"] == 288
         assert stages["dagger"] == 100
         assert stages["probe"] == 1200
+
+    def test_layer_walks_match_the_pairs_walk(self):
+        # every (2,2) and (2,2,2) presentation at |pi_i| <= 2, flip at
+        # (n, -n), and two (3,3) presentations whose (A) walk reaches a
+        # state owing two outputs
+        cases = [(P, pi) for m in ((2, 2), (2, 2, 2)) for P in enumerate_presentations(m)
+                 for pi in _mixed_sign(len(m), 2)]
+        cases += [(FLIP, (n, -n)) for n in range(1, 8)]
+        cases += [(presentation_from_codes(2, (3, 3), [code]), pi)
+                  for code in [(3, 8, 2, 4, 7, 1, 6, 5, 0), (0, 8, 3, 1, 4, 7, 2, 6, 5)]
+                  for pi in [(-3, 3), (-2, 2), (2, -2)]]
+        certified = 0
+        for P, pi in cases:
+            cert = find_gamma(P, pi)
+            assert cert == _pairs_find_gamma(P, pi), (P, pi)
+            certified += cert is not None
+        assert (len(cases), certified) == (54349, 1027)
+
+    @staticmethod
+    def _moves(P, pi):
+        """find_gamma's verdict and the moves it asks of a cold memo."""
+        periodicity._mover.cache_clear()
+        cert = find_gamma(P, pi)
+        info = periodicity._mover(P).cache_info()
+        return cert, info.hits + info.misses
+
+    def test_each_layer_has_E_keys_under_dagger(self):
+        # the probe makes 1 + |E| moves, and (A) and (B) one per key and
+        # letter of each position: |E| sum_c |pi_c| m_c in all
+        cases = [(FLIP, (n, -n)) for n in range(1, 9)]
+        cases += [(P, pi) for P in CATALOG if P.k == 3 for pi in _mixed_sign(3, 2)]
+        certified = 0
+        for P, pi in cases:
+            cert, moves = self._moves(P, pi)
+            if cert is not None:
+                certified += 1
+                assert moves == 1 + len(cert.E) * (1 + sum(abs(x) * mc for x, mc in zip(pi, P.m)))
+        assert certified == 8 + 48
+
+    def test_a_state_owing_two_outputs_ends_the_walk(self):
+        # |E| = 27: after the 1 + 27 moves of the probe, the 11th move of
+        # (A) reaches a state that an earlier move reached owing another
+        # output, which (dagger) rules out, so the walk stops there; without
+        # that comparison it runs on to a letter mismatch
+        P = presentation_from_codes(2, (3, 3), [(3, 8, 2, 4, 7, 1, 6, 5, 0)])
+        assert self._moves(P, (-3, 3)) == (None, 1 + 27 + 11)
 
     def test_unequal_word_counts_are_none_without_counting(self, monkeypatch):
         # |E| != |F| is read off prime valuations: definitive None at any
@@ -345,7 +423,7 @@ class TestSymmetryLattice:
                                    (6, 2, 3), (1, 2), (1, 1, 3), (5, 7), (4, 4, 4, 2)])
     def test_candidates_are_the_boxed_points_of_L_m(self, m):
         for bound in range(1, 5):
-            assert _period_candidates(m, bound) == _boxed_periods_reference(m, bound), bound
+            assert list(_period_candidates(m, bound)) == _boxed_periods_reference(m, bound), bound
 
     def test_no_certificate_is_tried_when_L_m_is_zero(self, monkeypatch):
         calls = []
