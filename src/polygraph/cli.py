@@ -16,9 +16,9 @@ Named budgets bound the searches: "color triples" whose cubic condition
 validation and enumeration check (1M), "tables" of enumeration (10M),
 "relabelings" of classification (100,000), "group order"
 (1M), extension "branch nodes" (1M), "cycle steps" (100,000), "splice
-rounds" of the tail splice (4 (2 bound + 1)^k), window points of a "tail
-box" (1M), period "certificate words" (1M) and symmetry "period
-candidates" (100,000).
+rounds" of the tail splice (4 (2 bound + 1)^k), window points (then
+unrolled degrees) of a "tail box" (1M), period "certificate words" (1M)
+and symmetry "period candidates" (100,000).
 POLYGRAPH_BUDGET, a nonnegative integer, replaces all of them; running
 past one exits 3 with "budget/bound exceeded: <name>: <count> exceeds
 the limit <limit>".
@@ -191,7 +191,7 @@ def cmd_tail(args) -> int:
             raise FormatError(f"--box entries must be >= 0, got {list(box)}")
         data = sigma_data(tl, box)
         result = {"box": list(box),
-                  "sigma": [{"n": list(n), "t": list(v)} for n, v in data.values]}
+                  "sigma": [{"n": list(n), "t": list(v)} for n, v in data.as_dict().items()]}
         _emit(args, inputs, f"sigma on box {list(box)}", result)
     elif args.tail_command == "symmetry":
         sym = tail_symmetry_group(tl, bound=args.bound, depth=args.depth)

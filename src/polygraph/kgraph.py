@@ -112,7 +112,8 @@ class Presentation:
         if not 1 <= i < j <= self.k:
             raise KeyError((i, j))
         domain = cells(self.m[i - 1], self.m[j - 1])
-        code = self.codes[color_pairs(self.k).index((i, j))]
+        # the number of (i, j) in color_pairs order: (i - 1) k - C(i, 2) pairs come first
+        code = self.codes[(i - 1) * (2 * self.k - i) // 2 + j - i - 1]
         return {cell: domain[q] for cell, q in zip(domain, code)}
 
     def theta_apply(self, i: int, j: int, s: int, t: int) -> tuple[int, int]:

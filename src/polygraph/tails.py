@@ -5,12 +5,14 @@ here tails are the eventually periodic ones, stored as a finite preperiod
 word plus a repeating block whose degree is strictly positive in every
 coordinate.  The inductive-limit basis window attaches to each lattice
 point n <= 0 the k-tuple of incoming letter indices sigma(n): coordinate
-i is the last color-i letter of the unique prefix of degree -n + e_i.
+i is the last color-i letter of the unique prefix of degree -n + e_i, read
+off the edge grid of one prefix (`kgraph.edge_grid`).
 
 Shift-tail equivalence (window data of one tail matching a translate of
 the other's, below some threshold) is decided on a finite box sized from
-the periods, the preperiods and the shift; the depth parameter scales the
-box, and the "tail box" budget bounds its points.  The self-shifts of a
+the periods, the preperiods and the shift, walking the two grids by flat
+index; the depth parameter scales the box, and the "tail box" budget bounds
+its points and the degree of the unrolled tail.  The self-shifts of a
 tail form a subgroup of Z^k, decided exactly, so the symmetry search
 finds every small one by `lattice_closure`, testing one per open coset.
 """
@@ -18,7 +20,7 @@ finds every small one by `lattice_closure`, testing one per open coset.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import lcm
 
 from .budget import budget, steps
@@ -75,11 +77,9 @@ class Tail:
         """A finite prefix word of degree >= target (componentwise)."""
         P = self.presentation
         pre, per = self.preperiod_degree, self.period_degree
-        reps = 0
-        for i in range(P.k):
-            short = target[i] - pre[i]
-            if short > 0:
-                reps = max(reps, -(-short // per[i]))
+        reps = max(0, *(-((a - t) // b) for t, a, b in zip(target, pre, per)))
+        # a skewed target unrolls far in every color: charge that before the sort
+        budget("tail box", 1_000_000, (a + reps * b for a, b in zip(pre, per)))
         return normal_form(P, self.preperiod + self.period * reps)
 
 
@@ -87,23 +87,28 @@ def tail(P: Presentation, preperiod: Word, period: Word) -> Tail:
     return Tail(P, tuple(preperiod), tuple(period))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SigmaData:
-    """Window data on the box -box <= n <= 0: values[n] = (t_1,...,t_k)."""
+    """Window data on the box -box <= n <= 0 as the edge grid it is read off:
+    sigma(n) = (edges[c][p] for each color c), p = -sum(n_c strides_c).
+    Equality is identity; compare as_dict() for the values."""
 
     box: Degree
-    values: tuple[tuple[Degree, tuple[int, ...]], ...]
-    # Lookup table built from values (derived, not compared or hashed).
-    _lookup: dict = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_lookup", dict(self.values))
-
-    def __getitem__(self, n: Degree) -> tuple[int, ...]:
-        return self._lookup[n]
+    edges: list[list[int]]
+    strides: list[int]
 
     def as_dict(self) -> dict[Degree, tuple[int, ...]]:
-        return dict(self.values)
+        """{n: sigma(n)}, n in itertools.product order over the box."""
+        low = tuple(-b for b in self.box)
+        return {n: tuple(e[p] for e in self.edges)
+                for n, p in _walk(low, (0,) * len(low), self.strides)}
+
+
+def _walk(bottom: Degree, top: Degree, strides: list[int]):
+    """(n, -sum(n_c strides_c)) for bottom <= n <= top, in itertools.product order."""
+    points = itertools.product(*[range(b, t + 1) for b, t in zip(bottom, top)])
+    return zip(points, map(sum, itertools.product(*[range(-b * s, -(t + 1) * s, -s)
+                                                    for b, t, s in zip(bottom, top, strides)])))
 
 
 def sigma_data(t: Tail, box: Degree) -> SigmaData:
@@ -114,27 +119,17 @@ def sigma_data(t: Tail, box: Degree) -> SigmaData:
     tail, that is, of the color-i edge leaving the point -n in the grid
     filled by the prefix of degree box + (1,...,1); unique factorization
     makes this well defined and independent of how far the tail is
-    unrolled.  Past the "tail box" budget (1M points) it raises before
-    the tail is unrolled.
+    unrolled.  The "tail box" budget (1M) is charged the box's points, then
+    the product of the unrolled tail's degree, before the tail is sorted.
     """
     P = t.presentation
     box = tuple(box)
     if len(box) != P.k or any(b < 0 for b in box):
         raise ValueError(f"box {box} must have {P.k} nonnegative entries")
-    _charge_box(box)
     top = deg_add(box, (1,) * P.k)
+    budget("tail box", 1_000_000, top)
     prefix, _ = extract_prefix(P, t.unroll(top), top)
-    edges, strides = edge_grid(P, prefix, top)
-    values = []
-    for n in itertools.product(*[range(-b, 1) for b in box]):
-        p = -sum(x * s for x, s in zip(n, strides))
-        values.append((n, tuple(e[p] for e in edges)))
-    return SigmaData(box=box, values=tuple(values))
-
-
-def _charge_box(box: Degree) -> None:
-    """Charge the prod(box_c + 1) points of sigma_data on box to "tail box"."""
-    budget("tail box", 1_000_000, (b + 1 for b in box))
+    return SigmaData(box, *edge_grid(P, prefix, top))
 
 
 @dataclass(frozen=True)
@@ -190,8 +185,11 @@ def _window(t1: Tail, t2: Tail, p: Degree, depth: int) -> tuple[Degree, Degree]:
 
 def _compare(s1: SigmaData, s2: SigmaData, p: Degree, threshold: Degree, bottom: Degree
              ) -> EquivalenceTranscript:
-    for n in itertools.product(*[range(b, t + 1) for b, t in zip(bottom, threshold)]):
-        if s2[deg_add(n, p)] != s1[n]:
+    """The first n of the region (product order) with sigma_1(n) != sigma_2(n + p)."""
+    shifted = _walk(deg_add(bottom, p), deg_add(threshold, p), s2.strides)
+    pairs = list(zip(s1.edges, s2.edges))
+    for (n, i), (_, j) in zip(_walk(bottom, threshold, s1.strides), shifted):
+        if any(e1[i] != e2[j] for e1, e2 in pairs):
             return EquivalenceTranscript(p, False, threshold, bottom, counterexample=n)
     return EquivalenceTranscript(p, True, threshold, bottom)
 
@@ -262,7 +260,7 @@ def splice_separating_tail(P: Presentation, bound: int, depth: int = 2,
         raise ValueError("bound and depth must be >= 1")
     rounds = steps("splice rounds", 4 * (2 * bound + 1) ** P.k)
     next(rounds)
-    _charge_box((bound + depth * (bound + 1),) * P.k)
+    budget("tail box", 1_000_000, (bound + depth * (bound + 1) + 1,) * P.k)
     pad = tuple((i, 1) for i in range(1, P.k + 1))
     # start above the search box: the period degree of an eventually
     # periodic tail is always one of its symmetries, so keep it outside

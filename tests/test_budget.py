@@ -147,6 +147,14 @@ class TestNamedBudgets:
         monkeypatch.setenv("POLYGRAPH_BUDGET", "36")
         search(t)
 
+    def test_tail_box_charges_the_unrolled_degree_before_the_sort(self, monkeypatch):
+        # the thin box (35, 0) has 36 points, but the period (1, 1) tail is
+        # unrolled to degree (36, 36) to cover it; that word is never sorted
+        t = tail(catalog.flip_2graph(), (), ((1, 1), (2, 1)))
+        monkeypatch.setattr(tails, "normal_form", None)
+        assert _raised(monkeypatch, "36", lambda: sigma_data(t, (35, 0))) \
+            == ("tail box", 36, 36 * 36)
+
     def test_tail_box_is_charged_before_the_splice_pad(self, monkeypatch):
         # the first splice box, bound 1 + depth 2 * (bound + 1) = 5 per
         # color, has 36 points; its pad is never built

@@ -254,6 +254,9 @@ class TestExitCodes:
           "--depth", "100000000"], 100000001 ** 2),
         (["tail", "sigma", "--tail", "TAIL", "--box", "3000,3000"], 3001 ** 2),
         (["tail", "splice", "--bound", "100000000"], 300000003 ** 2),
+        # a thin box, 100001 * 6 points, unrolls the tail to degree
+        # (100001, 100001): the unrolled degree is charged before the sort
+        (["tail", "sigma", "--tail", "TAIL", "--box", "100000,5"], 100001 ** 2),
     ])
     def test_huge_tail_box_is_one_line_exit_3(self, argv, points, monkeypatch, tmp_path, capsys):
         monkeypatch.delenv("POLYGRAPH_BUDGET", raising=False)

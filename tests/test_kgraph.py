@@ -15,7 +15,9 @@ from polygraph.kgraph import (
     Presentation,
     PresentationError,
     WordError,
+    cells,
     check_word,
+    color_pairs,
     degree,
     extract_prefix,
     normal_form,
@@ -175,6 +177,16 @@ def test_both_validators_give_equal_values(name):
     assert P == Q == R
     assert hash(P) == hash(Q) == hash(R)
     assert Q.swaps() == P.swaps()
+
+
+def test_table_reads_the_code_of_its_pair():
+    # table(i, j) computes the number of (i, j) in color_pairs order; a
+    # distinct code per pair (a code store, not a k-graph) shows which it read
+    perms = list(itertools.permutations(range(4)))
+    for k in range(2, 8):
+        P = Presentation(k, (2,) * k, tuple(perms[:k * (k - 1) // 2]))
+        for code, (i, j) in zip(P.codes, color_pairs(k)):
+            assert P.table(i, j) == {cell: cells(2, 2)[q] for cell, q in zip(cells(2, 2), code)}
 
 
 def test_presentation_compares_only_its_codes():

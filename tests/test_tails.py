@@ -9,6 +9,7 @@ from polygraph.intlinalg import hermite_normal_form, solve_integer
 from polygraph.kgraph import deg_add, extract_prefix, normal_form
 from polygraph.periodicity import symmetry_lattice
 from polygraph.tails import (
+    EquivalenceTranscript,
     InvalidTail,
     SigmaData,
     _compare,
@@ -45,7 +46,7 @@ class TestSigmaData:
     def test_constant_tail(self):
         t = tail(FLIP, (), ((1, 1), (2, 1)))
         data = sigma_data(t, (3, 3))
-        assert all(v == (1, 1) for _, v in data.values)
+        assert all(v == (1, 1) for v in data.as_dict().values())
 
     def test_transposition_tail_against_hand_oracle(self):
         # in a transposition family indices ride along positions, so the
@@ -54,7 +55,7 @@ class TestSigmaData:
         t = tail(T3, (), ((1, 1), (2, 2), (3, 1)))
         data = sigma_data(t, (2, 2, 2))
         stream = [1, 2, 1]
-        for n, v in data.values:
+        for n, v in data.as_dict().items():
             expected = stream[(-sum(n)) % 3]
             assert v == (expected,) * 3
 
@@ -76,12 +77,12 @@ class TestSigmaData:
 
 
 def _reference_sigma(t, box):
-    """Window data one point at a time: for each n and color i, extract
-    the degree -n + e_i prefix, then split its last color-i letter off
-    with a second extraction."""
+    """Window data one point at a time, as a dict in itertools.product
+    order: for each n and color i, extract the degree -n + e_i prefix,
+    then split its last color-i letter off with a second extraction."""
     P = t.presentation
     word = t.unroll(deg_add(box, (1,) * P.k))
-    values = []
+    values = {}
     for n in itertools.product(*[range(-b, 1) for b in box]):
         minus_n = tuple(-x for x in n)
         out = []
@@ -91,8 +92,17 @@ def _reference_sigma(t, box):
             _, last = extract_prefix(P, prefix, minus_n)
             assert len(last) == 1 and last[0][0] == i + 1
             out.append(last[0][1])
-        values.append((n, tuple(out)))
-    return SigmaData(box=tuple(box), values=tuple(values))
+        values[n] = tuple(out)
+    return values
+
+
+def _reference_compare(d1, d2, p, threshold, bottom):
+    """The shift check as a walk over two point tables (dicts n -> sigma(n)),
+    one tuple key per point."""
+    for n in itertools.product(*[range(b, t + 1) for b, t in zip(bottom, threshold)]):
+        if d2[deg_add(n, p)] != d1[n]:
+            return EquivalenceTranscript(p, False, threshold, bottom, counterexample=n)
+    return EquivalenceTranscript(p, True, threshold, bottom)
 
 
 GRID_GRAPHS = {
@@ -128,18 +138,19 @@ class TestSigmaGridFill:
                   for z in range(P.k)]
         for box in boxes:
             t = _random_tail(P, rng)
-            data = sigma_data(t, box)
-            assert data == _reference_sigma(t, box)
+            # items, not the dicts: the order is part of the result
+            assert list(sigma_data(t, box).as_dict().items()) == \
+                list(_reference_sigma(t, box).items())
 
-    def test_lookup_equality_and_hash_use_box_and_values_only(self):
+    def test_as_dict_reads_the_grid_in_product_order(self):
+        # the data is the grid itself: a view of the same grid reads the same
+        # values, and equality is identity (two grids of one tail may differ
+        # off the window box)
         t = tail(FWD, ((2, 1),), ((1, 1), (1, 2), (2, 1)))
         data = sigma_data(t, (3, 2))
-        copy = SigmaData(box=data.box, values=data.values)
-        assert copy == data and hash(copy) == hash(data)
-        assert hash(data) == hash((data.box, data.values))
-        assert all(data[n] == v for n, v in data.values)
-        assert data.as_dict() == dict(data.values)
-        assert data != SigmaData(box=data.box, values=data.values[:-1])
+        view = SigmaData(data.box, data.edges, data.strides)
+        assert view.as_dict() == data.as_dict() and view != data
+        assert list(data.as_dict()) == list(itertools.product(range(-3, 1), range(-2, 1)))
 
     @pytest.mark.parametrize("box", [(2,), (2, 2, 2), (-1, 2), (0, -3)])
     def test_box_must_match_the_rank(self, box):
@@ -217,6 +228,33 @@ class TestShiftEquivalence:
             s2 = sigma_data(t, tuple(-(b + q) for b, q in zip(bottom, p)))
             assert shift_tail_equivalent(t, t, p, depth) == \
                 _compare(s1, s2, p, threshold, bottom)
+
+
+class TestCompareAgainstPointTables:
+    # the flat-index walk over two grids against the per-point walk over
+    # two point tables, transcripts compared whole, counterexample included
+    @pytest.mark.parametrize("name", sorted(GRID_GRAPHS))
+    def test_transcripts_match_the_point_table_walk(self, name):
+        P = GRID_GRAPHS[name]
+        rng = random.Random(f"point-tables-{name}")
+        verdicts = set()
+        for _ in range(6):
+            t1 = _random_tail(P, rng)
+            # the same tail, an equal copy (both read off one grid), the same
+            # infinite word with a longer preperiod (equivalent at 0), and an
+            # unrelated tail; one shift at random, one that may well hold
+            for t2 in [t1, tail(P, t1.preperiod, t1.period),
+                       tail(P, t1.preperiod + t1.period, t1.period), _random_tail(P, rng)]:
+                for p in [tuple(rng.randint(-3, 3) for _ in range(P.k)),
+                          t1.period_degree if t1 == t2 else P.zero()]:
+                    depth = rng.randint(1, 3)
+                    threshold, bottom = tails._window(t1, t2, p, depth)
+                    d1 = sigma_data(t1, tuple(-b for b in bottom)).as_dict()
+                    d2 = sigma_data(t2, tuple(-(b + q) for b, q in zip(bottom, p))).as_dict()
+                    transcript = shift_tail_equivalent(t1, t2, p, depth)
+                    assert transcript == _reference_compare(d1, d2, p, threshold, bottom)
+                    verdicts.add((t1 == t2, transcript.equivalent))
+        assert verdicts == {(True, True), (True, False), (False, True), (False, False)}
 
 
 class TestTailSymmetry:
