@@ -158,7 +158,7 @@ def criterion_5_central_elements() -> dict:
         lat = symmetry_lattice(P, bound=3)
         entry: dict = {}
         for cert in lat.certificates:
-            w = central_element(P, cert)
+            w = central_element(cert)
             cent = verify_central(P, cert)
             gmap = cert.gamma_map()
             we = all(star_equal(P, multiply(P, w, monomial(P, e, ())),
@@ -172,8 +172,8 @@ def criterion_5_central_elements() -> dict:
             total = tuple(a + b for a, b in zip(c1.pi, c2.pi))
             csum = is_periodic(P, total)
             hom = csum is not None and verify_homomorphism(P, c1, c2, csum)
-            comm = star_equal(P, multiply(P, central_element(P, c1), central_element(P, c2)),
-                              multiply(P, central_element(P, c2), central_element(P, c1)))
+            comm = star_equal(P, multiply(P, central_element(c1), central_element(c2)),
+                              multiply(P, central_element(c2), central_element(c1)))
             entry[f"{c1.pi}+{c2.pi}"] = {"homomorphism": hom, "commute": comm}
             ok = ok and hom and comm
         zero = find_gamma(P, (0,) * P.k)

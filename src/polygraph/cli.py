@@ -10,7 +10,11 @@ output; human-readable progress goes to stderr.  Exit codes:
     3  budget or bound exhausted: errors.Exhausted
 
 main maps each exception family, and OSError (exit 1), to its code and
-names no layer, so each command imports only the layers it uses.
+names no layer, so each command imports only the layers it uses.  A flag
+value is checked once, by the library function that reads it: the shape
+of a vector such as --box or --pi depends on k, which only the loaded
+presentation knows, and errors.InvalidArgument (exit 1) names the value.
+Each `tail` verb takes only the flags it reads.
 
 Named budgets bound the searches: "color triples" whose cubic condition
 validation and enumeration check (1M), "tables" of enumeration (10M),
@@ -88,13 +92,17 @@ def _manifest(args: argparse.Namespace, inputs: list[str], summary) -> dict:
     }
 
 
-def _emit(args, inputs, summary, result) -> None:
-    out = {"manifest": _manifest(args, inputs, summary), "result": result}
-    text = dump_json(out, getattr(args, "out", None))
-    if getattr(args, "out", None):
-        _say(f"wrote {args.out}")
+def _write(path: str | None, obj) -> None:
+    """obj as JSON to the file path, or to stdout when there is none."""
+    text = dump_json(obj, path)
+    if path:
+        _say(f"wrote {path}")
     else:
         sys.stdout.write(text)
+
+
+def _emit(args, inputs, summary, result) -> None:
+    _write(args.out, {"manifest": _manifest(args, inputs, summary), "result": result})
 
 
 def _load(args) -> tuple:
@@ -112,25 +120,6 @@ def _parse_vector(text: str) -> tuple[int, ...]:
         raise FormatError(f"bad integer vector {text!r}") from err
 
 
-def _parse_degree(P, text: str | None, flag: str) -> tuple[int, ...]:
-    """A vector with one entry per color, for flags such as --box."""
-    if text is None:
-        raise FormatError(f"{flag} is required")
-    v = _parse_vector(text)
-    if len(v) != P.k:
-        raise FormatError(f"{flag} needs {P.k} entries, got {len(v)}")
-    return v
-
-
-def _parse_alphas(P, text: str | None):
-    if text is None:
-        return None
-    out = [phase_from_str(part) for part in text.split(",")]
-    if len(out) != P.k:
-        raise FormatError(f"need {P.k} phases, got {len(out)}")
-    return out
-
-
 def cmd_validate(args) -> int:
     try:
         P = load_presentation(args.path)
@@ -145,8 +134,6 @@ def cmd_enumerate(args) -> int:
     from .enumeration import (  # deferred: only enumerate and classify load the census
         enumerate_presentations, isomorphism_classes)
     m = _parse_vector(args.m)
-    if min(m) < 1:
-        raise FormatError(f"--m entries must be >= 1, got {list(m)}")
     presentations = list(enumerate_presentations(m))
     classes = isomorphism_classes(presentations) if args.classify else None
     _say(f"{len(presentations)} valid presentations for m={list(m)}")
@@ -163,16 +150,9 @@ def cmd_enumerate(args) -> int:
     return EXIT_OK
 
 
-def cmd_classify(args) -> int:
-    args.classify = True
-    return cmd_enumerate(args)
-
-
 def cmd_tail(args) -> int:
     from .tails import (  # deferred: only tail loads the tails layer
         shift_tail_equivalent, sigma_data, splice_separating_tail, tail_symmetry_group)
-    if args.bound < 1 or args.depth < 1:
-        raise FormatError(f"--bound and --depth must be >= 1, got {args.bound}, {args.depth}")
     P, inputs = _load(args)
     if args.tail_command == "splice":
         tl = splice_separating_tail(P, bound=args.bound, depth=args.depth)
@@ -181,14 +161,10 @@ def cmd_tail(args) -> int:
                   "symmetry_basis": [list(v) for v in sym.basis]}
         _emit(args, inputs, f"spliced tail, residual symmetry rank {sym.rank}", result)
         return EXIT_OK
-    if args.tail is None:
-        raise FormatError("--tail is required for sigma/symmetry/equivalent")
     tl = tail_from_obj(P, read_json(args.tail, "tail"))
     inputs.append(args.tail)
     if args.tail_command == "sigma":
-        box = _parse_degree(P, args.box, "--box")
-        if min(box) < 0:
-            raise FormatError(f"--box entries must be >= 0, got {list(box)}")
+        box = _parse_vector(args.box)
         data = sigma_data(tl, box)
         result = {"box": list(box),
                   "sigma": [{"n": list(n), "t": list(v)} for n, v in data.as_dict().items()]}
@@ -201,9 +177,7 @@ def cmd_tail(args) -> int:
                   "generators_found": [list(g.shift) for g in sym.generators]}
         _emit(args, inputs, f"tail symmetry rank {sym.rank}", result)
     else:  # equivalent
-        if args.other is None:
-            raise FormatError("--other is required for equivalent")
-        shift = _parse_degree(P, args.shift, "--shift")
+        shift = _parse_vector(args.shift)
         other = tail_from_obj(P, read_json(args.other, "tail"))
         inputs.append(args.other)
         tr = shift_tail_equivalent(tl, other, shift, depth=args.depth)
@@ -218,9 +192,7 @@ def cmd_periodicity(args) -> int:
     from .periodicity import central_element, is_periodic  # deferred: only periodicity and symmetry load periods
     from .staralg import render  # deferred: only periodicity renders a central element
     P, inputs = _load(args)
-    pi = _parse_degree(P, args.pi, "--pi")
-    if any(pi) and not min(pi) < 0 < max(pi):
-        raise FormatError(f"--pi {list(pi)} must have entries of both signs (or be zero)")
+    pi = _parse_vector(args.pi)
     cert = is_periodic(P, pi)
     if cert is None:
         _emit(args, inputs, f"{list(pi)} is not a period",
@@ -228,7 +200,7 @@ def cmd_periodicity(args) -> int:
         return EXIT_REJECTED
     result = {"pi": list(pi), "periodic": True,
               "certificate": certificate_to_obj(cert),
-              "central_element": render(central_element(P, cert))}
+              "central_element": render(central_element(cert))}
     _emit(args, inputs, f"{list(pi)} certified", result)
     return EXIT_OK
 
@@ -236,8 +208,6 @@ def cmd_periodicity(args) -> int:
 def cmd_symmetry(args) -> int:
     from .periodicity import (  # deferred: only periodicity and symmetry load periods
         structure_report, symmetry_lattice)
-    if args.bound < 1:
-        raise FormatError(f"--bound must be >= 1, got {args.bound}")
     P, inputs = _load(args)
     lat = symmetry_lattice(P, bound=args.bound)
     result = {"lattice": lattice_to_obj(lat),
@@ -251,7 +221,7 @@ def cmd_rep(args) -> int:
         decompose, from_commuting_words, full_symmetry_subgroup, to_dot)
     P, inputs = _load(args)
     words = words_from_str(P, args.words)
-    alphas = _parse_alphas(P, args.alphas)
+    alphas = None if args.alphas is None else [phase_from_str(a) for a in args.alphas.split(",")]
     gc = from_commuting_words(P, words, alphas=alphas)
     if args.rep_command == "build":
         result = {"dimension": gc.dimension,
@@ -320,34 +290,34 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(func=cmd_validate)
 
-    p = sub.add_parser("enumerate", help="enumerate presentations for given multiplicities")
-    p.add_argument("--m", required=True, help="multiplicities, e.g. 2,2,2")
-    p.add_argument("--classify", action="store_true", help="group into isomorphism classes")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_enumerate)
-
-    p = sub.add_parser("classify", help="enumerate and classify up to isomorphism")
-    p.add_argument("--m", required=True)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_classify)
+    for name, classify, text in (
+            ("enumerate", False, "enumerate presentations for given multiplicities"),
+            ("classify", True, "enumerate and classify up to isomorphism")):
+        p = sub.add_parser(name, help=text)
+        p.add_argument("--m", required=True, help="multiplicities, e.g. 2,2,2")
+        p.add_argument("--out")
+        p.set_defaults(func=cmd_enumerate, classify=classify)
 
     p = sub.add_parser("tail", help="window data, equivalence and symmetry of "
                                     "eventually periodic tails; splice builds a "
                                     "separating tail")
-    p.add_argument("tail_command", choices=["sigma", "symmetry", "equivalent", "splice"])
-    p.add_argument("--presentation", required=True,
-                   help="presentation file or catalog name "
-                        f"({', '.join(sorted(CATALOG))})")
-    p.add_argument("--tail", help="tail JSON file (not needed for splice)")
-    p.add_argument("--box", default="4,4", help="window box for sigma")
-    p.add_argument("--bound", type=int, default=3)
-    p.add_argument("--depth", type=int, default=2)
-    p.add_argument("--other", help="second tail file for `equivalent`")
-    p.add_argument("--shift", default=None,
-                   help="shift vector for `equivalent`, e.g. 1,-1; write --shift=-1,1 "
-                        "when the first entry is negative")
-    p.add_argument("--out")
     p.set_defaults(func=cmd_tail)
+    flags = {"tail": {"required": True, "help": "tail JSON file"},
+             "box": {"required": True, "help": "window box, one entry per color, e.g. 4,4"},
+             "other": {"required": True, "help": "second tail JSON file"},
+             "shift": {"required": True, "help": "shift vector, e.g. 1,-1; write "
+                                                 "--shift=-1,1 when the first entry is negative"},
+             "bound": {"type": int, "default": 3}, "depth": {"type": int, "default": 2}}
+    verbs = p.add_subparsers(dest="tail_command", required=True)
+    for verb, names in (("sigma", ("tail", "box")), ("symmetry", ("tail", "bound", "depth")),
+                        ("equivalent", ("tail", "other", "shift", "depth")),
+                        ("splice", ("bound", "depth"))):
+        q = verbs.add_parser(verb)
+        q.add_argument("--presentation", required=True,
+                       help=f"presentation file or catalog name ({', '.join(sorted(CATALOG))})")
+        for name in names:
+            q.add_argument(f"--{name}", **flags[name])
+        q.add_argument("--out")
 
     p = sub.add_parser("periodicity", help="decide pi-periodicity with a certificate")
     p.add_argument("--presentation", required=True)
@@ -360,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("symmetry", help="symmetry lattice and structure report")
     p.add_argument("--presentation", required=True)
     p.add_argument("--bound", type=int, default=4)
-    p.add_argument("--report", "--out", dest="out", help="report file (JSON)")
+    p.add_argument("--out")
     p.set_defaults(func=cmd_symmetry)
 
     p = sub.add_parser("rep", help="build/decompose/export finitely correlated representations")
@@ -387,9 +357,8 @@ def main(argv: list[str] | None = None) -> int:
         except Rejected as err:
             # written before the verdict is said, so that an unwritable
             # --out is one input error line like any other
-            text = dump_json({"rejected": str(err)}, getattr(args, "out", None))
+            _write(args.out, {"rejected": str(err)})
             _say(f"rejected: {err}")
-            sys.stdout.write(text)
             return EXIT_REJECTED
     except (InputError, OSError) as err:
         _say(f"input error: {err}")

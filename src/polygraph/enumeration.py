@@ -37,6 +37,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from .budget import budget
+from .errors import InvalidArgument
 from .kgraph import (
     Code,
     Presentation,
@@ -57,14 +58,14 @@ def enumerate_presentations(m: Sequence[int]) -> Iterator[Presentation]:
     """Yield every valid presentation with multiplicities m exactly once,
     in lexicographic order of the flattened tables.
 
-    Raises ValueError unless every entry of m is at least 1, and
+    Raises InvalidArgument unless every entry of m is at least 1, and
     BudgetExceeded when the C(k, 3) color triples are above the "color
     triples" limit, 1M, or the raw table count, the product of (m_i m_j)!
     over the color pairs, is above the "tables" limit, 10M.
     """
     m = tuple(m)
     if not m or min(m) < 1:
-        raise ValueError(f"multiplicities {list(m)} must be at least 1")
+        raise InvalidArgument(f"multiplicities {list(m)} must be at least 1")
     _charge_triples(len(m))
     budget("tables", 10_000_000,
            _factorial_factors(m[i - 1] * m[j - 1] for i, j in color_pairs(len(m))))

@@ -7,6 +7,11 @@ class InputError(Exception):
     """Malformed or unreadable input, or a bad flag: exit 1."""
 
 
+class InvalidArgument(InputError, ValueError):
+    """A library parameter out of its range or of the wrong length; the
+    message names the value it got."""
+
+
 class Rejected(Exception):
     """A mathematical rejection of well-formed input: exit 2."""
 

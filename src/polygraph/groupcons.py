@@ -37,7 +37,7 @@ from operator import mul
 from typing import Callable
 
 from .budget import budget, steps
-from .errors import Rejected
+from .errors import InvalidArgument, Rejected
 from .intlinalg import Mat, Vec, hermite_normal_form, reduce_mod, solve_integer
 from .kgraph import (
     Presentation,
@@ -261,9 +261,9 @@ def from_commuting_words(P: Presentation, words: list[Word],
     points 0 <= p_j < n_j of w's grid hold one period of it.
     """
     if len(words) != P.k or any(not w for w in words):
-        raise ValueError("need one nonempty word per color")
+        raise InvalidArgument("need one nonempty word per color")
     if alphas is not None and len(alphas) != P.k:
-        raise ValueError(f"need one phase per color, got {len(alphas)}")
+        raise InvalidArgument(f"need one phase per color, got {len(alphas)}")
     for w in words:
         check_word(P, w)
     lengths = [len(w) for w in words]

@@ -32,6 +32,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .budget import budget
+from .errors import InvalidArgument
 from .intlinalg import (LatticeInconsistency, hermite_normal_form, lattice_closure,
                         meets_positive_orthant, solve_integer)
 from .kgraph import (
@@ -127,13 +128,13 @@ def find_gamma(P: Presentation, pi: Iterable[int]) -> PeriodicityCertificate | N
     """
     pi = tuple(pi)
     if len(pi) != P.k:
-        raise ValueError(f"pi {pi} has wrong length for k={P.k}")
+        raise InvalidArgument(f"pi {pi} has wrong length for k={P.k}")
     plus, minus = tuple(max(x, 0) for x in pi), tuple(max(-x, 0) for x in pi)
     if all(x == 0 for x in pi):
         return PeriodicityCertificate(pi=pi, E=((),), F=((),), gamma=(((), ()),),
                                       tail_check=TailCheck(mode="automatic", passed=True))
     if not any(x > 0 for x in pi) or not any(x < 0 for x in pi):
-        raise ValueError(f"pi {pi} must have entries of both signs (or be zero)")
+        raise InvalidArgument(f"pi {pi} must have entries of both signs (or be zero)")
     if any(sum(map(operator.mul, vp, pi)) for vp in _prime_exponents(P.m)):
         return None  # pi is not in L_m: |E| != |F|
     budget("certificate words", 1_000_000,
@@ -194,11 +195,25 @@ def check_tail_condition(P: Presentation, cert: PeriodicityCertificate,
     this to (F, E, gamma^{-1}): its (dagger) is the mirror, and its move
     test is the same.  Unforced, the pass makes |E| sum_{pi_c = 0} m_c
     moves.
+
+    Unforced, each move compares its letters only: under (dagger), g1 =
+    g2 at every (e, g) gives gamma(r') = s'.  Let g have color c, pi_c =
+    0, and for f in F write f g = g' f' and gamma^{-1}(f) g = g'' e''.
+    (i) e f g = e g' f' = g1(e, g') gamma(r'(e, g')) gamma^{-1}(f'), by
+    (dagger) on r' f', and e f g = gamma(e) gamma^{-1}(f) g = g2(e, g'')
+    s'(e, g'') e''; unique factorization at degrees (e_c, pi_-, pi_+)
+    gives g1(e, g') = g2(e, g'') and gamma(r'(e, g')) = s'(e, g'').
+    (ii) With e0 = gamma^{-1}(f), g'' = g1(e0, g) and g' = g2(e0, g), so
+    letter agreement at every (e0, g) is g' = g'' at every (f, g).
+    (iii) Every letter h of color c is some g'(f, g): factor h f0 = f g
+    for any f0 in F.  (iv) So letter agreement gives gamma(r'(e, h)) =
+    s'(e, h) for every e and h, by (i) at that (f, g).  Forced, gamma is
+    any bijection, so the gamma test stays.
     """
     pi = cert.pi
     if not force_transducer and all(x != 0 for x in pi):
         return TailCheck(mode="automatic", passed=True)
-    gamma = cert.gamma_map()
+    gamma = cert.gamma_map() if force_transducer else None
     states = len(cert.E)
     move = _mover(P)
     fed = [g for g in P.letters() if force_transducer or not pi[g[0] - 1]]
@@ -206,7 +221,7 @@ def check_tail_condition(P: Presentation, cert: PeriodicityCertificate,
         for g in fed:
             (g1,), r = move(e, (g,))
             (g2,), s = move(ge, (g,))
-            if g1 != g2 or gamma.get(r) != s:
+            if g1 != g2 or force_transducer and gamma.get(r) != s:
                 return TailCheck(mode="transducer", passed=False,
                                  states_visited=states, violation=((g,), (e, ge)))
     return TailCheck(mode="transducer", passed=True, states_visited=states)
@@ -311,7 +326,7 @@ def symmetry_lattice(P: Presentation, bound: int) -> SymmetryLattice:
     orthant (impossible for true symmetry lattices; indicates bad data).
     """
     if bound < 1:
-        raise ValueError("bound must be >= 1")
+        raise InvalidArgument(f"bound must be >= 1, got {bound}")
     basis, hits = lattice_closure(_period_candidates(P.m, bound),
                                   lambda pi: is_periodic(P, pi) is not None)
     certs = []
@@ -329,7 +344,7 @@ def symmetry_lattice(P: Presentation, bound: int) -> SymmetryLattice:
                            certificates=tuple(certs), hits=tuple(sorted(hits)))
 
 
-def central_element(P: Presentation, cert: PeriodicityCertificate) -> StarSum:
+def central_element(cert: PeriodicityCertificate) -> StarSum:
     """W = sum over e in E of gamma(e) e*; every monomial has grading -pi.
     The pairs (gamma(e), e) are the keys as they stand: normal forms, as
     find_gamma builds them."""
@@ -338,7 +353,7 @@ def central_element(P: Presentation, cert: PeriodicityCertificate) -> StarSum:
 
 def verify_central(P: Presentation, cert: PeriodicityCertificate) -> bool:
     """W commutes with every generator and W W* = W* W = identity."""
-    W = central_element(P, cert)
+    W = central_element(cert)
     W_star = adjoint(W)
     ident = identity_sum()
     if not star_equal(P, multiply(P, W, W_star), ident):
@@ -359,9 +374,9 @@ def verify_homomorphism(P: Presentation,
     """W_{h1} W_{h2} = W_{h1+h2} at the relation level."""
     if deg_add(cert1.pi, cert2.pi) != cert_sum.pi:
         raise ValueError("certificates are not for h1, h2, h1+h2")
-    w1 = central_element(P, cert1)
-    w2 = central_element(P, cert2)
-    w12 = central_element(P, cert_sum)
+    w1 = central_element(cert1)
+    w2 = central_element(cert2)
+    w12 = central_element(cert_sum)
     return star_equal(P, multiply(P, w1, w2), w12)
 
 
@@ -399,8 +414,7 @@ def structure_report(P: Presentation, lattice: SymmetryLattice) -> dict:
     }
 
 
-def product_relation_tables(P: Presentation, cert: PeriodicityCertificate,
-                            a: int, b: int) -> tuple[dict, dict]:
+def product_relation_tables(P: Presentation, cert: PeriodicityCertificate) -> tuple[dict, dict]:
     """For a 3-graph with an (a, b, -c) certificate, the structural maps
     gamma, delta: indices^a x indices^b -> color-3 words with
     delta = gamma o (two-color commutation)^{-1}; returns (gamma, delta)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from math import lcm
 
 from .budget import budget, steps
-from .errors import Rejected
+from .errors import InvalidArgument, Rejected
 from .intlinalg import lattice_closure
 from .kgraph import (
     Degree,
@@ -125,7 +125,7 @@ def sigma_data(t: Tail, box: Degree) -> SigmaData:
     P = t.presentation
     box = tuple(box)
     if len(box) != P.k or any(b < 0 for b in box):
-        raise ValueError(f"box {box} must have {P.k} nonnegative entries")
+        raise InvalidArgument(f"box {box} must have {P.k} nonnegative entries")
     top = deg_add(box, (1,) * P.k)
     budget("tail box", 1_000_000, top)
     prefix, _ = extract_prefix(P, t.unroll(top), top)
@@ -159,11 +159,11 @@ def shift_tail_equivalent(t1: Tail, t2: Tail, p: Degree, depth: int = 2
     """
     P = t1.presentation
     if t2.presentation != P:
-        raise ValueError("tails over different presentations")
+        raise InvalidArgument("tails over different presentations")
     if len(p) != P.k:
-        raise ValueError(f"shift {tuple(p)} must have {P.k} entries")
+        raise InvalidArgument(f"shift {tuple(p)} must have {P.k} entries")
     if depth < 1:
-        raise ValueError("depth must be >= 1")
+        raise InvalidArgument(f"depth must be >= 1, got {depth}")
     threshold, bottom = _window(t1, t2, p, depth)
     box1 = tuple(-b for b in bottom)
     box2 = tuple(-(b + q) for b, q in zip(bottom, p))
@@ -226,7 +226,7 @@ def tail_symmetry_group(t: Tail, bound: int, depth: int = 2) -> TailSymmetry:
     norm, finds them all testing one per open coset.  A lower bound for the
     full symmetry group: generators outside the search box are not found."""
     if bound < 1 or depth < 1:
-        raise ValueError("bound and depth must be >= 1")
+        raise InvalidArgument(f"bound and depth must be >= 1, got {bound}, {depth}")
     # each box coordinate is at least bound + 1: the box's budget, charged
     # first, also bounds the (2 bound + 1)^k shifts
     test = _self_test(t, bound, depth)
@@ -250,14 +250,14 @@ def splice_separating_tail(P: Presentation, bound: int, depth: int = 2,
     cannot be eventually p-periodic.  The period is finally padded so its
     degree exceeds the bound (the period degree itself is always a
     symmetry of an eventually periodic tail, and must leave the box).
-    Raises ValueError unless bound and depth are at least 1, and
+    Raises InvalidArgument unless bound and depth are at least 1, and
     BudgetExceeded before a symmetry search past the "splice rounds"
     limit (one round per search, 4 (2 bound + 1)^k by default) or when
     the first round's box passes "tail box", both checked before any
     word is built.
     """
     if bound < 1 or depth < 1:
-        raise ValueError("bound and depth must be >= 1")
+        raise InvalidArgument(f"bound and depth must be >= 1, got {bound}, {depth}")
     rounds = steps("splice rounds", 4 * (2 * bound + 1) ** P.k)
     next(rounds)
     budget("tail box", 1_000_000, (bound + depth * (bound + 1) + 1,) * P.k)

@@ -25,11 +25,14 @@ from polygraph.jsonio import (
     tail_from_obj,
     tail_to_obj,
 )
+from polygraph.enumeration import enumerate_presentations
 from polygraph.groupcons import (FiniteAbelianGroup, NotCommuting, from_commuting_words,
                                  group_construction)
 from polygraph.intlinalg import LatticeInconsistency
 from polygraph.kgraph import WordError
-from polygraph.tails import tail
+from polygraph.periodicity import find_gamma, symmetry_lattice
+from polygraph.tails import (shift_tail_equivalent, sigma_data, splice_separating_tail, tail,
+                             tail_symmetry_group)
 
 
 def group_construction_from_obj(P, obj):
@@ -298,7 +301,8 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("argv, period", [
         (["rep", "build", "--presentation", "flip", "--words", "12,21"], None),  # NotCommuting
-        (["tail", "sigma", "--presentation", "flip", "--tail", "TAIL"], [[1, 1]]),  # InvalidTail
+        (["tail", "sigma", "--presentation", "flip", "--tail", "TAIL", "--box", "4,4"],
+         [[1, 1]]),  # InvalidTail
     ], ids=["not-commuting", "invalid-tail"])
     def test_rejection_with_unwritable_out_is_one_input_error_line(self, argv, period, tmp_path,
                                                                    capsys):
@@ -310,6 +314,64 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"input error: [Errno 2] No such file or directory: {str(out)!r}\n"
+
+    def test_rejection_with_out_is_written_to_the_file_only(self, tmp_path, capsys):
+        out = tmp_path / "x.json"
+        assert main(["rep", "build", "--presentation", "flip", "--words", "12,1",
+                     "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(out.read_text())["rejected"].endswith("do not pairwise commute")
+        assert captured.err.splitlines() == [
+            f"wrote {out}", "rejected: words [((1, 1), (1, 2)), ((2, 1),)] do not pairwise commute"]
+
+    # each is checked once, by the library function that reads the value
+    @pytest.mark.parametrize("argv, message", [
+        (["enumerate", "--m", "0,2"], "multiplicities [0, 2] must be at least 1"),
+        (["symmetry", "--bound", "0"], "bound must be >= 1, got 0"),
+        (["tail", "symmetry", "--tail", "TAIL", "--bound", "0"],
+         "bound and depth must be >= 1, got 0, 2"),
+        (["tail", "splice", "--bound", "0"], "bound and depth must be >= 1, got 0, 2"),
+        (["tail", "equivalent", "--tail", "TAIL", "--other", "TAIL", "--shift", "0,0",
+          "--depth", "0"], "depth must be >= 1, got 0"),
+        (["tail", "sigma", "--tail", "TAIL", "--box=-1,2"], "box (-1, 2) must have 2 nonnegative entries"),
+        (["periodicity", "--pi", "1,1"], "pi (1, 1) must have entries of both signs (or be zero)"),
+        (["periodicity", "--pi", "1,-1,0"], "pi (1, -1, 0) has wrong length for k=2"),
+        (["rep", "build", "--words", "1,1", "--alphas", "1/2"], "need one phase per color, got 1"),
+        (["tail", "equivalent", "--tail", "TAIL", "--other", "TAIL", "--shift", "1,1,1"],
+         "shift (1, 1, 1) must have 2 entries"),
+    ], ids=["m", "symmetry-bound", "tail-symmetry-bound", "tail-splice-bound",
+            "tail-equivalent-depth", "box", "pi-signs", "pi-length", "alphas", "shift"])
+    def test_parameter_error_is_one_input_error_line(self, argv, message, tmp_path, capsys):
+        tail_path = tmp_path / "tail.json"
+        tail_path.write_text(json.dumps({"preperiod": [], "period": [[1, 1], [2, 1]]}))
+        argv = [str(tail_path) if a == "TAIL" else a for a in argv]
+        if argv[0] != "enumerate":
+            command = argv[:2] if argv[0] in ("tail", "rep") else argv[:1]
+            argv = command + ["--presentation", "flip"] + argv[len(command):]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"input error: {message}\n"
+
+    @pytest.mark.parametrize("argv, named", [
+        (["tail", "sigma", "--presentation", "flip-cycles", "--tail", "t.json"],
+         "the following arguments are required: --box"),
+        (["tail", "splice", "--presentation", "flip", "--tail", "x"],
+         "unrecognized arguments: --tail x"),
+        (["tail", "sigma", "--presentation", "flip", "--tail", "t.json", "--box", "4,4",
+          "--bound", "1"], "unrecognized arguments: --bound 1"),
+        (["enumerate", "--m", "2,2", "--classify"], "unrecognized arguments: --classify"),
+        (["symmetry", "--presentation", "flip", "--report", "r.json"],
+         "unrecognized arguments: --report r.json"),
+    ], ids=["sigma-without-box", "splice-with-tail", "sigma-with-bound", "enumerate-classify",
+            "symmetry-report"])
+    def test_a_flag_its_command_does_not_read_is_a_usage_error(self, argv, named, capsys):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"input error: {named}\nusage: polygraph")
+        assert "Traceback" not in captured.err
 
     def test_aperiodic_pi_exit_2(self, capsys):
         assert main(["periodicity", "--presentation", "cycle3-forward",
@@ -460,6 +522,29 @@ class TestCommands:
         out = json.loads(capsys.readouterr().out)
         assert out["result"]["symmetry_rank"] == 0
 
+    def test_each_tail_verb_records_only_its_own_flags(self, tmp_path, capsys):
+        tail_file = tmp_path / "tail.json"
+        tail_file.write_text(json.dumps({"preperiod": [], "period": [[1, 1], [2, 1]]}))
+        t = str(tail_file)
+        verbs = {"sigma": ["--tail", t, "--box", "2,2"],
+                 "symmetry": ["--tail", t, "--bound", "1"],
+                 "equivalent": ["--tail", t, "--other", t, "--shift", "1,0"],
+                 "splice": ["--bound", "1"]}
+        flags = {"sigma": {"tail", "box"}, "symmetry": {"tail", "bound", "depth"},
+                 "equivalent": {"tail", "other", "shift", "depth"}, "splice": {"bound", "depth"}}
+        for verb, args in verbs.items():
+            assert main(["tail", verb, "--presentation", "flip", *args]) == 0
+            params = json.loads(capsys.readouterr().out)["manifest"]["parameters"]
+            assert set(params) == {"command", "tail_command", "presentation"} | flags[verb], verb
+            assert params["tail_command"] == verb
+
+    def test_enumerate_and_classify_share_one_command(self, capsys):
+        for command, classify in (("enumerate", False), ("classify", True)):
+            assert main([command, "--m", "2,2"]) == 0
+            manifest = json.loads(capsys.readouterr().out)["manifest"]
+            assert manifest["command"] == command
+            assert manifest["parameters"] == {"classify": classify, "command": command, "m": "2,2"}
+
     def test_paper_suite_reports_its_criteria(self, capsys):
         assert main(["paper-suite"]) == 0
         captured = capsys.readouterr()
@@ -501,22 +586,24 @@ PRESENTATIONS = _slot(["flip", "cycle3-forward", "flip-cycles", "GOOD"],
                       ["twisted-periodic", "nope", "BAD"], "--presentation")
 # --bound is always given: its defaults (3 and 4) are above the cheap range
 BOUND = _slot(["1", "2"], ["0", "-1", "x"], "--bound")[1:]
+TAIL = _slot(["TAIL"], ["TRUNC", "missing.json", "BADTAIL"], "--tail")
+DEPTH = _slot(["1"], ["0", "x"], "--depth")
 # argv = the command words, then one drawn alternative per slot; GOOD, BAD,
 # TRUNC, TAIL and BADTAIL (a letter out of range) stand for the files
 # written by the fixture below
 ARGV_VOCABULARY = {
     ("validate",): [_slot(["GOOD"], ["BAD", "TRUNC", "missing.json"])],
-    ("enumerate",): [_slot(["1", "2", "1,2", "2,2", "2,1,2"], ["0", "2,-1", "x", ""], "--m"),
-                     _slot(["--classify"])],
+    ("enumerate",): [_slot(["1", "2", "1,2", "2,2", "2,1,2"], ["0", "2,-1", "x", ""], "--m")],
     ("classify",): [_slot(["2", "2,2", "1,2,2", "2,2,2"], ["2,0", "a,b"], "--m")],
     ("periodicity",): [PRESENTATIONS,
                        _slot(["1,-1", "1,1", "1,-1,0"], ["0,0", "x"], "--pi")],
     ("symmetry",): [PRESENTATIONS, BOUND],
-    ("tail",): [_slot(["sigma", "symmetry", "equivalent", "splice"], ["nope"]), PRESENTATIONS,
-                _slot(["TAIL"], ["TRUNC", "missing.json", "BADTAIL"], "--tail"),
-                _slot(["2,2", "1,2"], ["1", "-1,2", "x"], "--box"), BOUND,
-                _slot(["1"], ["0", "x"], "--depth"), _slot(["TAIL"], ["TRUNC", "BADTAIL"], "--other"),
-                _slot(["0,0", "1,0"], ["0,0,0"], "--shift")],
+    ("tail", "sigma"): [PRESENTATIONS, TAIL, _slot(["2,2", "1,2"], ["1", "-1,2", "x"], "--box")],
+    ("tail", "symmetry"): [PRESENTATIONS, TAIL, BOUND, DEPTH],
+    ("tail", "equivalent"): [PRESENTATIONS, TAIL, _slot(["TAIL"], ["TRUNC", "BADTAIL"], "--other"),
+                             _slot(["0,0", "1,0"], ["0,0,0"], "--shift"), DEPTH],
+    ("tail", "splice"): [PRESENTATIONS, BOUND, DEPTH],
+    ("tail", "nope"): [],
     ("rep",): [_slot(["build", "decompose", "export-dot"], ["nope"]), PRESENTATIONS,
                _slot(["1,1", "12,21", "112,112,112", "12,12,12"],
                      [",1", "1x,1", "13,12", ""], "--words"),
@@ -571,9 +658,9 @@ def argvs(draw):
 class TestArgvContract:
     @settings(derandomize=True, deadline=None, max_examples=300)
     @given(argv=argvs())
-    @example(argv=["tail", "sigma", "--presentation", "flip", "--tail", "BADTAIL", "--bound", "1"])
+    @example(argv=["tail", "sigma", "--presentation", "flip", "--tail", "BADTAIL", "--box", "1,1"])
     @example(argv=["tail", "equivalent", "--presentation", "flip", "--tail", "TAIL",
-                   "--other", "BADTAIL", "--shift", "1,0", "--bound", "1"])
+                   "--other", "BADTAIL", "--shift", "1,0", "--depth", "1"])
     # 46 colors have 1,035 color pairs: one walk level each would exceed the
     # frame budget of a CLI process
     @example(argv=["enumerate", "--m", ",".join(["1"] * 46)])
@@ -632,6 +719,28 @@ class TestExceptionFamilies:
                          "InvalidConstruction", "NotCommuting", "InvalidTail"},
             "Exhausted": {"BudgetExceeded", "LatticeInconsistency"},
         }
+
+    def test_a_library_parameter_error_is_an_input_error_and_a_value_error(self):
+        flip = catalog.flip_2graph()
+        t = tail(flip, (), ((1, 1), (2, 1)))
+        calls = {
+            "multiplicities [2, 0] must be at least 1": lambda: next(enumerate_presentations((2, 0))),
+            "pi (1, 1) must have entries of both signs (or be zero)": lambda: find_gamma(flip, (1, 1)),
+            "pi (1,) has wrong length for k=2": lambda: find_gamma(flip, (1,)),
+            "bound must be >= 1, got 0": lambda: symmetry_lattice(flip, 0),
+            "box (2,) must have 2 nonnegative entries": lambda: sigma_data(t, (2,)),
+            "shift (1,) must have 2 entries": lambda: shift_tail_equivalent(t, t, (1,)),
+            "depth must be >= 1, got 0": lambda: shift_tail_equivalent(t, t, (0, 0), depth=0),
+            "bound and depth must be >= 1, got 0, 2": lambda: tail_symmetry_group(t, 0),
+            "bound and depth must be >= 1, got 1, -1": lambda: splice_separating_tail(flip, 1, -1),
+            "need one phase per color, got 1":
+                lambda: from_commuting_words(flip, [((1, 1),), ((2, 1),)], alphas=[0]),
+        }
+        for message, call in calls.items():
+            with pytest.raises(errors.InvalidArgument) as info:
+                call()
+            assert str(info.value) == message
+            assert isinstance(info.value, errors.InputError) and isinstance(info.value, ValueError)
 
     @pytest.mark.parametrize("error, code, prefix", [
         (WordError("letter (3, 1) outside presentation ranges"), 1, "input error: "),

@@ -36,6 +36,10 @@ other than by calling it (as `cli.CATALOG` holds the catalog builders),
 so a caller may rely on it.  A default that every call overrides is
 dead.  The parameters of the names that `polygraph/__init__.py` serves
 are public API and exempt from both rules.
+
+And every parameter is read: each parameter of a function or lambda in
+src/polygraph, other than `self` and `cls`, is loaded in its body (a
+nested function that loads it counts).  Public API is not exempt.
 """
 
 import ast
@@ -254,6 +258,41 @@ def overridden_defaults(sources: dict, product: dict, public=frozenset()) -> lis
     return sorted(f"{name}({p})" for name, options, passed, as_value in
                   _option_uses(sources, product, public) if not as_value
                   for p in options if all(p in s for s in passed))
+
+
+def unread_parameters(sources: dict) -> list[str]:
+    """The "module.function(parameter)" of each parameter, other than self
+    and cls, of a function or lambda in `sources` that its body never loads."""
+    unread = []
+    for path, text in sources.items():
+        for fn in ast.walk(ast.parse(text)):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            a = fn.args
+            params = a.posonlyargs + a.args + a.kwonlyargs + [v for v in (a.vararg, a.kwarg) if v]
+            body = fn.body if isinstance(fn.body, list) else [fn.body]
+            loaded = {node.id for part in body for node in ast.walk(part)
+                      if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+            unread += [f"{Path(path).stem}.{getattr(fn, 'name', '<lambda>')}({p.arg})"
+                       for p in params if p.arg not in ("self", "cls", *loaded)]
+    return sorted(unread)
+
+
+def test_every_parameter_is_read():
+    unread = unread_parameters({p: p.read_text() for p in SOURCES})
+    assert not unread, f"parameters that their function never reads: {unread}"
+
+
+def test_an_unread_parameter_is_flagged():
+    lib = ("class A:\n    def f(self, x, y):\n        return x\n\n\n"
+           "def g(P, cert, *args, **kw):\n    return [cert for _ in args]\n\n\n"
+           "def outer(x, y=0):\n    def inner():\n        return x\n    return inner\n\n\n"
+           "h = lambda a, b: b\n")
+    assert unread_parameters({"src/lib.py": lib}) == [
+        "lib.<lambda>(a)", "lib.f(y)", "lib.g(P)", "lib.g(kw)", "lib.outer(y)"]
+    # a store is no load, and a default is no read
+    lib = "def f(x, y=1):\n    x = 2\n    return 0\n"
+    assert unread_parameters({"src/lib.py": lib}) == ["lib.f(x)", "lib.f(y)"]
 
 
 def test_every_top_level_name_is_referenced():

@@ -177,14 +177,14 @@ class TestMultiply:
                               for h, g in itertools.combinations_with_replacement(certs, 2))
                   if c is not None]
         for cert in certs:
-            W = central_element(P, cert)
+            W = central_element(cert)
             assert_matches_reference(P, W, adjoint(W))
             assert_matches_reference(P, adjoint(W), W)
             for g in P.letters():
                 assert_matches_reference(P, W, monomial(P, (g,), ()))
                 assert_matches_reference(P, monomial(P, (g,), ()), W)
         for h, g in itertools.product(certs, repeat=2):
-            assert_matches_reference(P, central_element(P, h), central_element(P, g))
+            assert_matches_reference(P, central_element(h), central_element(g))
 
     def test_zero_annihilates(self):
         m = star(FLIP, ((1, 1),), ((2, 2),))
