@@ -1,8 +1,8 @@
 """Command-line interface.
 
-Machine-readable JSON goes to stdout (or --out), wrapped with a run
-manifest so identical inputs and parameters reproduce byte-identical
-output; human-readable progress goes to stderr.  Exit codes:
+Machine-readable JSON goes to stdout (or --out): jsonio.dump_json, the one writer, streams
+each result, the library's tuples as lists, wrapped with a run manifest so identical inputs
+and parameters reproduce byte-identical output.  Progress goes to stderr.  Exit codes:
 
     0  success
     1  input error (unreadable or malformed files, bad flags): errors.InputError
@@ -45,7 +45,6 @@ from .jsonio import (
     load_presentation,
     phase_from_str,
     presentation_error_to_obj,
-    presentation_to_obj,
     read_json,
     tail_from_obj,
     tail_to_obj,
@@ -92,17 +91,19 @@ def _manifest(args: argparse.Namespace, inputs: list[str], summary) -> dict:
     }
 
 
-def _write(path: str | None, obj) -> None:
-    """obj as JSON to the file path, or to stdout when there is none."""
-    text = dump_json(obj, path)
+def _write(path: str | None, emit) -> None:
+    """emit(fh) on the file at path, or on stdout when there is none."""
     if path:
+        with open(path, "w") as fh:
+            emit(fh)
         _say(f"wrote {path}")
     else:
-        sys.stdout.write(text)
+        emit(sys.stdout)
 
 
 def _emit(args, inputs, summary, result) -> None:
-    _write(args.out, {"manifest": _manifest(args, inputs, summary), "result": result})
+    obj = {"manifest": _manifest(args, inputs, summary), "result": result}
+    _write(args.out, lambda fh: dump_json(obj, fh))
 
 
 def _load(args) -> tuple:
@@ -126,7 +127,7 @@ def cmd_validate(args) -> int:
     except Rejected as err:  # a PresentationError, the one rejection of a file read
         _emit(args, [args.path], "rejected", presentation_error_to_obj(err))
         return EXIT_REJECTED
-    _emit(args, [args.path], "valid", {"valid": True, "k": P.k, "m": list(P.m)})
+    _emit(args, [args.path], "valid", {"valid": True, "k": P.k, "m": P.m})
     return EXIT_OK
 
 
@@ -138,13 +139,12 @@ def cmd_enumerate(args) -> int:
     classes = isomorphism_classes(presentations) if args.classify else None
     _say(f"{len(presentations)} valid presentations for m={list(m)}")
     if classes is not None:
-        result = {"m": list(m), "count": len(presentations),
-                  "classes": [{"representative": presentation_to_obj(c.representative),
-                               "size": c.size} for c in classes]}
+        result = {"m": m, "count": len(presentations),
+                  "classes": [{"representative": c.representative, "size": c.size}
+                              for c in classes]}
         summary = f"{len(presentations)} presentations, {len(classes)} classes"
     else:
-        result = {"m": list(m), "count": len(presentations),
-                  "presentations": [presentation_to_obj(p) for p in presentations]}
+        result = {"m": m, "count": len(presentations), "presentations": presentations}
         summary = f"{len(presentations)} presentations"
     _emit(args, [], summary, result)
     return EXIT_OK
@@ -158,7 +158,7 @@ def cmd_tail(args) -> int:
         tl = splice_separating_tail(P, bound=args.bound, depth=args.depth)
         sym = tail_symmetry_group(tl, bound=args.bound, depth=args.depth)
         result = {"tail": tail_to_obj(tl), "symmetry_rank": sym.rank,
-                  "symmetry_basis": [list(v) for v in sym.basis]}
+                  "symmetry_basis": sym.basis}
         _emit(args, inputs, f"spliced tail, residual symmetry rank {sym.rank}", result)
         return EXIT_OK
     tl = tail_from_obj(P, read_json(args.tail, "tail"))
@@ -166,24 +166,21 @@ def cmd_tail(args) -> int:
     if args.tail_command == "sigma":
         box = _parse_vector(args.box)
         data = sigma_data(tl, box)
-        result = {"box": list(box),
-                  "sigma": [{"n": list(n), "t": list(v)} for n, v in data.as_dict().items()]}
+        result = {"box": box, "sigma": [{"n": n, "t": v} for n, v in data.as_dict().items()]}
         _emit(args, inputs, f"sigma on box {list(box)}", result)
     elif args.tail_command == "symmetry":
         sym = tail_symmetry_group(tl, bound=args.bound, depth=args.depth)
         result = {"bound": sym.bound, "depth": sym.depth, "rank": sym.rank,
-                  "basis": [list(v) for v in sym.basis],
-                  "lower_bound_only": True,
-                  "generators_found": [list(g.shift) for g in sym.generators]}
+                  "basis": sym.basis, "lower_bound_only": True,
+                  "generators_found": [g.shift for g in sym.generators]}
         _emit(args, inputs, f"tail symmetry rank {sym.rank}", result)
     else:  # equivalent
         shift = _parse_vector(args.shift)
         other = tail_from_obj(P, read_json(args.other, "tail"))
         inputs.append(args.other)
         tr = shift_tail_equivalent(tl, other, shift, depth=args.depth)
-        result = {"shift": list(tr.shift), "equivalent": tr.equivalent,
-                  "threshold": list(tr.threshold), "bottom": list(tr.bottom),
-                  "counterexample": list(tr.counterexample) if tr.counterexample else None}
+        result = {"shift": tr.shift, "equivalent": tr.equivalent, "threshold": tr.threshold,
+                  "bottom": tr.bottom, "counterexample": tr.counterexample}
         _emit(args, inputs, f"equivalent={tr.equivalent}", result)
     return EXIT_OK
 
@@ -195,10 +192,9 @@ def cmd_periodicity(args) -> int:
     pi = _parse_vector(args.pi)
     cert = is_periodic(P, pi)
     if cert is None:
-        _emit(args, inputs, f"{list(pi)} is not a period",
-              {"pi": list(pi), "periodic": False})
+        _emit(args, inputs, f"{list(pi)} is not a period", {"pi": pi, "periodic": False})
         return EXIT_REJECTED
-    result = {"pi": list(pi), "periodic": True,
+    result = {"pi": pi, "periodic": True,
               "certificate": certificate_to_obj(cert),
               "central_element": render(central_element(cert))}
     _emit(args, inputs, f"{list(pi)} certified", result)
@@ -232,7 +228,7 @@ def cmd_rep(args) -> int:
         rep = decompose(gc)
         result = {
             "dimension": gc.dimension,
-            "symmetry": [list(h) for h in rep.symmetry],
+            "symmetry": rep.symmetry,
             "summands": [{"dimension": s.dimension,
                           "construction": group_construction_to_obj(s)}
                          for s in rep.summands],
@@ -242,13 +238,8 @@ def cmd_rep(args) -> int:
               f"{len(rep.summands)} irreducible summands of dims {sorted(set(rep.dimensions))}",
               result)
     else:  # export-dot
-        text = to_dot(gc)
-        if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(text + "\n")
-            _say(f"wrote {args.out}")
-        else:
-            sys.stdout.write(text + "\n")
+        text = to_dot(gc) + "\n"
+        _write(args.out, lambda fh: fh.write(text))
     return EXIT_OK
 
 
@@ -357,7 +348,7 @@ def main(argv: list[str] | None = None) -> int:
         except Rejected as err:
             # written before the verdict is said, so that an unwritable
             # --out is one input error line like any other
-            _write(args.out, {"rejected": str(err)})
+            _write(args.out, lambda fh: dump_json({"rejected": str(err)}, fh))
             _say(f"rejected: {err}")
             return EXIT_REJECTED
     except (InputError, OSError) as err:

@@ -301,7 +301,7 @@ def isomorphism_classes(presentations: Iterable[Presentation]) -> list[IsoClass]
     input count.  Classes are returned sorted by representative encoding.
     The first member of each orbit is mapped through every relabeling;
     a later member is found among those images and only counted.  Raises
-    ValueError when the input mixes multiplicity vectors, whose tables
+    InvalidArgument when the input mixes multiplicity vectors, whose tables
     could share codes without being isomorphic.
     """
     m = None
@@ -313,7 +313,7 @@ def isomorphism_classes(presentations: Iterable[Presentation]) -> list[IsoClass]
         if m is None:
             m = P.m
         elif P.m != m:
-            raise ValueError(f"isomorphism_classes needs one multiplicity vector, "
+            raise InvalidArgument(f"isomorphism_classes needs one multiplicity vector, "
                              f"got {list(m)} and {list(P.m)}")
         codes = orbits.get(P.codes)
         if codes is None:

@@ -97,7 +97,7 @@ class FiniteAbelianGroup:
     def from_kernel(kernel_rows: list[Vec] | Mat) -> "FiniteAbelianGroup":
         hnf = hermite_normal_form(kernel_rows)
         if not hnf or len(hnf) != len(hnf[0]):
-            raise ValueError(f"kernel {kernel_rows} is not full rank; quotient is infinite")
+            raise InvalidArgument(f"kernel {kernel_rows} is not full rank; quotient is infinite")
         # a square echelon basis has its pivots on the diagonal
         budget("group order", 1_000_000, (hnf[i][i] for i in range(len(hnf))))
         return FiniteAbelianGroup(len(hnf), hnf)
@@ -233,12 +233,17 @@ def _constant_construction(P: Presentation, G: FiniteAbelianGroup, t, constants
     return GroupConstruction(P, G, t, level, tuple((a,) * G.order for a in c))
 
 
-def words_commute(P: Presentation, words: list[Word]) -> bool:
-    """Pairwise commutation of per-color words (word i pure color i)."""
+def _check_pure(words: list[Word], what: str) -> None:
+    """InvalidArgument unless each words[i - 1] has letters of color i only."""
     for i, w in enumerate(words, start=1):
         for c, _ in w:
             if c != i:
-                raise ValueError(f"word {i} contains a letter of color {c}")
+                raise InvalidArgument(f"{what} {i} contains a letter of color {c}")
+
+
+def words_commute(P: Presentation, words: list[Word]) -> bool:
+    """Pairwise commutation of per-color words (word i pure color i)."""
+    _check_pure(words, "word")
     for a, b in itertools.combinations(words, 2):
         if not words_equal(P, a + b, b + a):
             return False
@@ -291,13 +296,10 @@ def cycle_construction(P: Presentation, seeds: list[Word]
     a cycle does not close within the "cycle steps" limit (100,000).
     """
     if len(seeds) != P.k or any(not s for s in seeds):
-        raise ValueError("need one nonempty seed word per color")
+        raise InvalidArgument("need one nonempty seed word per color")
     for w in seeds:
         check_word(P, w)
-    for i, w in enumerate(seeds, start=1):
-        for c, _ in w:
-            if c != i:
-                raise ValueError(f"seed {i} contains a letter of color {c}")
+    _check_pure(seeds, "seed")
     if P.k == 1:
         return list(seeds), []
 

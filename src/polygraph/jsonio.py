@@ -8,13 +8,16 @@ Presentation files are the interchange contract:
 with 1-based indices, each table listing every [[s, t], [s2, t2]] pair of
 its domain, and pair keys "i,j" with i < j.  Writers emit pairs in
 lexicographic (s, t) order and sorted keys so output is byte-stable.
+They hand over the library's own tuples, which JSON writes as lists, and
+dump_json, the one writer of a result, streams its text to an open file.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 from fractions import Fraction
-from typing import TYPE_CHECKING, Any
+from typing import IO, TYPE_CHECKING, Any
 
 from .errors import InputError
 from .kgraph import (CubicViolation, InvalidPermutation, Presentation, PresentationError, Theta,
@@ -25,15 +28,16 @@ if TYPE_CHECKING:  # annotations only: a command loads the layers it uses
     from .periodicity import PeriodicityCertificate, SymmetryLattice, TailCheck
     from .tails import Tail
 
+_BLOCK = 4096  # a write per token is slow on a pipe; one write would hold the whole text
+
 
 class FormatError(InputError, ValueError):
     """Malformed input file (not a mathematical rejection)."""
 
 
 def presentation_to_obj(P: Presentation) -> dict:
-    theta = {f"{i},{j}": [[[s, t], [s2, t2]] for (s, t), (s2, t2) in P.table(i, j).items()]
-             for i, j in color_pairs(P.k)}
-    return {"k": P.k, "m": list(P.m), "theta": theta}
+    theta = {f"{i},{j}": list(P.table(i, j).items()) for i, j in color_pairs(P.k)}
+    return {"k": P.k, "m": P.m, "theta": theta}
 
 
 def _integer(x: Any) -> int:
@@ -89,16 +93,11 @@ def load_presentation(path: str) -> Presentation:
 def presentation_error_to_obj(err: PresentationError) -> dict:
     """The verdict on a rejected presentation, with its witness."""
     if isinstance(err, InvalidPermutation):
-        return {"valid": False, "error": "invalid permutation", "pair": list(err.pair)}
+        return {"valid": False, "error": "invalid permutation", "pair": err.pair}
     if isinstance(err, CubicViolation):
-        return {"valid": False, "error": "cubic violation",
-                "colors": list(err.triple), "witness": list(err.witness),
-                "left": list(err.left), "right": list(err.right)}
+        return {"valid": False, "error": "cubic violation", "colors": err.triple,
+                "witness": err.witness, "left": err.left, "right": err.right}
     return {"valid": False, "error": str(err)}
-
-
-def word_to_obj(w: Word) -> list:
-    return [[c, s] for c, s in w]
 
 
 def word_from_obj(obj: Any) -> Word:
@@ -125,7 +124,7 @@ def words_from_str(P: Presentation, text: str) -> list[Word]:
 
 
 def tail_to_obj(t: Tail) -> dict:
-    return {"preperiod": word_to_obj(t.preperiod), "period": word_to_obj(t.period)}
+    return {"preperiod": t.preperiod, "period": t.period}
 
 
 def tail_from_obj(P: Presentation, obj: Any) -> Tail:
@@ -134,10 +133,6 @@ def tail_from_obj(P: Presentation, obj: Any) -> Tail:
         return tail(P, word_from_obj(obj.get("preperiod", [])), word_from_obj(obj["period"]))
     except (KeyError, AttributeError, WordError) as err:
         raise FormatError(f"malformed tail object: {err}") from err
-
-
-def phase_str(p: Fraction) -> str:
-    return f"{p.numerator}/{p.denominator}"
 
 
 def phase_from_str(s: str) -> Fraction:
@@ -156,15 +151,14 @@ def tail_check_to_obj(tc: TailCheck | None) -> Any:
         out["states_visited"] = tc.states_visited
     if tc.violation is not None:
         path, state = tc.violation
-        out["violation"] = {"path": word_to_obj(path),
-                            "state": [word_to_obj(state[0]), word_to_obj(state[1])]}
+        out["violation"] = {"path": path, "state": state}
     return out
 
 
 def certificate_to_obj(cert: PeriodicityCertificate) -> dict:
     return {
-        "pi": list(cert.pi),
-        "gamma": [[word_to_obj(e), word_to_obj(f)] for e, f in cert.gamma],
+        "pi": cert.pi,
+        "gamma": cert.gamma,
         "tail_check": tail_check_to_obj(cert.tail_check),
     }
 
@@ -173,24 +167,26 @@ def lattice_to_obj(lat: SymmetryLattice) -> dict:
     return {
         "bound": lat.bound,
         "rank": lat.rank,
-        "basis": [list(v) for v in lat.basis],
-        "hits": [list(v) for v in lat.hits],
+        "basis": lat.basis,
+        "hits": lat.hits,
         "certificates": [certificate_to_obj(c) for c in lat.certificates],
     }
 
 
 def group_construction_to_obj(gc: GroupConstruction) -> dict:
     return {
-        "kernel": [list(r) for r in gc.group.kernel],
-        "elements": [list(g) for g in gc.group.elements],
-        "t": [list(row) for row in gc.t],
-        "alpha": [[phase_str(a) for a in row] for row in gc.alpha],
+        "kernel": gc.group.kernel,
+        "elements": gc.group.elements,
+        "t": gc.t,
+        "alpha": [[f"{a.numerator}/{a.denominator}" for a in row] for row in gc.alpha],
     }
 
 
-def dump_json(obj: Any, path: str | None) -> str:
-    text = json.dumps(obj, sort_keys=True, indent=1) + "\n"
-    if path is not None:
-        with open(path, "w") as fh:
-            fh.write(text)
-    return text
+def dump_json(obj: Any, fh: IO[str]) -> None:
+    """obj as JSON (sorted keys, indent 1, each Presentation as presentation_to_obj
+    renders it) and a newline to fh, one write per _BLOCK nonempty encoder tokens."""
+    tokens = json.JSONEncoder(sort_keys=True, indent=1,
+                              default=presentation_to_obj).iterencode(obj)
+    while block := "".join(itertools.islice(tokens, _BLOCK)):
+        fh.write(block)
+    fh.write("\n")

@@ -373,7 +373,7 @@ def verify_homomorphism(P: Presentation,
                         cert_sum: PeriodicityCertificate) -> bool:
     """W_{h1} W_{h2} = W_{h1+h2} at the relation level."""
     if deg_add(cert1.pi, cert2.pi) != cert_sum.pi:
-        raise ValueError("certificates are not for h1, h2, h1+h2")
+        raise InvalidArgument("certificates are not for h1, h2, h1+h2")
     w1 = central_element(cert1)
     w2 = central_element(cert2)
     w12 = central_element(cert_sum)
@@ -420,7 +420,7 @@ def product_relation_tables(P: Presentation, cert: PeriodicityCertificate) -> tu
     delta = gamma o (two-color commutation)^{-1}; returns (gamma, delta)
     keyed by (color-1 word, color-2 word) pairs."""
     if P.k != 3:
-        raise ValueError("only defined for 3-graphs")
+        raise InvalidArgument("only defined for 3-graphs")
     gamma_struct = {}
     for e, g in cert.gamma:
         u, v = extract_prefix(P, e, (degree(P, e)[0], 0, 0))

@@ -15,9 +15,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import polygraph
-from polygraph import acceptance, catalog, cli, errors
+from polygraph import acceptance, catalog, cli, errors, jsonio
 from polygraph.cli import main
 from polygraph.jsonio import (
+    dump_json,
     group_construction_to_obj,
     phase_from_str,
     presentation_from_obj,
@@ -25,12 +26,13 @@ from polygraph.jsonio import (
     tail_from_obj,
     tail_to_obj,
 )
-from polygraph.enumeration import enumerate_presentations
-from polygraph.groupcons import (FiniteAbelianGroup, NotCommuting, from_commuting_words,
-                                 group_construction)
+from polygraph.enumeration import enumerate_presentations, isomorphism_classes
+from polygraph.groupcons import (FiniteAbelianGroup, NotCommuting, cycle_construction,
+                                 from_commuting_words, group_construction, words_commute)
 from polygraph.intlinalg import LatticeInconsistency
-from polygraph.kgraph import WordError
-from polygraph.periodicity import find_gamma, symmetry_lattice
+from polygraph.kgraph import Presentation, WordError
+from polygraph.periodicity import (find_gamma, is_periodic, product_relation_tables,
+                                   symmetry_lattice, verify_homomorphism)
 from polygraph.tails import (shift_tail_equivalent, sigma_data, splice_separating_tail, tail,
                              tail_symmetry_group)
 
@@ -73,7 +75,7 @@ class TestRoundTrips:
     def test_tail_json(self):
         P = catalog.flip_2graph()
         t = tail(P, ((1, 2),), ((1, 1), (2, 2)))
-        obj = tail_to_obj(t)
+        obj = json.loads(json.dumps(tail_to_obj(t)))
         assert obj == {"preperiod": [[1, 2]], "period": [[1, 1], [2, 2]]}
         t2 = tail_from_obj(P, obj)
         assert t2.preperiod == t.preperiod and t2.period == t.period
@@ -84,6 +86,62 @@ class TestRoundTrips:
         gc = from_commuting_words(P, words)
         back = group_construction_from_obj(P, group_construction_to_obj(gc))
         assert back.t == gc.t and back.alpha == gc.alpha
+
+
+def _rendered(obj):
+    """obj with each Presentation replaced by presentation_to_obj's dict."""
+    if isinstance(obj, Presentation):
+        return _rendered(presentation_to_obj(obj))
+    if isinstance(obj, dict):
+        return {key: _rendered(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_rendered(value) for value in obj]
+    return obj
+
+
+class _CountingWrites(io.StringIO):
+    def __init__(self):
+        super().__init__()
+        self.writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return super().write(text)
+
+
+class TestDumpJson:
+    """json.dumps, the encoder dump_json streams, is the oracle of its text."""
+
+    @pytest.mark.parametrize("obj", [
+        {"b": ((1, [2, (3,)]), [(4, 5), ()]), "a": [((), [])], "c": ([(-1, 0)],)},
+        (), [], {}, {"x": (), "y": [], "z": {}, "w": [{}, ((),)]},
+        {"none": None, "yes": True, "no": False, "text": "é ∞ \U0001d538 \"\n\\",
+         "ü": ["\x00"]},
+        None, True, 0, -7, "plain", "\u00e9",
+        {"p": catalog.flip_2graph(),
+         "ps": [catalog.twisted_periodic_3graph(2), (catalog.square_2graph(),)]},
+        catalog.flip_cycle_cycle_3graph(),
+    ], ids=["tuples-in-lists", "empty-tuple", "empty-list", "empty-dict", "empties",
+            "scalars", "null", "true", "zero", "negative", "string", "non-ascii",
+            "presentations", "bare-presentation"])
+    def test_writes_the_text_of_json_dumps(self, obj):
+        fh = io.StringIO()
+        dump_json(obj, fh)
+        assert fh.getvalue() == json.dumps(_rendered(obj), sort_keys=True, indent=1) + "\n"
+
+    def test_a_tree_past_one_block_is_written_a_block_at_a_time(self):
+        n = jsonio._BLOCK
+        obj = {"rows": tuple((i, [i, -i], {"i": (i,)}) for i in range(n)),
+               "flat": list(range(2 * n + 3)), "more": (catalog.flip_2graph(),) * 40}
+        expected = json.dumps(_rendered(obj), sort_keys=True, indent=1) + "\n"
+        tokens = sum(1 for _ in json.JSONEncoder(sort_keys=True, indent=1).iterencode(
+            _rendered(obj)))
+        assert tokens > 10 * n
+        fh = _CountingWrites()
+        dump_json(obj, fh)
+        assert fh.getvalue() == expected
+        # one write per full block, one for the last partial block, one for "\n"
+        assert fh.writes == -(-tokens // n) + 1
 
 
 class TestExitCodes:
@@ -113,7 +171,7 @@ class TestExitCodes:
         ("m", [2, 2.0], "2.0"), ("index", 1.9, "1.9"), ("index", False, "False"),
     ])
     def test_non_integer_presentation_is_exit_1(self, field, value, shown, tmp_path, capsys):
-        obj = presentation_to_obj(catalog.flip_2graph())
+        obj = json.loads(json.dumps(presentation_to_obj(catalog.flip_2graph())))
         if field == "index":
             obj["theta"]["1,2"][0][1][0] = value  # the image of cell (1, 1)
         else:
@@ -723,6 +781,7 @@ class TestExceptionFamilies:
     def test_a_library_parameter_error_is_an_input_error_and_a_value_error(self):
         flip = catalog.flip_2graph()
         t = tail(flip, (), ((1, 1), (2, 1)))
+        cert = is_periodic(flip, (1, -1))
         calls = {
             "multiplicities [2, 0] must be at least 1": lambda: next(enumerate_presentations((2, 0))),
             "pi (1, 1) must have entries of both signs (or be zero)": lambda: find_gamma(flip, (1, 1)),
@@ -735,6 +794,18 @@ class TestExceptionFamilies:
             "bound and depth must be >= 1, got 1, -1": lambda: splice_separating_tail(flip, 1, -1),
             "need one phase per color, got 1":
                 lambda: from_commuting_words(flip, [((1, 1),), ((2, 1),)], alphas=[0]),
+            "need one nonempty seed word per color": lambda: cycle_construction(flip, [((1, 1),)]),
+            "seed 1 contains a letter of color 2":
+                lambda: cycle_construction(flip, [((2, 1),), ((2, 1),)]),
+            "word 2 contains a letter of color 1":
+                lambda: words_commute(flip, [((1, 1),), ((1, 1),)]),
+            "isomorphism_classes needs one multiplicity vector, got [2, 2] and [1, 1]":
+                lambda: isomorphism_classes([flip, next(enumerate_presentations((1, 1)))]),
+            "certificates are not for h1, h2, h1+h2":
+                lambda: verify_homomorphism(flip, cert, cert, cert),
+            "only defined for 3-graphs": lambda: product_relation_tables(flip, cert),
+            "kernel [(2, 0)] is not full rank; quotient is infinite":
+                lambda: FiniteAbelianGroup.from_kernel([(2, 0)]),
         }
         for message, call in calls.items():
             with pytest.raises(errors.InvalidArgument) as info:
@@ -783,3 +854,20 @@ def test_a_cli_process_loads_only_its_layers(argv, unloaded):
     proc = subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True,
                           text=True, check=True)
     assert proc.stdout == "0 []\n"
+
+
+def test_enumerate_streams_its_census_in_little_memory():
+    # the child reports its own peak RSS; RUSAGE_CHILDREN would keep the
+    # largest of every earlier child of this process
+    src = os.path.dirname(os.path.dirname(acceptance.__file__))
+    code = ("import resource, sys, polygraph.cli\n"
+            "code = polygraph.cli.main(sys.argv[1:])\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)\n"
+            "sys.exit(code)\n")
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-c", code, "enumerate", "--m", "2,4"], env=env,
+                          capture_output=True, text=True, check=True)
+    progress, peak_kb = proc.stderr.splitlines()
+    assert progress == "40320 valid presentations for m=[2, 4]"
+    assert int(peak_kb) < 100 * 1024  # 418 MB when the whole text was built first
+    assert json.loads(proc.stdout)["result"]["count"] == 40_320
